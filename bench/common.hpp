@@ -55,6 +55,19 @@ inline std::size_t current_rss_bytes() {
 #endif
 }
 
+/// The host CPU's model name (Linux /proc/cpuinfo), "unknown" elsewhere.
+inline std::string cpu_model() {
+  const std::string key = "model name";
+  std::ifstream f("/proc/cpuinfo");
+  std::string line;
+  while (std::getline(f, line)) {
+    if (line.rfind(key, 0) != 0) continue;
+    const std::size_t value = line.find_first_not_of(" \t:", key.size());
+    if (value != std::string::npos) return line.substr(value);
+  }
+  return "unknown";
+}
+
 /// One measured row: a scenario run `reps` times with derived seeds.
 struct MeasuredRow {
   std::string model;
@@ -73,10 +86,9 @@ inline MeasuredRow measure_scenario(Scenario s, const ScenarioConfig& cfg,
   const ScenarioRun probe = make_scenario(s, cfg, seed);
   row.time_sched = probe.scheduled_rounds;
   row.analytic = probe.analytic;
-  const ExecutionPolicy policy =
-      jobs <= 1 ? ExecutionPolicy::serial() : ExecutionPolicy::threaded(jobs);
   const AggregateResult agg = run_experiment(
-      scenario_factory(s, cfg), ExperimentOptions{reps, seed, policy});
+      scenario_factory(s, cfg),
+      ExperimentOptions{reps, seed, ExecutionPolicy::threaded(jobs)});
   row.time_mean = agg.rounds_to_completion.mean;
   row.comm_mean = agg.tokens_sent.mean;
   row.delivery = agg.delivery_rate;

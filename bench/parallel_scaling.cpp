@@ -1,12 +1,11 @@
 // Execution-policy scaling benchmark.
 //
-// Runs a fixed repetition batch of one scenario under every ExecutionPolicy
-// — serial, threaded at several worker counts, lockstep-batched at several
-// batch widths, and the threaded×batched composition — checks that every
-// run reproduces the serial statistics exactly (the runner's core
-// contract), and reports wall time, throughput and speedup per policy.
-// Results go to stdout and, with --out, to a BENCH_*.json file for the
-// repo's record of measured numbers.
+// Runs a fixed repetition batch of one scenario serially and on worker
+// pools of 1, 2, 4, ... --max-jobs threads, checks that every run
+// reproduces the serial statistics exactly (the runner's core contract),
+// and reports wall time, throughput and speedup per policy.  Results go to
+// stdout and, with --out, to a BENCH_*.json file for the repo's record of
+// measured numbers, together with the commit, build type and hardware.
 #include "common.hpp"
 
 #include <fstream>
@@ -48,9 +47,8 @@ int main(int argc, char** argv) {
 
     struct Point {
       std::string label;
-      std::string mode;
+      std::string policy;
       std::size_t jobs;
-      std::size_t replicates_per_batch;
       double seconds;
       double runs_per_second;
       double speedup;
@@ -59,14 +57,14 @@ int main(int argc, char** argv) {
     std::vector<Point> points;
     TextTable t({"policy", "wall s", "runs/s", "speedup", "stats identical"});
     const auto measure = [&](const std::string& label,
+                             const std::string& policy_name,
                              const ExecutionPolicy& policy) {
       const AggregateResult agg =
           run_experiment(factory, ExperimentOptions{reps, seed, policy});
       Point p;
       p.label = label;
-      p.mode = to_string(policy.mode);
-      p.jobs = policy.effective_jobs();
-      p.replicates_per_batch = agg.timing.replicates_per_batch;
+      p.policy = policy_name;
+      p.jobs = agg.timing.jobs;
       p.seconds = agg.timing.wall_seconds;
       p.runs_per_second = agg.timing.runs_per_second;
       p.speedup = agg.timing.wall_seconds > 0.0
@@ -78,27 +76,16 @@ int main(int argc, char** argv) {
       points.push_back(p);
     };
 
-    measure("serial", ExecutionPolicy::serial());
+    measure("serial", "serial", ExecutionPolicy::serial());
     for (std::size_t jobs = 1; jobs <= max_jobs; jobs *= 2) {
-      measure("threaded j=" + std::to_string(jobs),
+      measure("threaded j=" + std::to_string(jobs), "threaded",
               ExecutionPolicy::threaded(jobs));
-    }
-    for (std::size_t r : {std::size_t{4}, std::size_t{8}, std::size_t{16}}) {
-      if (r > reps) continue;
-      measure("batched R=" + std::to_string(r), ExecutionPolicy::batched(r));
-    }
-    if (reps >= 8) {
-      const std::size_t tb_jobs = std::max<std::size_t>(2, max_jobs / 2);
-      measure("threaded-batched j=" + std::to_string(tb_jobs) + " R=8",
-              ExecutionPolicy::threaded_batched(tb_jobs, 8));
     }
     std::cout << t;
     std::cout << "\nSerial reference: " << serial.timing.wall_seconds
               << " s (" << serial.timing.runs_per_second << " runs/s).\n"
-              << "Threaded speedups above 1 require free hardware threads; "
-                 "batched speedups\ncome from lockstep cache locality and "
-                 "shared scratch, so they also show on a\nsingle-core host. "
-                 "Every policy must reproduce the serial statistics "
+              << "Threaded speedups above 1 require free hardware threads. "
+                 "Every policy must\nreproduce the serial statistics "
                  "bit-for-bit.\n";
 
     if (!out_path.empty()) {
@@ -109,15 +96,17 @@ int main(int argc, char** argv) {
       f << "  \"nodes\": " << nodes << ",\n";
       f << "  \"reps\": " << reps << ",\n";
       f << "  \"base_seed\": " << seed << ",\n";
+      f << "  \"commit\": \"" << HINET_GIT_COMMIT << "\",\n";
+      f << "  \"build_type\": \"" << HINET_BUILD_TYPE << "\",\n";
       f << "  \"hardware_concurrency\": " << hw << ",\n";
+      f << "  \"cpu_model\": \"" << bench::cpu_model() << "\",\n";
       f << "  \"serial_seconds\": " << serial.timing.wall_seconds << ",\n";
       f << "  \"serial_runs_per_second\": " << serial.timing.runs_per_second
         << ",\n";
       f << "  \"points\": [\n";
       for (std::size_t i = 0; i < points.size(); ++i) {
         const Point& p = points[i];
-        f << "    {\"policy\": \"" << p.mode << "\", \"jobs\": " << p.jobs
-          << ", \"replicates_per_batch\": " << p.replicates_per_batch
+        f << "    {\"policy\": \"" << p.policy << "\", \"jobs\": " << p.jobs
           << ", \"seconds\": " << p.seconds
           << ", \"runs_per_second\": " << p.runs_per_second
           << ", \"speedup\": " << p.speedup << ", \"stats_identical\": "
@@ -129,20 +118,12 @@ int main(int argc, char** argv) {
       // regenerated file never loses it.
       f << "  \"notes\": [\n"
         << "    \"Replicate throughput on this workload is dominated by "
-           "per-replicate spec construction (trace generation), which every "
-           "policy pays identically; on a 1-core host the batched policies "
-           "therefore sit at parity with serial, within noise.\",\n"
-        << "    \"Against the v0 record of this file (commit d5daf3d, same "
-           "nodes=100 workload, 1-core host: serial 155.5 runs/s), the "
-           "current batched R=8 point clears the 1.5x acceptance floor "
-           "several times over; the bulk of that is the removal of the "
-           "provably redundant whole-trace Ctvg::validate() in "
-           "make_hinet_trace plus lazy validate error strings, which landed "
-           "together with the lockstep engine.\",\n"
-        << "    \"Multi-core target: threaded-batched (jobs x lockstep "
-           "batches) is the sweep configuration expected to reach 10x "
-           "serial runs/s on a >=8-core host; hardware_concurrency above "
-           "records what this box offered.\"\n"
+           "per-replicate spec construction (trace generation), which runs "
+           "on the worker, so whole replicates parallelise; threaded "
+           "speedup is bounded by the free hardware threads recorded "
+           "above.\",\n"
+        << "    \"Every point must reproduce the serial statistics "
+           "bit-for-bit (stats_identical).\"\n"
         << "  ]\n}\n";
       std::cout << "\nJSON written to " << out_path << '\n';
     }

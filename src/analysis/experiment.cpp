@@ -1,34 +1,15 @@
 #include "analysis/experiment.hpp"
 
-#include <algorithm>
-#include <atomic>
 #include <bit>
 #include <chrono>
-#include <limits>
-#include <mutex>
 #include <sstream>
 #include <thread>
 
-#include "sim/batch_engine.hpp"
+#include "analysis/supervisor.hpp"
 
 namespace hinet {
 
-const char* to_string(ExecutionPolicy::Mode m) {
-  switch (m) {
-    case ExecutionPolicy::Mode::kSerial:
-      return "serial";
-    case ExecutionPolicy::Mode::kThreaded:
-      return "threaded";
-    case ExecutionPolicy::Mode::kBatched:
-      return "batched";
-    case ExecutionPolicy::Mode::kThreadedBatched:
-      return "threaded-batched";
-  }
-  return "?";
-}
-
 std::size_t ExecutionPolicy::effective_jobs() const {
-  if (!is_threaded()) return 1;
   return jobs == 0 ? default_jobs() : jobs;
 }
 
@@ -48,20 +29,10 @@ std::string ReplicateBatchError::format(
 
 namespace {
 
-// wall_ms is observability only — it is excluded from aggregate stats, never
-// feeds simulation state, and the parallel runner stays byte-identical to
-// serial regardless of timing.
-// detlint-allow(banned-time): replicate wall-time is a bench-style timer
+// Whole-experiment wall time is observability only: it is excluded from
+// aggregate stats and never feeds simulation state.
+// detlint-allow(banned-time): experiment wall-time is a bench-style timer
 using Clock = std::chrono::steady_clock;
-
-ReplicateResult run_one(const SpecFactory& factory, std::uint64_t seed) {
-  const auto t0 = Clock::now();
-  ReplicateResult out;
-  out.metrics = run_simulation(factory(seed));
-  out.wall_ms =
-      std::chrono::duration<double, std::milli>(Clock::now() - t0).count();
-  return out;
-}
 
 }  // namespace
 
@@ -74,174 +45,24 @@ std::vector<ReplicateResult> run_replicates(const SpecFactory& factory,
                                             std::size_t repetitions,
                                             std::uint64_t base_seed,
                                             std::size_t jobs) {
-  HINET_REQUIRE(repetitions >= 1, "need at least one repetition");
-  HINET_REQUIRE(
-      repetitions - 1 <= std::numeric_limits<std::uint64_t>::max() - base_seed,
-      "replicate seed overflow: base_seed + repetitions - 1 wraps past "
-      "2^64, which would alias replicates onto low seeds and correlate "
-      "'independent' repetitions — lower the base seed or the repetition "
-      "count");
-  if (jobs == 0) jobs = default_jobs();
-  std::vector<ReplicateResult> out(repetitions);
-
-  // Failures are collected, never fail-fast: every replicate runs, each
-  // writes only its own slot (or failure record), and the batch reports the
-  // full failure list at the end.  One debugging cycle sees every bad seed.
-  std::mutex failure_mutex;
-  std::vector<ReplicateFailure> failures;
-  auto run_slot = [&](std::size_t rep) {
-    const std::uint64_t seed = replicate_seed(base_seed, rep);
-    try {
-      out[rep] = run_one(factory, seed);
-    } catch (const std::exception& e) {
-      const std::lock_guard<std::mutex> lock(failure_mutex);
-      failures.push_back(ReplicateFailure{rep, seed, e.what()});
-    } catch (...) {
-      const std::lock_guard<std::mutex> lock(failure_mutex);
-      failures.push_back(ReplicateFailure{rep, seed, "unknown exception"});
+  SupervisedBatch batch = run_replicates_supervised(
+      factory, ExperimentOptions{repetitions, base_seed, ExecutionPolicy{jobs}},
+      SupervisorPolicy{});
+  if (!batch.failures.empty()) {
+    // Supervised failures arrive sorted by replicate index, so the same
+    // failing batch always reads the same.
+    std::vector<ReplicateFailure> failures;
+    failures.reserve(batch.failures.size());
+    for (RunError& f : batch.failures) {
+      failures.push_back(
+          ReplicateFailure{f.replicate, f.seed, std::move(f.message)});
     }
-  };
-
-  if (jobs == 1 || repetitions == 1) {
-    for (std::size_t rep = 0; rep < repetitions; ++rep) run_slot(rep);
-  } else {
-    // Fixed-size pool pulling replicate indices from a shared counter.
-    std::atomic<std::size_t> next{0};
-    auto worker = [&] {
-      while (true) {
-        const std::size_t rep = next.fetch_add(1, std::memory_order_relaxed);
-        if (rep >= repetitions) break;
-        run_slot(rep);
-      }
-    };
-    const std::size_t width = jobs < repetitions ? jobs : repetitions;
-    std::vector<std::thread> pool;
-    pool.reserve(width);
-    for (std::size_t i = 0; i < width; ++i) pool.emplace_back(worker);
-    for (auto& t : pool) t.join();
-  }
-
-  if (!failures.empty()) {
-    // Failure order depends on thread scheduling; report by replicate index
-    // so the same failing batch always reads the same.
-    std::sort(failures.begin(), failures.end(),
-              [](const ReplicateFailure& a, const ReplicateFailure& b) {
-                return a.replicate < b.replicate;
-              });
     throw ReplicateBatchError(std::move(failures));
   }
-  return out;
-}
-
-std::vector<ReplicateResult> run_replicates_lockstep(
-    const SpecFactory& factory, std::size_t repetitions,
-    std::uint64_t base_seed, std::size_t replicates_per_batch,
-    std::size_t jobs) {
-  HINET_REQUIRE(repetitions >= 1, "need at least one repetition");
-  HINET_REQUIRE(replicates_per_batch >= 1,
-                "replicates_per_batch must be at least 1");
-  HINET_REQUIRE(
-      repetitions - 1 <= std::numeric_limits<std::uint64_t>::max() - base_seed,
-      "replicate seed overflow: base_seed + repetitions - 1 wraps past "
-      "2^64, which would alias replicates onto low seeds and correlate "
-      "'independent' repetitions — lower the base seed or the repetition "
-      "count");
-  if (jobs == 0) jobs = default_jobs();
-  std::vector<ReplicateResult> out(repetitions);
-
-  // Same collect-all-failures contract as run_replicates: every replicate
-  // gets its chance, the batch error lists every bad seed at the end.
-  std::mutex failure_mutex;
-  std::vector<ReplicateFailure> failures;
-  auto record_failure = [&](std::size_t rep, const std::string& message) {
-    const std::lock_guard<std::mutex> lock(failure_mutex);
-    failures.push_back(
-        ReplicateFailure{rep, replicate_seed(base_seed, rep), message});
-  };
-
-  // Lockstep groups cover consecutive index ranges [gR, (g+1)R) so the
-  // mapping replicate -> seed -> result slot is scheduling-independent.
-  const std::size_t group_count =
-      (repetitions + replicates_per_batch - 1) / replicates_per_batch;
-  auto run_group = [&](std::size_t group) {
-    const std::size_t begin = group * replicates_per_batch;
-    const std::size_t end =
-        std::min(begin + replicates_per_batch, repetitions);
-
-    // Build the group's specs.  A throwing factory costs only its own
-    // replicate; the rest of the group still runs in lockstep.
-    std::vector<SimulationSpec> specs;
-    std::vector<std::size_t> members;  // replicate index per spec slot
-    specs.reserve(end - begin);
-    members.reserve(end - begin);
-    for (std::size_t rep = begin; rep < end; ++rep) {
-      try {
-        specs.push_back(factory(replicate_seed(base_seed, rep)));
-        members.push_back(rep);
-      } catch (const std::exception& e) {
-        record_failure(rep, e.what());
-      } catch (...) {
-        record_failure(rep, "unknown exception");
-      }
-    }
-    if (specs.empty()) return;
-
-    const auto t0 = Clock::now();
-    try {
-      BatchEngine engine(std::move(specs));
-      BatchOutcome outcome = engine.run();
-      // Lockstep interleaves rounds across the group, so a single
-      // replicate's wall time is not observable; split the group wall
-      // evenly (timing only — excluded from same_statistics).
-      const double wall_ms =
-          std::chrono::duration<double, std::milli>(Clock::now() - t0).count();
-      const double per_replicate_ms =
-          wall_ms / static_cast<double>(members.size());
-      for (std::size_t slot = 0; slot < members.size(); ++slot) {
-        if (!outcome.slots[slot].has_value()) continue;
-        out[members[slot]] =
-            ReplicateResult{std::move(*outcome.slots[slot]), per_replicate_ms};
-      }
-      for (const BatchReplicateFailure& f : outcome.failures) {
-        record_failure(members[f.index], f.message);
-      }
-    } catch (const std::exception& e) {
-      // Batch assembly failed (spec validation, channel homogeneity):
-      // not attributable to one replicate, so the whole group reports it.
-      for (const std::size_t rep : members) record_failure(rep, e.what());
-    } catch (...) {
-      for (const std::size_t rep : members) {
-        record_failure(rep, "unknown exception");
-      }
-    }
-  };
-
-  if (jobs == 1 || group_count == 1) {
-    for (std::size_t group = 0; group < group_count; ++group) run_group(group);
-  } else {
-    // Worker pool pulling whole lockstep groups from a shared counter —
-    // the ThreadedBatched composition.
-    std::atomic<std::size_t> next{0};
-    auto worker = [&] {
-      while (true) {
-        const std::size_t group = next.fetch_add(1, std::memory_order_relaxed);
-        if (group >= group_count) break;
-        run_group(group);
-      }
-    };
-    const std::size_t width = jobs < group_count ? jobs : group_count;
-    std::vector<std::thread> pool;
-    pool.reserve(width);
-    for (std::size_t i = 0; i < width; ++i) pool.emplace_back(worker);
-    for (auto& t : pool) t.join();
-  }
-
-  if (!failures.empty()) {
-    std::sort(failures.begin(), failures.end(),
-              [](const ReplicateFailure& a, const ReplicateFailure& b) {
-                return a.replicate < b.replicate;
-              });
-    throw ReplicateBatchError(std::move(failures));
+  std::vector<ReplicateResult> out;
+  out.reserve(batch.slots.size());
+  for (std::optional<ReplicateResult>& slot : batch.slots) {
+    out.push_back(std::move(*slot));
   }
   return out;
 }
@@ -347,24 +168,13 @@ std::string AggregateResult::to_string() const {
 
 AggregateResult run_experiment(const SpecFactory& factory,
                                const ExperimentOptions& options) {
-  const ExecutionPolicy& policy = options.policy;
-  const std::size_t jobs = policy.effective_jobs();
+  const std::size_t jobs = options.policy.effective_jobs();
   const auto t0 = Clock::now();
-  std::vector<ReplicateResult> results;
-  if (policy.is_batched()) {
-    results = run_replicates_lockstep(factory, options.repetitions,
-                                      options.base_seed,
-                                      policy.replicates_per_batch, jobs);
-  } else {
-    results =
-        run_replicates(factory, options.repetitions, options.base_seed, jobs);
-  }
+  const std::vector<ReplicateResult> results =
+      run_replicates(factory, options.repetitions, options.base_seed, jobs);
   const double seconds =
       std::chrono::duration<double>(Clock::now() - t0).count();
-  AggregateResult out = aggregate_replicates(results, seconds, jobs);
-  out.timing.replicates_per_batch =
-      policy.is_batched() ? policy.replicates_per_batch : 1;
-  return out;
+  return aggregate_replicates(results, seconds, jobs);
 }
 
 }  // namespace hinet

@@ -8,43 +8,24 @@
 //
 // ## ExecutionPolicy semantics
 //
-// The policy chooses HOW replicates execute, never WHAT they compute: for
-// a fixed (factory, repetitions, base_seed), every policy produces
-// byte-identical deterministic statistics (same_statistics / stats_digest)
-// because replicate seeds derive from the replicate *index*
-// (replicate_seed), results are stored by index, and aggregation runs in
-// index order regardless of scheduling.
+// The policy chooses how many worker threads execute replicates, never
+// WHAT they compute: for a fixed (factory, repetitions, base_seed), every
+// width produces byte-identical deterministic statistics (same_statistics
+// / stats_digest) because replicate seeds derive from the replicate
+// *index* (replicate_seed), results are stored by index, and aggregation
+// runs in index order regardless of scheduling.
 //
-//   Serial           — one replicate after another on the calling thread.
-//                      The reference path.
-//   Threaded{jobs}   — a fixed worker pool of `jobs` threads (0 =
-//                      default_jobs()); each worker builds and runs whole
-//                      replicates.  Wins when hardware threads are free.
-//   Batched{R}       — lockstep batches of R replicates on the calling
-//                      thread via BatchEngine (sim/batch_engine.hpp):
-//                      consecutive index ranges [0,R), [R,2R), ... advance
-//                      round by round together, sharing one inbox scratch
-//                      and making one channel begin_round_batch call per
-//                      lockstep round.  Wins on cache locality and
-//                      per-round overhead amortisation when no extra
-//                      hardware threads exist (the 1-core CI box).
-//   ThreadedBatched  — the worker pool pulls whole lockstep batches:
-//     {jobs, R}        jobs × Batched{R}.  The multi-core sweep
-//                      configuration.
+//   serial()       — one job: one replicate after another on the calling
+//                    thread.  The reference path.
+//   threaded(jobs) — a pool of `jobs` worker threads (0 = default_jobs());
+//                    each worker pulls whole replicates, building and
+//                    running each spec.  Wins when hardware threads are
+//                    free; threaded(1) is serial().
 //
-// Per-replicate wall_ms under the batched policies is the batch wall time
-// divided by the batch's replicate count (lockstep interleaves rounds, so
-// a single replicate's wall time is not individually observable).  Timing
-// is excluded from same_statistics either way.
-//
-// Batched deadline semantics: a lockstep batch shares one wall budget (the
-// max EngineConfig::deadline_ms across its specs); on expiry every
-// replicate still unfinished in that batch fails with DeadlineError.
-//
-// The parallel execution contract is unchanged: every spec owns its whole
-// run, so replicates share no mutable state; the factory must be safe to
-// invoke from multiple threads concurrently (a pure function of the seed,
-// or internally synchronised).
+// The parallel execution contract: every spec owns its whole run, so
+// replicates share no mutable state; the factory must be safe to invoke
+// from multiple threads concurrently (a pure function of the seed, or
+// internally synchronised).
 #pragma once
 
 #include <functional>
@@ -61,8 +42,8 @@ using SpecFactory = std::function<SimulationSpec(std::uint64_t seed)>;
 
 /// Seed of replicate `rep` in a batch with base seed `base_seed`.  Kept as
 /// plain base + rep (the historical contract "seeds base_seed,
-/// base_seed+1, ..."), centralised here so the execution policies cannot
-/// drift apart.  Callers validate against wraparound up front
+/// base_seed+1, ..."), centralised here so every caller derives seeds
+/// the same way.  Callers validate against wraparound up front
 /// (run_replicates rejects batches whose last seed would overflow);
 /// this function itself stays a total constexpr.
 constexpr std::uint64_t replicate_seed(std::uint64_t base_seed,
@@ -70,49 +51,18 @@ constexpr std::uint64_t replicate_seed(std::uint64_t base_seed,
   return base_seed + rep;
 }
 
-/// How an experiment's replicates execute.  See the policy semantics at
-/// the top of this header; every mode produces byte-identical statistics.
+/// How many worker threads execute an experiment's replicates.  Every
+/// width produces byte-identical statistics (see the top of this header).
 struct ExecutionPolicy {
-  enum class Mode {
-    kSerial,           ///< calling thread, one replicate at a time
-    kThreaded,         ///< worker pool, whole replicates
-    kBatched,          ///< calling thread, lockstep batches of R
-    kThreadedBatched,  ///< worker pool, lockstep batches of R
-  };
+  /// Worker-pool width; 1 runs on the calling thread, 0 = default_jobs().
+  std::size_t jobs = 1;
 
-  Mode mode = Mode::kSerial;
+  static ExecutionPolicy serial() { return {1}; }
+  static ExecutionPolicy threaded(std::size_t jobs = 0) { return {jobs}; }
 
-  /// Worker-pool width for the threaded modes; 0 = default_jobs().
-  std::size_t jobs = 0;
-
-  /// Lockstep batch width R for the batched modes.
-  std::size_t replicates_per_batch = 8;
-
-  static ExecutionPolicy serial() { return {}; }
-  static ExecutionPolicy threaded(std::size_t jobs = 0) {
-    return {Mode::kThreaded, jobs, 8};
-  }
-  static ExecutionPolicy batched(std::size_t replicates_per_batch = 8) {
-    return {Mode::kBatched, 0, replicates_per_batch};
-  }
-  static ExecutionPolicy threaded_batched(
-      std::size_t jobs = 0, std::size_t replicates_per_batch = 8) {
-    return {Mode::kThreadedBatched, jobs, replicates_per_batch};
-  }
-
-  bool is_batched() const {
-    return mode == Mode::kBatched || mode == Mode::kThreadedBatched;
-  }
-  bool is_threaded() const {
-    return mode == Mode::kThreaded || mode == Mode::kThreadedBatched;
-  }
-
-  /// Worker-pool width this policy actually uses (1 for the serial
-  /// modes, jobs resolved through default_jobs() otherwise).
+  /// The width actually used: `jobs`, with 0 resolved to default_jobs().
   std::size_t effective_jobs() const;
 };
-
-const char* to_string(ExecutionPolicy::Mode m);
 
 /// Everything run_experiment needs besides the factory.
 struct ExperimentOptions {
@@ -157,34 +107,21 @@ struct ReplicateResult {
 };
 
 /// Executes `repetitions` replicates with seeds replicate_seed(base_seed,
-/// 0..reps-1) on up to `jobs` worker threads (0 = default_jobs()).
-/// Results are indexed by replicate, independent of completion order.
-/// Building the spec (trace generation) and running it both happen on the
-/// worker, so the whole per-replicate pipeline parallelises.  A failing
-/// replicate does not stop the batch: every replicate runs, and if any
-/// failed a ReplicateBatchError carrying all of them is thrown after the
-/// pool drains.  Rejects (PreconditionError) a batch whose last seed
-/// base_seed + repetitions - 1 would wrap past 2^64 — silent wraparound
-/// would alias replicate seeds onto low seeds and quietly correlate
-/// "independent" repetitions.
+/// 0..reps-1) on up to `jobs` worker threads (0 = default_jobs()): the
+/// supervisor's worker pool (analysis/supervisor.hpp) under a default
+/// SupervisorPolicy.  Results are indexed by replicate, independent of
+/// completion order.  Building the spec (trace generation) and running it
+/// both happen on the worker, so the whole per-replicate pipeline
+/// parallelises.  A failing replicate does not stop the batch: every
+/// replicate runs, and if any failed a ReplicateBatchError carrying all of
+/// them is thrown after the pool drains.  Rejects (PreconditionError) a
+/// batch whose last seed base_seed + repetitions - 1 would wrap past 2^64 —
+/// silent wraparound would alias replicate seeds onto low seeds and
+/// quietly correlate "independent" repetitions.
 std::vector<ReplicateResult> run_replicates(const SpecFactory& factory,
                                             std::size_t repetitions,
                                             std::uint64_t base_seed,
                                             std::size_t jobs = 1);
-
-/// The lockstep executor: partitions the replicate index range into
-/// consecutive batches of `replicates_per_batch` (the last batch may be
-/// short) and advances each batch in lockstep on a BatchEngine; with
-/// jobs > 1 a worker pool pulls whole batches.  Same contract as
-/// run_replicates otherwise: results indexed by replicate, failures
-/// collected into one ReplicateBatchError after everything drained, seed
-/// overflow rejected up front.  Statistics are byte-identical to
-/// run_replicates at equal (factory, repetitions, base_seed); wall_ms is
-/// the batch wall time split evenly across the batch.
-std::vector<ReplicateResult> run_replicates_lockstep(
-    const SpecFactory& factory, std::size_t repetitions,
-    std::uint64_t base_seed, std::size_t replicates_per_batch,
-    std::size_t jobs = 1);
 
 /// Wall-clock measurement of a batch.  Unlike the simulation statistics,
 /// these values vary run to run and are excluded from same_statistics().
@@ -193,9 +130,6 @@ struct BatchTiming {
   double wall_seconds = 0.0;   ///< whole-batch wall time
   double runs_per_second = 0.0;  ///< repetitions / wall_seconds
   std::size_t jobs = 1;        ///< worker-pool width actually used
-  /// Lockstep batch width R (1 = not batched).  Execution detail, like
-  /// jobs: excluded from same_statistics.
-  std::size_t replicates_per_batch = 1;
 };
 
 struct AggregateResult {

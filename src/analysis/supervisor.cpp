@@ -9,7 +9,6 @@
 #include <sstream>
 #include <thread>
 
-#include "sim/batch_engine.hpp"
 #include "sim/engine.hpp"
 
 namespace hinet {
@@ -70,10 +69,11 @@ std::size_t SupervisedBatch::completed() const {
 }
 
 SupervisedBatch run_replicates_supervised(const SpecFactory& factory,
-                                          std::size_t repetitions,
-                                          std::uint64_t base_seed,
-                                          std::size_t jobs,
+                                          const ExperimentOptions& options,
                                           const SupervisorPolicy& policy) {
+  const std::size_t repetitions = options.repetitions;
+  const std::uint64_t base_seed = options.base_seed;
+  const std::size_t jobs = options.policy.effective_jobs();
   HINET_REQUIRE(repetitions >= 1, "need at least one repetition");
   HINET_REQUIRE(
       repetitions - 1 <= std::numeric_limits<std::uint64_t>::max() - base_seed,
@@ -81,7 +81,6 @@ SupervisedBatch run_replicates_supervised(const SpecFactory& factory,
       "2^64, which would alias replicates onto low seeds and correlate "
       "'independent' repetitions — lower the base seed or the repetition "
       "count");
-  if (jobs == 0) jobs = default_jobs();
 
   SupervisedBatch batch;
   batch.slots.resize(repetitions);
@@ -184,255 +183,6 @@ SupervisedBatch run_replicates_supervised(const SpecFactory& factory,
   return batch;
 }
 
-namespace {
-
-// The supervised lockstep executor.  Structure mirrors the threaded path
-// above, with the lockstep batch as the unit of work:
-//
-//   1. journal prefill, in index order (a resumed sweep only batches the
-//      replicates it is actually missing);
-//   2. the missing replicates, grouped into consecutive batches of R, run
-//      on BatchEngines — a worker pool pulls whole batches when jobs > 1,
-//      and cancellation is checked at batch boundaries;
-//   3. per batch, fresh successes are journaled / slotted / reported in
-//      index order; failures are classified by rethrowing the carried
-//      exception_ptr, and the transient ones queue for retry;
-//   4. after the pool joins, queued retries run as singleton simulations
-//      (byte-identical to a lockstep slot; the replicate gets the whole
-//      deadline budget to itself) with the same backoff schedule as the
-//      threaded path.
-SupervisedBatch run_supervised_lockstep(const SpecFactory& factory,
-                                        const ExperimentOptions& options,
-                                        const SupervisorPolicy& policy) {
-  const std::size_t repetitions = options.repetitions;
-  const std::uint64_t base_seed = options.base_seed;
-  const std::size_t batch_width = options.policy.replicates_per_batch;
-  const std::size_t jobs = options.policy.effective_jobs();
-  HINET_REQUIRE(repetitions >= 1, "need at least one repetition");
-  HINET_REQUIRE(batch_width >= 1, "replicates_per_batch must be at least 1");
-  HINET_REQUIRE(
-      repetitions - 1 <= std::numeric_limits<std::uint64_t>::max() - base_seed,
-      "replicate seed overflow: base_seed + repetitions - 1 wraps past "
-      "2^64, which would alias replicates onto low seeds and correlate "
-      "'independent' repetitions — lower the base seed or the repetition "
-      "count");
-
-  SupervisedBatch batch;
-  batch.slots.resize(repetitions);
-  std::mutex book_mutex;  // guards failures/retries/counters
-  std::atomic<bool> cancelled{false};
-  const auto cancel_requested = [&policy] {
-    return policy.cancel != nullptr &&
-           policy.cancel->load(std::memory_order_relaxed);
-  };
-
-  // 1. Journal prefill.
-  std::vector<std::size_t> missing;
-  missing.reserve(repetitions);
-  for (std::size_t rep = 0; rep < repetitions; ++rep) {
-    if (policy.journal != nullptr) {
-      if (auto cached = policy.journal->lookup(replicate_seed(base_seed, rep))) {
-        batch.slots[rep] = std::move(*cached);
-        ++batch.from_journal;
-        continue;
-      }
-    }
-    missing.push_back(rep);
-  }
-  if (missing.empty()) return batch;
-
-  // Transient first-attempt failures, queued for step 4.
-  std::vector<RunError> retry_queue;
-  const auto dispatch_failure = [&](std::size_t rep, RunErrorClass cls,
-                                    const std::string& message) {
-    const bool retryable =
-        policy.max_retries > 0 && is_transient(cls) &&
-        (cls != RunErrorClass::kDeadline || policy.retry_deadline);
-    const RunError err{cls, rep, replicate_seed(base_seed, rep), 1, message};
-    const std::lock_guard<std::mutex> lock(book_mutex);
-    if (retryable) {
-      retry_queue.push_back(err);
-    } else {
-      batch.failures.push_back(err);
-    }
-  };
-
-  // 2./3. Lockstep batches over the missing replicates.
-  const std::size_t group_count =
-      (missing.size() + batch_width - 1) / batch_width;
-  const auto run_group = [&](std::size_t group) {
-    const std::size_t begin = group * batch_width;
-    const std::size_t end =
-        std::min(begin + batch_width, missing.size());
-    std::vector<SimulationSpec> specs;
-    std::vector<std::size_t> members;  // replicate index per spec slot
-    specs.reserve(end - begin);
-    members.reserve(end - begin);
-    for (std::size_t i = begin; i < end; ++i) {
-      const std::size_t rep = missing[i];
-      try {
-        SimulationSpec spec = factory(replicate_seed(base_seed, rep));
-        if (policy.deadline_ms > 0) {
-          spec.engine.deadline_ms = policy.deadline_ms;
-        }
-        specs.push_back(std::move(spec));
-        members.push_back(rep);
-      } catch (const std::exception& e) {
-        dispatch_failure(rep, classify_run_error(e), e.what());
-      } catch (...) {
-        dispatch_failure(rep, RunErrorClass::kOther, "unknown exception");
-      }
-    }
-    if (specs.empty()) return;
-
-    const auto t0 = Clock::now();
-    try {
-      BatchEngine engine(std::move(specs));
-      BatchOutcome outcome = engine.run();
-      // Lockstep interleaves rounds, so per-replicate wall time is the
-      // batch wall split evenly (timing only; never part of statistics).
-      const double per_replicate_ms =
-          std::chrono::duration<double, std::milli>(Clock::now() - t0)
-              .count() /
-          static_cast<double>(members.size());
-      for (std::size_t slot = 0; slot < members.size(); ++slot) {
-        if (!outcome.slots[slot].has_value()) continue;
-        const std::size_t rep = members[slot];
-        const std::uint64_t seed = replicate_seed(base_seed, rep);
-        ReplicateResult result{std::move(*outcome.slots[slot]),
-                               per_replicate_ms};
-        // Journal before reporting success, same as the threaded path: an
-        // appended record survives a crash; the progress hook fires after.
-        if (policy.journal != nullptr) policy.journal->append(seed, result);
-        batch.slots[rep] = std::move(result);
-        if (policy.on_progress) policy.on_progress(rep, seed);
-      }
-      for (const BatchReplicateFailure& f : outcome.failures) {
-        RunErrorClass cls = RunErrorClass::kOther;
-        if (f.error != nullptr) {
-          try {
-            std::rethrow_exception(f.error);
-          } catch (const std::exception& e) {
-            cls = classify_run_error(e);
-          } catch (...) {
-          }
-        }
-        dispatch_failure(members[f.index], cls, f.message);
-      }
-    } catch (const std::exception& e) {
-      // Batch assembly failed (spec validation, channel homogeneity):
-      // not attributable to one replicate, so every member reports it.
-      const RunErrorClass cls = classify_run_error(e);
-      for (const std::size_t rep : members) {
-        dispatch_failure(rep, cls, e.what());
-      }
-    } catch (...) {
-      for (const std::size_t rep : members) {
-        dispatch_failure(rep, RunErrorClass::kOther, "unknown exception");
-      }
-    }
-  };
-
-  std::atomic<std::size_t> next{0};
-  const auto pull_worker = [&] {
-    while (true) {
-      if (cancel_requested()) {
-        cancelled.store(true, std::memory_order_relaxed);
-        break;
-      }
-      const std::size_t group = next.fetch_add(1, std::memory_order_relaxed);
-      if (group >= group_count) break;
-      run_group(group);
-    }
-  };
-  if (jobs == 1 || group_count == 1) {
-    pull_worker();
-  } else {
-    const std::size_t width = jobs < group_count ? jobs : group_count;
-    std::vector<std::thread> pool;
-    pool.reserve(width);
-    for (std::size_t i = 0; i < width; ++i) pool.emplace_back(pull_worker);
-    for (auto& t : pool) t.join();
-  }
-
-  // 4. Retries, serially (the rare path; keeps backoff and the journal
-  // append order deterministic).
-  std::sort(retry_queue.begin(), retry_queue.end(),
-            [](const RunError& a, const RunError& b) {
-              return a.replicate < b.replicate;
-            });
-  const std::size_t max_attempts = policy.max_retries + 1;
-  for (RunError& pending : retry_queue) {
-    bool resolved = false;
-    std::size_t attempt = pending.attempts;
-    while (attempt < max_attempts && !cancel_requested()) {
-      std::this_thread::sleep_for(
-          std::chrono::milliseconds(policy.backoff_base_ms << (attempt - 1)));
-      ++attempt;
-      try {
-        const auto t0 = Clock::now();
-        SimulationSpec spec = factory(pending.seed);
-        if (policy.deadline_ms > 0) {
-          spec.engine.deadline_ms = policy.deadline_ms;
-        }
-        ReplicateResult result;
-        result.metrics = run_simulation(std::move(spec));
-        result.wall_ms =
-            std::chrono::duration<double, std::milli>(Clock::now() - t0)
-                .count();
-        if (policy.journal != nullptr) {
-          policy.journal->append(pending.seed, result);
-        }
-        batch.slots[pending.replicate] = std::move(result);
-        ++batch.retried_replicates;
-        if (policy.on_progress) {
-          policy.on_progress(pending.replicate, pending.seed);
-        }
-        resolved = true;
-        break;
-      } catch (const std::exception& e) {
-        pending.cls = classify_run_error(e);
-        pending.message = e.what();
-        pending.attempts = attempt;
-        const bool still_retryable =
-            is_transient(pending.cls) &&
-            (pending.cls != RunErrorClass::kDeadline || policy.retry_deadline);
-        if (!still_retryable) break;
-      } catch (...) {
-        pending.cls = RunErrorClass::kOther;
-        pending.message = "unknown exception";
-        pending.attempts = attempt;
-        break;
-      }
-    }
-    if (!resolved) {
-      pending.attempts = attempt;
-      batch.failures.push_back(pending);
-    }
-  }
-  if (cancel_requested()) cancelled.store(true, std::memory_order_relaxed);
-
-  batch.cancelled = cancelled.load(std::memory_order_relaxed);
-  std::sort(batch.failures.begin(), batch.failures.end(),
-            [](const RunError& a, const RunError& b) {
-              return a.replicate < b.replicate;
-            });
-  return batch;
-}
-
-}  // namespace
-
-SupervisedBatch run_replicates_supervised(const SpecFactory& factory,
-                                          const ExperimentOptions& options,
-                                          const SupervisorPolicy& policy) {
-  if (options.policy.is_batched()) {
-    return run_supervised_lockstep(factory, options, policy);
-  }
-  return run_replicates_supervised(factory, options.repetitions,
-                                   options.base_seed,
-                                   options.policy.effective_jobs(), policy);
-}
-
 AggregateResult aggregate_supervised(const SupervisedBatch& batch,
                                      double batch_seconds, std::size_t jobs) {
   std::vector<ReplicateResult> ok;
@@ -473,22 +223,7 @@ AggregateResult run_experiment_supervised(const SpecFactory& factory,
     }
     throw ReplicateBatchError(std::move(failures));
   }
-  AggregateResult out = aggregate_supervised(batch, seconds, jobs);
-  out.timing.replicates_per_batch =
-      options.policy.is_batched() ? options.policy.replicates_per_batch : 1;
-  return out;
-}
-
-AggregateResult run_experiment_supervised(const SpecFactory& factory,
-                                          std::size_t repetitions,
-                                          std::uint64_t base_seed,
-                                          std::size_t jobs,
-                                          const SupervisorPolicy& policy) {
-  return run_experiment_supervised(
-      factory,
-      ExperimentOptions{repetitions, base_seed,
-                        ExecutionPolicy::threaded(jobs)},
-      policy);
+  return aggregate_supervised(batch, seconds, jobs);
 }
 
 namespace {

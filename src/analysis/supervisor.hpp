@@ -7,7 +7,9 @@
 // seed, a wall-clock deadline, or a transient I/O error should cost that
 // replicate (or just one retry), never the other 999.
 //
-// The supervisor wraps the same worker-pool executor with, per replicate:
+// This is the one replicate executor: a pool of options.policy worker
+// threads pulling replicate indices (run_replicates is this pool under a
+// default SupervisorPolicy).  Per replicate it adds:
 //
 //   - a wall-clock deadline, injected as EngineConfig::deadline_ms into
 //     the spec so a stuck run throws DeadlineError instead of occupying
@@ -30,9 +32,8 @@
 //     boundary; in-flight replicates finish and reach the journal, so an
 //     interrupted sweep loses nothing it completed.
 //
-// All of the above composes with every ExecutionPolicy: the options-based
-// entry points supervise lockstep batches (BatchEngine) exactly like
-// single replicates, with the batch as the scheduling/cancellation unit.
+// Journal records are keyed by replicate seed, so a sweep may resume
+// under a different worker count than the one it was killed under.
 #pragma once
 
 #include <atomic>
@@ -125,30 +126,13 @@ struct SupervisedBatch {
   std::size_t completed() const;
 };
 
-/// Executes the batch under the policy.  Never throws for per-replicate
-/// failures (they land in `failures`); does throw for batch-level caller
-/// errors (zero repetitions, seed overflow) and journal open problems.
-///
-/// options.policy picks the executor.  The batched modes supervise whole
-/// lockstep batches: journal-recorded replicates are skipped up front (so
-/// a resumed sweep only batches what is missing), each batch runs on a
-/// BatchEngine with policy.deadline_ms injected per spec (the batch shares
-/// the wall budget — see sim/batch_engine.hpp), fresh completions reach
-/// the journal in index order within their batch, and transient failures
-/// are retried as singleton runs after the batches drain (a singleton run
-/// is byte-identical to a lockstep slot, and a retried deadline failure
-/// then gets the whole budget to itself).  Cancellation is checked between
-/// batches and between retries.
+/// Executes the batch on options.policy.effective_jobs() workers (1 = the
+/// calling thread).  Never throws for per-replicate failures (they land in
+/// `failures`); does throw for batch-level caller errors (zero
+/// repetitions, seed overflow) and journal open problems.  Cancellation is
+/// checked between replicates.
 SupervisedBatch run_replicates_supervised(const SpecFactory& factory,
                                           const ExperimentOptions& options,
-                                          const SupervisorPolicy& policy);
-
-/// Historical signature: Threaded{jobs} execution (jobs == 1 behaves
-/// serially, 0 = default_jobs()).  Prefer the options form.
-SupervisedBatch run_replicates_supervised(const SpecFactory& factory,
-                                          std::size_t repetitions,
-                                          std::uint64_t base_seed,
-                                          std::size_t jobs,
                                           const SupervisorPolicy& policy);
 
 /// Aggregates a supervised batch: statistics over the successful slots in
@@ -161,18 +145,10 @@ AggregateResult aggregate_supervised(const SupervisedBatch& batch,
 /// ReplicateBatchError only when *no* replicate succeeded (there is
 /// nothing to aggregate); partial failure is reported through
 /// AggregateResult::failed_replicates instead.  Statistics (and the
-/// stats_digest) do not depend on options.policy — a batched resumed sweep
-/// aggregates byte-identically to a serial one.
+/// stats_digest) do not depend on options.policy — a threaded resumed
+/// sweep aggregates byte-identically to a serial one.
 AggregateResult run_experiment_supervised(const SpecFactory& factory,
                                           const ExperimentOptions& options,
-                                          const SupervisorPolicy& policy);
-
-/// Historical signature: Threaded{jobs} execution.  Prefer the options
-/// form.
-AggregateResult run_experiment_supervised(const SpecFactory& factory,
-                                          std::size_t repetitions,
-                                          std::uint64_t base_seed,
-                                          std::size_t jobs,
                                           const SupervisorPolicy& policy);
 
 /// Installs a SIGINT handler that sets (and never clears) an internal

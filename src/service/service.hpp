@@ -65,7 +65,8 @@ struct ServiceOptions {
   /// Admission bound for the queue.
   std::size_t max_pending = 256;
 
-  /// How each job's replicates execute (serial/threaded/batched/...).
+  /// How many worker threads execute each job's replicates (default:
+  /// serial, on the calling thread).
   ExecutionPolicy policy;
 
   /// Per-replicate wall budget and retry budget, passed to the supervisor.

@@ -32,18 +32,6 @@
 
 namespace hinet {
 
-class ChannelModel;
-
-/// One replicate's slice of a lockstep round, for begin_round_batch: that
-/// replicate's own channel instance, round graph and transmission list.
-/// Replicates never share channel state — `channel` is the instance whose
-/// per-seed RNG streams must advance exactly as a serial run would.
-struct ChannelRoundInput {
-  ChannelModel* channel = nullptr;
-  const Graph* graph = nullptr;
-  std::span<const Packet> packets;
-};
-
 class ChannelModel {
  public:
   virtual ~ChannelModel() = default;
@@ -52,32 +40,6 @@ class ChannelModel {
   /// the full transmission list (for interference models).
   virtual void begin_round(Round r, const Graph& g,
                            std::span<const Packet> packets);
-
-  /// Capability query for the lockstep batch engine: true certifies that
-  /// begin_round_batch(r, batch) leaves every batch entry in exactly the
-  /// state N independent begin_round calls would have (pinned for the
-  /// built-in channels by the conformance template in
-  /// tests/sim/test_channel_batch.cpp).  The default is false — the batch
-  /// engine then falls back to per-replicate begin_round, which is always
-  /// correct — so unknown channel types take the conservative path and
-  /// opt in explicitly, instead of the engine sniffing types with
-  /// dynamic_cast.
-  virtual bool supports_batching() const { return false; }
-
-  /// Advances every replicate's channel for round `r` in one call.  The
-  /// batch engine invokes this once per lockstep round, on the first
-  /// replicate's channel, with one entry per active replicate (the batch
-  /// is homogeneous: one SpecFactory built every spec).
-  ///
-  /// Contract: process entries in index order and, within an entry, make
-  /// exactly the RNG draws / state transitions begin_round would on that
-  /// entry's channel — every entry must end byte-identical to a serial
-  /// run.  The default implementation loops begin_round, which satisfies
-  /// the contract for any channel type; overrides may restructure the
-  /// loop (e.g. replicate-major state sweeps) but never change its
-  /// observable effect.
-  virtual void begin_round_batch(Round r,
-                                 std::span<const ChannelRoundInput> batch);
 
   /// True when `receiver` successfully hears `pkt` this round.  Called
   /// only for (packet, receiver) pairs that are graph neighbours, in
@@ -101,8 +63,6 @@ class ChannelModel {
 class PerfectChannel final : public ChannelModel {
  public:
   bool deliver(Round, const Packet&, NodeId) override { return true; }
-
-  bool supports_batching() const override { return true; }  // stateless
 };
 
 /// Independent per-(packet, receiver) loss with probability `loss`.
@@ -113,10 +73,6 @@ class LossyChannel final : public ChannelModel {
   bool deliver(Round r, const Packet& pkt, NodeId receiver) override;
 
   double loss() const { return loss_; }
-
-  /// begin_round is a no-op and deliver draws only from this instance's
-  /// RNG, so the default batch loop is trivially conformant.
-  bool supports_batching() const override { return true; }
 
   void save_state(ByteWriter& w) const override;
   void restore_state(ByteReader& r) override;
@@ -135,10 +91,6 @@ class CollisionChannel final : public ChannelModel {
   void begin_round(Round r, const Graph& g,
                    std::span<const Packet> packets) override;
   bool deliver(Round r, const Packet& pkt, NodeId receiver) override;
-
-  /// Deterministic per round (no RNG) and all scratch is per instance, so
-  /// the default batch loop is conformant.
-  bool supports_batching() const override { return true; }
 
  private:
   std::size_t capture_;
@@ -170,15 +122,6 @@ class GilbertElliottChannel final : public ChannelModel {
   void begin_round(Round r, const Graph& g,
                    std::span<const Packet> packets) override;
   bool deliver(Round r, const Packet& pkt, NodeId receiver) override;
-
-  bool supports_batching() const override { return true; }
-
-  /// Replicate-major exemplar of the batch hook: one pass over the batch
-  /// advances every replicate's Markov chains, each from its own
-  /// state_rng_ with exactly begin_round's draw sequence — byte-identical
-  /// to N serial calls (pinned by the conformance template).
-  void begin_round_batch(Round r,
-                         std::span<const ChannelRoundInput> batch) override;
 
   const GilbertElliottParams& params() const { return params_; }
 

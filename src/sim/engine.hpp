@@ -47,13 +47,13 @@
 #pragma once
 
 #include <chrono>
+#include <cstdint>
 #include <functional>
 #include <vector>
 
 #include "cluster/hierarchy.hpp"
 #include "graph/dynamic.hpp"
 #include "sim/channel.hpp"
-#include "sim/round_core.hpp"
 #include "sim/snapshot.hpp"
 #include "sim/spec.hpp"
 
@@ -123,7 +123,7 @@ class Engine {
   void restore(const SimSnapshot& snap);
 
   /// Round index of the next round step() would execute.
-  Round current_round() const { return core_.round; }
+  Round current_round() const { return round_; }
 
   void set_observer(RoundObserver obs) { observer_ = std::move(obs); }
 
@@ -137,12 +137,12 @@ class Engine {
  private:
   void validate() const;
 
-  /// Points the run core's bindings at this engine's topology, processes
-  /// and channel (called at start()/restore(), and per step for the
-  /// channel, which set_channel may swap between rounds).
-  void bind_core();
+  /// Re-derives the completion flags from current process knowledge (at
+  /// start() and restore(); knowledge().full() is the same predicate the
+  /// live run uses, so recomputing cannot disagree).
+  void rescan_completion();
 
-  /// Arms (or disarms) the wall-clock budget from the core's deadline_ms,
+  /// Arms (or disarms) the wall-clock budget from cfg_.deadline_ms,
   /// saturating un-representable budgets to "no deadline".
   void arm_deadline();
 
@@ -160,14 +160,26 @@ class Engine {
   RoundObserver observer_;
   ChannelModel* channel_ = nullptr;
 
-  // Run state and per-round scratch, valid between start()/restore() and
-  // finish().  The round body itself lives in detail::RunCore, shared
-  // verbatim with the lockstep BatchEngine; the core's state (round
-  // counter, metrics, completion flags) is what snapshot() captures.
+  // Run state, valid between start()/restore() and finish().  snapshot()
+  // captures cfg_, round_ and metrics_ (with the channel, trace and
+  // process states); restore() re-derives the completion flags.
   bool started_ = false;
   bool finished_ = false;
-  detail::RunCore core_;
-  detail::InboxScratch scratch_;
+  EngineConfig cfg_;
+  Round round_ = 0;
+  SimMetrics metrics_;
+  std::vector<char> complete_;
+  std::size_t complete_nodes_ = 0;
+
+  // Per-round scratch, reused round to round (clear()/assign() keep
+  // capacity): the round's packets and their costs, and the per-receiver
+  // inbox segments (offsets, scatter cursors, flat view array).
+  std::vector<Packet> packets_;
+  std::vector<std::size_t> packet_costs_;
+  std::vector<std::uint32_t> inbox_offsets_;
+  std::vector<std::uint32_t> inbox_cursor_;
+  std::vector<PacketView> inbox_views_;
+
   // Supervision deadline: over-budget runs throw, they never degrade, so
   // results stay a pure function of (spec, seed).
   // detlint-allow(banned-time): deadline only gates abort, never results

@@ -6,6 +6,8 @@
 
 namespace hinet {
 
+namespace {
+
 /// Spec-level validation with actionable, distinct messages.  The engine
 /// re-checks the structural invariants (it is also reachable through the
 /// borrowing constructor); these messages exist so a mis-built spec fails
@@ -69,6 +71,8 @@ void validate_simulation_spec(const SimulationSpec& spec) {
     }
   }
 }
+
+}  // namespace
 
 SimMetrics run_simulation(SimulationSpec spec) {
   validate_simulation_spec(spec);

@@ -5,8 +5,8 @@
 // A spec owns its dynamic network, optional hierarchy provider, optional
 // channel model, per-node processes and engine configuration.  Because
 // nothing inside a spec aliases outside storage, a spec can be built on
-// one thread and executed on another, which is what makes the batch
-// experiment executor (analysis/experiment.hpp) safe to parallelise.
+// one thread and executed on another, which is what makes the replicate
+// runner's worker pool (analysis/experiment.hpp) safe.
 //
 // Specs are move-only: ownership of a run is transferred, never shared.
 #pragma once
@@ -59,15 +59,10 @@ struct SimulationSpec {
   EngineConfig engine;
 };
 
-/// Spec-level validation with actionable, field-naming messages: network
-/// present, max_rounds non-zero, process/hierarchy node counts matching.
-/// run_simulation and the batch engine both call this; exposed so callers
-/// that assemble specs by hand can fail early with the same diagnostics.
-void validate_simulation_spec(const SimulationSpec& spec);
-
 /// Consumes the spec and executes it to completion on a fresh engine.
-/// Throws PreconditionError when the spec has no network or the processes
-/// do not match the network's node count.
+/// Throws PreconditionError, naming the field to fix, when the spec has no
+/// network, max_rounds is 0, or the processes or hierarchy do not match
+/// the network's node count or horizon.
 SimMetrics run_simulation(SimulationSpec spec);
 
 }  // namespace hinet

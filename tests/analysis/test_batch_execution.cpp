@@ -1,23 +1,18 @@
 // ExecutionPolicy equivalence at the experiment layer: for a fixed
-// (factory, repetitions, base_seed), Serial, Batched{R} and
-// ThreadedBatched{jobs, R} must aggregate to byte-identical statistics
+// (factory, repetitions, base_seed), serial() and threaded(jobs) must
+// aggregate a batch of replicates to byte-identical statistics
 // (same_statistics AND equal stats_digest) — across every evaluation
-// scenario, every channel model, fault-plan wrapping, and both base
-// seeds.  Plus the lockstep indexing edge cases (partial final batch,
-// R > reps, R = 1) and the supervised batched journal kill-and-resume
-// guarantee.
+// scenario, every channel model (including the stateful lossy and
+// Gilbert–Elliott RNG streams), fault-plan wrapping, and both base seeds.
 #include "analysis/experiment.hpp"
 
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <cstdio>
 #include <memory>
 #include <string>
 #include <utility>
 
 #include "analysis/scenarios.hpp"
-#include "analysis/supervisor.hpp"
 #include "sim/channel.hpp"
 #include "sim/faults.hpp"
 
@@ -39,10 +34,6 @@ const char* channel_name(ChannelKind c) {
   }
   return "?";
 }
-
-constexpr Scenario kAllScenarios[] = {
-    Scenario::kKloInterval, Scenario::kHiNetInterval,
-    Scenario::kHiNetIntervalStable, Scenario::kKloOne, Scenario::kHiNetOne};
 
 constexpr ChannelKind kAllChannels[] = {
     ChannelKind::kPerfect, ChannelKind::kLossy, ChannelKind::kCollision,
@@ -103,9 +94,9 @@ SpecFactory faulty_factory(Scenario s) {
   };
 }
 
-/// Serial is the reference; each batched policy must reproduce its
-/// statistics bit for bit.  reps = 5 with R = 2 exercises a partial final
-/// batch on every call.
+/// Serial is the reference; the threaded pool must reproduce its
+/// statistics bit for bit.  reps = 5 on 3 workers leaves workers pulling
+/// unevenly, so completion order differs from index order.
 void expect_policy_equivalence(const SpecFactory& factory,
                                std::uint64_t base_seed) {
   const std::size_t reps = 5;
@@ -113,18 +104,15 @@ void expect_policy_equivalence(const SpecFactory& factory,
       factory, ExperimentOptions{reps, base_seed, ExecutionPolicy::serial()});
   ASSERT_EQ(serial.repetitions, reps);
 
-  const ExecutionPolicy policies[] = {ExecutionPolicy::batched(2),
-                                      ExecutionPolicy::threaded_batched(3, 2)};
-  for (const ExecutionPolicy& policy : policies) {
-    SCOPED_TRACE(std::string("policy ") + to_string(policy.mode));
-    const AggregateResult got =
-        run_experiment(factory, ExperimentOptions{reps, base_seed, policy});
-    EXPECT_TRUE(got.same_statistics(serial));
-    EXPECT_EQ(got.stats_digest(), serial.stats_digest());
-    EXPECT_EQ(got.timing.replicates_per_batch, 2u);
-  }
+  const AggregateResult threaded = run_experiment(
+      factory,
+      ExperimentOptions{reps, base_seed, ExecutionPolicy::threaded(3)});
+  EXPECT_TRUE(threaded.same_statistics(serial));
+  EXPECT_EQ(threaded.stats_digest(), serial.stats_digest());
+  EXPECT_EQ(threaded.timing.jobs, 3u);
 }
 
+// Each case compares whole replicate batches, one scenario per instance.
 class BatchedPolicyEquivalence : public ::testing::TestWithParam<Scenario> {};
 
 TEST_P(BatchedPolicyEquivalence, DigestMatchesSerialAcrossChannelsAndSeeds) {
@@ -152,155 +140,6 @@ INSTANTIATE_TEST_SUITE_P(Scenarios, BatchedPolicyEquivalence,
                                            Scenario::kHiNetIntervalStable,
                                            Scenario::kKloOne,
                                            Scenario::kHiNetOne));
-
-TEST(LockstepIndexing, EdgeCaseBatchWidthsMatchTheSerialExecutor) {
-  // R = 1 (degenerate lockstep), R > reps (one short batch), R dividing
-  // reps exactly, and a partial final batch — all must index results
-  // identically to run_replicates.
-  const SpecFactory factory =
-      channel_factory(Scenario::kHiNetOne, ChannelKind::kLossy);
-  const std::size_t reps = 6;
-  const std::uint64_t base_seed = 91;
-  const std::vector<ReplicateResult> serial =
-      run_replicates(factory, reps, base_seed, 1);
-
-  for (const std::size_t r :
-       {std::size_t{1}, std::size_t{2}, std::size_t{4}, std::size_t{6},
-        std::size_t{64}}) {
-    SCOPED_TRACE("R=" + std::to_string(r));
-    const std::vector<ReplicateResult> lockstep =
-        run_replicates_lockstep(factory, reps, base_seed, r, 1);
-    ASSERT_EQ(lockstep.size(), serial.size());
-    for (std::size_t i = 0; i < reps; ++i) {
-      EXPECT_EQ(lockstep[i].metrics, serial[i].metrics) << "replicate " << i;
-    }
-  }
-}
-
-TEST(LockstepIndexing, FactoryFailureIsPinnedToItsReplicate) {
-  // A factory that throws for one seed must fail exactly that replicate —
-  // the rest of its batch still runs and matches serial.
-  const SpecFactory base =
-      channel_factory(Scenario::kKloOne, ChannelKind::kPerfect);
-  const std::uint64_t base_seed = 40;
-  const std::uint64_t bad_seed = replicate_seed(base_seed, 2);
-  const SpecFactory flaky = [base, bad_seed](std::uint64_t seed) {
-    if (seed == bad_seed) throw IoError("spec store unreachable");
-    return base(seed);
-  };
-
-  try {
-    run_replicates_lockstep(flaky, 4, base_seed, 4, 1);
-    FAIL() << "expected ReplicateBatchError";
-  } catch (const ReplicateBatchError& e) {
-    ASSERT_EQ(e.failures().size(), 1u);
-    EXPECT_EQ(e.failures()[0].replicate, 2u);
-    EXPECT_EQ(e.failures()[0].seed, bad_seed);
-    EXPECT_NE(e.failures()[0].message.find("spec store unreachable"),
-              std::string::npos);
-  }
-
-  // The supervised path salvages the remaining three.
-  SupervisorPolicy policy;
-  const SupervisedBatch batch = run_replicates_supervised(
-      flaky, ExperimentOptions{4, base_seed, ExecutionPolicy::batched(4)},
-      policy);
-  EXPECT_EQ(batch.completed(), 3u);
-  ASSERT_EQ(batch.failures.size(), 1u);
-  EXPECT_EQ(batch.failures[0].replicate, 2u);
-  EXPECT_EQ(batch.failures[0].cls, RunErrorClass::kIo);
-  const std::vector<ReplicateResult> serial =
-      run_replicates(base, 4, base_seed, 1);
-  for (const std::size_t i : {std::size_t{0}, std::size_t{1}, std::size_t{3}}) {
-    ASSERT_TRUE(batch.slots[i].has_value());
-    EXPECT_EQ(batch.slots[i]->metrics, serial[i].metrics) << "replicate " << i;
-  }
-}
-
-std::string journal_path(const char* tag) {
-  const std::string p =
-      ::testing::TempDir() + "hinet_batchexec_" + tag + ".jnl";
-  std::remove(p.c_str());
-  return p;
-}
-
-TEST(SupervisedBatched, KilledBatchedSweepResumesByteIdentically) {
-  // The batched twin of test_journal.cpp's acceptance test: a journaled
-  // batched sweep cancelled after 3 fresh completions, resumed under the
-  // SAME batched policy, must aggregate byte-identically to an
-  // uninterrupted serial run — journal records are keyed by replicate
-  // seed, so resume re-batches only what is missing.
-  const std::size_t reps = 10;
-  const std::uint64_t base_seed = 60;
-  const SpecFactory factory =
-      channel_factory(Scenario::kHiNetOne, ChannelKind::kGilbertElliott);
-  const ExperimentOptions batched_options{reps, base_seed,
-                                          ExecutionPolicy::batched(3)};
-
-  const AggregateResult clean = run_experiment(
-      factory, ExperimentOptions{reps, base_seed, ExecutionPolicy::serial()});
-
-  const std::string path = journal_path("resume_batched");
-  {
-    ExperimentJournal journal(path);
-    std::atomic<bool> cancel{false};
-    std::atomic<std::size_t> fresh{0};
-    SupervisorPolicy policy;
-    policy.journal = &journal;
-    policy.cancel = &cancel;
-    policy.on_progress = [&](std::size_t, std::uint64_t) {
-      if (fresh.fetch_add(1) + 1 >= 3) cancel.store(true);
-    };
-    const SupervisedBatch partial =
-        run_replicates_supervised(factory, batched_options, policy);
-    EXPECT_TRUE(partial.cancelled);
-    EXPECT_LT(partial.completed(), reps);
-    EXPECT_GE(journal.size(), 3u);
-    EXPECT_LT(journal.size(), reps);
-  }
-
-  ExperimentJournal journal(path);
-  SupervisorPolicy policy;
-  policy.journal = &journal;
-  const std::size_t already = journal.size();
-  const SupervisedBatch resumed =
-      run_replicates_supervised(factory, batched_options, policy);
-  EXPECT_EQ(resumed.completed(), reps);
-  EXPECT_EQ(resumed.from_journal, already);
-  EXPECT_TRUE(resumed.failures.empty());
-  EXPECT_FALSE(resumed.cancelled);
-  EXPECT_EQ(journal.size(), reps);
-
-  const AggregateResult agg = aggregate_supervised(resumed, 1.0, 1);
-  EXPECT_TRUE(agg.same_statistics(clean));
-  EXPECT_EQ(agg.stats_digest(), clean.stats_digest());
-  std::remove(path.c_str());
-}
-
-TEST(SupervisedBatched, ThreadedBatchedSupervisedMatchesSerialSupervised) {
-  // No journal, no failures: the supervised batched executor itself (the
-  // worker pool pulling lockstep batches) must match the plain serial
-  // supervised path statistic for statistic.
-  const SpecFactory factory =
-      channel_factory(Scenario::kKloInterval, ChannelKind::kCollision);
-  const std::size_t reps = 7;
-  const std::uint64_t base_seed = 30;
-  SupervisorPolicy policy;
-
-  const SupervisedBatch serial = run_replicates_supervised(
-      factory, ExperimentOptions{reps, base_seed, ExecutionPolicy::serial()},
-      policy);
-  const SupervisedBatch batched = run_replicates_supervised(
-      factory,
-      ExperimentOptions{reps, base_seed, ExecutionPolicy::threaded_batched(2, 3)},
-      policy);
-  ASSERT_EQ(serial.completed(), reps);
-  ASSERT_EQ(batched.completed(), reps);
-  const AggregateResult a = aggregate_supervised(serial, 1.0, 1);
-  const AggregateResult b = aggregate_supervised(batched, 1.0, 2);
-  EXPECT_TRUE(a.same_statistics(b));
-  EXPECT_EQ(a.stats_digest(), b.stats_digest());
-}
 
 }  // namespace
 }  // namespace hinet

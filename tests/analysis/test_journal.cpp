@@ -135,8 +135,10 @@ TEST(ExperimentJournal, KilledSweepResumesByteIdenticallyAtAnyJobCount) {
       policy.on_progress = [&](std::size_t, std::uint64_t) {
         if (fresh.fetch_add(1) + 1 >= 3) cancel.store(true);
       };
-      const SupervisedBatch partial =
-          run_replicates_supervised(factory, reps, base_seed, jobs, policy);
+      const SupervisedBatch partial = run_replicates_supervised(
+          factory,
+          ExperimentOptions{reps, base_seed, ExecutionPolicy::threaded(jobs)},
+          policy);
       EXPECT_TRUE(partial.cancelled);
       EXPECT_LT(partial.completed(), reps);
       EXPECT_GE(journal.size(), 3u);
@@ -147,8 +149,10 @@ TEST(ExperimentJournal, KilledSweepResumesByteIdenticallyAtAnyJobCount) {
     SupervisorPolicy policy;
     policy.journal = &journal;
     const std::size_t already = journal.size();
-    const SupervisedBatch resumed =
-        run_replicates_supervised(factory, reps, base_seed, jobs, policy);
+    const SupervisedBatch resumed = run_replicates_supervised(
+        factory,
+        ExperimentOptions{reps, base_seed, ExecutionPolicy::threaded(jobs)},
+        policy);
     EXPECT_EQ(resumed.completed(), reps);
     EXPECT_EQ(resumed.from_journal, already);
     EXPECT_TRUE(resumed.failures.empty());
@@ -171,7 +175,8 @@ TEST(ExperimentJournal, ResultsFromTheJournalAreTheResultsThatRan) {
     ExperimentJournal journal(path);
     SupervisorPolicy policy;
     policy.journal = &journal;
-    run_replicates_supervised(factory, 4, 50, 1, policy);
+    run_replicates_supervised(
+        factory, ExperimentOptions{4, 50, ExecutionPolicy::serial()}, policy);
   }
   ExperimentJournal journal(path);
   for (std::size_t rep = 0; rep < 4; ++rep) {

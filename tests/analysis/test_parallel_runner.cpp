@@ -144,18 +144,14 @@ TEST(ParallelRunner, AllWorkersObserveEveryReplicateExactlyOnce) {
 }
 
 TEST(ExecutionPolicy_, FactoriesAndQueries) {
-  EXPECT_EQ(ExecutionPolicy::serial().mode, ExecutionPolicy::Mode::kSerial);
-  EXPECT_EQ(ExecutionPolicy::threaded(3).jobs, 3u);
-  EXPECT_EQ(ExecutionPolicy::batched(4).replicates_per_batch, 4u);
-  const ExecutionPolicy tb = ExecutionPolicy::threaded_batched(2, 4);
-  EXPECT_TRUE(tb.is_threaded());
-  EXPECT_TRUE(tb.is_batched());
-  EXPECT_EQ(tb.effective_jobs(), 2u);
-  // Serial modes never spin up a pool regardless of the jobs field.
+  EXPECT_EQ(ExecutionPolicy::serial().jobs, 1u);
   EXPECT_EQ(ExecutionPolicy::serial().effective_jobs(), 1u);
-  EXPECT_EQ(ExecutionPolicy::batched(8).effective_jobs(), 1u);
-  EXPECT_EQ(std::string(to_string(ExecutionPolicy::Mode::kThreadedBatched)),
-            "threaded-batched");
+  EXPECT_EQ(ExecutionPolicy::threaded(3).jobs, 3u);
+  EXPECT_EQ(ExecutionPolicy::threaded(3).effective_jobs(), 3u);
+  // 0 means "as wide as the hardware"; a default policy runs serially.
+  EXPECT_EQ(ExecutionPolicy::threaded().effective_jobs(), default_jobs());
+  EXPECT_EQ(ExecutionPolicy::threaded(0).effective_jobs(), default_jobs());
+  EXPECT_EQ(ExecutionPolicy{}.effective_jobs(), 1u);
 }
 
 TEST(ParallelRunner, RequiresAtLeastOneRepetition) {

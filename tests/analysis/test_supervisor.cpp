@@ -115,7 +115,9 @@ TEST(RunReplicatesFailureReport, SeedOverflowIsRejectedUpFront) {
                PreconditionError);
   SupervisorPolicy policy;
   EXPECT_THROW(
-      run_replicates_supervised(tiny_factory(), 3, near_max, 1, policy),
+      run_replicates_supervised(
+          tiny_factory(),
+          ExperimentOptions{3, near_max, ExecutionPolicy::serial()}, policy),
       PreconditionError);
   // Exactly at the boundary is fine: seeds near_max and near_max + 1.
   EXPECT_NO_THROW(run_replicates(tiny_factory(), 2, near_max, 1));
@@ -128,8 +130,9 @@ TEST(Supervisor, IsolatesFailuresAndSalvagesTheRest) {
       tiny_factory(), bad, [] { throw InvariantError("simulated bug"); });
   SupervisorPolicy policy;
   policy.max_retries = 2;  // must NOT retry: invariant is deterministic
-  const SupervisedBatch batch =
-      run_replicates_supervised(factory, 5, base_seed, 2, policy);
+  const SupervisedBatch batch = run_replicates_supervised(
+      factory, ExperimentOptions{5, base_seed, ExecutionPolicy::threaded(2)},
+      policy);
 
   EXPECT_EQ(batch.completed(), 4u);
   ASSERT_EQ(batch.failures.size(), 1u);
@@ -169,8 +172,9 @@ TEST(Supervisor, RetriesTransientFailuresWithBackoff) {
   SupervisorPolicy policy;
   policy.max_retries = 2;
   policy.backoff_base_ms = 1;
-  const SupervisedBatch batch =
-      run_replicates_supervised(factory, 3, base_seed, 1, policy);
+  const SupervisedBatch batch = run_replicates_supervised(
+      factory, ExperimentOptions{3, base_seed, ExecutionPolicy::serial()},
+      policy);
   EXPECT_EQ(batch.completed(), 3u);
   EXPECT_TRUE(batch.failures.empty());
   EXPECT_EQ(batch.retried_replicates, 1u);
@@ -185,8 +189,9 @@ TEST(Supervisor, ExhaustedRetriesReportTotalAttempts) {
   SupervisorPolicy policy;
   policy.max_retries = 2;
   policy.backoff_base_ms = 1;
-  const SupervisedBatch batch =
-      run_replicates_supervised(factory, 2, base_seed, 1, policy);
+  const SupervisedBatch batch = run_replicates_supervised(
+      factory, ExperimentOptions{2, base_seed, ExecutionPolicy::serial()},
+      policy);
   ASSERT_EQ(batch.failures.size(), 1u);
   EXPECT_EQ(batch.failures[0].cls, RunErrorClass::kIo);
   EXPECT_EQ(batch.failures[0].attempts, 3u);  // 1 initial + 2 retries
@@ -197,14 +202,16 @@ TEST(Supervisor, DeadlineBoundsAStuckReplicate) {
   policy.deadline_ms = 1;
   policy.retry_deadline = false;
   const SpecFactory factory = [](std::uint64_t) { return heavy_spec(); };
-  const SupervisedBatch batch =
-      run_replicates_supervised(factory, 1, 1, 1, policy);
+  const SupervisedBatch batch = run_replicates_supervised(
+      factory, ExperimentOptions{1, 1, ExecutionPolicy::serial()}, policy);
   EXPECT_EQ(batch.completed(), 0u);
   ASSERT_EQ(batch.failures.size(), 1u);
   EXPECT_EQ(batch.failures[0].cls, RunErrorClass::kDeadline);
   EXPECT_EQ(batch.failures[0].attempts, 1u);  // retry_deadline=false
 
-  EXPECT_THROW(run_experiment_supervised(factory, 1, 1, 1, policy),
+  EXPECT_THROW(
+      run_experiment_supervised(
+          factory, ExperimentOptions{1, 1, ExecutionPolicy::serial()}, policy),
                ReplicateBatchError);
 }
 
@@ -215,8 +222,8 @@ TEST(Supervisor, RetryDeadlinePolicyGivesDeadlinesASecondChance) {
   policy.backoff_base_ms = 1;
   policy.retry_deadline = true;
   const SpecFactory factory = [](std::uint64_t) { return heavy_spec(); };
-  const SupervisedBatch batch =
-      run_replicates_supervised(factory, 1, 1, 1, policy);
+  const SupervisedBatch batch = run_replicates_supervised(
+      factory, ExperimentOptions{1, 1, ExecutionPolicy::serial()}, policy);
   ASSERT_EQ(batch.failures.size(), 1u);
   EXPECT_EQ(batch.failures[0].attempts, 2u);
 }
@@ -225,14 +232,17 @@ TEST(Supervisor, PreArmedCancelRunsNothing) {
   std::atomic<bool> cancel{true};
   SupervisorPolicy policy;
   policy.cancel = &cancel;
-  const SupervisedBatch batch =
-      run_replicates_supervised(tiny_factory(), 4, 1, 2, policy);
+  const SupervisedBatch batch = run_replicates_supervised(
+      tiny_factory(), ExperimentOptions{4, 1, ExecutionPolicy::threaded(2)},
+      policy);
   EXPECT_TRUE(batch.cancelled);
   EXPECT_EQ(batch.completed(), 0u);
   EXPECT_TRUE(batch.failures.empty());
 
   try {
-    run_experiment_supervised(tiny_factory(), 4, 1, 2, policy);
+    run_experiment_supervised(
+        tiny_factory(), ExperimentOptions{4, 1, ExecutionPolicy::threaded(2)},
+        policy);
     FAIL() << "cancelled-empty batch did not throw";
   } catch (const ReplicateBatchError& e) {
     ASSERT_EQ(e.failures().size(), 1u);
@@ -248,8 +258,9 @@ TEST(Supervisor, CancelMidBatchKeepsWhatCompleted) {
   policy.on_progress = [&](std::size_t, std::uint64_t) {
     if (done.fetch_add(1) + 1 >= 2) cancel.store(true);
   };
-  const SupervisedBatch batch =
-      run_replicates_supervised(tiny_factory(), 8, 1, 1, policy);
+  const SupervisedBatch batch = run_replicates_supervised(
+      tiny_factory(), ExperimentOptions{8, 1, ExecutionPolicy::serial()},
+      policy);
   EXPECT_TRUE(batch.cancelled);
   EXPECT_GE(batch.completed(), 2u);
   EXPECT_LT(batch.completed(), 8u);
@@ -264,8 +275,8 @@ TEST(Supervisor, SupervisedMatchesUnsupervisedWhenNothingGoesWrong) {
   const AggregateResult plain = run_experiment(
       factory, ExperimentOptions{6, 9, ExecutionPolicy::threaded(2)});
   SupervisorPolicy policy;
-  const AggregateResult supervised =
-      run_experiment_supervised(factory, 6, 9, 2, policy);
+  const AggregateResult supervised = run_experiment_supervised(
+      factory, ExperimentOptions{6, 9, ExecutionPolicy::threaded(2)}, policy);
   EXPECT_TRUE(supervised.same_statistics(plain));
   EXPECT_EQ(supervised.stats_digest(), plain.stats_digest());
 }

@@ -207,9 +207,8 @@ TEST(Service, ExecutionPolicyDoesNotChangeTheDigest) {
   // equivalence contract.
   const JobSpec spec = tiny_spec(7, 3);
   std::vector<std::uint64_t> digests;
-  const ExecutionPolicy policies[] = {
-      ExecutionPolicy::serial(), ExecutionPolicy::threaded(2),
-      ExecutionPolicy::batched(2), ExecutionPolicy::threaded_batched(2, 2)};
+  const ExecutionPolicy policies[] = {ExecutionPolicy::serial(),
+                                      ExecutionPolicy::threaded(2)};
   for (const ExecutionPolicy& policy : policies) {
     ServiceOptions options;
     options.policy = policy;

@@ -2,7 +2,7 @@
 // the queue, and serve results without re-simulating.
 //
 //   hinetd submit --store=DIR [spec flags] [--execute] [--from=FILE]
-//   hinetd run    --store=DIR [--policy=... --jobs=N --deadline-ms=... ]
+//   hinetd run    --store=DIR [--jobs=N --deadline-ms=... ]
 //   hinetd query  --store=DIR ([spec flags] | --hash=HEX) [--curve]
 //                 [--vs-hash=HEX]
 //   hinetd status --store=DIR
@@ -81,17 +81,6 @@ AssignmentMode parse_assignment(const std::string& name) {
       "' (choose one of: distinct-random, single-source, round-robin)");
 }
 
-ExecutionPolicy::Mode parse_policy(const std::string& name) {
-  using Mode = ExecutionPolicy::Mode;
-  if (name == "serial") return Mode::kSerial;
-  if (name == "threaded") return Mode::kThreaded;
-  if (name == "batched") return Mode::kBatched;
-  if (name == "threaded-batched") return Mode::kThreadedBatched;
-  throw std::invalid_argument(
-      "unknown policy '" + name +
-      "' (choose one of: serial, threaded, batched, threaded-batched)");
-}
-
 /// Registers the job-spec flags and builds the spec.  Shared by submit and
 /// query so one spelling addresses the same content hash everywhere.
 JobSpec spec_from_args(CliArgs& args) {
@@ -153,14 +142,7 @@ ServiceOptions service_options_from_args(CliArgs& args,
       "max-pending", 256,
       "admission bound: queue capacity before submissions are rejected"));
   if (register_run_flags) {
-    ExecutionPolicy exec;
-    exec.mode = parse_policy(args.get_string(
-        "policy", "threaded",
-        "execution policy: serial | threaded | batched | threaded-batched"));
-    exec.jobs = args.get_jobs();
-    exec.replicates_per_batch = static_cast<std::size_t>(args.get_int(
-        "batch-r", 8, "lockstep batch width R for the batched policies"));
-    opt.policy = exec;
+    opt.policy = ExecutionPolicy::threaded(args.get_jobs());
     opt.deadline_ms = static_cast<std::size_t>(args.get_int(
         "deadline-ms", 0, "per-replicate wall-clock budget (0 = none)"));
     opt.max_retries = static_cast<std::size_t>(args.get_int(

@@ -20,10 +20,10 @@
 // N-th freshly executed replicate reaches the journal — exactly the state
 // a SIGKILL at that moment would leave behind.
 //
-// --policy selects the ExecutionPolicy (serial | threaded | batched |
-// threaded-batched; --batch-r sets the lockstep width R).  Statistics and
-// the stats-digest are byte-identical across policies; under the batched
-// policies --deadline-ms bounds each lockstep batch as a whole.
+// --jobs sets the worker-pool width (--jobs=1 runs serially on the main
+// thread).  Statistics and the stats-digest are byte-identical at every
+// width, so a sweep may resume under a different --jobs than it was
+// killed under.
 //
 // Exit codes and signal handling follow the convention shared with hinetd
 // (service/exit_codes.hpp): 0 ok, 1 permanent failure, 2 usage,
@@ -61,17 +61,6 @@ hinet::Scenario parse_scenario(const std::string& name) {
   return *s;
 }
 
-hinet::ExecutionPolicy::Mode parse_policy(const std::string& name) {
-  using Mode = hinet::ExecutionPolicy::Mode;
-  if (name == "serial") return Mode::kSerial;
-  if (name == "threaded") return Mode::kThreaded;
-  if (name == "batched") return Mode::kBatched;
-  if (name == "threaded-batched") return Mode::kThreadedBatched;
-  throw std::invalid_argument(
-      "unknown --policy '" + name +
-      "' (choose one of: serial, threaded, batched, threaded-batched)");
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -98,12 +87,6 @@ int main(int argc, char** argv) {
     const std::uint64_t seed = static_cast<std::uint64_t>(
         args.get_int("seed", 1, "base seed (replicate i uses seed + i)"));
     const std::size_t jobs = args.get_jobs();
-    const std::string policy_arg = args.get_string(
-        "policy", "threaded",
-        "execution policy: serial | threaded | batched | threaded-batched");
-    const std::size_t batch_r = static_cast<std::size_t>(args.get_int(
-        "batch-r", 8,
-        "lockstep batch width R for the batched policies"));
     const std::string journal_path = args.get_string(
         "journal", "", "journal file for crash-safe resume ('' = none)");
     const bool resume = args.get_bool(
@@ -133,11 +116,8 @@ int main(int argc, char** argv) {
     const Scenario scenario = parse_scenario(scenario_arg);
     const SpecFactory factory = scenario_factory(scenario, cfg);
 
-    ExecutionPolicy exec;
-    exec.mode = parse_policy(policy_arg);
-    exec.jobs = jobs;
-    exec.replicates_per_batch = batch_r;
-    const ExperimentOptions options{reps, seed, exec};
+    const ExperimentOptions options{reps, seed,
+                                    ExecutionPolicy::threaded(jobs)};
 
     std::unique_ptr<ExperimentJournal> journal;
     if (!journal_path.empty()) {
@@ -185,10 +165,8 @@ int main(int argc, char** argv) {
     std::cout << "scenario=" << scenario_arg << " nodes=" << cfg.nodes
               << " heads=" << cfg.heads << " k=" << cfg.k
               << " alpha=" << cfg.alpha << " L=" << cfg.hop_l
-              << " reps=" << reps << " seed=" << seed
-              << " policy=" << to_string(exec.mode);
-    if (exec.is_batched()) std::cout << " batch-r=" << batch_r;
-    std::cout << "\n";
+              << " reps=" << reps << " seed=" << seed << " jobs=" << jobs
+              << "\n";
     std::cout << "completed: " << batch.completed() << "/" << reps
               << "  from-journal: " << batch.from_journal
               << "  retried: " << batch.retried_replicates
@@ -204,8 +182,7 @@ int main(int argc, char** argv) {
       std::cerr << "error: no replicate completed — nothing to aggregate\n";
       return kExitFailed;
     }
-    const AggregateResult agg =
-        aggregate_supervised(batch, seconds, exec.effective_jobs());
+    const AggregateResult agg = aggregate_supervised(batch, seconds, jobs);
     std::cout << agg.to_string() << "\n";
     std::ostringstream digest;
     digest << std::hex << std::setw(16) << std::setfill('0')
