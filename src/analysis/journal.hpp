@@ -9,19 +9,16 @@
 // sweep aggregates byte-identically to an uninterrupted one — pinned by
 // tests/analysis/test_journal.cpp and the CI kill-and-resume smoke step.
 //
-// On-disk format (little-endian):
-//
-//   file header : u32 magic 'HJNL' · u16 version · u16 reserved(0)
-//   record      : u32 record magic · u64 payload length · u32 crc32(payload)
-//                 · payload { u64 seed · f64 wall_ms · SimMetrics }
-//
-// Appends are write()-then-fdatasync, so a record either exists completely
-// or not at all as far as a resuming process is concerned.  Opening the
-// journal replays every record; a torn or corrupt *tail* (the expected
-// shape of a crash mid-append) is truncated away and reported via
-// dropped_bytes() — the intact prefix is salvaged, never discarded.
-// Corruption that cannot be the tail of a sane journal (bad file header,
-// wrong version) throws IoError instead: that file is not this journal.
+// The journal is a FramedLog (util/framed_log.hpp) with file magic 'HJNL'
+// and record magic 'HJRD', whose record payload is
+// { u64 seed · f64 wall_ms · SimMetrics }.  It inherits that log's
+// guarantees: an append is fdatasync'd before it returns, a torn tail is
+// truncated at open and counted in dropped_bytes(), and a foreign header
+// or another format version throws IoError.  Like every FramedLog writer
+// it is single-writer: a second handle on a live path throws
+// ConcurrentWriterError.  A record that passes its CRC but does not
+// decode throws IoError — a torn write cannot pass the CRC, so such a
+// record means a format mismatch, and truncating it would destroy data.
 #pragma once
 
 #include <cstdint>
@@ -32,6 +29,7 @@
 #include <vector>
 
 #include "analysis/experiment.hpp"
+#include "util/framed_log.hpp"
 
 namespace hinet {
 
@@ -43,15 +41,12 @@ class ExperimentJournal {
 
   /// Opens (creating if absent) and replays the journal at `path`.
   /// Throws IoError when the file exists but is not a journal of this
-  /// version, or on I/O failure.  A corrupt tail is truncated and counted
-  /// in dropped_bytes().
+  /// version, when a record does not decode, or on I/O failure; throws
+  /// ConcurrentWriterError while another handle holds the journal.  A
+  /// corrupt tail is truncated and counted in dropped_bytes().
   explicit ExperimentJournal(std::string path);
-  ~ExperimentJournal();
 
-  ExperimentJournal(const ExperimentJournal&) = delete;
-  ExperimentJournal& operator=(const ExperimentJournal&) = delete;
-
-  const std::string& path() const { return path_; }
+  const std::string& path() const { return log_.path(); }
 
   /// Number of completed replicates on record.
   std::size_t size() const;
@@ -73,17 +68,13 @@ class ExperimentJournal {
 
   /// Bytes of torn/corrupt tail dropped when the journal was opened
   /// (0 for a cleanly written file).
-  std::size_t dropped_bytes() const { return dropped_bytes_; }
+  std::size_t dropped_bytes() const { return log_.dropped_bytes(); }
 
  private:
-  void replay_and_truncate(std::vector<std::uint8_t> raw);
-  void write_all(const std::uint8_t* data, std::size_t len);
-
-  mutable std::mutex mutex_;
-  std::string path_;
-  int fd_ = -1;
-  std::map<std::uint64_t, ReplicateResult> entries_;
-  std::size_t dropped_bytes_ = 0;
+  mutable std::mutex mutex_;  ///< guards log_ and entries_
+  FramedLog log_;
+  /// Seed → index of its record in log_.records().
+  std::map<std::uint64_t, std::size_t> entries_;
 };
 
 }  // namespace hinet

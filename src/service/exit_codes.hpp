@@ -27,6 +27,7 @@
 #include "service/job_queue.hpp"
 #include "service/lease_lock.hpp"
 #include "util/binary_io.hpp"
+#include "util/framed_log.hpp"
 
 namespace hinet {
 

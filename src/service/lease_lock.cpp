@@ -11,7 +11,6 @@
 #include <cerrno>
 #include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <sstream>
 #include <string_view>
 
@@ -20,12 +19,6 @@
 namespace hinet {
 
 namespace {
-
-std::string errno_detail(const std::string& what, const std::string& path) {
-  std::ostringstream os;
-  os << what << " " << path << ": " << std::strerror(errno);
-  return os.str();
-}
 
 std::uint64_t wall_clock_ms() {
   // Leases are compared across processes, so this must be the wall clock,
@@ -67,7 +60,7 @@ LeaseRead read_lease_file(const std::string& path, LeaseInfo& out) {
   struct ::stat st {};
   if (::stat(path.c_str(), &st) != 0) {
     if (errno == ENOENT) return LeaseRead::kMissing;
-    throw IoError(errno_detail("cannot stat lease file", path));
+    throw IoError(errno_message("cannot stat lease file", path));
   }
   try {
     const std::vector<std::uint8_t> payload = read_checksummed_file(
@@ -163,7 +156,7 @@ void LeaseLock::release() {
     return;  // taken over already — the successor owns the file now
   }
   if (::unlink(state_->path.c_str()) != 0 && errno != ENOENT) {
-    throw IoError(errno_detail("cannot release lease", state_->path));
+    throw IoError(errno_message("cannot release lease", state_->path));
   }
   fsync_parent_directory(state_->path);
 }
@@ -229,25 +222,12 @@ std::optional<LeaseLock> LeaseManager::try_acquire(const std::string& name) {
         info.owner = options_.owner;
         info.token = token;
         info.expiry_ms = options_.now_ms() + options_.lease_ms;
-        const std::vector<std::uint8_t> payload = encode_lease(info);
-        ByteWriter file;
-        file.u32(kLeaseMagic);
-        file.u16(kLeaseVersion);
-        file.u64(payload.size());
-        file.u32(crc32(payload));
-        file.bytes(payload);
-        std::size_t done = 0;
-        const std::uint8_t* data = file.buffer().data();
-        while (done < file.size()) {
-          const ssize_t wrote = ::write(fd, data + done, file.size() - done);
-          if (wrote < 0) {
-            if (errno == EINTR) continue;
-            throw IoError(errno_detail("cannot write lease record", path));
-          }
-          done += static_cast<std::size_t>(wrote);
+        if (!write_all(fd, encode_checksummed(kLeaseMagic, kLeaseVersion,
+                                              encode_lease(info)))) {
+          throw IoError(errno_message("cannot write lease record", path));
         }
         if (::fdatasync(fd) != 0) {
-          throw IoError(errno_detail("fdatasync failed on lease", path));
+          throw IoError(errno_message("fdatasync failed on lease", path));
         }
       } catch (...) {
         ::close(fd);
@@ -270,7 +250,7 @@ std::optional<LeaseLock> LeaseManager::try_acquire(const std::string& name) {
       return LeaseLock(std::move(state));
     }
     if (errno != EEXIST) {
-      throw IoError(errno_detail("cannot create lease file", path));
+      throw IoError(errno_message("cannot create lease file", path));
     }
 
     // Someone holds (or held) the lease.  Decide liveness.
@@ -301,10 +281,10 @@ std::optional<LeaseLock> LeaseManager::try_acquire(const std::string& name) {
     // detlint-allow(durability-ordering): moving a dead lease aside needs no content fsync — the tombstone is unlinked on the next line
     if (std::rename(path.c_str(), tomb_path.c_str()) != 0) {
       if (errno == ENOENT) continue;  // lost the takeover race; retry
-      throw IoError(errno_detail("cannot take over stale lease", path));
+      throw IoError(errno_message("cannot take over stale lease", path));
     }
     if (::unlink(tomb_path.c_str()) != 0 && errno != ENOENT) {
-      throw IoError(errno_detail("cannot remove lease tombstone", tomb_path));
+      throw IoError(errno_message("cannot remove lease tombstone", tomb_path));
     }
     fsync_parent_directory(path);
     ++takeovers_;
@@ -340,7 +320,7 @@ std::vector<std::pair<std::string, LeaseInfo>> LeaseManager::list() const {
   DIR* d = ::opendir(dir_.c_str());
   if (d == nullptr) {
     if (errno == ENOENT) return out;
-    throw IoError(errno_detail("cannot open lease directory", dir_));
+    throw IoError(errno_message("cannot open lease directory", dir_));
   }
   for (struct dirent* e = ::readdir(d); e != nullptr; e = ::readdir(d)) {
     const std::string file = e->d_name;
@@ -365,11 +345,11 @@ std::vector<std::pair<std::string, LeaseInfo>> LeaseManager::list() const {
 ScopedFlock::ScopedFlock(const std::string& path) {
   fd_ = ::open(path.c_str(), O_RDWR | O_CREAT | O_CLOEXEC, 0644);
   if (fd_ < 0) {
-    throw IoError(errno_detail("cannot open lock file", path));
+    throw IoError(errno_message("cannot open lock file", path));
   }
   while (::flock(fd_, LOCK_EX) != 0) {
     if (errno == EINTR) continue;
-    const IoError err(errno_detail("cannot lock", path));
+    const IoError err(errno_message("cannot lock", path));
     ::close(fd_);
     fd_ = -1;
     throw err;

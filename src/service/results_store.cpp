@@ -5,7 +5,6 @@
 #include <algorithm>
 #include <cerrno>
 #include <cstdio>
-#include <cstring>
 #include <sstream>
 
 #include "sim/snapshot.hpp"
@@ -55,8 +54,7 @@ ResultsStore::ResultsStore(std::string dir, StoreOptions options)
     return;
   }
   if (::mkdir(dir_.c_str(), 0755) != 0 && errno != EEXIST) {
-    throw IoError("cannot create results-store directory " + dir_ + ": " +
-                  std::strerror(errno));
+    throw IoError(errno_message("cannot create results-store directory", dir_));
   }
   recover();
 }

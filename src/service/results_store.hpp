@@ -89,9 +89,9 @@
 #include <vector>
 
 #include "analysis/experiment.hpp"
-#include "service/framed_log.hpp"
 #include "service/job_spec.hpp"
 #include "service/lease_lock.hpp"
+#include "util/framed_log.hpp"
 
 namespace hinet {
 

@@ -5,8 +5,8 @@
 #include <algorithm>
 #include <cerrno>
 #include <cstdio>
-#include <cstring>
 #include <limits>
+#include <set>
 #include <sstream>
 
 #include "analysis/scenarios.hpp"
@@ -56,8 +56,7 @@ ExperimentService::ExperimentService(std::string dir, ServiceOptions options)
   // for job leases.  Create the directory first so lease files have a
   // home even before the store constructor runs.
   if (::mkdir(dir_.c_str(), 0755) != 0 && errno != EEXIST) {
-    throw IoError("cannot create service directory " + dir_ + ": " +
-                  std::strerror(errno));
+    throw IoError(errno_message("cannot create service directory", dir_));
   }
   LeaseManager::Options lo;
   lo.lease_ms = options_.lease_ms;
@@ -156,7 +155,7 @@ ExperimentService::SubmitOutcome ExperimentService::submit(
 }
 
 std::optional<ExperimentService::ClaimedJob> ExperimentService::claim_next(
-    ServiceReport& report) {
+    ServiceReport& report, const std::set<std::uint64_t>& handed_back) {
   // One transient queue session: acknowledge cache hits, then claim the
   // first job no sibling drainer holds.  The queue closes before any
   // simulation starts.
@@ -177,6 +176,11 @@ std::optional<ExperimentService::ClaimedJob> ExperimentService::claim_next(
       continue;
     }
 
+    // Tried once already by this call and handed back still pending:
+    // claiming it again would spin on the same failure (or on the same
+    // held journal) until the call is killed.
+    if (handed_back.count(hash) != 0) continue;
+
     // A sibling's live durable claim is a cheap pre-filter; the lease
     // below is the authority (claims are advisory observability).
     const std::optional<JobQueue::Claim> claim = queue.claim_of(hash, now);
@@ -196,16 +200,15 @@ std::optional<ExperimentService::ClaimedJob> ExperimentService::claim_next(
   }
   // Nothing claimable: report what was left to sibling drainers (this
   // final pass's count, not a sum over passes).
-  report.skipped_claimed = foreign;
+  report.skipped_claimed += foreign;
   return std::nullopt;
 }
 
-void ExperimentService::execute_claimed(ClaimedJob claimed,
+bool ExperimentService::execute_claimed(ClaimedJob claimed,
                                         ServiceReport& report) {
   const JobSpec job = claimed.job;
   const std::uint64_t hash = job.content_hash();
   LeaseLock& lease = claimed.lease;
-  append_ledger(kLedgerClaim, hash, lease.token());
 
   // Helper: end the durable claim (transient queue session).  The lease
   // itself is released separately — queue claims are observability, the
@@ -218,12 +221,24 @@ void ExperimentService::execute_claimed(ClaimedJob claimed,
 
   // Execute the missing replicates under the supervisor, journaling
   // completions durably.  A journal left by a killed run prefills
-  // finished replicates, so nothing executes twice.  The journal is
-  // shared with any successor that takes the job over — results are
-  // pure functions of (spec, seed), so replicates journaled by a fenced
+  // finished replicates, so nothing executes twice.  The journal passes
+  // to any successor that takes the job over — results are pure
+  // functions of (spec, seed), so replicates journaled by a fenced
   // zombie are byte-identical to what the successor would compute.
-  ExperimentJournal journal(journal_path(job));
-  report.resumed_replicates += journal.size();
+  std::optional<ExperimentJournal> journal;
+  try {
+    journal.emplace(journal_path(job));
+  } catch (const ConcurrentWriterError&) {
+    // A live writer still holds the journal: a drain stopped
+    // mid-simulation whose lease we took over.  Leave the job to it; its
+    // replicates land in the journal, and a later run resumes from them.
+    drop_claim();
+    lease.release();
+    ++report.skipped_claimed;
+    return true;
+  }
+  append_ledger(kLedgerClaim, hash, lease.token());
+  report.resumed_replicates += journal->size();
 
   std::atomic<bool> stop{false};
   std::atomic<bool> lease_lost{false};
@@ -231,7 +246,7 @@ void ExperimentService::execute_claimed(ClaimedJob claimed,
   SupervisorPolicy policy;
   policy.deadline_ms = options_.deadline_ms;
   policy.max_retries = options_.max_retries;
-  policy.journal = &journal;
+  policy.journal = &*journal;
   policy.cancel = &stop;
   policy.on_progress = [&](std::size_t, std::uint64_t) {
     // The heartbeat: every journaled replicate renews the lease.  A
@@ -252,6 +267,9 @@ void ExperimentService::execute_claimed(ClaimedJob claimed,
                               job.base_seed, options_.policy};
   const SupervisedBatch batch =
       run_replicates_supervised(factory, exp, policy);
+  // Single-writer: close before publishing, so a successor that takes
+  // the job over from here can open the journal and resume from it.
+  journal.reset();
 
   if (lease_lost.load(std::memory_order_relaxed)) {
     // Taken over mid-execution.  The job is the successor's now; our
@@ -259,7 +277,7 @@ void ExperimentService::execute_claimed(ClaimedJob claimed,
     // ownerless, and the stale claim record expires on its own.
     append_ledger(kLedgerStale, hash, lease.token());
     ++report.stale_leases;
-    return;
+    return false;
   }
 
   if (batch.cancelled) {
@@ -267,7 +285,7 @@ void ExperimentService::execute_claimed(ClaimedJob claimed,
     report.cancelled = true;
     drop_claim();
     lease.release();
-    return;
+    return false;
   }
 
   if (batch.completed() == job.repetitions) {
@@ -287,7 +305,7 @@ void ExperimentService::execute_claimed(ClaimedJob claimed,
       reopen_store();
       append_ledger(kLedgerStale, hash, lease.token());
       ++report.stale_leases;
-      return;
+      return false;
     }
     append_ledger(kLedgerPublish, hash, lease.token());
     // The journal is now redundant (the store owns the result); its
@@ -302,7 +320,7 @@ void ExperimentService::execute_claimed(ClaimedJob claimed,
     lease.release();
     ++report.executed_jobs;
     if (options_.on_job_published) options_.on_job_published(job);
-    return;
+    return false;
   }
 
   // Partial completion.  Transient failures leave the job pending (the
@@ -331,19 +349,24 @@ void ExperimentService::execute_claimed(ClaimedJob claimed,
     ++report.deferred_jobs;
   }
   lease.release();
+  return !permanent;
 }
 
 ServiceReport ExperimentService::run_pending() {
   ServiceReport report;
+  std::set<std::uint64_t> handed_back;
   for (;;) {
     if (options_.cancel != nullptr &&
         options_.cancel->load(std::memory_order_relaxed)) {
       report.cancelled = true;
       break;
     }
-    std::optional<ClaimedJob> claimed = claim_next(report);
+    std::optional<ClaimedJob> claimed = claim_next(report, handed_back);
     if (!claimed.has_value()) break;
-    execute_claimed(std::move(*claimed), report);
+    const std::uint64_t hash = claimed->job.content_hash();
+    if (execute_claimed(std::move(*claimed), report)) {
+      handed_back.insert(hash);
+    }
     if (report.cancelled) break;
   }
   return report;

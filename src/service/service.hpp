@@ -49,6 +49,7 @@
 #include <functional>
 #include <memory>
 #include <optional>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -118,7 +119,8 @@ struct ServiceReport {
   /// nothing of the successor's was overwritten.
   std::size_t stale_leases = 0;
   /// Pending jobs left alone because a sibling drainer holds their lease
-  /// or live claim — they are *someone else's* work, not a failure.
+  /// or live claim, or whose journal another writer still holds — they
+  /// are *someone else's* work, not a failure.
   std::size_t skipped_claimed = 0;
   bool cancelled = false;          ///< stopped on the cancel flag
   std::vector<std::string> failure_messages;
@@ -162,9 +164,12 @@ class ExperimentService {
   SubmitOutcome submit(const JobSpec& spec);
 
   /// Drains the queue one claimed job at a time until no job can be
-  /// claimed (empty, or every remainder is a sibling drainer's).  Never
-  /// throws for per-job failures or lost leases — they land in the
-  /// report; throws only for store/queue-level corruption (IoError).
+  /// claimed (empty, or every remainder is a sibling drainer's).  Each
+  /// call tries a job at most once: one it hands back still pending
+  /// (deferred, or its journal held by a live writer) waits for the next
+  /// call.  Never throws for per-job failures or lost leases — they land
+  /// in the report; throws only for store/queue-level corruption
+  /// (IoError).
   ServiceReport run_pending();
 
   /// Path of the in-flight journal for a job (exists only between first
@@ -183,8 +188,13 @@ class ExperimentService {
     LeaseLock lease;
   };
 
-  std::optional<ClaimedJob> claim_next(ServiceReport& report);
-  void execute_claimed(ClaimedJob claimed, ServiceReport& report);
+  /// Claims the first pending job no sibling holds, skipping the jobs in
+  /// `handed_back` (this run_pending call already tried them).
+  std::optional<ClaimedJob> claim_next(
+      ServiceReport& report, const std::set<std::uint64_t>& handed_back);
+  /// Runs one claimed job.  Returns true when it handed the job back
+  /// still pending — deferred, or its journal held by a live writer.
+  bool execute_claimed(ClaimedJob claimed, ServiceReport& report);
   void append_ledger(std::uint8_t kind, std::uint64_t hash,
                      std::uint64_t token);
   void reopen_store();
@@ -201,7 +211,7 @@ class ExperimentService {
 /// hash no matter how many drainers were killed and restarted.
 struct ExecutionLedger {
   struct PerJob {
-    std::size_t claims = 0;     ///< lease wins (takeovers included)
+    std::size_t claims = 0;     ///< executions begun (takeovers included)
     std::size_t publishes = 0;  ///< durable publishes acknowledged
     std::size_t stales = 0;     ///< drainers that detected a lost lease
   };

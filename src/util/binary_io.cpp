@@ -201,6 +201,23 @@ constexpr std::size_t kHeaderBytes = 4 + 2 + 8 + 4;  // magic·version·len·crc
 
 }  // namespace
 
+std::string errno_message(const std::string& what, const std::string& path) {
+  return what + " " + path + ": " + std::strerror(errno);
+}
+
+bool write_all(int fd, std::span<const std::uint8_t> data) {
+  std::size_t done = 0;
+  while (done < data.size()) {
+    const ssize_t wrote = ::write(fd, data.data() + done, data.size() - done);
+    if (wrote < 0) {
+      if (errno == EINTR) continue;
+      return false;
+    }
+    done += static_cast<std::size_t>(wrote);
+  }
+  return true;
+}
+
 void fsync_parent_directory(const std::string& path) {
   const std::size_t slash = path.find_last_of('/');
   const std::string dir = slash == std::string::npos
@@ -272,31 +289,35 @@ std::size_t remove_orphan_temp_files(const std::string& dir) {
   return removed;
 }
 
+std::vector<std::uint8_t> encode_checksummed(
+    std::uint32_t magic, std::uint16_t version,
+    std::span<const std::uint8_t> payload) {
+  ByteWriter w;
+  w.u32(magic);
+  w.u16(version);
+  w.u64(payload.size());
+  w.u32(crc32(payload));
+  w.bytes(payload);
+  return w.take();
+}
+
 void write_checksummed_file(const std::string& path, std::uint32_t magic,
                             std::uint16_t version,
                             std::span<const std::uint8_t> payload) {
-  ByteWriter header;
-  header.u32(magic);
-  header.u16(version);
-  header.u64(payload.size());
-  header.u32(crc32(payload));
+  const std::vector<std::uint8_t> file =
+      encode_checksummed(magic, version, payload);
 
   // Write-then-rename: `path` only ever names a complete, checksummed
   // file.  The temp name is per-process-unique so concurrent publishers
   // into one directory cannot truncate each other's in-flight temps.
   const std::string tmp = unique_temp_path(path);
-  std::FILE* f = std::fopen(tmp.c_str(), "wb");
-  if (f == nullptr) throw IoError("cannot open " + tmp + " for writing");
-  const bool ok =
-      std::fwrite(header.buffer().data(), 1, header.size(), f) ==
-          header.size() &&
-      (payload.empty() ||
-       std::fwrite(payload.data(), 1, payload.size(), f) == payload.size()) &&
-      std::fflush(f) == 0 &&
-      // fsync before the rename: renaming a file whose *contents* are still
-      // in flight would let the crash-ordered disk publish an empty file.
-      ::fsync(::fileno(f)) == 0;
-  const bool closed = std::fclose(f) == 0;
+  const int fd =
+      ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0666);
+  if (fd < 0) throw IoError("cannot open " + tmp + " for writing");
+  // fsync before the rename: renaming a file whose *contents* are still
+  // in flight would let the crash-ordered disk publish an empty file.
+  const bool ok = write_all(fd, file) && ::fsync(fd) == 0;
+  const bool closed = ::close(fd) == 0;
   if (!ok || !closed) {
     std::remove(tmp.c_str());
     throw IoError("short write to " + tmp);

@@ -11,10 +11,13 @@
 //                of a buffer (the fuzz suite flips and truncates bytes at
 //                every offset and expects a diagnostic, never UB);
 //   crc32      — CRC-32 (IEEE 802.3) over a byte span;
-//   write_checksummed_file / read_checksummed_file — a tiny container
-//                format (magic, version, payload length, CRC, payload)
-//                shared by every binary artifact so corruption checks and
-//                error messages are implemented exactly once.
+//   encode_checksummed / write_checksummed_file / read_checksummed_file —
+//                a tiny container format (magic, version, payload length,
+//                CRC, payload) shared by every binary artifact so
+//                corruption checks and error messages are implemented
+//                exactly once;
+//   write_all / errno_message — the raw-fd write loop and the syscall
+//                diagnostic every durable writer shares.
 //
 // Fixed-width little-endian encoding keeps files byte-identical across
 // platforms; std::size_t values travel as u64.
@@ -110,6 +113,14 @@ class ByteReader {
   std::string what_;
 };
 
+/// "<what> <path>: <strerror(errno)>" — the diagnostic for a failed
+/// syscall.  Call it before anything else can overwrite errno.
+std::string errno_message(const std::string& what, const std::string& path);
+
+/// Writes every byte of `data` to `fd`, resuming after short writes and
+/// EINTR.  Returns false, with errno set, when a write fails.
+[[nodiscard]] bool write_all(int fd, std::span<const std::uint8_t> data);
+
 /// Durably records a directory-level change (a rename into the directory,
 /// a freshly created file) by fsyncing `path`'s parent directory.  POSIX
 /// write-then-rename makes the *file contents* atomic, but the rename
@@ -135,12 +146,18 @@ std::string unique_temp_path(const std::string& path);
 /// unlink races (someone else cleaned first) are ignored.
 std::size_t remove_orphan_temp_files(const std::string& dir);
 
-/// Writes `payload` to `path` inside the shared container format:
+/// The shared container format, encoded in memory:
 ///
 ///   u32 magic · u16 version · u64 payload length · u32 crc32(payload) ·
 ///   payload bytes
+std::vector<std::uint8_t> encode_checksummed(
+    std::uint32_t magic, std::uint16_t version,
+    std::span<const std::uint8_t> payload);
+
+/// Writes `payload` to `path` inside the shared container format
+/// (encode_checksummed).
 ///
-/// The file is written to a temporary sibling (fflush + fsync), renamed
+/// The file is written to a temporary sibling (fsync), renamed
 /// into place, and the parent directory is fsynced, so a crash — or a
 /// power failure — mid-write can never leave a half-written artifact under
 /// `path`, and the rename itself survives the power loss.

@@ -1,4 +1,4 @@
-#include "service/framed_log.hpp"
+#include "util/framed_log.hpp"
 
 #include <fcntl.h>
 #include <sys/file.h>
@@ -7,7 +7,6 @@
 
 #include <cerrno>
 #include <cstdio>
-#include <cstring>
 #include <sstream>
 
 #include "util/require.hpp"
@@ -18,10 +17,19 @@ namespace {
 
 constexpr std::size_t kFileHeaderBytes = 4 + 2 + 2;
 
-std::string errno_detail(const std::string& what, const std::string& path) {
-  std::ostringstream os;
-  os << what << " " << path << ": " << std::strerror(errno);
-  return os.str();
+void put_file_header(ByteWriter& w, std::uint32_t file_magic,
+                     std::uint16_t version) {
+  w.u32(file_magic);
+  w.u16(version);
+  w.u16(0);  // reserved
+}
+
+void put_record(ByteWriter& w, std::uint32_t record_magic,
+                std::span<const std::uint8_t> payload) {
+  w.u32(record_magic);
+  w.u64(payload.size());
+  w.u32(crc32(payload));
+  w.bytes(payload);
 }
 
 }  // namespace
@@ -39,7 +47,7 @@ FramedLog::FramedLog(std::string path, std::uint32_t file_magic,
     fd_ = ::open(path_.c_str(), O_RDONLY | O_CLOEXEC);
     if (fd_ < 0) {
       if (errno == ENOENT) return;  // a log never written reads as empty
-      throw IoError(errno_detail("cannot open " + what_, path_));
+      throw IoError(errno_message("cannot open " + what_, path_));
     }
   } else {
     // The writer lock must be held *before* the replay below: a second
@@ -50,7 +58,7 @@ FramedLog::FramedLog(std::string path, std::uint32_t file_magic,
     for (;;) {
       fd_ = ::open(path_.c_str(), O_RDWR | O_CREAT | O_CLOEXEC, 0644);
       if (fd_ < 0) {
-        throw IoError(errno_detail("cannot open " + what_, path_));
+        throw IoError(errno_message("cannot open " + what_, path_));
       }
       const int op =
           LOCK_EX | (access_ == Access::kExclusive ? LOCK_NB : 0);
@@ -69,7 +77,7 @@ FramedLog::FramedLog(std::string path, std::uint32_t file_magic,
               "(interleaved frames would corrupt it); retry after the "
               "holder closes, or open kReadOnly to observe");
         } else {
-          const IoError err(errno_detail("cannot lock " + what_, path_));
+          const IoError err(errno_message("cannot lock " + what_, path_));
           ::close(fd_);
           fd_ = -1;
           throw err;
@@ -95,7 +103,7 @@ FramedLog::FramedLog(std::string path, std::uint32_t file_magic,
     raw.insert(raw.end(), chunk, chunk + got);
   }
   if (got < 0) {
-    const IoError err(errno_detail("read error on " + what_, path_));
+    const IoError err(errno_message("read error on " + what_, path_));
     ::close(fd_);
     fd_ = -1;
     throw err;
@@ -120,10 +128,10 @@ void FramedLog::replay_and_truncate(std::vector<std::uint8_t> raw) {
     // Fresh log: stamp the header, then make both the bytes and the file's
     // directory entry durable.
     ByteWriter w;
-    w.u32(file_magic_);
-    w.u16(version_);
-    w.u16(0);  // reserved
-    write_all(w.buffer().data(), w.size());
+    put_file_header(w, file_magic_, version_);
+    if (!write_all(fd_, w.buffer())) {
+      throw IoError(errno_message("write failed on " + what_, path_));
+    }
     sync_now();
     fsync_parent_directory(path_);
     return;
@@ -184,29 +192,17 @@ void FramedLog::replay_and_truncate(std::vector<std::uint8_t> raw) {
   if (dropped_bytes_ > 0) {
     if (::ftruncate(fd_, static_cast<off_t>(valid_end)) != 0) {
       throw IoError(
-          errno_detail("cannot truncate corrupt tail of " + what_, path_));
+          errno_message("cannot truncate corrupt tail of " + what_, path_));
     }
     if (::lseek(fd_, 0, SEEK_END) < 0) {
-      throw IoError(errno_detail("lseek failed on " + what_, path_));
+      throw IoError(errno_message("lseek failed on " + what_, path_));
     }
-  }
-}
-
-void FramedLog::write_all(const std::uint8_t* data, std::size_t len) {
-  std::size_t done = 0;
-  while (done < len) {
-    const ssize_t wrote = ::write(fd_, data + done, len - done);
-    if (wrote < 0) {
-      if (errno == EINTR) continue;
-      throw IoError(errno_detail("write failed on " + what_, path_));
-    }
-    done += static_cast<std::size_t>(wrote);
   }
 }
 
 void FramedLog::sync_now() {
   if (::fdatasync(fd_) != 0) {
-    throw IoError(errno_detail("fdatasync failed on " + what_, path_));
+    throw IoError(errno_message("fdatasync failed on " + what_, path_));
   }
 }
 
@@ -221,11 +217,10 @@ void FramedLog::require_writable(const char* action) const {
 void FramedLog::append(std::span<const std::uint8_t> payload) {
   require_writable("append to");
   ByteWriter record;
-  record.u32(record_magic_);
-  record.u64(payload.size());
-  record.u32(crc32(payload));
-  record.bytes(payload);
-  write_all(record.buffer().data(), record.size());
+  put_record(record, record_magic_, payload);
+  if (!write_all(fd_, record.buffer())) {
+    throw IoError(errno_message("write failed on " + what_, path_));
+  }
   sync_now();
   records_.emplace_back(payload.begin(), payload.end());
 }
@@ -239,47 +234,32 @@ void FramedLog::compact(const std::vector<std::vector<std::uint8_t>>& keep) {
   const int tmp_fd =
       ::open(tmp.c_str(), O_RDWR | O_CREAT | O_TRUNC | O_CLOEXEC, 0644);
   if (tmp_fd < 0) {
-    throw IoError(errno_detail("cannot open compaction sibling for " + what_,
-                               tmp));
+    throw IoError(errno_message("cannot open compaction sibling for " + what_,
+                                tmp));
   }
 
   ByteWriter w;
-  w.u32(file_magic_);
-  w.u16(version_);
-  w.u16(0);  // reserved
+  put_file_header(w, file_magic_, version_);
   for (const std::vector<std::uint8_t>& payload : keep) {
-    w.u32(record_magic_);
-    w.u64(payload.size());
-    w.u32(crc32(payload));
-    w.bytes(payload);
+    put_record(w, record_magic_, payload);
   }
 
-  std::size_t done = 0;
-  const std::uint8_t* data = w.buffer().data();
-  bool ok = true;
-  while (ok && done < w.size()) {
-    const ssize_t wrote = ::write(tmp_fd, data + done, w.size() - done);
-    if (wrote < 0) {
-      if (errno == EINTR) continue;
-      ok = false;
-      break;
-    }
-    done += static_cast<std::size_t>(wrote);
-  }
-  ok = ok && ::fsync(tmp_fd) == 0;
   // Take the writer lock on the *new* inode before it becomes `path_`:
   // the rename must never expose a window where a waiting opener can
   // lock the fresh file while we still consider ourselves the writer.
-  ok = ok && ::flock(tmp_fd, LOCK_EX | LOCK_NB) == 0;
+  const bool ok = write_all(tmp_fd, w.buffer()) && ::fsync(tmp_fd) == 0 &&
+                  ::flock(tmp_fd, LOCK_EX | LOCK_NB) == 0;
   if (!ok) {
+    const IoError err(errno_message("short write compacting " + what_, tmp));
     ::close(tmp_fd);
     std::remove(tmp.c_str());
-    throw IoError(errno_detail("short write compacting " + what_, tmp));
+    throw err;
   }
   if (std::rename(tmp.c_str(), path_.c_str()) != 0) {
+    const IoError err(errno_message("cannot publish compacted " + what_, path_));
     ::close(tmp_fd);
     std::remove(tmp.c_str());
-    throw IoError(errno_detail("cannot publish compacted " + what_, path_));
+    throw err;
   }
   fsync_parent_directory(path_);
 

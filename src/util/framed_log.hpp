@@ -1,9 +1,8 @@
 // FramedLog: append-only, CRC-framed, fsynced record file with
-// salvage-the-prefix recovery — the shared durability substrate under the
-// results store's write-ahead intent log and the service's job queue.
-//
-// It generalises the ExperimentJournal's proven on-disk discipline
-// (analysis/journal.hpp) to arbitrary record payloads:
+// salvage-the-prefix recovery — the one durable-record substrate in the
+// tree.  Its four users: the experiment journal (analysis/journal.hpp),
+// the job queue and the results store's write-ahead intent log
+// (service/), and the service's execution ledger.
 //
 //   file header : u32 file magic · u16 version · u16 reserved(0)
 //   record      : u32 record magic · u64 payload length · u32 crc32(payload)
@@ -89,7 +88,6 @@ class FramedLog {
 
  private:
   void replay_and_truncate(std::vector<std::uint8_t> raw);
-  void write_all(const std::uint8_t* data, std::size_t len);
   void sync_now();
   void require_writable(const char* action) const;
 

@@ -8,11 +8,17 @@
 
 #include <atomic>
 #include <cstdio>
+#include <fstream>
+#include <iterator>
 #include <string>
+#include <vector>
 
 #include "analysis/scenarios.hpp"
 #include "analysis/supervisor.hpp"
+#include "service/exit_codes.hpp"
 #include "sim/engine.hpp"
+#include "sim/snapshot.hpp"
+#include "util/framed_log.hpp"
 
 namespace hinet {
 namespace {
@@ -29,6 +35,11 @@ ScenarioConfig tiny_config() {
 
 SpecFactory tiny_factory() {
   return scenario_factory(Scenario::kHiNetOne, tiny_config());
+}
+
+std::vector<std::uint8_t> read_file(const std::string& path) {
+  std::ifstream f(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(f), std::istreambuf_iterator<char>()};
 }
 
 /// Fresh temp path per test; the previous incarnation is removed so a
@@ -80,19 +91,101 @@ TEST(ExperimentJournal, ReopenReplaysEveryRecord) {
     j.append(1, r1);
     j.append(2, r2);
   }
-  ExperimentJournal j(path);
-  EXPECT_EQ(j.size(), 2u);
-  EXPECT_EQ(j.dropped_bytes(), 0u);
-  ASSERT_TRUE(j.lookup(1).has_value());
-  EXPECT_EQ(j.lookup(1)->metrics, r1.metrics);
-  ASSERT_TRUE(j.lookup(2).has_value());
-  EXPECT_EQ(j.lookup(2)->metrics, r2.metrics);
+  {
+    ExperimentJournal j(path);
+    EXPECT_EQ(j.size(), 2u);
+    EXPECT_EQ(j.dropped_bytes(), 0u);
+    ASSERT_TRUE(j.lookup(1).has_value());
+    EXPECT_EQ(j.lookup(1)->metrics, r1.metrics);
+    ASSERT_TRUE(j.lookup(2).has_value());
+    EXPECT_EQ(j.lookup(2)->metrics, r2.metrics);
 
-  // And it stays appendable after a replay.
-  const ReplicateResult r3 = run_one(3);
-  j.append(3, r3);
+    // And it stays appendable after a replay.
+    j.append(3, run_one(3));
+  }
   ExperimentJournal again(path);
   EXPECT_EQ(again.size(), 3u);
+  std::remove(path.c_str());
+}
+
+TEST(ExperimentJournal, OnDiskLayoutIsPinned) {
+  // Journals written by earlier builds must keep resuming: the bytes of a
+  // journal holding one record are pinned against a hand-assembled file.
+  const std::string path = journal_path("layout");
+  const ReplicateResult r = run_one(7);
+  {
+    ExperimentJournal j(path);
+    j.append(7, r);
+  }
+  ByteWriter payload;
+  payload.u64(7);
+  payload.f64(r.wall_ms);
+  save_metrics(payload, r.metrics);
+  const std::uint64_t len = payload.size();
+  const std::uint32_t crc = crc32(payload.buffer());
+
+  std::vector<std::uint8_t> expected = {'H', 'J', 'N', 'L', 1, 0, 0, 0,
+                                        'H', 'J', 'R', 'D'};
+  for (int i = 0; i < 8; ++i) {
+    expected.push_back(static_cast<std::uint8_t>(len >> (8 * i)));
+  }
+  for (int i = 0; i < 4; ++i) {
+    expected.push_back(static_cast<std::uint8_t>(crc >> (8 * i)));
+  }
+  expected.insert(expected.end(), payload.buffer().begin(),
+                  payload.buffer().end());
+  EXPECT_EQ(read_file(path), expected);
+  std::remove(path.c_str());
+}
+
+TEST(ExperimentJournal, SecondWriterOnALivePathIsRefused) {
+  // Two handles appending to one journal would overwrite each other's
+  // acknowledged records; the second open is refused instead, with the
+  // error sweep_runner maps to the transient exit code.
+  const std::string path = journal_path("two_writers");
+  {
+    ExperimentJournal first(path);
+    first.append(2, run_one(2));
+    try {
+      const ExperimentJournal second(path);
+      FAIL() << "a second writer must be refused while the first is open";
+    } catch (const ConcurrentWriterError& e) {
+      EXPECT_EQ(exit_code_for_exception(e), kExitTransient);
+    }
+    first.append(3, run_one(3));
+  }
+  const ExperimentJournal reopened(path);
+  EXPECT_EQ(reopened.seeds(), (std::vector<std::uint64_t>{2, 3}));
+  EXPECT_EQ(reopened.dropped_bytes(), 0u);
+  std::remove(path.c_str());
+}
+
+TEST(ExperimentJournal, UndecodableRecordIsCorruptionNotATornTail) {
+  // A record whose CRC matches cannot be a torn write, so a payload that
+  // does not decode is a format mismatch: refuse it (exit 4) and leave
+  // the file untouched instead of truncating good data away.
+  const std::string path = journal_path("undecodable");
+  {
+    ExperimentJournal j(path);
+    j.append(1, run_one(1));
+  }
+  {
+    FramedLog log(path, ExperimentJournal::kMagic,
+                  ExperimentJournal::kVersion,
+                  ExperimentJournal::kRecordMagic, "test log");
+    const std::vector<std::uint8_t> garbage = {1, 2, 3};
+    log.append(garbage);
+  }
+  const std::vector<std::uint8_t> before = read_file(path);
+  try {
+    const ExperimentJournal j(path);
+    FAIL() << "an undecodable CRC-valid record must be refused";
+  } catch (const ConcurrentWriterError&) {
+    FAIL() << "not a contention error";
+  } catch (const IoError& e) {
+    EXPECT_EQ(exit_code_for_exception(e), kExitCorruptState);
+  }
+  EXPECT_EQ(read_file(path), before);
   std::remove(path.c_str());
 }
 

@@ -12,7 +12,9 @@
 //   * a fenced zombie reports stale-leases, never corrupts, never throws
 //     out of run_pending();
 //   * a writable queue is single-writer (ConcurrentWriterError), while
-//     read-only observers are never blocked.
+//     read-only observers are never blocked;
+//   * a job whose journal another writer still holds is skipped, not
+//     spun on, and resumes from that journal once it is free.
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -21,10 +23,11 @@
 #include <string>
 #include <vector>
 
+#include "analysis/journal.hpp"
 #include "analysis/scenarios.hpp"
-#include "service/framed_log.hpp"
 #include "service/lease_lock.hpp"
 #include "service/service.hpp"
+#include "util/framed_log.hpp"
 
 namespace hinet {
 namespace {
@@ -254,24 +257,42 @@ TEST(MultiDrain, WritableQueueIsSingleWriter) {
   EXPECT_EQ(observer.pending(), 0u);
 }
 
-TEST(MultiDrain, ExclusiveFramedLogRefusesSecondWriterWithTypedError) {
-  const std::string dir = fresh_dir("framed-two-writer");
-  std::filesystem::create_directories(dir);
-  const std::string path = dir + "/log.bin";
+TEST(MultiDrain, HeldJournalIsSkippedAndResumedOnceReleased) {
+  // A drain stopped mid-simulation still holds its job's journal after a
+  // successor took its lease over.  The successor must leave the job to
+  // it — not spin on the journal lock, not write beside it — and a later
+  // drain, once the journal is free, must resume every replicate it
+  // holds.
+  const std::string dir = fresh_dir("held-journal");
+  const auto clock = std::make_shared<std::uint64_t>(0);
+  const JobSpec job = tiny_spec(17, 3);
 
-  FramedLog first(path, 0x1234u, 1, 0x5678u, "torture log");
-  try {
-    const FramedLog second(path, 0x1234u, 1, 0x5678u, "torture log");
-    FAIL() << "second exclusive writer must be refused";
-  } catch (const ConcurrentWriterError& e) {
-    EXPECT_NE(std::string(e.what()).find("another writer"), std::string::npos);
+  ExperimentService a(dir, drain_options(clock, "drain-a"));
+  a.submit(job);
+  std::size_t held_records = 0;
+  {
+    ExperimentJournal held(a.journal_path(job));
+    held.append(job.base_seed,
+                run_replicates(scenario_factory(job.scenario, job.config), 1,
+                               job.base_seed, 1)[0]);
+    held_records = held.size();
+
+    const ServiceReport skipped = a.run_pending();
+    EXPECT_EQ(skipped.executed_jobs, 0u);
+    EXPECT_EQ(skipped.skipped_claimed, 1u);
+    EXPECT_EQ(skipped.deferred_jobs, 0u);
+    EXPECT_FALSE(std::filesystem::exists(a.leases().lease_path(
+        ExperimentService::job_resource(job.content_hash()))))
+        << "the lease must be released for the journal's holder";
+    EXPECT_EQ(a.pending(), 1u);
   }
-  // The error is transient, not corruption: exit-code mapping proves it.
-  const std::vector<std::uint8_t> payload = {1, 2, 3};
-  first.append(payload);
-  const FramedLog reader(path, 0x1234u, 1, 0x5678u, "torture log",
-                         FramedLog::Access::kReadOnly);
-  EXPECT_EQ(reader.records().size(), 1u);
+
+  const ServiceReport resumed = a.run_pending();
+  EXPECT_EQ(resumed.executed_jobs, 1u);
+  EXPECT_EQ(resumed.resumed_replicates, held_records);
+  EXPECT_EQ(query_digest(*a.store().load(job)), clean_digest(job));
+  EXPECT_EQ(read_execution_ledger(dir).jobs.at(job.content_hash()).publishes,
+            1u);
 }
 
 }  // namespace

@@ -156,6 +156,31 @@ TEST(Service, JournaledReplicatesAreNotReExecuted) {
             uninterrupted_digest);
 }
 
+TEST(Service, DeferredJobIsTriedOncePerRun) {
+  // A transient failure hands the job back still pending.  The same
+  // run_pending call must not claim it again — with a deadline every
+  // attempt misses, that re-claim loop would never end.
+  const std::string dir = fresh_dir("deferred");
+  JobSpec spec = tiny_spec(7, 1);
+  spec.config.nodes = 600;  // hundreds of rounds: far past 1 ms
+  spec.config.heads = 30;
+  spec.config.k = 16;
+  ServiceOptions options;
+  options.deadline_ms = 1;
+  options.max_retries = 0;
+  ExperimentService service(dir, options);
+  service.submit(spec);
+
+  const ServiceReport report = service.run_pending();
+  EXPECT_EQ(report.deferred_jobs, 1u);
+  EXPECT_EQ(report.executed_jobs, 0u);
+  EXPECT_EQ(report.failed_jobs, 0u);
+  EXPECT_EQ(service.pending(), 1u) << "a deferred job stays pending";
+  const ExecutionLedger ledger = read_execution_ledger(dir);
+  EXPECT_EQ(ledger.jobs.at(spec.content_hash()).claims, 1u);
+  EXPECT_EQ(ledger.total_publishes, 0u);
+}
+
 TEST(Service, CancelBetweenJobsLeavesQueueResumable) {
   const std::string dir = fresh_dir("cancel");
   std::atomic<bool> cancel{true};  // cancelled before the first job

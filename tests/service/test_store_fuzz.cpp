@@ -17,7 +17,6 @@
 #include <vector>
 
 #include "analysis/scenarios.hpp"
-#include "service/framed_log.hpp"
 #include "service/job_queue.hpp"
 #include "service/results_store.hpp"
 #include "util/binary_io.hpp"
@@ -272,32 +271,6 @@ TEST(StoreFuzz, QueueVersionSkewAndForeignHeaderAreRefused) {
   skew[4] ^= 0xff;  // version
   write_file(path, skew);
   EXPECT_THROW((JobQueue{path, 8}), IoError);
-}
-
-// ── FramedLog bit flips: anywhere past the header degrade to a tail ─────
-
-TEST(StoreFuzz, FramedLogBitFlipsSalvageThePrefix) {
-  const std::string dir = fresh_dir("framed_flip");
-  std::filesystem::create_directories(dir);
-  const std::string path = dir + "/log.bin";
-  {
-    FramedLog log(path, 0x31'31'31'31u, 1, 0x32'32'32'32u, "fuzz log");
-    for (std::uint8_t i = 0; i < 4; ++i) {
-      const std::vector<std::uint8_t> payload(16, i);
-      log.append(payload);
-    }
-  }
-  const std::vector<std::uint8_t> good = read_file(path);
-  ASSERT_GT(good.size(), 8u);
-
-  for (std::size_t byte = 8; byte < good.size(); ++byte) {
-    std::vector<std::uint8_t> bad = good;
-    bad[byte] ^= 0x01;
-    write_file(path, bad);
-    FramedLog salvaged(path, 0x31'31'31'31u, 1, 0x32'32'32'32u, "fuzz log");
-    EXPECT_LT(salvaged.records().size(), 4u) << "flip at byte " << byte;
-    EXPECT_GT(salvaged.dropped_bytes(), 0u) << "flip at byte " << byte;
-  }
 }
 
 }  // namespace

@@ -1,5 +1,6 @@
-// Corruption fuzz for the two durable formats: snapshot files and
-// experiment journals.
+// Corruption fuzz for snapshot files, plus the journal-specific half of
+// the experiment-journal fuzz (the framing half lives with FramedLog in
+// tests/util/test_framed_log.cpp).
 //
 // Policy under test: a snapshot file is all-or-nothing (any truncation,
 // bit flip or version skew is rejected with an IoError diagnostic — a
@@ -189,33 +190,44 @@ TEST(SnapshotFuzz, MutatedPayloadsNeverCrashRestore) {
   }
 }
 
-TEST(JournalFuzz, BadFileHeaderIsRefusedNotSalvaged) {
-  const std::string path = fuzz_path("journal_header");
-  {
-    std::ofstream f(path, std::ios::binary | std::ios::trunc);
-    f << "this is not a journal";
-  }
-  EXPECT_THROW(ExperimentJournal j(path), IoError);
+// The journal's framing (torn tails, monotone salvage, foreign headers,
+// writer locks) is fuzzed once, in tests/util/test_framed_log.cpp; what is
+// journal-specific is that every record it salvages decodes to the
+// replicate that was appended.
+
+/// Journals three real replicates, seeds 1..3, in a fresh file at `path`.
+std::vector<ReplicateResult> write_journal(const std::string& path) {
   std::remove(path.c_str());
+  std::vector<ReplicateResult> results(3);
+  ExperimentJournal j(path);
+  for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+    Engine eng(tiny_spec(seed));
+    results[seed - 1].metrics = eng.run();
+    results[seed - 1].wall_ms = 1.0;
+    j.append(seed, results[seed - 1]);
+  }
+  return results;
+}
+
+/// Reopens a mutated journal: it holds a prefix of seeds 1..3, each
+/// decoding to the replicate that was appended.
+void expect_salvaged_prefix(const std::string& path,
+                            const std::vector<ReplicateResult>& results,
+                            const std::string& where) {
+  const ExperimentJournal j(path);
+  const std::vector<std::uint64_t> seeds = j.seeds();
+  for (std::size_t i = 0; i < seeds.size(); ++i) {
+    ASSERT_EQ(seeds[i], i + 1) << where;
+    const auto got = j.lookup(seeds[i]);
+    ASSERT_TRUE(got.has_value()) << where;
+    EXPECT_EQ(got->metrics, results[i].metrics) << where << " seed " << i + 1;
+    EXPECT_DOUBLE_EQ(got->wall_ms, results[i].wall_ms) << where;
+  }
 }
 
 TEST(JournalFuzz, EveryCorruptionBeyondTheHeaderSalvagesAPrefix) {
-  // Build a journal of three real replicate records, then corrupt one bit
-  // at every offset past the 8-byte file header.  Reopening must salvage:
-  // some prefix of intact records plus positive dropped-byte accounting —
-  // and the salvaged records must decode to the original metrics.
   const std::string path = fuzz_path("journal_flip");
-  std::remove(path.c_str());
-  ReplicateResult results[3];
-  {
-    ExperimentJournal j(path);
-    for (std::uint64_t seed = 1; seed <= 3; ++seed) {
-      Engine eng(tiny_spec(seed));
-      results[seed - 1].metrics = eng.run();
-      results[seed - 1].wall_ms = 1.0;
-      j.append(seed, results[seed - 1]);
-    }
-  }
+  const std::vector<ReplicateResult> results = write_journal(path);
   const std::vector<std::uint8_t> good = read_file(path);
   ASSERT_GT(good.size(), 8u);
 
@@ -223,45 +235,21 @@ TEST(JournalFuzz, EveryCorruptionBeyondTheHeaderSalvagesAPrefix) {
     std::vector<std::uint8_t> bad = good;
     bad[i] ^= static_cast<std::uint8_t>(1u << (i % 8));
     write_file(path, bad);
-    ExperimentJournal j(path);
-    EXPECT_LE(j.size(), 3u) << "byte " << i;
-    EXPECT_GT(j.dropped_bytes(), 0u)
-        << "corruption at byte " << i << " went unnoticed";
-    for (std::uint64_t seed = 1; seed <= j.size(); ++seed) {
-      const auto got = j.lookup(seed);
-      ASSERT_TRUE(got.has_value()) << "byte " << i << " seed " << seed;
-      EXPECT_EQ(got->metrics, results[seed - 1].metrics)
-          << "byte " << i << " seed " << seed;
-    }
+    expect_salvaged_prefix(path, results, "byte " + std::to_string(i));
   }
   std::remove(path.c_str());
 }
 
 TEST(JournalFuzz, EveryTruncationBeyondTheHeaderSalvagesAPrefix) {
   const std::string path = fuzz_path("journal_trunc");
-  std::remove(path.c_str());
-  {
-    ExperimentJournal j(path);
-    for (std::uint64_t seed = 1; seed <= 3; ++seed) {
-      Engine eng(tiny_spec(seed));
-      ReplicateResult r;
-      r.metrics = eng.run();
-      j.append(seed, r);
-    }
-  }
+  const std::vector<ReplicateResult> results = write_journal(path);
   const std::vector<std::uint8_t> good = read_file(path);
 
-  std::size_t previous_records = 0;
   for (std::size_t len = 8; len < good.size(); ++len) {
-    write_file(path, {good.begin(), good.begin() + static_cast<std::ptrdiff_t>(len)});
-    ExperimentJournal j(path);
-    EXPECT_LE(j.size(), 3u) << "length " << len;
-    // Salvage is monotone: a longer intact prefix never yields fewer
-    // records.
-    EXPECT_GE(j.size(), previous_records) << "length " << len;
-    previous_records = j.size();
+    write_file(path, {good.begin(),
+                      good.begin() + static_cast<std::ptrdiff_t>(len)});
+    expect_salvaged_prefix(path, results, "length " + std::to_string(len));
   }
-  EXPECT_EQ(previous_records, 2u);  // one byte short of the last record
   std::remove(path.c_str());
 }
 

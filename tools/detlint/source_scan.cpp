@@ -22,7 +22,7 @@ std::string splice_lines(std::string_view raw) {
         (i + 1 < raw.size() && (raw[i + 1] == '\n' ||
                                 (raw[i + 1] == '\r' && i + 2 < raw.size() &&
                                  raw[i + 2] == '\n')))) {
-      i += raw[i + 1] == '\r' ? 2 : 1;
+      i += raw[i + 1] == '\r' ? std::size_t{2} : std::size_t{1};
       out.push_back(' ');
       continue;
     }
