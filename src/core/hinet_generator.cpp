@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "graph/generators.hpp"
 #include "util/binary_io.hpp"
 #include "util/rng.hpp"
 
@@ -71,7 +72,7 @@ BackboneLayout plan_backbone(const HiNetConfig& cfg,
 
 struct PhasePlan {
   std::vector<ClusterId> head_of;  ///< per node affiliation (kNoCluster ok)
-  Graph stable;                    ///< backbone + member edges
+  std::vector<Edge> stable;        ///< backbone + member edges
   HierarchyView view;
 };
 
@@ -84,7 +85,6 @@ PhasePlan plan_phase(const HiNetConfig& cfg, const BackboneLayout& layout,
   const std::size_t n = cfg.nodes;
   const auto l = static_cast<std::size_t>(cfg.hop_l);
   PhasePlan plan;
-  plan.stable = Graph(n);
   plan.view = HierarchyView(n);
   plan.head_of.assign(n, kNoCluster);
 
@@ -103,7 +103,7 @@ PhasePlan plan_phase(const HiNetConfig& cfg, const BackboneLayout& layout,
     const NodeId right = layout.chain[i + 1];
     for (std::size_t hop = 1; hop < l; ++hop) {
       const NodeId relay = layout.gateways[relay_cursor++];
-      plan.stable.add_edge(prev, relay);
+      plan.stable.push_back({prev, relay});
       // Affiliate the relay with whichever chain head it is adjacent to;
       // middle relays of an L>3 backbone touch no head and stay
       // unaffiliated (the "at most one cluster" case).
@@ -118,7 +118,7 @@ PhasePlan plan_phase(const HiNetConfig& cfg, const BackboneLayout& layout,
       }
       prev = relay;
     }
-    plan.stable.add_edge(prev, right);
+    plan.stable.push_back({prev, right});
   }
 
   // Members: everyone not a head or relay.
@@ -142,32 +142,12 @@ PhasePlan plan_phase(const HiNetConfig& cfg, const BackboneLayout& layout,
     }
     plan.view.set_member(v, target);
     plan.head_of[v] = target;
-    plan.stable.add_edge(v, target);
+    plan.stable.push_back({v, target});
   }
 
-  HINET_ENSURE(plan.view.validate(plan.stable).empty(),
+  HINET_ENSURE(plan.view.validate(Graph(n, plan.stable)).empty(),
                "generated phase hierarchy invalid");
   return plan;
-}
-
-void add_churn_edges(Graph& g, std::size_t count, Rng& rng) {
-  const std::size_t n = g.node_count();
-  if (n < 2) return;
-  for (std::size_t e = 0; e < count; ++e) {
-    const auto a = static_cast<NodeId>(rng.below(n));
-    const auto b = static_cast<NodeId>(rng.below(n));
-    if (a != b) g.add_edge(a, b);
-  }
-}
-
-void save_rng(ByteWriter& w, const Rng& rng) {
-  for (std::uint64_t word : rng.state()) w.u64(word);
-}
-
-void load_rng(ByteReader& r, Rng& rng) {
-  std::array<std::uint64_t, 4> s{};
-  for (std::uint64_t& word : s) word = r.u64();
-  rng.set_state(s);
 }
 
 void save_node_vec(ByteWriter& w, const std::vector<NodeId>& v) {
@@ -279,14 +259,16 @@ class PhaseDriver {
   }
 
   std::size_t phase() const { return phase_; }
-  const Graph& stable() const { return plan_.stable; }
   const HierarchyView& view() const { return plan_.view; }
 
-  /// One realized round: the phase's stable graph plus ephemeral churn.
+  /// One realized round: the phase's stable edges plus ephemeral churn,
+  /// built in one pass.
   Graph realize_round() {
-    Graph g = plan_.stable;
-    add_churn_edges(g, cfg_.churn_edges, churn_rng_);
-    return g;
+    std::vector<Edge> edges;
+    edges.reserve(plan_.stable.size() + cfg_.churn_edges);
+    edges.assign(plan_.stable.begin(), plan_.stable.end());
+    gen::append_churn_edges(edges, cfg_.nodes, cfg_.churn_edges, churn_rng_);
+    return Graph(cfg_.nodes, edges);
   }
 
   /// Phase-level statistics accumulated so far; theta is finalized from
@@ -309,7 +291,7 @@ class PhaseDriver {
     save_node_vec(w, layout_.chain);
     save_node_vec(w, layout_.gateways);
     save_node_vec(w, plan_.head_of);
-    save_graph(w, plan_.stable);
+    save_graph(w, Graph(cfg_.nodes, plan_.stable));
     save_view(w, plan_.view);
   }
 
@@ -326,12 +308,11 @@ class PhaseDriver {
     layout_.chain = load_node_vec(r);
     layout_.gateways = load_node_vec(r);
     plan_.head_of = load_node_vec(r);
-    plan_.stable = load_graph(r, cfg_.nodes);
+    plan_.stable = load_graph(r, cfg_.nodes).edges();
     plan_.view = load_view(r);
     if (prev_head_of_.size() != cfg_.nodes ||
         plan_.head_of.size() != cfg_.nodes ||
-        plan_.view.node_count() != cfg_.nodes ||
-        plan_.stable.node_count() != cfg_.nodes) {
+        plan_.view.node_count() != cfg_.nodes) {
       throw IoError("HiNet generator state corrupt: node count mismatch");
     }
     // Every stored node id is used as an index downstream (head churn's
@@ -597,7 +578,7 @@ HiNetTrace make_hinet_trace(const HiNetConfig& cfg) {
   // No whole-trace re-validation here: every phase already passed
   // plan.view.validate(plan.stable) at construction, each round's view IS
   // its phase's validated view, and each round's graph is plan.stable plus
-  // churn edges — add_churn_edges only ever ADDS edges, and the per-round
+  // churn edges — realize_round only ever ADDS edges, and the per-round
   // check at hop limit 1 is pure edge existence (has_edge), which is
   // monotone under edge addition.  Re-running Ctvg::validate() per round
   // was the single largest cost of trace generation and could never fire.

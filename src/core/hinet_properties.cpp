@@ -92,11 +92,11 @@ std::optional<Graph> stable_head_subgraph(DynamicNetwork& net,
     if (comp[h] != c0) return std::nullopt;
   }
   // Υ = the component containing the heads: drop edges outside it.
-  Graph upsilon(inter.node_count());
+  std::vector<Edge> upsilon;
   for (const Edge& e : inter.edges()) {
-    if (comp[e.u] == c0) upsilon.add_edge(e.u, e.v);
+    if (comp[e.u] == c0) upsilon.push_back(e);
   }
-  return upsilon;
+  return Graph(inter.node_count(), upsilon);
 }
 
 PropertyResult check_head_connectivity(Ctvg& g, std::size_t rounds,

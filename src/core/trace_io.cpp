@@ -103,7 +103,7 @@ Ctvg parse_ctvg(std::istream& is) {
         fail(lineno, "expected 'round " + std::to_string(r) + "'");
       }
     }
-    Graph g(n);
+    std::vector<Edge> edges;
     {
       std::istringstream el(next_line());
       std::string w;
@@ -122,7 +122,7 @@ Ctvg parse_ctvg(std::istream& is) {
         if (u >= n || v >= n || u == v) {
           fail(lineno, "edge endpoints out of range in '" + tok + "'");
         }
-        g.add_edge(static_cast<NodeId>(u), static_cast<NodeId>(v));
+        edges.push_back({static_cast<NodeId>(u), static_cast<NodeId>(v)});
       }
     }
     std::string roles;
@@ -174,7 +174,7 @@ Ctvg parse_ctvg(std::istream& is) {
         h.set_member(v, static_cast<ClusterId>(c), roles[v] == 'g');
       }
     }
-    graphs.push_back(std::move(g));
+    graphs.emplace_back(n, edges);
     views.push_back(std::move(h));
   }
 

@@ -7,16 +7,6 @@ namespace hinet {
 
 namespace {
 
-void add_churn(Graph& g, std::size_t churn_edges, Rng& rng) {
-  const std::size_t n = g.node_count();
-  if (n < 2) return;
-  for (std::size_t e = 0; e < churn_edges; ++e) {
-    const auto a = static_cast<NodeId>(rng.below(n));
-    const auto b = static_cast<NodeId>(rng.below(n));
-    if (a != b) g.add_edge(a, b);  // duplicate draws are harmless
-  }
-}
-
 Graph make_backbone(std::size_t nodes, bool path_backbone, Rng& rng) {
   if (path_backbone) {
     // Random relabelled path: permute node ids along a line.  A path is
@@ -25,23 +15,13 @@ Graph make_backbone(std::size_t nodes, bool path_backbone, Rng& rng) {
     std::vector<NodeId> order(nodes);
     for (NodeId i = 0; i < nodes; ++i) order[i] = i;
     rng.shuffle(order);
-    Graph p(nodes);
+    std::vector<Edge> edges;
     for (std::size_t i = 0; i + 1 < order.size(); ++i) {
-      p.add_edge(order[i], order[i + 1]);
+      edges.push_back({order[i], order[i + 1]});
     }
-    return p;
+    return Graph(nodes, edges);
   }
   return gen::random_tree(nodes, rng);
-}
-
-void save_rng(ByteWriter& w, const Rng& rng) {
-  for (std::uint64_t word : rng.state()) w.u64(word);
-}
-
-void load_rng(ByteReader& r, Rng& rng) {
-  std::array<std::uint64_t, 4> s{};
-  for (std::uint64_t& word : s) word = r.u64();
-  rng.set_state(s);
 }
 
 }  // namespace
@@ -82,9 +62,11 @@ Graph TIntervalNetwork::synthesize_next() {
     backbone_next_ = make_backbone(cfg_.nodes, path_backbone_, backbone_rng_);
     ++cur_window_;
   }
-  Graph g = Graph::union_of(backbone_cur_, backbone_next_);
-  add_churn(g, cfg_.churn_edges, churn_rng_);
-  return g;
+  std::vector<Edge> edges = backbone_cur_.edges();
+  const std::vector<Edge> next = backbone_next_.edges();
+  edges.insert(edges.end(), next.begin(), next.end());
+  gen::append_churn_edges(edges, cfg_.nodes, cfg_.churn_edges, churn_rng_);
+  return Graph(cfg_.nodes, edges);
 }
 
 void TIntervalNetwork::save_generator_state(ByteWriter& w) const {

@@ -1,86 +1,6 @@
 #include "graph/crashes.hpp"
 
-#include <algorithm>
-
-#include "util/binary_io.hpp"
-
 namespace hinet {
-
-namespace {
-
-bool any_down(std::span<const CrashEvent> crashes, Round r) {
-  return std::any_of(crashes.begin(), crashes.end(),
-                     [r](const CrashEvent& c) { return c.down_at(r); });
-}
-
-}  // namespace
-
-CrashedNetwork::CrashedNetwork(DynamicNetwork& base,
-                               std::vector<CrashEvent> crashes)
-    : base_(&base), crashes_(std::move(crashes)) {
-  validate();
-}
-
-CrashedNetwork::CrashedNetwork(std::unique_ptr<DynamicNetwork> base,
-                               std::vector<CrashEvent> crashes)
-    : owned_(std::move(base)), base_(owned_.get()), crashes_(std::move(crashes)) {
-  HINET_REQUIRE(base_ != nullptr, "CrashedNetwork needs a base network");
-  validate();
-}
-
-void CrashedNetwork::validate() const {
-  const std::size_t n = base_->node_count();
-  for (const CrashEvent& c : crashes_) {
-    HINET_REQUIRE(c.node < n, "crash node out of range");
-    HINET_REQUIRE(c.recovery > c.round, "recovery must be after the crash");
-  }
-}
-
-const Graph& CrashedNetwork::graph_at(Round r) {
-  const Graph& base = base_->graph_at(r);
-  if (!any_down(crashes_, r)) return base;  // zero-cost pass-through
-  if (cache_valid_ && cache_round_ == r) return cache_;
-  Graph g = base;
-  for (const CrashEvent& c : crashes_) {
-    if (!c.down_at(r)) continue;
-    // Copy the neighbour list: remove_edge mutates it during iteration.
-    const auto neigh = g.neighbors(c.node);
-    const std::vector<NodeId> copy(neigh.begin(), neigh.end());
-    for (NodeId u : copy) g.remove_edge(c.node, u);
-  }
-  cache_ = std::move(g);
-  cache_round_ = r;
-  cache_valid_ = true;
-  return cache_;
-}
-
-void CrashedNetwork::save_trace_state(ByteWriter& w) const {
-  // The decorator itself is stateless (the crash plan is construction
-  // data); forward the capability to the base when it has one.
-  const auto* src = dynamic_cast<const TraceStateSource*>(base_);
-  w.u8(src != nullptr ? 1 : 0);
-  if (src != nullptr) src->save_trace_state(w);
-}
-
-void CrashedNetwork::restore_trace_state(ByteReader& r) {
-  const bool has_base = r.u8() != 0;
-  auto* src = dynamic_cast<TraceStateSource*>(base_);
-  if (has_base != (src != nullptr)) {
-    throw IoError(
-        "crash decorator state corrupt or mismatched: base network "
-        "checkpoint capability differs from the snapshot's");
-  }
-  if (src != nullptr) src->restore_trace_state(r);
-  cache_valid_ = false;
-}
-
-GraphSequence apply_crashes(DynamicNetwork& base, std::size_t rounds,
-                            std::span<const CrashEvent> crashes) {
-  HINET_REQUIRE(rounds >= 1, "need at least one round");
-  CrashedNetwork net(base, std::vector<CrashEvent>(crashes.begin(),
-                                                   crashes.end()));
-  return materialize(net, rounds);
-}
 
 std::vector<NodeId> alive_nodes(std::size_t node_count, Round r,
                                 std::span<const CrashEvent> crashes) {

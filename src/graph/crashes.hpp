@@ -11,9 +11,13 @@
 // Remark 1: the node is down for [round, recovery) and regains its links
 // afterwards (its process state is whatever it was — the node slept, it
 // was not reset).  The default is the historical permanent crash.
+//
+// Crash events are applied to a network by FaultPlan / FaultyNetwork
+// (sim/faults.hpp), the one fault decorator.
 #pragma once
 
 #include <span>
+#include <vector>
 
 #include "graph/dynamic.hpp"
 
@@ -30,51 +34,6 @@ struct CrashEvent {
   /// True when the node is down in round r under this event.
   bool down_at(Round r) const { return r >= round && r < recovery; }
 };
-
-/// Lazy crash decorator: wraps any DynamicNetwork and removes each
-/// crashed node's edges on the fly.  Rounds with no crash active are
-/// forwarded by reference (zero-cost); edited rounds are cached one at a
-/// time, so decorating a streaming base keeps the whole stack O(W·n)
-/// resident.  Checkpoint state (TraceStateSource) forwards to the base
-/// when the base is itself checkpointable — the decorator holds no
-/// evolving state of its own.
-class CrashedNetwork final : public DynamicNetwork, public TraceStateSource {
- public:
-  /// Borrowing mode: `base` must outlive the decorator.  Throws when an
-  /// event names a node out of range or recovers before it crashes.
-  CrashedNetwork(DynamicNetwork& base, std::vector<CrashEvent> crashes);
-
-  /// Owning mode: the decorator keeps the base network alive.
-  CrashedNetwork(std::unique_ptr<DynamicNetwork> base,
-                 std::vector<CrashEvent> crashes);
-
-  std::size_t node_count() const override { return base_->node_count(); }
-  const Graph& graph_at(Round r) override;
-
-  std::span<const CrashEvent> crashes() const { return crashes_; }
-
-  void save_trace_state(ByteWriter& w) const override;
-  void restore_trace_state(ByteReader& r) override;
-
- private:
-  void validate() const;
-
-  std::unique_ptr<DynamicNetwork> owned_;
-  DynamicNetwork* base_;
-  std::vector<CrashEvent> crashes_;
-
-  // Single-round cache: the engine (and materialize) walk rounds in order
-  // and hold each reference for the duration of one round.
-  bool cache_valid_ = false;
-  Round cache_round_ = 0;
-  Graph cache_;
-};
-
-/// Returns a copy of the first `rounds` rounds of `base` with every
-/// crashed node's edges removed while the node is down (the materialized
-/// special case of CrashedNetwork; same budget guard as materialize()).
-GraphSequence apply_crashes(DynamicNetwork& base, std::size_t rounds,
-                            std::span<const CrashEvent> crashes);
 
 /// Nodes up at round r under the crash plan (recovered nodes count as
 /// alive again).

@@ -182,8 +182,8 @@ class StreamingNetwork : public DynamicNetwork, public TraceStateSource {
 inline constexpr std::size_t kDefaultMaterializeBudget =
     std::size_t{4} * 1024 * 1024 * 1024;
 
-/// Estimated resident bytes of one realized round graph (adjacency
-/// vectors + lazy CSR mirror) — the unit of materialize()'s budget check.
+/// Estimated resident bytes of one realized round graph (CSR offsets and
+/// neighbour entries) — the unit of materialize()'s budget check.
 std::size_t estimated_graph_bytes(std::size_t nodes, std::size_t edges);
 
 /// Copies the first `rounds` rounds of `net` into an explicit trace.  Used

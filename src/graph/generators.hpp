@@ -35,6 +35,13 @@ Graph random_tree(std::size_t n, Rng& rng);
 /// uniformly random non-tree edges (clamped to the complete graph).
 Graph random_connected(std::size_t n, std::size_t extra_edges, Rng& rng);
 
+/// Appends `count` uniformly random node pairs to `edges`, skipping
+/// self-loop draws; duplicates are left for the Graph constructor to drop.
+/// Draws nothing when n < 2.  The per-round churn of the dynamic
+/// generators.
+void append_churn_edges(std::vector<Edge>& edges, std::size_t n,
+                        std::size_t count, Rng& rng);
+
 /// Random geometric graph on the unit square: nodes at `points`, edge when
 /// Euclidean distance <= radius.
 struct Point2D {

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <numeric>
 #include <queue>
 #include <sstream>
 
@@ -12,78 +13,65 @@ Edge make_edge(NodeId a, NodeId b) {
   return a < b ? Edge{a, b} : Edge{b, a};
 }
 
-Graph::Graph(std::size_t n) : adj_(n) {}
+Graph::Graph(std::size_t n) : offsets_(n + 1, 0) {}
 
-Graph::Graph(std::size_t n, const std::vector<Edge>& edges) : adj_(n) {
-  for (const Edge& e : edges) add_edge(e.u, e.v);
+Graph::Graph(std::size_t n, const std::vector<Edge>& edges)
+    : offsets_(n + 1, 0) {
+  HINET_REQUIRE(edges.size() <= std::numeric_limits<std::uint32_t>::max() / 2,
+                "edge list too long for 32-bit offsets");
+  // Counting sort into rows: count each endpoint's arcs at offsets_[v],
+  // turn the counts into row ends, then place every arc by decrementing
+  // its row's end — which leaves offsets_[v] at the row's start.
+  for (const Edge& e : edges) {
+    check_node(e.u);
+    check_node(e.v);
+    HINET_REQUIRE(e.u != e.v, "self-loop");
+    ++offsets_[e.u];
+    ++offsets_[e.v];
+  }
+  std::partial_sum(offsets_.begin(), offsets_.end() - 1, offsets_.begin());
+  offsets_[n] = static_cast<std::uint32_t>(2 * edges.size());
+  neighbors_.resize(2 * edges.size());
+  for (const Edge& e : edges) {
+    neighbors_[--offsets_[e.u]] = e.v;
+    neighbors_[--offsets_[e.v]] = e.u;
+  }
+  // Sort each row and drop duplicate edges, compacting in place.  Row v's
+  // old end is still offsets_[v + 1] when v is visited.
+  std::uint32_t out = 0;
+  for (std::size_t v = 0; v < n; ++v) {
+    const auto row = neighbors_.begin() + offsets_[v];
+    const auto row_end = neighbors_.begin() + offsets_[v + 1];
+    std::sort(row, row_end);
+    const auto unique_end = std::unique(row, row_end);
+    offsets_[v] = out;
+    for (auto it = row; it != unique_end; ++it) neighbors_[out++] = *it;
+  }
+  offsets_[n] = out;
+  neighbors_.resize(out);
 }
 
 void Graph::check_node(NodeId v) const {
-  HINET_REQUIRE(v < adj_.size(), "node id out of range");
-}
-
-bool Graph::add_edge(NodeId a, NodeId b) {
-  check_node(a);
-  check_node(b);
-  HINET_REQUIRE(a != b, "self-loop");
-  auto& na = adj_[a];
-  auto it = std::lower_bound(na.begin(), na.end(), b);
-  if (it != na.end() && *it == b) return false;
-  na.insert(it, b);
-  auto& nb = adj_[b];
-  nb.insert(std::lower_bound(nb.begin(), nb.end(), a), a);
-  ++edge_count_;
-  csr_valid_ = false;
-  return true;
-}
-
-bool Graph::remove_edge(NodeId a, NodeId b) {
-  check_node(a);
-  check_node(b);
-  auto& na = adj_[a];
-  auto it = std::lower_bound(na.begin(), na.end(), b);
-  if (it == na.end() || *it != b) return false;
-  na.erase(it);
-  auto& nb = adj_[b];
-  nb.erase(std::lower_bound(nb.begin(), nb.end(), a));
-  --edge_count_;
-  csr_valid_ = false;
-  return true;
-}
-
-void Graph::ensure_csr() const {
-  if (csr_valid_) return;
-  csr_offsets_.resize(adj_.size() + 1);
-  csr_neighbors_.resize(2 * edge_count_);
-  std::uint32_t cursor = 0;
-  for (std::size_t v = 0; v < adj_.size(); ++v) {
-    csr_offsets_[v] = cursor;
-    std::copy(adj_[v].begin(), adj_[v].end(), csr_neighbors_.begin() + cursor);
-    cursor += static_cast<std::uint32_t>(adj_[v].size());
-  }
-  csr_offsets_[adj_.size()] = cursor;
-  csr_valid_ = true;
+  HINET_REQUIRE(v < node_count(), "node id out of range");
 }
 
 bool Graph::has_edge(NodeId a, NodeId b) const {
-  check_node(a);
   check_node(b);
-  const auto& na = adj_[a];
-  return std::binary_search(na.begin(), na.end(), b);
+  const auto row = neighbors(a);
+  return std::binary_search(row.begin(), row.end(), b);
 }
 
 std::span<const NodeId> Graph::neighbors(NodeId v) const {
   check_node(v);
-  ensure_csr();
-  return std::span<const NodeId>(csr_neighbors_.data() + csr_offsets_[v],
-                                 csr_offsets_[v + 1] - csr_offsets_[v]);
+  return std::span<const NodeId>(neighbors_.data() + offsets_[v],
+                                 offsets_[v + 1] - offsets_[v]);
 }
 
 std::vector<Edge> Graph::edges() const {
   std::vector<Edge> out;
-  out.reserve(edge_count_);
-  for (NodeId u = 0; u < adj_.size(); ++u) {
-    for (NodeId v : adj_[u]) {
+  out.reserve(edge_count());
+  for (NodeId u = 0; u < node_count(); ++u) {
+    for (NodeId v : neighbors(u)) {
       if (u < v) out.push_back({u, v});
     }
   }
@@ -92,8 +80,7 @@ std::vector<Edge> Graph::edges() const {
 
 std::vector<int> Graph::distances_from(NodeId source) const {
   check_node(source);
-  ensure_csr();
-  std::vector<int> dist(adj_.size(), -1);
+  std::vector<int> dist(node_count(), -1);
   std::queue<NodeId> q;
   dist[source] = 0;
   q.push(source);
@@ -116,14 +103,14 @@ int Graph::distance(NodeId a, NodeId b) const {
 }
 
 bool Graph::is_connected() const {
-  if (adj_.size() <= 1) return true;
+  if (node_count() <= 1) return true;
   const auto dist = distances_from(0);
   return std::all_of(dist.begin(), dist.end(), [](int d) { return d >= 0; });
 }
 
 bool Graph::is_connected_subset(std::span<const NodeId> subset) const {
   if (subset.size() <= 1) return true;
-  std::vector<char> allowed(adj_.size(), 0);
+  std::vector<char> allowed(node_count(), 0);
   for (NodeId v : subset) {
     check_node(v);
     allowed[v] = 1;
@@ -134,12 +121,11 @@ bool Graph::is_connected_subset(std::span<const NodeId> subset) const {
 }
 
 std::vector<std::uint32_t> Graph::components() const {
-  ensure_csr();
-  std::vector<std::uint32_t> label(adj_.size(),
+  std::vector<std::uint32_t> label(node_count(),
                                    std::numeric_limits<std::uint32_t>::max());
   std::uint32_t next = 0;
   std::queue<NodeId> q;
-  for (NodeId s = 0; s < adj_.size(); ++s) {
+  for (NodeId s = 0; s < node_count(); ++s) {
     if (label[s] != std::numeric_limits<std::uint32_t>::max()) continue;
     label[s] = next;
     q.push(s);
@@ -159,9 +145,9 @@ std::vector<std::uint32_t> Graph::components() const {
 }
 
 int Graph::diameter() const {
-  if (adj_.empty()) return 0;
+  if (node_count() == 0) return 0;
   int best = 0;
-  for (NodeId s = 0; s < adj_.size(); ++s) {
+  for (NodeId s = 0; s < node_count(); ++s) {
     const auto dist = distances_from(s);
     for (int d : dist) {
       if (d < 0) return -1;
@@ -174,32 +160,29 @@ int Graph::diameter() const {
 Graph Graph::intersection(const Graph& a, const Graph& b) {
   HINET_REQUIRE(a.node_count() == b.node_count(),
                 "intersection of graphs with different node counts");
-  Graph out(a.node_count());
-  for (NodeId u = 0; u < a.adj_.size(); ++u) {
-    for (NodeId v : a.adj_[u]) {
-      if (u < v && b.has_edge(u, v)) out.add_edge(u, v);
+  std::vector<Edge> common;
+  for (NodeId u = 0; u < a.node_count(); ++u) {
+    for (NodeId v : a.neighbors(u)) {
+      if (u < v && b.has_edge(u, v)) common.push_back({u, v});
     }
   }
-  return out;
+  return Graph(a.node_count(), common);
 }
 
 Graph Graph::union_of(const Graph& a, const Graph& b) {
   HINET_REQUIRE(a.node_count() == b.node_count(),
                 "union of graphs with different node counts");
-  Graph out = a;
-  for (NodeId u = 0; u < b.adj_.size(); ++u) {
-    for (NodeId v : b.adj_[u]) {
-      if (u < v) out.add_edge(u, v);
-    }
-  }
-  return out;
+  std::vector<Edge> all = a.edges();
+  const std::vector<Edge> more = b.edges();
+  all.insert(all.end(), more.begin(), more.end());
+  return Graph(a.node_count(), all);
 }
 
 bool Graph::contains_subgraph(const Graph& sub) const {
   HINET_REQUIRE(node_count() == sub.node_count(),
                 "subgraph test over different node counts");
-  for (NodeId u = 0; u < sub.adj_.size(); ++u) {
-    for (NodeId v : sub.adj_[u]) {
+  for (NodeId u = 0; u < sub.node_count(); ++u) {
+    for (NodeId v : sub.neighbors(u)) {
       if (u < v && !has_edge(u, v)) return false;
     }
   }
@@ -209,9 +192,9 @@ bool Graph::contains_subgraph(const Graph& sub) const {
 std::string Graph::to_string() const {
   std::ostringstream os;
   os << "Graph(n=" << node_count() << ", m=" << edge_count() << ")\n";
-  for (NodeId u = 0; u < adj_.size(); ++u) {
+  for (NodeId u = 0; u < node_count(); ++u) {
     os << "  " << u << ":";
-    for (NodeId v : adj_[u]) os << ' ' << v;
+    for (NodeId v : neighbors(u)) os << ' ' << v;
     os << '\n';
   }
   return os.str();

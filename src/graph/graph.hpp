@@ -3,21 +3,13 @@
 // and per-round set algebra (intersection/union) used by the T-interval
 // connectivity checker.
 //
-// Representation: two views of the same edge set.
-//   - Build view: per-node sorted adjacency vectors, the mutation target of
-//     add_edge/remove_edge and the haystack of has_edge binary searches.
-//   - CSR view (flat offsets + one contiguous neighbour array): the primary
-//     access path.  neighbors() returns a span into the flat array, so the
-//     engine's delivery loop and every BFS walk contiguous memory.
-// The CSR is rebuilt lazily (O(n + m)) on the first query after a
-// mutation.  The rebuild mutates `mutable` cache members, so a freshly
-// mutated Graph must not be queried concurrently from several threads;
-// graphs are per-run-owned everywhere in this codebase (SimulationSpec
-// owns its trace), which makes that a non-constraint in practice.
-//
-// Graphs here are small (tens to low thousands of nodes) but queried
-// millions of times per experiment: membership tests are binary searches,
-// neighbour iteration is O(deg) over contiguous storage.
+// Representation: one CSR (compressed sparse row) array pair, built once
+// from an edge list and never changed afterwards.  The neighbours of v are
+// neighbors_[offsets_[v] .. offsets_[v+1]), sorted and unique, so
+// neighbour iteration walks contiguous memory and has_edge is a binary
+// search in one row.  A dynamic network is one static graph per round,
+// built once and then only read: there are no edge mutators and no lazily
+// refreshed caches, so a Graph is safe to share read-only across threads.
 #pragma once
 
 #include <cstdint>
@@ -33,7 +25,8 @@ namespace hinet {
 /// Node identifier; nodes of an n-node graph are exactly 0..n-1.
 using NodeId = std::uint32_t;
 
-/// An undirected edge, stored with u < v.
+/// An undirected edge.  make_edge and Graph::edges() give it with u < v;
+/// the Graph constructor accepts either orientation.
 struct Edge {
   NodeId u;
   NodeId v;
@@ -52,32 +45,25 @@ class Graph {
   /// Creates an edgeless graph on n nodes.
   explicit Graph(std::size_t n);
 
-  /// Creates a graph from an edge list (duplicates are ignored).
+  /// Creates a graph from an edge list: the only way to build a graph
+  /// with edges.  Edges may come in any order and either orientation;
+  /// duplicates are dropped.  Self-loops and endpoints >= n are rejected
+  /// with PreconditionError.
   Graph(std::size_t n, const std::vector<Edge>& edges);
 
-  std::size_t node_count() const { return adj_.size(); }
-  std::size_t edge_count() const { return edge_count_; }
+  std::size_t node_count() const {
+    return offsets_.empty() ? 0 : offsets_.size() - 1;  // empty: moved-from
+  }
+  std::size_t edge_count() const { return neighbors_.size() / 2; }
 
-  /// Adds an undirected edge; self-loops are rejected.  Returns true when
-  /// the edge was new.
-  bool add_edge(NodeId a, NodeId b);
-
-  /// Removes an edge; returns true when it was present.
-  bool remove_edge(NodeId a, NodeId b);
-
-  /// Membership test (binary search in the build view; kept for tests,
-  /// checkers and set algebra — the hot delivery path iterates CSR
-  /// neighbour spans instead).
+  /// Membership test: binary search in a's neighbour row.
   bool has_edge(NodeId a, NodeId b) const;
 
-  /// Sorted neighbour list of v as a span into the flat CSR neighbour
-  /// array.  Invalidated by any mutation of the graph.
+  /// Sorted neighbour list of v as a span into the flat neighbour array;
+  /// valid for the lifetime of the graph.
   std::span<const NodeId> neighbors(NodeId v) const;
 
-  std::size_t degree(NodeId v) const {
-    check_node(v);
-    return adj_[v].size();
-  }
+  std::size_t degree(NodeId v) const { return neighbors(v).size(); }
 
   /// All edges with u < v, sorted lexicographically.
   std::vector<Edge> edges() const;
@@ -116,22 +102,14 @@ class Graph {
   std::string to_string() const;
 
   friend bool operator==(const Graph& a, const Graph& b) {
-    return a.adj_ == b.adj_;
+    return a.offsets_ == b.offsets_ && a.neighbors_ == b.neighbors_;
   }
 
  private:
   void check_node(NodeId v) const;
-  void ensure_csr() const;
 
-  std::vector<std::vector<NodeId>> adj_;
-  std::size_t edge_count_ = 0;
-
-  // CSR mirror of adj_: neighbours of v live at
-  // csr_neighbors_[csr_offsets_[v] .. csr_offsets_[v+1]), sorted.  Rebuilt
-  // lazily after mutations; mutable so const queries can refresh it.
-  mutable std::vector<std::uint32_t> csr_offsets_;
-  mutable std::vector<NodeId> csr_neighbors_;
-  mutable bool csr_valid_ = false;
+  std::vector<std::uint32_t> offsets_{0};  ///< n + 1 row starts
+  std::vector<NodeId> neighbors_;          ///< 2m entries, rows sorted
 };
 
 /// BFS distances from `source` restricted to the subgraph induced by

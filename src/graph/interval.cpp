@@ -60,11 +60,11 @@ void IntervalRunTracker::push(const Graph& g) {
 Graph IntervalRunTracker::threshold_subgraph(std::size_t t) const {
   HINET_REQUIRE(t >= 1, "window must span at least one round");
   HINET_REQUIRE(t <= rounds_seen_, "window longer than the rounds seen");
-  Graph g(n_);
+  std::vector<Edge> edges;
   for (const auto& [e, run] : runs_) {
-    if (run >= t) g.add_edge(e.u, e.v);
+    if (run >= t) edges.push_back(e);
   }
-  return g;
+  return Graph(n_, edges);
 }
 
 std::size_t IntervalRunTracker::max_connected_window() const {

@@ -21,11 +21,11 @@ void EdgeMarkovianNetwork::reset_generator() {
 
 Graph EdgeMarkovianNetwork::synthesize_next() {
   const std::size_t n = cfg_.nodes;
-  Graph next(n);
+  std::vector<Edge> edges;
   if (frontier() == 0) {
     for (NodeId i = 0; i < n; ++i) {
       for (NodeId j = i + 1; j < n; ++j) {
-        if (rng_.bernoulli(cfg_.initial)) next.add_edge(i, j);
+        if (rng_.bernoulli(cfg_.initial)) edges.push_back({i, j});
       }
     }
   } else {
@@ -34,23 +34,21 @@ Graph EdgeMarkovianNetwork::synthesize_next() {
         const bool present = prev_.has_edge(i, j);
         const bool keep = present ? !rng_.bernoulli(cfg_.death)
                                   : rng_.bernoulli(cfg_.birth);
-        if (keep) next.add_edge(i, j);
+        if (keep) edges.push_back({i, j});
       }
     }
   }
-  prev_ = next;
-  return next;
+  prev_ = Graph(n, edges);
+  return prev_;
 }
 
 void EdgeMarkovianNetwork::save_generator_state(ByteWriter& w) const {
-  for (std::uint64_t word : rng_.state()) w.u64(word);
+  save_rng(w, rng_);
   save_graph(w, prev_);
 }
 
 void EdgeMarkovianNetwork::load_generator_state(ByteReader& r) {
-  std::array<std::uint64_t, 4> s{};
-  for (std::uint64_t& word : s) word = r.u64();
-  rng_.set_state(s);
+  load_rng(r, rng_);
   prev_ = load_graph(r, node_count());
 }
 

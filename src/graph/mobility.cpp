@@ -63,16 +63,6 @@ void manhattan_pick_next(ManhattanState& s, std::size_t streets, Rng& rng) {
   s.progress = 0.0;
 }
 
-void save_rng(ByteWriter& w, const Rng& rng) {
-  for (std::uint64_t word : rng.state()) w.u64(word);
-}
-
-void load_rng(ByteReader& r, Rng& rng) {
-  std::array<std::uint64_t, 4> s{};
-  for (std::uint64_t& word : s) word = r.u64();
-  rng.set_state(s);
-}
-
 }  // namespace
 
 namespace detail {

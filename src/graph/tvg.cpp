@@ -70,16 +70,16 @@ std::vector<PresenceInterval> Tvg::presence_of(NodeId a, NodeId b) const {
 }
 
 Graph Tvg::snapshot(Round t) const {
-  Graph g(n_);
+  std::vector<Edge> edges;
   for (const auto& [edge, ivals] : presence_) {
     for (const auto& iv : ivals) {
       if (iv.contains(t)) {
-        g.add_edge(edge.u, edge.v);
+        edges.push_back(edge);
         break;
       }
     }
   }
-  return g;
+  return Graph(n_, edges);
 }
 
 GraphSequence Tvg::to_sequence() const {

@@ -1,7 +1,5 @@
 #include "sim/channel.hpp"
 
-#include <array>
-
 namespace hinet {
 
 void ChannelModel::begin_round(Round, const Graph&, std::span<const Packet>) {
@@ -11,24 +9,9 @@ void ChannelModel::save_state(ByteWriter&) const {}
 
 void ChannelModel::restore_state(ByteReader&) {}
 
-namespace {
-
-// Rng state words as a fixed 32-byte section.
-void save_rng(ByteWriter& w, const Rng& rng) {
-  for (std::uint64_t word : rng.state()) w.u64(word);
-}
-
-void restore_rng(ByteReader& r, Rng& rng) {
-  std::array<std::uint64_t, 4> s{};
-  for (auto& word : s) word = r.u64();
-  rng.set_state(s);
-}
-
-}  // namespace
-
 void LossyChannel::save_state(ByteWriter& w) const { save_rng(w, rng_); }
 
-void LossyChannel::restore_state(ByteReader& r) { restore_rng(r, rng_); }
+void LossyChannel::restore_state(ByteReader& r) { load_rng(r, rng_); }
 
 LossyChannel::LossyChannel(double loss, std::uint64_t seed)
     : loss_(loss), rng_(seed) {
@@ -124,8 +107,8 @@ void GilbertElliottChannel::save_state(ByteWriter& w) const {
 }
 
 void GilbertElliottChannel::restore_state(ByteReader& r) {
-  restore_rng(r, state_rng_);
-  restore_rng(r, loss_rng_);
+  load_rng(r, state_rng_);
+  load_rng(r, loss_rng_);
   const std::uint64_t n = r.u64();
   bad_.resize(static_cast<std::size_t>(n));
   for (auto& b : bad_) b = static_cast<char>(r.u8());

@@ -94,31 +94,46 @@ const Graph& FaultyNetwork::graph_at(Round r) {
 }
 
 const Graph& FaultyNetwork::rebuild(Round r) {
-  Graph g = base_->graph_at(r);
+  const Graph& base = base_->graph_at(r);
+  const std::size_t n = base.node_count();
+  // What this round's faults cut: crashed endpoints, edges leaving an
+  // active partition's group, and the links of active bursts.
+  std::vector<char> down(n, 0);
   for (const CrashEvent& c : plan_.crashes) {
-    if (!c.down_at(r)) continue;
-    const auto neigh = g.neighbors(c.node);
-    // Copy the neighbour list: remove_edge mutates it during iteration.
-    const std::vector<NodeId> copy(neigh.begin(), neigh.end());
-    for (NodeId u : copy) g.remove_edge(c.node, u);
+    if (c.down_at(r)) down[c.node] = 1;
   }
+  std::vector<std::vector<char>> groups;
   for (const PartitionEvent& p : plan_.partitions) {
     if (!p.active_at(r)) continue;
-    std::vector<char> inside(g.node_count(), 0);
+    std::vector<char>& inside = groups.emplace_back(n, 0);
     for (NodeId v : p.group) inside[v] = 1;
-    for (NodeId v : p.group) {
-      const auto neigh = g.neighbors(v);
-      const std::vector<NodeId> copy(neigh.begin(), neigh.end());
-      for (NodeId u : copy) {
-        if (!inside[u]) g.remove_edge(v, u);
-      }
-    }
   }
+  std::vector<Edge> burst;
   for (const LinkBurst& b : plan_.bursts) {
     if (!b.active_at(r)) continue;
-    for (const Edge& e : b.links) g.remove_edge(e.u, e.v);
+    for (const Edge& e : b.links) {
+      if (e.u != e.v) burst.push_back(make_edge(e.u, e.v));
+    }
   }
-  cache_ = std::move(g);
+  std::sort(burst.begin(), burst.end());
+
+  std::vector<Edge> kept;
+  kept.reserve(base.edge_count());
+  for (NodeId u = 0; u < n; ++u) {
+    if (down[u]) continue;
+    for (NodeId v : base.neighbors(u)) {
+      if (v < u || down[v]) continue;
+      const auto separates = [&](const std::vector<char>& inside) {
+        return inside[u] != inside[v];
+      };
+      if (std::any_of(groups.begin(), groups.end(), separates) ||
+          std::binary_search(burst.begin(), burst.end(), Edge{u, v})) {
+        continue;
+      }
+      kept.push_back({u, v});
+    }
+  }
+  cache_ = Graph(n, kept);
   cache_round_ = r;
   cache_valid_ = true;
   return cache_;

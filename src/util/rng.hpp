@@ -128,4 +128,12 @@ class Rng {
   std::uint64_t s_[4];
 };
 
+class ByteWriter;
+class ByteReader;
+
+/// Checkpoint serializers for a generator's state(): four u64 words.
+/// load_rng restores a generator that continues the saved draw sequence.
+void save_rng(ByteWriter& w, const Rng& rng);
+void load_rng(ByteReader& r, Rng& rng);
+
 }  // namespace hinet

@@ -18,9 +18,9 @@ struct StarWorld {
 
   explicit StarWorld(std::size_t n)
       : net([n] {
-          Graph g(n);
-          for (NodeId v = 1; v < n; ++v) g.add_edge(0, v);
-          return g;
+          std::vector<Edge> edges;
+          for (NodeId v = 1; v < n; ++v) edges.push_back({0, v});
+          return Graph(n, edges);
         }()),
         hier([n] {
           HierarchyView h(n);

@@ -109,14 +109,14 @@ TEST(DhopDissemination, PeriodicRebroadcastHealsLoss) {
   std::vector<Graph> graphs;
   std::vector<HierarchyView> views;
   for (Round r = 0; r < rounds; ++r) {
-    Graph g(n, {{0, 1}, {2, 3}});
-    if (r >= 6) g.add_edge(0, 2);
+    std::vector<Edge> edges{{0, 1}, {2, 3}};
+    if (r >= 6) edges.push_back({0, 2});
     HierarchyView h(n);
     h.set_head(0);
     h.set_member(1, 0);
     h.set_head(2);
     h.set_member(3, 2);
-    graphs.push_back(std::move(g));
+    graphs.emplace_back(n, edges);
     views.push_back(std::move(h));
   }
   GraphSequence net1(graphs);

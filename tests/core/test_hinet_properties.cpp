@@ -17,18 +17,18 @@ Ctvg small_ctvg(std::size_t rounds, bool flip_member_at = false,
   std::vector<Graph> graphs;
   std::vector<HierarchyView> views;
   for (std::size_t r = 0; r < rounds; ++r) {
-    Graph g(4, {{0, 1}, {0, 2}, {2, 3}});
+    std::vector<Edge> edges{{0, 1}, {0, 2}, {2, 3}};
     HierarchyView h(4);
     h.set_head(0);
     h.set_head(3);
     if (flip_member_at && r >= flip_round) {
-      g.add_edge(1, 3);
+      edges.push_back({1, 3});
       h.set_member(1, 3);
     } else {
       h.set_member(1, 0);
     }
     h.set_member(2, 0, /*gateway=*/true);
-    graphs.push_back(std::move(g));
+    graphs.emplace_back(4, edges);
     views.push_back(std::move(h));
   }
   return Ctvg(GraphSequence(std::move(graphs)),

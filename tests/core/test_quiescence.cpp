@@ -62,8 +62,8 @@ TEST(Alg2Quiescence, NodesWakeUpWhenNewTokensArrive) {
   std::vector<Graph> graphs;
   std::vector<HierarchyView> views;
   for (Round r = 0; r < 30; ++r) {
-    Graph g(n, {{0, 1}, {0, 2}, {3, 4}, {3, 5}});
-    if (r >= 10) g.add_edge(2, 5);  // bridge appears late
+    std::vector<Edge> edges{{0, 1}, {0, 2}, {3, 4}, {3, 5}};
+    if (r >= 10) edges.push_back({2, 5});  // bridge appears late
     HierarchyView h(n);
     h.set_head(0);
     h.set_head(3);
@@ -71,7 +71,7 @@ TEST(Alg2Quiescence, NodesWakeUpWhenNewTokensArrive) {
     h.set_member(2, 0, true);
     h.set_member(4, 3);
     h.set_member(5, 3, true);
-    graphs.push_back(std::move(g));
+    graphs.emplace_back(n, edges);
     views.push_back(std::move(h));
   }
   Ctvg world(GraphSequence(std::move(graphs)),
@@ -100,8 +100,8 @@ TEST(Alg2Quiescence, NodesWakeUpWhenNewTokensArrive) {
   std::vector<Graph> graphs2;
   std::vector<HierarchyView> views2;
   for (Round r = 0; r < 30; ++r) {
-    Graph g(n, {{0, 1}, {0, 2}, {3, 4}, {3, 5}});
-    if (r >= 10) g.add_edge(2, 5);
+    std::vector<Edge> edges{{0, 1}, {0, 2}, {3, 4}, {3, 5}};
+    if (r >= 10) edges.push_back({2, 5});
     HierarchyView h(n);
     h.set_head(0);
     h.set_head(3);
@@ -109,7 +109,7 @@ TEST(Alg2Quiescence, NodesWakeUpWhenNewTokensArrive) {
     h.set_member(2, 0, true);
     h.set_member(4, 3);
     h.set_member(5, 3, true);
-    graphs2.push_back(std::move(g));
+    graphs2.emplace_back(n, edges);
     views2.push_back(std::move(h));
   }
   Ctvg world2(GraphSequence(std::move(graphs2)),

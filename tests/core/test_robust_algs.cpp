@@ -277,10 +277,10 @@ TEST(RobustIntegration, HeadCrashIsRepairedAndSurvivorsComplete) {
   constexpr std::size_t n = 6;
   constexpr std::size_t rounds = 64;
   StaticNetwork base([&] {
-    Graph g = gen::star(n);
-    for (NodeId v = 1; v < n - 1; ++v) g.add_edge(v, v + 1);
-    g.add_edge(n - 1, 1);
-    return g;
+    std::vector<Edge> edges = gen::star(n).edges();
+    for (NodeId v = 1; v < n - 1; ++v) edges.push_back({v, v + 1});
+    edges.push_back({1, n - 1});
+    return Graph(n, edges);
   }());
 
   FaultPlan plan;

@@ -3,20 +3,34 @@
 
 #include <gtest/gtest.h>
 
+#include <span>
+#include <utility>
+
 #include "analysis/assignment.hpp"
 #include "baseline/klo.hpp"
 #include "cluster/maintenance.hpp"
 #include "core/alg2.hpp"
 #include "graph/generators.hpp"
 #include "sim/engine.hpp"
+#include "sim/faults.hpp"
 
 namespace hinet {
 namespace {
 
+/// The first `rounds` rounds of `base` with the crash events applied
+/// through the fault decorator.
+GraphSequence materialize_crashes(DynamicNetwork& base, std::size_t rounds,
+                                  std::span<const CrashEvent> crashes) {
+  FaultPlan plan;
+  plan.crashes.assign(crashes.begin(), crashes.end());
+  FaultyNetwork net(base, std::move(plan));
+  return materialize(net, rounds);
+}
+
 TEST(Crashes, EdgesRemovedFromCrashRoundOn) {
   StaticNetwork base(gen::complete(4));
   const CrashEvent plan[] = {{1, 2}};
-  GraphSequence seq = apply_crashes(base, 5, plan);
+  GraphSequence seq = materialize_crashes(base, 5, plan);
   for (Round r = 0; r < 2; ++r) {
     EXPECT_EQ(seq.graph_at(r).degree(1), 3u) << "round " << r;
   }
@@ -30,7 +44,7 @@ TEST(Crashes, EdgesRemovedFromCrashRoundOn) {
 TEST(Crashes, MultipleCrashesAccumulate) {
   StaticNetwork base(gen::complete(5));
   const CrashEvent plan[] = {{0, 1}, {4, 3}};
-  GraphSequence seq = apply_crashes(base, 5, plan);
+  GraphSequence seq = materialize_crashes(base, 5, plan);
   EXPECT_EQ(seq.graph_at(0).edge_count(), 10u);
   EXPECT_EQ(seq.graph_at(1).edge_count(), 6u);  // minus node 0's 4 edges
   EXPECT_EQ(seq.graph_at(3).edge_count(), 3u);  // minus node 4's remaining 3
@@ -41,7 +55,7 @@ TEST(Crashes, RecoveryRestoresEdges) {
   // full degree again from the recovery round on.
   StaticNetwork base(gen::complete(4));
   const CrashEvent plan[] = {{1, 2, 5}};
-  GraphSequence seq = apply_crashes(base, 8, plan);
+  GraphSequence seq = materialize_crashes(base, 8, plan);
   for (Round r = 0; r < 2; ++r) {
     EXPECT_EQ(seq.graph_at(r).degree(1), 3u) << "round " << r;
   }
@@ -73,20 +87,17 @@ TEST(Crashes, AliveNodesSeesRecovery) {
 TEST(Crashes, RecoveryNotAfterCrashRejected) {
   StaticNetwork base(gen::complete(3));
   const CrashEvent plan[] = {{1, 4, 4}};  // empty window: surely a typo
-  EXPECT_THROW(apply_crashes(base, 6, plan), PreconditionError);
+  EXPECT_THROW(materialize_crashes(base, 6, plan), PreconditionError);
 }
 
 TEST(Crashes, RecoveredRelayResumesForwarding) {
   // A 4-node path 0-1-2-3; relay 1 sleeps for rounds [1, 6).  Token 0
   // starts at node 0 and can only cross through node 1, so nodes 2 and 3
   // learn it only after the recovery.
-  Graph g(4);
-  g.add_edge(0, 1);
-  g.add_edge(1, 2);
-  g.add_edge(2, 3);
+  Graph g(4, {{0, 1}, {1, 2}, {2, 3}});
   StaticNetwork base(g);
   const CrashEvent plan[] = {{1, 1, 6}};
-  GraphSequence seq = apply_crashes(base, 12, plan);
+  GraphSequence seq = materialize_crashes(base, 12, plan);
 
   std::vector<TokenSet> init(4, TokenSet(1));
   init[0].insert(0);
@@ -108,7 +119,7 @@ TEST(Crashes, RecoveredRelayResumesForwarding) {
 TEST(Crashes, OutOfRangeNodeRejected) {
   StaticNetwork base(Graph(3));
   const CrashEvent plan[] = {{7, 0}};
-  EXPECT_THROW(apply_crashes(base, 2, plan), PreconditionError);
+  EXPECT_THROW(materialize_crashes(base, 2, plan), PreconditionError);
 }
 
 TEST(Crashes, AliveNodesTracksPlan) {
@@ -122,14 +133,14 @@ TEST(Crashes, MaintenanceRepairsAfterHeadCrash) {
   // Star with hub 0 as head; hub crashes at round 3: every member must
   // re-affiliate or self-promote, and the hierarchy stays valid.
   StaticNetwork base([&] {
-    Graph g = gen::star(6);
+    std::vector<Edge> edges = gen::star(6).edges();
     // Ring among the leaves so survivors stay connected after the crash.
-    for (NodeId v = 1; v < 5; ++v) g.add_edge(v, v + 1);
-    g.add_edge(5, 1);
-    return g;
+    for (NodeId v = 1; v < 5; ++v) edges.push_back({v, v + 1});
+    edges.push_back({1, 5});
+    return Graph(6, edges);
   }());
   const CrashEvent plan[] = {{0, 3}};
-  GraphSequence seq = apply_crashes(base, 10, plan);
+  GraphSequence seq = materialize_crashes(base, 10, plan);
 
   ClusterMaintainer maint(seq.graph_at(0));
   ASSERT_TRUE(maint.view().is_head(0));
@@ -150,7 +161,7 @@ TEST(Crashes, SurvivorsStillDisseminateSurvivingTokens) {
   Graph g = gen::ring(8);
   StaticNetwork base(g);
   const CrashEvent plan[] = {{2, 3}};
-  GraphSequence seq = apply_crashes(base, 30, plan);
+  GraphSequence seq = materialize_crashes(base, 30, plan);
 
   std::vector<TokenSet> init(8, TokenSet(2));
   init[0].insert(0);
@@ -173,7 +184,7 @@ TEST(Crashes, SoleHolderCrashLosesTheToken) {
   // Node 3 holds token 0 and dies at round 0: nobody can ever learn it.
   StaticNetwork base(gen::complete(5));
   const CrashEvent plan[] = {{3, 0}};
-  GraphSequence seq = apply_crashes(base, 10, plan);
+  GraphSequence seq = materialize_crashes(base, 10, plan);
   std::vector<TokenSet> init(5, TokenSet(1));
   init[3].insert(0);
   KloFloodParams p;

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <thread>
+#include <vector>
+
 #include "util/rng.hpp"
 
 namespace hinet {
@@ -23,33 +26,36 @@ TEST(Graph, EmptyGraph) {
 }
 
 TEST(Graph, AddRemoveEdges) {
-  Graph g(4);
-  EXPECT_TRUE(g.add_edge(0, 1));
-  EXPECT_FALSE(g.add_edge(1, 0));  // duplicate, either orientation
+  // Duplicates collapse whichever orientation they are given in.
+  const Graph g(4, {{0, 1}, {1, 0}, {0, 1}});
   EXPECT_EQ(g.edge_count(), 1u);
   EXPECT_TRUE(g.has_edge(0, 1));
   EXPECT_TRUE(g.has_edge(1, 0));
-  EXPECT_TRUE(g.remove_edge(0, 1));
-  EXPECT_FALSE(g.remove_edge(0, 1));
-  EXPECT_EQ(g.edge_count(), 0u);
+  EXPECT_EQ(g.degree(0), 1u);
+  EXPECT_EQ(g.degree(1), 1u);
+  // Leaving the edge out of the list builds the edgeless graph.
+  const Graph none(4, {});
+  EXPECT_FALSE(none.has_edge(0, 1));
+  EXPECT_FALSE(none.has_edge(1, 0));
+  EXPECT_EQ(none.edge_count(), 0u);
+  EXPECT_TRUE(none == Graph(4));
 }
 
 TEST(Graph, SelfLoopRejected) {
-  Graph g(3);
-  EXPECT_THROW(g.add_edge(1, 1), PreconditionError);
+  EXPECT_THROW(Graph(3, {{1, 1}}), PreconditionError);
 }
 
 TEST(Graph, OutOfRangeRejected) {
-  Graph g(3);
-  EXPECT_THROW(g.add_edge(0, 3), PreconditionError);
+  EXPECT_THROW(Graph(3, {{0, 3}}), PreconditionError);
+  EXPECT_THROW(Graph(3, {{3, 0}}), PreconditionError);
+  const Graph g(3);
   EXPECT_THROW(g.has_edge(9, 0), PreconditionError);
+  EXPECT_THROW(g.has_edge(0, 9), PreconditionError);
+  EXPECT_THROW(g.neighbors(3), PreconditionError);
 }
 
 TEST(Graph, NeighborsAreSorted) {
-  Graph g(5);
-  g.add_edge(2, 4);
-  g.add_edge(2, 0);
-  g.add_edge(2, 3);
+  const Graph g(5, {{2, 4}, {2, 0}, {3, 2}});
   const auto n = g.neighbors(2);
   ASSERT_EQ(n.size(), 3u);
   EXPECT_EQ(n[0], 0u);
@@ -83,10 +89,10 @@ TEST(Graph, UnreachableDistanceIsMinusOne) {
 }
 
 TEST(Graph, ConnectivityDetection) {
-  Graph g(4, {{0, 1}, {1, 2}});
+  const Graph g(4, {{0, 1}, {1, 2}});
   EXPECT_FALSE(g.is_connected());
-  g.add_edge(2, 3);
-  EXPECT_TRUE(g.is_connected());
+  const Graph joined(4, {{0, 1}, {1, 2}, {2, 3}});
+  EXPECT_TRUE(joined.is_connected());
 }
 
 TEST(Graph, SingleNodeConnected) {
@@ -142,18 +148,53 @@ TEST(Graph, IntersectionNodeCountMismatchThrows) {
 }
 
 TEST(Graph, ContainsSubgraph) {
-  Graph g(4, {{0, 1}, {1, 2}, {2, 3}});
-  Graph sub(4, {{1, 2}});
+  const Graph g(4, {{0, 1}, {1, 2}, {2, 3}});
+  const Graph sub(4, {{1, 2}});
   EXPECT_TRUE(g.contains_subgraph(sub));
-  sub.add_edge(0, 3);
-  EXPECT_FALSE(g.contains_subgraph(sub));
+  const Graph wider(4, {{1, 2}, {0, 3}});
+  EXPECT_FALSE(g.contains_subgraph(wider));
 }
 
 TEST(Graph, EqualityIsStructural) {
-  Graph a(3, {{0, 1}});
-  Graph b(3);
-  b.add_edge(1, 0);
+  const Graph a(3, {{0, 1}});
+  const Graph b(3, {{1, 0}});
   EXPECT_TRUE(a == b);
+  EXPECT_FALSE(a == Graph(3));
+  EXPECT_FALSE(Graph(3) == Graph(4));
+}
+
+TEST(Graph, ConcurrentReadsOfAFreshGraphAgree) {
+  // A graph is immutable once built, so threads may share one read-only
+  // without synchronisation; none of the queries below may write.
+  Rng rng(17);
+  std::vector<Edge> edges;
+  for (int e = 0; e < 400; ++e) {
+    const auto x = static_cast<NodeId>(rng.below(100));
+    const auto y = static_cast<NodeId>(rng.below(100));
+    if (x != y) edges.push_back({x, y});
+  }
+  const Graph g(100, edges);
+  constexpr int kThreads = 4;
+  std::vector<std::size_t> arc_sums(kThreads, 0);
+  std::vector<std::vector<int>> distances(kThreads);
+  std::vector<std::vector<Edge>> listed(kThreads);
+  std::vector<std::thread> readers;
+  for (int t = 0; t < kThreads; ++t) {
+    readers.emplace_back([&, t] {
+      const auto i = static_cast<std::size_t>(t);
+      for (NodeId v = 0; v < g.node_count(); ++v) {
+        for (NodeId u : g.neighbors(v)) arc_sums[i] += g.has_edge(u, v);
+      }
+      distances[i] = g.distances_from(0);
+      listed[i] = g.edges();
+    });
+  }
+  for (std::thread& r : readers) r.join();
+  for (std::size_t i = 0; i < kThreads; ++i) {
+    EXPECT_EQ(arc_sums[i], 2 * g.edge_count());
+    EXPECT_EQ(distances[i], distances[0]);
+    EXPECT_EQ(listed[i], listed[0]);
+  }
 }
 
 TEST(RestrictedDistances, HonorsMask) {
@@ -184,21 +225,66 @@ TEST(RestrictedDistances, MaskSizeMismatchThrows) {
 TEST(GraphProperty, IntersectionIsSubgraphOfBoth) {
   Rng rng(5);
   for (int trial = 0; trial < 10; ++trial) {
-    Graph a(20);
-    Graph b(20);
+    std::vector<Edge> a_edges;
+    std::vector<Edge> b_edges;
     for (int e = 0; e < 40; ++e) {
       const auto x = static_cast<NodeId>(rng.below(20));
       const auto y = static_cast<NodeId>(rng.below(20));
       if (x == y) continue;
-      if (rng.bernoulli(0.5)) a.add_edge(x, y);
-      if (rng.bernoulli(0.5)) b.add_edge(x, y);
+      if (rng.bernoulli(0.5)) a_edges.push_back({x, y});
+      if (rng.bernoulli(0.5)) b_edges.push_back({x, y});
     }
+    const Graph a(20, a_edges);
+    const Graph b(20, b_edges);
     const Graph inter = Graph::intersection(a, b);
     EXPECT_TRUE(a.contains_subgraph(inter));
     EXPECT_TRUE(b.contains_subgraph(inter));
     const Graph uni = Graph::union_of(a, b);
     EXPECT_TRUE(uni.contains_subgraph(a));
     EXPECT_TRUE(uni.contains_subgraph(b));
+  }
+}
+
+TEST(GraphProperty, EdgeListOrderOrientationAndDuplicatesDoNotMatter) {
+  Rng rng(11);
+  for (int trial = 0; trial < 20; ++trial) {
+    const std::size_t n = 2 + rng.below(40);
+    std::vector<Edge> edges;
+    const std::size_t m = rng.below(3 * n);
+    for (std::size_t e = 0; e < m; ++e) {
+      const auto x = static_cast<NodeId>(rng.below(n));
+      const auto y = static_cast<NodeId>(rng.below(n));
+      if (x != y) edges.push_back({x, y});
+    }
+    const Graph g(n, edges);
+
+    // The same edge set, shuffled, with some edges flipped and some given
+    // twice, must build the same graph.
+    std::vector<Edge> scrambled = edges;
+    for (const Edge& e : edges) {
+      if (rng.bernoulli(0.3)) scrambled.push_back(e);
+    }
+    for (Edge& e : scrambled) {
+      if (rng.bernoulli(0.5)) std::swap(e.u, e.v);
+    }
+    rng.shuffle(scrambled);
+    EXPECT_TRUE(Graph(n, scrambled) == g) << "trial " << trial;
+
+    std::size_t degree_sum = 0;
+    for (NodeId v = 0; v < n; ++v) {
+      const auto row = g.neighbors(v);
+      for (std::size_t i = 1; i < row.size(); ++i) {
+        EXPECT_LT(row[i - 1], row[i]) << "row " << v << " not strictly sorted";
+      }
+      for (NodeId u : row) EXPECT_TRUE(g.has_edge(u, v));
+      degree_sum += g.degree(v);
+    }
+    EXPECT_EQ(degree_sum, 2 * g.edge_count());
+    for (const Edge& e : edges) {
+      EXPECT_TRUE(g.has_edge(e.u, e.v));
+      EXPECT_TRUE(g.has_edge(e.v, e.u));
+    }
+    EXPECT_TRUE(Graph(n, g.edges()) == g);
   }
 }
 

@@ -8,7 +8,9 @@
 //   - the trace-state section is presence-checked: a snapshot taken over
 //     a streaming network cannot be restored into a materialized spec
 //     (and vice versa);
-//   - the capability composes through FaultyNetwork decoration.
+//   - the capability composes through FaultyNetwork decoration;
+//   - the checkpoint bytes themselves are pinned per streaming provider,
+//     so a snapshot file written by one build restores in the next.
 #include <gtest/gtest.h>
 
 #include <utility>
@@ -16,10 +18,15 @@
 
 #include "analysis/assignment.hpp"
 #include "baseline/klo.hpp"
+#include "core/hinet_generator.hpp"
+#include "graph/adversary.hpp"
 #include "graph/markovian.hpp"
+#include "graph/mobility.hpp"
+#include "sim/channel.hpp"
 #include "sim/engine.hpp"
 #include "sim/faults.hpp"
 #include "sim/snapshot.hpp"
+#include "util/binary_io.hpp"
 
 namespace hinet {
 namespace {
@@ -39,10 +46,10 @@ MarkovianConfig stream_config() {
   return cfg;
 }
 
-std::vector<ProcessPtr> make_processes() {
+std::vector<ProcessPtr> make_processes(std::size_t nodes = kNodes) {
   Rng rng(123);
   const auto initial =
-      assign_tokens(kNodes, kTokens, AssignmentMode::kDistinctRandom, rng);
+      assign_tokens(nodes, kTokens, AssignmentMode::kDistinctRandom, rng);
   KloFloodParams p;
   p.k = kTokens;
   p.rounds = kRounds;
@@ -136,6 +143,98 @@ TEST(SnapshotStreaming, ComposesThroughFaultyNetwork) {
   }
   EXPECT_TRUE(b.finish() == expected);
   EXPECT_EQ(net_b.rewinds(), 0u);
+}
+
+/// CRC-32 of the snapshot payload taken after 9 rounds of a KLO flood over
+/// `net`, with `channel` (may be null) installed.
+std::uint32_t payload_crc_at_round_9(DynamicNetwork& net,
+                                     HierarchyProvider* hierarchy,
+                                     ChannelModel* channel) {
+  Engine engine(net, hierarchy, make_processes(net.node_count()));
+  engine.set_channel(channel);
+  engine.start(run_config());
+  for (int i = 0; i < 9; ++i) EXPECT_TRUE(engine.step());
+  return crc32(engine.snapshot().payload);
+}
+
+TEST(SnapshotStreaming, CheckpointPayloadBytesArePinned) {
+  // Snapshot files outlive the build that wrote them, so the payload of a
+  // mid-run checkpoint over every streaming provider is pinned to the
+  // CRC recorded when this test was introduced.  A change to graph
+  // storage, generator state or RNG serialization that moves one byte
+  // breaks resume of existing checkpoint files and must show up here.
+  {
+    SCOPED_TRACE("edge-Markovian, lossy channel");
+    EdgeMarkovianNetwork net(stream_config());
+    LossyChannel channel(0.2, 31);
+    EXPECT_EQ(payload_crc_at_round_9(net, nullptr, &channel), 0x186eb622u);
+  }
+  {
+    SCOPED_TRACE("T-interval adversary, Gilbert-Elliott channel");
+    AdversaryConfig cfg;
+    cfg.nodes = kNodes;
+    cfg.interval = 3;
+    cfg.rounds = kRounds;
+    cfg.churn_edges = 5;
+    cfg.seed = 11;
+    TIntervalNetwork net(cfg, /*path_backbone=*/false);
+    GilbertElliottChannel channel(GilbertElliottParams{}, 32);
+    EXPECT_EQ(payload_crc_at_round_9(net, nullptr, &channel), 0x3dc85c79u);
+  }
+  {
+    SCOPED_TRACE("T-interval path adversary, lossy channel");
+    AdversaryConfig cfg;
+    cfg.nodes = kNodes;
+    cfg.interval = 4;
+    cfg.rounds = kRounds;
+    cfg.churn_edges = 3;
+    cfg.seed = 12;
+    TIntervalNetwork net(cfg, /*path_backbone=*/true);
+    LossyChannel channel(0.1, 35);
+    EXPECT_EQ(payload_crc_at_round_9(net, nullptr, &channel), 0x277e6e20u);
+  }
+  {
+    SCOPED_TRACE("random-waypoint mobility, perfect channel");
+    MobilityConfig cfg;
+    cfg.nodes = kNodes;
+    cfg.radius = 0.35;
+    cfg.rounds = kRounds;
+    cfg.seed = 9;
+    MobilityNetwork net(cfg);
+    EXPECT_EQ(payload_crc_at_round_9(net, nullptr, nullptr), 0xa82b58abu);
+  }
+  {
+    SCOPED_TRACE("(T, L)-HiNet stream, Gilbert-Elliott channel");
+    HiNetConfig cfg;
+    cfg.nodes = 24;
+    cfg.heads = 4;
+    cfg.phase_length = 3;
+    cfg.phases = kRounds / 3;
+    cfg.hop_l = 2;
+    cfg.seed = 3;
+    HiNetStream stream = make_hinet_stream(cfg);
+    GilbertElliottChannel channel(GilbertElliottParams{}, 33);
+    EXPECT_EQ(payload_crc_at_round_9(*stream.topology, stream.hierarchy.get(),
+                                     &channel),
+              0x3d46c33eu);
+  }
+  {
+    SCOPED_TRACE("(T, L)-HiNet stream, lossy channel");
+    HiNetConfig cfg;
+    cfg.nodes = 30;
+    cfg.heads = 3;
+    cfg.phase_length = 2;
+    cfg.phases = kRounds / 2;
+    cfg.hop_l = 3;
+    cfg.head_churn_prob = 0.3;
+    cfg.churn_edges = 6;
+    cfg.seed = 4;
+    HiNetStream stream = make_hinet_stream(cfg);
+    LossyChannel channel(0.15, 34);
+    EXPECT_EQ(payload_crc_at_round_9(*stream.topology, stream.hierarchy.get(),
+                                     &channel),
+              0x5a7a1571u);
+  }
 }
 
 }  // namespace
