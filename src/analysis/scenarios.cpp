@@ -131,6 +131,65 @@ std::vector<ProcessPtr> plan_processes(Scenario s, const ScenarioConfig& cfg,
   return {};
 }
 
+/// The runnable spec of scenario `s` over a trace's two views: token
+/// assignment, processes, hierarchy (dropped for the KLO scenarios) and
+/// engine config.  Every builder below assembles its spec here.
+SimulationSpec assemble_spec(Scenario s, const ScenarioConfig& cfg,
+                             const ScenarioSchedule& sched, std::uint64_t seed,
+                             std::unique_ptr<DynamicNetwork> network,
+                             std::unique_ptr<HierarchyProvider> hierarchy) {
+  Rng assign_rng(seed ^ 0xa5a5a5a5a5a5a5a5ULL);
+  const auto initial =
+      assign_tokens(cfg.nodes, cfg.k, cfg.assignment, assign_rng);
+
+  SimulationSpec spec;
+  spec.processes = plan_processes(s, cfg, sched, initial);
+  const bool uses_hierarchy = s == Scenario::kHiNetInterval ||
+                              s == Scenario::kHiNetIntervalStable ||
+                              s == Scenario::kHiNetOne;
+  if (uses_hierarchy) spec.hierarchy = std::move(hierarchy);
+  spec.network = std::move(network);
+  spec.engine.max_rounds = sched.rounds();
+  spec.engine.stop_when_complete = !cfg.run_full_schedule;
+  return spec;
+}
+
+/// Scenario `s` at `seed` over a streaming trace: rounds are synthesized
+/// on demand and only a small ring stays resident, so scenario memory is
+/// O(n·window), not O(n·Γ).  Byte-identical to the materialized
+/// make_hinet_trace path (pinned by the conformance suite), so goldens and
+/// digests are unchanged.  Plans the trace once; its statistics are not
+/// computed here.
+SimulationSpec streamed_spec(Scenario s, const ScenarioConfig& cfg,
+                             std::uint64_t seed) {
+  HINET_REQUIRE(cfg.k >= 1 && cfg.alpha >= 1, "k and alpha must be positive");
+  ScenarioSchedule sched;
+  HiNetStream stream =
+      make_hinet_stream(scenario_generator(s, cfg, seed, &sched));
+  return assemble_spec(s, cfg, sched, seed, std::move(stream.topology),
+                       std::move(stream.hierarchy));
+}
+
+/// A spec plus its trace's statistics and the analytic CostParams
+/// instantiated with them.
+ScenarioRun with_trace_stats(SimulationSpec spec, const HiNetTraceStats& stats,
+                             const ScenarioConfig& cfg) {
+  ScenarioRun out;
+  out.trace_stats = stats;
+  out.scheduled_rounds = spec.engine.max_rounds;
+  out.analytic.n0 = cfg.nodes;
+  out.analytic.theta = stats.theta;
+  out.analytic.n_m =
+      static_cast<std::size_t>(std::llround(stats.mean_members));
+  out.analytic.n_r =
+      static_cast<std::size_t>(std::llround(stats.mean_reaffiliations));
+  out.analytic.k = cfg.k;
+  out.analytic.alpha = cfg.alpha;
+  out.analytic.l = static_cast<std::size_t>(cfg.hop_l);
+  out.spec = std::move(spec);
+  return out;
+}
+
 }  // namespace
 
 ScenarioRun make_scenario_from_trace(Scenario s, const ScenarioConfig& cfg,
@@ -138,85 +197,23 @@ ScenarioRun make_scenario_from_trace(Scenario s, const ScenarioConfig& cfg,
   HINET_REQUIRE(cfg.k >= 1 && cfg.alpha >= 1, "k and alpha must be positive");
   ScenarioSchedule sched;
   (void)scenario_generator(s, cfg, seed, &sched);
-
-  Rng assign_rng(seed ^ 0xa5a5a5a5a5a5a5a5ULL);
-  const auto initial =
-      assign_tokens(cfg.nodes, cfg.k, cfg.assignment, assign_rng);
-
-  ScenarioRun out;
-  out.trace_stats = trace.stats;
-  out.scheduled_rounds = sched.rounds();
-  out.analytic.n0 = cfg.nodes;
-  out.analytic.theta = trace.stats.theta;
-  out.analytic.n_m = static_cast<std::size_t>(
-      std::llround(trace.stats.mean_members));
-  out.analytic.n_r = static_cast<std::size_t>(
-      std::llround(trace.stats.mean_reaffiliations));
-  out.analytic.k = cfg.k;
-  out.analytic.alpha = cfg.alpha;
-  out.analytic.l = static_cast<std::size_t>(cfg.hop_l);
-
-  out.spec.processes = plan_processes(s, cfg, sched, initial);
-  const bool uses_hierarchy = s == Scenario::kHiNetInterval ||
-                              s == Scenario::kHiNetIntervalStable ||
-                              s == Scenario::kHiNetOne;
-  if (uses_hierarchy) {
-    out.spec.hierarchy = std::make_unique<HierarchySequence>(
-        std::move(trace.ctvg.hierarchy()));
-  }
-  out.spec.network =
-      std::make_unique<GraphSequence>(std::move(trace.ctvg.topology()));
-  out.spec.engine.max_rounds = sched.rounds();
-  out.spec.engine.stop_when_complete = !cfg.run_full_schedule;
-  return out;
+  SimulationSpec spec = assemble_spec(
+      s, cfg, sched, seed,
+      std::make_unique<GraphSequence>(std::move(trace.ctvg.topology())),
+      std::make_unique<HierarchySequence>(std::move(trace.ctvg.hierarchy())));
+  return with_trace_stats(std::move(spec), trace.stats, cfg);
 }
 
 ScenarioRun make_scenario(Scenario s, const ScenarioConfig& cfg,
                           std::uint64_t seed) {
-  HINET_REQUIRE(cfg.k >= 1 && cfg.alpha >= 1, "k and alpha must be positive");
-  ScenarioSchedule sched;
-  const HiNetConfig gen = scenario_generator(s, cfg, seed, &sched);
-
-  Rng assign_rng(seed ^ 0xa5a5a5a5a5a5a5a5ULL);
-  const auto initial =
-      assign_tokens(cfg.nodes, cfg.k, cfg.assignment, assign_rng);
-
-  // Streaming trace: rounds are synthesized on demand and only a small
-  // ring stays resident, so scenario memory is O(n·window), not O(n·Γ).
-  // Byte-identical to the materialized make_hinet_trace path (pinned by
-  // the conformance suite), so goldens and digests are unchanged.
-  HiNetStream stream = make_hinet_stream(gen);
-
-  ScenarioRun out;
-  out.trace_stats = stream.stats;
-  out.scheduled_rounds = sched.rounds();
-  out.analytic.n0 = cfg.nodes;
-  out.analytic.theta = stream.stats.theta;
-  out.analytic.n_m = static_cast<std::size_t>(
-      std::llround(stream.stats.mean_members));
-  out.analytic.n_r = static_cast<std::size_t>(
-      std::llround(stream.stats.mean_reaffiliations));
-  out.analytic.k = cfg.k;
-  out.analytic.alpha = cfg.alpha;
-  out.analytic.l = static_cast<std::size_t>(cfg.hop_l);
-
-  out.spec.processes = plan_processes(s, cfg, sched, initial);
-  const bool uses_hierarchy = s == Scenario::kHiNetInterval ||
-                              s == Scenario::kHiNetIntervalStable ||
-                              s == Scenario::kHiNetOne;
-  if (uses_hierarchy) {
-    out.spec.hierarchy = std::move(stream.hierarchy);
-  }
-  out.spec.network = std::move(stream.topology);
-  out.spec.engine.max_rounds = sched.rounds();
-  out.spec.engine.stop_when_complete = !cfg.run_full_schedule;
-  return out;
+  SimulationSpec spec = streamed_spec(s, cfg, seed);
+  return with_trace_stats(std::move(spec),
+                          hinet_trace_stats(scenario_generator(s, cfg, seed)),
+                          cfg);
 }
 
 SpecFactory scenario_factory(Scenario s, const ScenarioConfig& cfg) {
-  return [s, cfg](std::uint64_t seed) {
-    return std::move(make_scenario(s, cfg, seed).spec);
-  };
+  return [s, cfg](std::uint64_t seed) { return streamed_spec(s, cfg, seed); };
 }
 
 }  // namespace hinet

@@ -36,6 +36,14 @@ void validate_config(const HiNetConfig& cfg) {
       "backbone_rewire_prob outside [0,1]");
 }
 
+/// Validates cfg before the StreamingNetwork base is built, so a bad
+/// config reports the generator's diagnostic (e.g. "need at least one
+/// phase") rather than the base's, and returns the horizon.
+std::size_t checked_horizon(const HiNetConfig& cfg) {
+  validate_config(cfg);
+  return cfg.phases * cfg.phase_length;
+}
+
 /// The backbone layout: heads threaded on a chain with L-1 relay gateways
 /// between consecutive heads.  Persisted across phases unless a rewire is
 /// requested, so (1, L) traces can model a quasi-stable relay structure.
@@ -193,8 +201,18 @@ HierarchyView load_view(ByteReader& r) {
     roles[v] = static_cast<NodeRole>(raw);
     clusters[v] = r.u32();
   }
-  // Rebuild through the public mutators (heads first: set_member checks
-  // that the target is already a head).
+  // Rebuild through the public mutators (heads first: set_member requires
+  // its target to be a head already).  A stored target that is not a
+  // stored head is corrupt input, so it is checked here and reported as
+  // IoError before set_member's precondition could fire.
+  const auto stored_head = [&](NodeId v) {
+    const ClusterId head = clusters[v];
+    if (head >= n || roles[head] != NodeRole::kHead || head == v) {
+      throw IoError(
+          "hierarchy view state corrupt: affiliation target is not a head");
+    }
+    return head;
+  };
   HierarchyView view(n);
   for (NodeId v = 0; v < n; ++v) {
     if (roles[v] == NodeRole::kHead) view.set_head(v);
@@ -207,21 +225,25 @@ HierarchyView load_view(ByteReader& r) {
         if (clusters[v] == kNoCluster) {
           view.set_unaffiliated_gateway(v);
         } else {
-          view.set_member(v, clusters[v], /*gateway=*/true);
+          view.set_member(v, stored_head(v), /*gateway=*/true);
         }
         break;
       case NodeRole::kMember:
-        if (clusters[v] != kNoCluster) view.set_member(v, clusters[v]);
+        if (clusters[v] != kNoCluster) view.set_member(v, stored_head(v));
         break;
     }
   }
   return view;
 }
 
-/// The phase-granular generator state machine: everything the eager trace
-/// builder did per phase, factored out so the materialized and streaming
-/// paths run the identical draw sequence.  After reset() (or construction)
-/// the driver holds phase 0's plan; advance() moves to the next phase.
+}  // namespace
+
+namespace detail {
+
+/// The phase-granular generator state machine.  HiNetStreamNetwork runs it
+/// round by round and hinet_trace_stats phase by phase; both see the same
+/// draw sequence.  After reset() (or construction) the driver holds phase
+/// 0's plan; advance() moves to the next phase.
 class PhaseDriver {
  public:
   explicit PhaseDriver(const HiNetConfig& cfg) : cfg_(cfg) {
@@ -348,7 +370,7 @@ class PhaseDriver {
       }
     }
     // Restored mid-run state carries no statistics: stats are a whole-
-    // trace property, precomputed by hinet_trace_stats and unaffected by
+    // trace property, computed by hinet_trace_stats and unaffected by
     // where a checkpoint cut the run.
     ever_head_.assign(cfg_.nodes, 0);
     stats_ = HiNetTraceStats{};
@@ -406,10 +428,93 @@ class PhaseDriver {
   HiNetTraceStats stats_;
 };
 
-HiNetTraceStats finalize_stats(const HiNetConfig& cfg, HiNetTraceStats stats,
-                               double member_round_sum) {
-  const auto total_rounds = static_cast<double>(cfg.phases * cfg.phase_length);
-  stats.mean_members = member_round_sum / total_rounds;
+}  // namespace detail
+
+namespace {
+
+/// make_hinet_stream's two handles: each holds the shared stream, so
+/// neither can outlive it.
+class HiNetStreamTopology final : public DynamicNetwork,
+                                  public TraceStateSource {
+ public:
+  explicit HiNetStreamTopology(std::shared_ptr<HiNetStreamNetwork> net)
+      : net_(std::move(net)) {}
+
+  std::size_t node_count() const override { return net_->node_count(); }
+  const Graph& graph_at(Round r) override { return net_->graph_at(r); }
+
+  void save_trace_state(ByteWriter& w) const override {
+    net_->save_trace_state(w);
+  }
+  void restore_trace_state(ByteReader& r) override {
+    net_->restore_trace_state(r);
+  }
+
+ private:
+  std::shared_ptr<HiNetStreamNetwork> net_;
+};
+
+class HiNetStreamHierarchy final : public HierarchyProvider {
+ public:
+  explicit HiNetStreamHierarchy(std::shared_ptr<HiNetStreamNetwork> net)
+      : net_(std::move(net)) {}
+
+  std::size_t node_count() const override { return net_->node_count(); }
+  const HierarchyView& hierarchy_at(Round r) override {
+    return net_->hierarchy_at(r);
+  }
+
+ private:
+  std::shared_ptr<HiNetStreamNetwork> net_;
+};
+
+}  // namespace
+
+HiNetStreamNetwork::HiNetStreamNetwork(const HiNetConfig& cfg,
+                                       std::size_t window)
+    : StreamingNetwork(cfg.nodes, checked_horizon(cfg), window),
+      phase_length_(cfg.phase_length),
+      driver_(std::make_unique<detail::PhaseDriver>(cfg)),
+      views_(this->window()) {}
+
+HiNetStreamNetwork::~HiNetStreamNetwork() = default;
+
+const HierarchyView& HiNetStreamNetwork::hierarchy_at(Round r) {
+  // graph_at clamps r and makes round r resident (synthesizing or
+  // replaying as needed), which also fills its view slot.
+  (void)graph_at(r);
+  return views_[std::min(r, round_count() - 1) % views_.size()];
+}
+
+Graph HiNetStreamNetwork::synthesize_next() {
+  const Round r = frontier();
+  while (driver_->phase() < r / phase_length_) driver_->advance();
+  views_[r % views_.size()] = driver_->view();
+  return driver_->realize_round();
+}
+
+void HiNetStreamNetwork::reset_generator() { driver_->reset(); }
+
+void HiNetStreamNetwork::save_generator_state(ByteWriter& w) const {
+  driver_->save_state(w);
+}
+
+void HiNetStreamNetwork::load_generator_state(ByteReader& r) {
+  driver_->load_state(r);
+}
+
+HiNetTraceStats hinet_trace_stats(const HiNetConfig& cfg) {
+  detail::PhaseDriver driver(cfg);
+  double member_round_sum = 0.0;
+  for (std::size_t phase = 0;; ++phase) {
+    member_round_sum += static_cast<double>(driver.view().member_count()) *
+                        static_cast<double>(cfg.phase_length);
+    if (phase + 1 >= cfg.phases) break;
+    driver.advance();
+  }
+  HiNetTraceStats stats = driver.stats();
+  stats.mean_members =
+      member_round_sum / static_cast<double>(cfg.phases * cfg.phase_length);
   stats.mean_reaffiliations =
       stats.mean_members > 0.0
           ? static_cast<double>(stats.reaffiliation_events) /
@@ -418,162 +523,26 @@ HiNetTraceStats finalize_stats(const HiNetConfig& cfg, HiNetTraceStats stats,
   return stats;
 }
 
-/// Shared state of a streaming HiNet trace: the phase driver plus a ring
-/// of realized {graph, view} rounds.  The topology and hierarchy adapters
-/// below hold one core between them, so the engine's per-round
-/// graph_at/hierarchy_at pair costs one synthesis, not two.
-class HiNetStreamCore {
- public:
-  HiNetStreamCore(const HiNetConfig& cfg, std::size_t window)
-      : cfg_(cfg), driver_(cfg), horizon_(cfg.phases * cfg.phase_length) {
-    HINET_REQUIRE(window >= 1, "ring window must hold at least one round");
-    ring_.resize(std::min(window, horizon_));
-  }
-
-  std::size_t node_count() const { return cfg_.nodes; }
-  std::size_t horizon() const { return horizon_; }
-  std::size_t rewinds() const { return rewinds_; }
-
-  const Graph& graph_at(Round r) { return slot_at(r).graph; }
-  const HierarchyView& view_at(Round r) { return slot_at(r).view; }
-
-  void save_state(ByteWriter& w) const {
-    w.u64(frontier_);
-    ByteWriter dw;
-    driver_.save_state(dw);
-    w.blob(dw.buffer());
-  }
-
-  void load_state(ByteReader& r) {
-    const std::uint64_t stored_frontier = r.u64();
-    if (stored_frontier > horizon_) {
-      throw IoError(
-          "HiNet stream state corrupt: frontier is past the horizon");
-    }
-    ByteReader dr(r.blob(), "HiNet generator state");
-    driver_.load_state(dr);
-    dr.expect_done();
-    frontier_ = stored_frontier;
-    resident_begin_ = stored_frontier;
-    for (Slot& s : ring_) s = Slot{};
-  }
-
- private:
-  struct Slot {
-    Graph graph;
-    HierarchyView view;
-  };
-
-  Slot& slot_at(Round r) {
-    if (r >= horizon_) r = horizon_ - 1;  // repeat-final-round convention
-    const std::size_t w = ring_.size();
-    if (r < frontier_) {
-      if (r >= resident_begin_ && r + w >= frontier_) return ring_[r % w];
-      ++rewinds_;
-      driver_.reset();
-      frontier_ = 0;
-      resident_begin_ = 0;
-    }
-    while (frontier_ <= r) {
-      const std::size_t phase = frontier_ / cfg_.phase_length;
-      while (driver_.phase() < phase) driver_.advance();
-      Slot& slot = ring_[frontier_ % w];
-      slot.graph = driver_.realize_round();
-      slot.view = driver_.view();
-      ++frontier_;
-    }
-    return ring_[r % w];
-  }
-
-  HiNetConfig cfg_;
-  PhaseDriver driver_;
-  std::size_t horizon_;
-  Round frontier_ = 0;
-  Round resident_begin_ = 0;
-  std::size_t rewinds_ = 0;
-  std::vector<Slot> ring_;
-};
-
-class HiNetStreamTopology final : public DynamicNetwork,
-                                  public TraceStateSource {
- public:
-  explicit HiNetStreamTopology(std::shared_ptr<HiNetStreamCore> core)
-      : core_(std::move(core)) {}
-
-  std::size_t node_count() const override { return core_->node_count(); }
-  const Graph& graph_at(Round r) override { return core_->graph_at(r); }
-
-  void save_trace_state(ByteWriter& w) const override {
-    core_->save_state(w);
-  }
-  void restore_trace_state(ByteReader& r) override { core_->load_state(r); }
-
- private:
-  std::shared_ptr<HiNetStreamCore> core_;
-};
-
-class HiNetStreamHierarchy final : public HierarchyProvider {
- public:
-  explicit HiNetStreamHierarchy(std::shared_ptr<HiNetStreamCore> core)
-      : core_(std::move(core)) {}
-
-  std::size_t node_count() const override { return core_->node_count(); }
-  const HierarchyView& hierarchy_at(Round r) override {
-    return core_->view_at(r);
-  }
-
- private:
-  std::shared_ptr<HiNetStreamCore> core_;
-};
-
-}  // namespace
-
-HiNetTraceStats hinet_trace_stats(const HiNetConfig& cfg) {
-  PhaseDriver driver(cfg);
-  double member_round_sum = 0.0;
-  for (std::size_t phase = 0;; ++phase) {
-    member_round_sum += static_cast<double>(driver.view().member_count()) *
-                        static_cast<double>(cfg.phase_length);
-    if (phase + 1 >= cfg.phases) break;
-    driver.advance();
-  }
-  return finalize_stats(cfg, driver.stats(), member_round_sum);
-}
-
 HiNetStream make_hinet_stream(const HiNetConfig& cfg, std::size_t window) {
+  auto net = std::make_shared<HiNetStreamNetwork>(cfg, window);
   HiNetStream out;
-  // The dry planning pass replays exactly the layout/head draws the live
-  // stream will make (the churn stream is an independent fork), so the
-  // stats are those of the realized trace.
-  out.stats = hinet_trace_stats(cfg);
-  out.rounds = cfg.phases * cfg.phase_length;
-  auto core = std::make_shared<HiNetStreamCore>(cfg, window);
-  out.topology = std::make_unique<HiNetStreamTopology>(core);
-  out.hierarchy = std::make_unique<HiNetStreamHierarchy>(std::move(core));
+  out.rounds = net->round_count();
+  out.topology = std::make_unique<HiNetStreamTopology>(net);
+  out.hierarchy = std::make_unique<HiNetStreamHierarchy>(std::move(net));
   return out;
 }
 
 HiNetTrace make_hinet_trace(const HiNetConfig& cfg) {
-  PhaseDriver driver(cfg);
-
+  HiNetStreamNetwork net(cfg);
+  const std::size_t rounds = net.round_count();
   std::vector<Graph> graphs;
   std::vector<HierarchyView> views;
-  graphs.reserve(cfg.phases * cfg.phase_length);
-  views.reserve(cfg.phases * cfg.phase_length);
-
-  double member_round_sum = 0.0;
-  for (std::size_t phase = 0;; ++phase) {
-    for (std::size_t r = 0; r < cfg.phase_length; ++r) {
-      graphs.push_back(driver.realize_round());
-      views.push_back(driver.view());
-      member_round_sum += static_cast<double>(driver.view().member_count());
-    }
-    if (phase + 1 >= cfg.phases) break;
-    driver.advance();
+  graphs.reserve(rounds);
+  views.reserve(rounds);
+  for (Round r = 0; r < rounds; ++r) {
+    graphs.push_back(net.graph_at(r));
+    views.push_back(net.hierarchy_at(r));
   }
-
-  const HiNetTraceStats stats =
-      finalize_stats(cfg, driver.stats(), member_round_sum);
 
   // No whole-trace re-validation here: every phase already passed
   // plan.view.validate(plan.stable) at construction, each round's view IS
@@ -584,7 +553,7 @@ HiNetTrace make_hinet_trace(const HiNetConfig& cfg) {
   // was the single largest cost of trace generation and could never fire.
   Ctvg ctvg(GraphSequence(std::move(graphs)),
             HierarchySequence(std::move(views)));
-  return HiNetTrace{std::move(ctvg), stats};
+  return HiNetTrace{std::move(ctvg), hinet_trace_stats(cfg)};
 }
 
 }  // namespace hinet

@@ -24,6 +24,8 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
+#include <vector>
 
 #include "core/ctvg.hpp"
 
@@ -66,28 +68,58 @@ struct HiNetTrace {
 
 /// Generates a trace; throws PreconditionError when the node budget cannot
 /// host `heads` heads plus the (heads-1)*(hop_l-1) backbone gateways.
-/// This is the materialized special case (every round resident); at scale
-/// prefer make_hinet_stream, which shares the same phase driver and emits
-/// byte-identical rounds lazily.
+/// This is the materialized special case: a walk over HiNetStreamNetwork
+/// that keeps every round, with stats from hinet_trace_stats.
 HiNetTrace make_hinet_trace(const HiNetConfig& cfg);
 
-/// A lazily synthesised (T, L)-HiNet trace: topology and hierarchy share
-/// one phase driver, so a trace at n = 10^5 is never fully resident — only
-/// the current phase plan plus a small ring of realized rounds.  The
-/// topology additionally implements TraceStateSource, so Engine snapshots
-/// carry the generator RNG state and resume without replaying the prefix.
+namespace detail {
+class PhaseDriver;
+}  // namespace detail
+
+/// The (T, L)-HiNet generator as a streaming provider: one phase driver
+/// plans each phase (head churn, backbone, affiliations), and each round is
+/// the phase's stable edges plus that round's churn draws.  Besides the
+/// graph ring of StreamingNetwork it keeps the matching W views, so
+/// hierarchy_at(r) shares graph_at(r)'s clamping, residency and replay.
+/// Byte-identical, round by round, to make_hinet_trace(cfg).
+class HiNetStreamNetwork final : public StreamingNetwork {
+ public:
+  /// Throws PreconditionError on an invalid cfg (see make_hinet_trace).
+  explicit HiNetStreamNetwork(
+      const HiNetConfig& cfg,
+      std::size_t window = StreamingNetwork::kDefaultWindow);
+  ~HiNetStreamNetwork() override;
+
+  /// Hierarchy view of round r, under graph_at(r)'s conventions.
+  const HierarchyView& hierarchy_at(Round r);
+
+ private:
+  Graph synthesize_next() override;
+  void reset_generator() override;
+  void save_generator_state(ByteWriter& w) const override;
+  void load_generator_state(ByteReader& r) override;
+
+  std::size_t phase_length_;
+  std::unique_ptr<detail::PhaseDriver> driver_;
+  std::vector<HierarchyView> views_;  ///< view of round r at views_[r % W]
+};
+
+/// make_hinet_stream's pair of handles over one shared HiNetStreamNetwork,
+/// so a trace at n = 10^5 is never fully resident and each round is
+/// synthesized once for graph_at and hierarchy_at.  The topology forwards
+/// TraceStateSource, so Engine snapshots carry the generator state and
+/// resume without replaying the prefix.
 struct HiNetStream {
   std::unique_ptr<DynamicNetwork> topology;
   std::unique_ptr<HierarchyProvider> hierarchy;
-  HiNetTraceStats stats;     ///< from a planning-only dry pass (exact)
   std::size_t rounds = 0;    ///< nominal horizon: phases * phase_length
 };
 
 /// Builds a streaming (T, L)-HiNet trace.  `window` is the ring of
 /// realized rounds kept resident (>= the engine's needs at 2; pass the
 /// monitor's window length to let aligned-window certification re-read a
-/// whole phase without replays).  Graphs and hierarchy views are
-/// byte-identical, round by round, to make_hinet_trace(cfg).
+/// whole phase without replays).  Plans nothing beyond phase 0 up front;
+/// callers that want the trace's statistics ask hinet_trace_stats.
 HiNetStream make_hinet_stream(const HiNetConfig& cfg, std::size_t window = 2);
 
 /// Dynamics statistics of the trace cfg would generate, from a

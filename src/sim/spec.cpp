@@ -55,8 +55,8 @@ void validate_simulation_spec(const SimulationSpec& spec) {
     // A streaming topology paired with a materialized hierarchy (or vice
     // versa) gets the same horizon check against the stream's declared
     // horizon.  Paired streaming views (e.g. make_hinet_stream) share one
-    // generator core, so their horizons agree by construction and neither
-    // side is a sequence — nothing to check.
+    // HiNetStreamNetwork, so their horizons agree by construction and
+    // neither side is a sequence — nothing to check.
     const auto* net_stream =
         dynamic_cast<const StreamingNetwork*>(spec.network.get());
     if (net_stream != nullptr && hier_seq != nullptr &&

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <vector>
+
 #include "core/hinet_properties.hpp"
 #include "graph/interval.hpp"
 
@@ -34,6 +38,21 @@ TEST(HiNetGenerator, RejectsInsufficientNodes) {
   HiNetConfig cfg = base_config(1);
   cfg.nodes = 8;  // needs >= 6 + 5*1 = 11
   EXPECT_THROW(make_hinet_trace(cfg), PreconditionError);
+}
+
+TEST(HiNetGenerator, StreamReportsTheGeneratorDiagnostic) {
+  // The config is validated before the streaming base is built, so a
+  // zero-length trace gets the generator's message, not the base's.
+  HiNetConfig cfg = base_config(1);
+  cfg.phases = 0;
+  try {
+    (void)make_hinet_stream(cfg);
+    FAIL() << "phases = 0 was accepted";
+  } catch (const PreconditionError& e) {
+    EXPECT_NE(std::string(e.what()).find("need at least one phase"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(HiNetGenerator, TraceShape) {
@@ -181,6 +200,65 @@ TEST(HiNetGenerator, MeanMembersAccountsForBackbone) {
   HiNetTrace trace = make_hinet_trace(cfg);
   // nodes - heads - relays = 40 - 6 - 5 = 29 plain members per round.
   EXPECT_DOUBLE_EQ(trace.stats.mean_members, 29.0);
+}
+
+TEST(HiNetGenerator, DryPassStatsMatchTheRealizedViews) {
+  // hinet_trace_stats plans the phases without realizing a round; every
+  // statistic it reports must equal a recount over the realized views.
+  std::size_t all_head_changes = 0;
+  std::size_t all_reaffiliations = 0;
+  for (std::uint64_t seed = 31; seed <= 36; ++seed) {
+    SCOPED_TRACE(seed);
+    HiNetConfig cfg = base_config(seed);
+    cfg.phase_length = seed % 2 == 0 ? 1 : 4;
+    cfg.phases = 12;
+    cfg.hop_l = static_cast<int>(2 + seed % 3);
+    cfg.head_churn_prob = 0.3;
+    cfg.backbone_rewire_prob = 0.5;
+    HiNetTrace trace = make_hinet_trace(cfg);
+    const std::vector<HierarchyView>& views = trace.ctvg.hierarchy().rounds();
+    ASSERT_EQ(views.size(), cfg.phases * cfg.phase_length);
+
+    std::vector<char> ever_head(cfg.nodes, 0);
+    std::size_t head_changes = 0;
+    std::size_t reaffiliations = 0;
+    double member_rounds = 0.0;
+    for (std::size_t r = 0; r < views.size(); ++r) {
+      const HierarchyView& view = views[r];
+      for (const NodeId h : view.heads()) ever_head[h] = 1;
+      member_rounds += static_cast<double>(view.member_count());
+      if (r == 0) continue;
+      const HierarchyView& prev = views[r - 1];
+      if (r % cfg.phase_length == 0 && view.heads() != prev.heads()) {
+        ++head_changes;
+      }
+      // A re-affiliation: a plain member whose previous-round cluster was
+      // set and differs from its cluster now.
+      for (NodeId v = 0; v < cfg.nodes; ++v) {
+        const ClusterId before = prev.cluster_of(v);
+        if (view.role(v) == NodeRole::kMember && before != kNoCluster &&
+            view.cluster_of(v) != before) {
+          ++reaffiliations;
+        }
+      }
+    }
+    const double mean_members =
+        member_rounds / static_cast<double>(views.size());
+
+    const HiNetTraceStats stats = hinet_trace_stats(cfg);
+    EXPECT_EQ(stats.theta, static_cast<std::size_t>(std::count(
+                               ever_head.begin(), ever_head.end(), char(1))));
+    EXPECT_EQ(stats.head_changes, head_changes);
+    EXPECT_EQ(stats.reaffiliation_events, reaffiliations);
+    EXPECT_DOUBLE_EQ(stats.mean_members, mean_members);
+    EXPECT_DOUBLE_EQ(stats.mean_reaffiliations,
+                     static_cast<double>(reaffiliations) / mean_members);
+    all_head_changes += head_changes;
+    all_reaffiliations += reaffiliations;
+  }
+  // The sweep must exercise both kinds of churn it recounts.
+  EXPECT_GT(all_head_changes, 0u);
+  EXPECT_GT(all_reaffiliations, 0u);
 }
 
 // Property sweep across seeds and parameter combinations: every generated

