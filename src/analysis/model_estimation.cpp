@@ -12,20 +12,6 @@ StabilityEstimate estimate_stability(Ctvg& trace, std::size_t rounds,
 
   StabilityEstimate est;
 
-  // Aligned-phase properties are not monotone in T in general, so report
-  // the largest T that holds by direct scan.
-  for (std::size_t t = 1; t <= t_cap; ++t) {
-    if (check_stable_head_set(trace, rounds, t)) {
-      est.max_t_stable_head_set = t;
-    }
-    if (check_stable_hierarchy(trace, rounds, t)) {
-      est.max_t_stable_hierarchy = t;
-    }
-    if (check_head_connectivity(trace, rounds, t)) {
-      est.max_t_head_connectivity = t;
-    }
-  }
-
   // Worst-case L over individual rounds.
   est.worst_l = 0;
   for (Round r = 0; r < rounds; ++r) {
@@ -37,13 +23,28 @@ StabilityEstimate estimate_stability(Ctvg& trace, std::size_t rounds,
     est.worst_l = std::max(est.worst_l, l);
   }
 
-  if (est.worst_l >= 1) {
-    for (std::size_t t = 1; t <= t_cap; ++t) {
-      if (check_hinet(trace, rounds, t, est.worst_l)) {
-        est.max_t_hinet = t;
-      }
+  // Aligned-phase properties are not monotone in T in general, so report
+  // the largest T that holds by direct scan: one judgement per window per
+  // T, read for every definition at once.
+  for (std::size_t t = 1; t <= t_cap; ++t) {
+    const AssumptionReport report =
+        monitor_assumptions(trace, rounds, t, std::max(est.worst_l, 1));
+    bool head_set = true;
+    bool hierarchy = true;
+    bool connected = true;
+    for (const WindowReport& w : report.windows) {
+      head_set = head_set && w.head_set_stable;
+      hierarchy = hierarchy && w.hierarchy_stable;
+      connected = connected && w.head_connectivity;
     }
-  } else if (est.worst_l == 0) {
+    if (head_set) est.max_t_stable_head_set = t;
+    if (hierarchy) est.max_t_stable_hierarchy = t;
+    if (connected) est.max_t_head_connectivity = t;
+    // Definition 8 at L = worst_l: a clean report is check_hinet holding.
+    if (est.worst_l >= 1 && report.clean()) est.max_t_hinet = t;
+  }
+
+  if (est.worst_l == 0) {
     // Single cluster (fewer than two heads everywhere): Def. 7 is vacuous;
     // the hierarchy stability alone decides.
     est.max_t_hinet = est.max_t_stable_hierarchy;

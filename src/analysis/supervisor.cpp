@@ -239,11 +239,6 @@ extern "C" void hinet_sigint_handler(int sig) {
 
 }  // namespace
 
-const std::atomic<bool>* install_sigint_cancellation() {
-  std::signal(SIGINT, hinet_sigint_handler);
-  return &g_sigint_cancel;
-}
-
 const std::atomic<bool>* install_termination_cancellation() {
   std::signal(SIGINT, hinet_sigint_handler);
   std::signal(SIGTERM, hinet_sigint_handler);

@@ -27,10 +27,10 @@
 //     replicates are durably recorded as they finish and skipped on the
 //     next run — a killed sweep resumes and aggregates byte-identically
 //     (tests/analysis/test_journal.cpp, CI kill-and-resume smoke);
-//   - cooperative cancellation: a cancel flag (e.g. set by SIGINT via
-//     install_sigint_cancellation) stops workers at the next replicate
-//     boundary; in-flight replicates finish and reach the journal, so an
-//     interrupted sweep loses nothing it completed.
+//   - cooperative cancellation: a cancel flag (e.g. set by SIGINT or
+//     SIGTERM via install_termination_cancellation) stops workers at the
+//     next replicate boundary; in-flight replicates finish and reach the
+//     journal, so an interrupted sweep loses nothing it completed.
 //
 // Journal records are keyed by replicate seed, so a sweep may resume
 // under a different worker count than the one it was killed under.
@@ -151,18 +151,14 @@ AggregateResult run_experiment_supervised(const SpecFactory& factory,
                                           const ExperimentOptions& options,
                                           const SupervisorPolicy& policy);
 
-/// Installs a SIGINT handler that sets (and never clears) an internal
-/// cancellation flag, and returns a pointer to it for SupervisorPolicy::
-/// cancel.  Install once per process; a second SIGINT restores the default
-/// disposition, so a double ctrl-C still kills a wedged sweep.
-const std::atomic<bool>* install_sigint_cancellation();
-
-/// Like install_sigint_cancellation, but covers SIGTERM as well — the
-/// signal a supervisor (systemd, CI, `kill`) sends for a clean shutdown.
-/// Both signals share one flag: long-running tools (sweep_runner, hinetd)
-/// treat either as "finish the in-flight unit, journal it, exit with the
-/// shared transient status".  A second delivery of either signal restores
-/// the default disposition, so a wedged process can still be killed.
+/// Installs a handler on SIGINT and SIGTERM that sets (and never clears)
+/// an internal cancellation flag, and returns a pointer to it for
+/// SupervisorPolicy::cancel.  SIGTERM is what a supervisor (systemd, CI,
+/// `kill`) sends for a clean shutdown; long-running tools (sweep_runner,
+/// hinetd) treat either signal as "finish the in-flight unit, journal it,
+/// exit with the shared transient status".  Install once per process; a
+/// second delivery of either signal restores the default disposition, so
+/// a double ctrl-C or a second `kill` still stops a wedged process.
 const std::atomic<bool>* install_termination_cancellation();
 
 }  // namespace hinet

@@ -38,7 +38,6 @@ class KloFloodProcess final : public Process {
   // Checkpoint hooks (see sim/process.hpp for the contract).
   void save_state(ByteWriter& w) const override;
   void restore_state(ByteReader& r) override;
-  bool snapshot_capable() const override { return true; }
 
  private:
   NodeId self_;
@@ -65,7 +64,6 @@ class KloPipelineProcess final : public Process {
   // Checkpoint hooks (see sim/process.hpp for the contract).
   void save_state(ByteWriter& w) const override;
   void restore_state(ByteReader& r) override;
-  bool snapshot_capable() const override { return true; }
 
  private:
   NodeId self_;

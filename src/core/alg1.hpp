@@ -89,7 +89,6 @@ class Alg1Process final : public Process {
   // Checkpoint hooks (see sim/process.hpp for the contract).
   void save_state(ByteWriter& w) const override;
   void restore_state(ByteReader& r) override;
-  bool snapshot_capable() const override { return true; }
 
  private:
   void maybe_start_phase(const RoundContext& ctx);

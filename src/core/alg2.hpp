@@ -52,7 +52,6 @@ class Alg2Process final : public Process {
   // Checkpoint hooks (see sim/process.hpp for the contract).
   void save_state(ByteWriter& w) const override;
   void restore_state(ByteReader& r) override;
-  bool snapshot_capable() const override { return true; }
 
  private:
   NodeId self_;

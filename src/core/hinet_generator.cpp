@@ -523,8 +523,8 @@ HiNetTraceStats hinet_trace_stats(const HiNetConfig& cfg) {
   return stats;
 }
 
-HiNetStream make_hinet_stream(const HiNetConfig& cfg, std::size_t window) {
-  auto net = std::make_shared<HiNetStreamNetwork>(cfg, window);
+HiNetStream make_hinet_stream(const HiNetConfig& cfg) {
+  auto net = std::make_shared<HiNetStreamNetwork>(cfg);
   HiNetStream out;
   out.rounds = net->round_count();
   out.topology = std::make_unique<HiNetStreamTopology>(net);

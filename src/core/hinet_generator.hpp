@@ -115,12 +115,11 @@ struct HiNetStream {
   std::size_t rounds = 0;    ///< nominal horizon: phases * phase_length
 };
 
-/// Builds a streaming (T, L)-HiNet trace.  `window` is the ring of
-/// realized rounds kept resident (>= the engine's needs at 2; pass the
-/// monitor's window length to let aligned-window certification re-read a
-/// whole phase without replays).  Plans nothing beyond phase 0 up front;
-/// callers that want the trace's statistics ask hinet_trace_stats.
-HiNetStream make_hinet_stream(const HiNetConfig& cfg, std::size_t window = 2);
+/// Builds a streaming (T, L)-HiNet trace at the default ring, which is
+/// all the engine and the assumption monitor need.  Plans nothing beyond
+/// phase 0 up front; callers that want the trace's statistics ask
+/// hinet_trace_stats.
+HiNetStream make_hinet_stream(const HiNetConfig& cfg);
 
 /// Dynamics statistics of the trace cfg would generate, from a
 /// planning-only dry pass: exact and O(phases · n) with no per-round graph

@@ -20,8 +20,8 @@
 //     a maximum spanning forest under run-length weights) and combines the
 //     per-round values in one pass — no binary search, no re-scan.
 // Both consume the trace strictly forward, so they run over a streaming
-// provider (StreamingNetwork) without forcing replays, which is what lets
-// the assumption monitor certify traces that are never fully resident.
+// provider (StreamingNetwork) without forcing replays and certify traces
+// that are never fully resident.
 //
 // The naive per-window forms are kept as *_reference: they are the
 // executable spec the differential suite pins the incremental versions

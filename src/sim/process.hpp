@@ -84,9 +84,6 @@ class Process {
   /// Restores state saved by save_state on an identically-constructed
   /// process.  Must consume the reader exactly (the engine verifies).
   virtual void restore_state(ByteReader& r);
-
-  /// True when this process type implements the checkpoint hooks.
-  virtual bool snapshot_capable() const { return false; }
 };
 
 inline void Process::save_state(ByteWriter&) const {

@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "cluster/maintenance.hpp"
 #include "core/hinet_generator.hpp"
 #include "graph/markovian.hpp"
@@ -89,6 +91,42 @@ TEST(ModelEstimation, MaintainedHierarchyOverMarkovianDynamics) {
   // Organic dynamics: estimates exist and are internally consistent.
   EXPECT_GE(est.max_t_stable_head_set, est.max_t_stable_hierarchy);
   SUCCEED();
+}
+
+TEST(ModelEstimation, PinnedOnHeadChurnTraces) {
+  // Regression pins: head churn and backbone rewiring at (T, L) = (20, 3)
+  // give each seed its own estimate.
+  struct Pinned {
+    std::uint64_t seed;
+    StabilityEstimate est;
+  };
+  const Pinned pinned[] = {
+      {1, {40, 20, 20, 3, 20}},
+      {2, {40, 20, 40, 3, 20}},
+      {3, {20, 20, 20, 3, 20}},
+  };
+  for (const Pinned& p : pinned) {
+    SCOPED_TRACE("seed " + std::to_string(p.seed));
+    HiNetConfig cfg;
+    cfg.nodes = 36;
+    cfg.heads = 4;
+    cfg.phase_length = 20;
+    cfg.phases = 3;
+    cfg.hop_l = 3;
+    cfg.reaffiliation_prob = 0.3;
+    cfg.head_churn_prob = 0.3;
+    cfg.backbone_rewire_prob = 0.5;
+    cfg.churn_edges = 3;
+    cfg.seed = p.seed;
+    HiNetTrace trace = make_hinet_trace(cfg);
+    const StabilityEstimate est =
+        estimate_stability(trace.ctvg, trace.ctvg.round_count());
+    EXPECT_EQ(est.max_t_stable_head_set, p.est.max_t_stable_head_set);
+    EXPECT_EQ(est.max_t_stable_hierarchy, p.est.max_t_stable_hierarchy);
+    EXPECT_EQ(est.max_t_head_connectivity, p.est.max_t_head_connectivity);
+    EXPECT_EQ(est.worst_l, p.est.worst_l);
+    EXPECT_EQ(est.max_t_hinet, p.est.max_t_hinet);
+  }
 }
 
 TEST(ModelEstimation, RejectsBadArguments) {

@@ -1,9 +1,12 @@
 // Online (T, L)-HiNet assumption monitoring over realized traces.
-#include "analysis/assumption_monitor.hpp"
-
 #include <gtest/gtest.h>
 
+#include <utility>
+#include <vector>
+
 #include "core/hinet_generator.hpp"
+#include "core/hinet_properties.hpp"
+#include "sim/faults.hpp"
 
 namespace hinet {
 namespace {
@@ -156,6 +159,87 @@ TEST(AssumptionMonitor, JoinCompletionFillsWindowEnds) {
   EXPECT_DOUBLE_EQ(report.windows[0].completion_fraction_end, 0.5);
   // Second window ends past the executed rounds: clamped to the last one.
   EXPECT_DOUBLE_EQ(report.windows[1].completion_fraction_end, 1.0);
+}
+
+// ---- Streams certify at the default ring ------------------------------
+
+/// Forwards to the stream's own views, so the test keeps net.rewinds().
+class StreamHierarchy final : public HierarchyProvider {
+ public:
+  explicit StreamHierarchy(HiNetStreamNetwork& net) : net_(net) {}
+  std::size_t node_count() const override { return net_.node_count(); }
+  const HierarchyView& hierarchy_at(Round r) override {
+    return net_.hierarchy_at(r);
+  }
+
+ private:
+  HiNetStreamNetwork& net_;
+};
+
+HiNetConfig certified_stream_config() {
+  HiNetConfig cfg;
+  cfg.nodes = 200;
+  cfg.heads = 8;
+  cfg.phase_length = 20;
+  cfg.phases = 10;
+  cfg.hop_l = 3;
+  cfg.reaffiliation_prob = 0.3;
+  cfg.head_churn_prob = 0.3;
+  cfg.backbone_rewire_prob = 0.5;
+  cfg.churn_edges = 6;
+  cfg.seed = 17;
+  return cfg;
+}
+
+/// (t, l) judgements of the stream: its own (T, L), a bound one hop too
+/// tight (L-hop violations) and windows straddling phase boundaries
+/// (head-set and hierarchy violations).
+std::vector<std::pair<std::size_t, int>> judgements(const HiNetConfig& cfg) {
+  return {{cfg.phase_length, cfg.hop_l},
+          {cfg.phase_length, cfg.hop_l - 1},
+          {cfg.phase_length + 1, cfg.hop_l}};
+}
+
+TEST(AssumptionMonitor, StreamCertifiesAtDefaultRingWithoutReplay) {
+  const HiNetConfig cfg = certified_stream_config();
+  const std::size_t rounds = cfg.phases * cfg.phase_length;
+  HiNetTrace trace = make_hinet_trace(cfg);
+  for (const auto& [t, l] : judgements(cfg)) {
+    HiNetStreamNetwork net(cfg);
+    ASSERT_EQ(net.window(), StreamingNetwork::kDefaultWindow);
+    StreamHierarchy hier(net);
+    const AssumptionReport streamed =
+        monitor_assumptions(net, hier, rounds, t, l);
+    EXPECT_EQ(net.rewinds(), 0u) << "t=" << t << " l=" << l;
+    EXPECT_EQ(streamed.to_string(),
+              monitor_assumptions(trace.ctvg, rounds, t, l).to_string());
+  }
+}
+
+TEST(AssumptionMonitor, FaultyStreamCertifiesAtDefaultRingWithoutReplay) {
+  const HiNetConfig cfg = certified_stream_config();
+  const std::size_t rounds = cfg.phases * cfg.phase_length;
+  HiNetTrace trace = make_hinet_trace(cfg);
+  // A head of phase 3 crashes for good in the middle of its phase.
+  const Round crash = 3 * cfg.phase_length + cfg.phase_length / 2;
+  FaultPlan plan;
+  plan.crashes.push_back({trace.ctvg.hierarchy_at(crash).heads().front(),
+                          crash});
+  FaultyNetwork frozen(trace.ctvg.topology(), plan);
+  Ctvg realized(materialize(frozen, rounds),
+                HierarchySequence(trace.ctvg.hierarchy().rounds()));
+  for (const auto& [t, l] : judgements(cfg)) {
+    HiNetStreamNetwork net(cfg);
+    FaultyNetwork faulty(net, plan);
+    StreamHierarchy hier(net);
+    const AssumptionReport streamed =
+        monitor_assumptions(faulty, hier, rounds, t, l);
+    EXPECT_EQ(net.rewinds(), 0u) << "t=" << t << " l=" << l;
+    EXPECT_EQ(streamed.to_string(),
+              monitor_assumptions(realized, rounds, t, l).to_string());
+    ASSERT_TRUE(streamed.first_violation_round().has_value());
+    EXPECT_LE(*streamed.first_violation_round(), crash);
+  }
 }
 
 }  // namespace

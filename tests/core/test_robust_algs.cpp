@@ -3,10 +3,10 @@
 // re-upload — plus the head-crash repair integration test.
 #include <gtest/gtest.h>
 
-#include "analysis/assumption_monitor.hpp"
 #include "cluster/maintenance.hpp"
 #include "core/alg1.hpp"
 #include "core/alg2.hpp"
+#include "core/hinet_properties.hpp"
 #include "graph/generators.hpp"
 #include "sim/engine.hpp"
 #include "sim/faults.hpp"
