@@ -108,12 +108,14 @@ std::string HierarchyView::validate(const Graph& g,
     return "graph and hierarchy disagree on node count";
   }
   HINET_REQUIRE(max_hops >= 1, "max_hops must be >= 1");
-  // Hop distances from each head are needed only when some member is
-  // affiliated with it; compute lazily and cache per head.
+  // Hop distances from each head are needed only for multi-hop limits and
+  // only when some member is affiliated with it; compute lazily and cache
+  // per head.  At max_hops == 1 (the generator's check, once per phase)
+  // the cache stays empty rather than n empty vectors per call.
   // Error strings are built only on the failure path: this runs per node
   // per generated phase, and an eager ostringstream per node dominated the
   // happy path.
-  std::vector<std::vector<int>> dist_cache(role_.size());
+  std::vector<std::vector<int>> dist_cache(max_hops > 1 ? role_.size() : 0);
   for (NodeId v = 0; v < role_.size(); ++v) {
     const ClusterId k = cluster_[v];
     if (role_[v] == NodeRole::kHead) {

@@ -80,13 +80,14 @@ BackboneLayout plan_backbone(const HiNetConfig& cfg,
 
 struct PhasePlan {
   std::vector<ClusterId> head_of;  ///< per node affiliation (kNoCluster ok)
-  std::vector<Edge> stable;        ///< backbone + member edges
+  Graph stable;  ///< backbone + member edges: every round's base CSR
   HierarchyView view;
 };
 
-/// Lays out one phase from a backbone layout: build the chain graph, then
-/// affiliate every non-backbone node with a head (keeping its previous
-/// head when possible — the re-affiliation coin decides churn).
+/// Lays out one phase from a backbone layout: collect the chain's edges,
+/// then affiliate every non-backbone node with a head (keeping its
+/// previous head when possible — the re-affiliation coin decides churn),
+/// and build the phase's CSR once.
 PhasePlan plan_phase(const HiNetConfig& cfg, const BackboneLayout& layout,
                      const std::vector<ClusterId>& prev_head_of, Rng& rng,
                      std::size_t* reaffiliations) {
@@ -105,13 +106,16 @@ PhasePlan plan_phase(const HiNetConfig& cfg, const BackboneLayout& layout,
   std::vector<char> is_gateway(n, 0);
   for (NodeId v : layout.gateways) is_gateway[v] = 1;
 
+  // The chain plus one edge per member is a spanning tree: n - 1 edges.
+  std::vector<Edge> stable;
+  stable.reserve(n - 1);
   std::size_t relay_cursor = 0;
   for (std::size_t i = 0; i + 1 < layout.chain.size(); ++i) {
     NodeId prev = layout.chain[i];
     const NodeId right = layout.chain[i + 1];
     for (std::size_t hop = 1; hop < l; ++hop) {
       const NodeId relay = layout.gateways[relay_cursor++];
-      plan.stable.push_back({prev, relay});
+      stable.push_back({prev, relay});
       // Affiliate the relay with whichever chain head it is adjacent to;
       // middle relays of an L>3 backbone touch no head and stay
       // unaffiliated (the "at most one cluster" case).
@@ -126,7 +130,7 @@ PhasePlan plan_phase(const HiNetConfig& cfg, const BackboneLayout& layout,
       }
       prev = relay;
     }
-    plan.stable.push_back({prev, right});
+    stable.push_back({prev, right});
   }
 
   // Members: everyone not a head or relay.
@@ -150,10 +154,11 @@ PhasePlan plan_phase(const HiNetConfig& cfg, const BackboneLayout& layout,
     }
     plan.view.set_member(v, target);
     plan.head_of[v] = target;
-    plan.stable.push_back({v, target});
+    stable.push_back({v, target});
   }
 
-  HINET_ENSURE(plan.view.validate(Graph(n, plan.stable)).empty(),
+  plan.stable = Graph(n, stable);
+  HINET_ENSURE(plan.view.validate(plan.stable).empty(),
                "generated phase hierarchy invalid");
   return plan;
 }
@@ -283,14 +288,12 @@ class PhaseDriver {
   std::size_t phase() const { return phase_; }
   const HierarchyView& view() const { return plan_.view; }
 
-  /// One realized round: the phase's stable edges plus ephemeral churn,
-  /// built in one pass.
+  /// One realized round: this round's churn draws merged onto the
+  /// phase's stable CSR, in one linear pass.
   Graph realize_round() {
-    std::vector<Edge> edges;
-    edges.reserve(plan_.stable.size() + cfg_.churn_edges);
-    edges.assign(plan_.stable.begin(), plan_.stable.end());
-    gen::append_churn_edges(edges, cfg_.nodes, cfg_.churn_edges, churn_rng_);
-    return Graph(cfg_.nodes, edges);
+    churn_.clear();
+    gen::append_churn_edges(churn_, cfg_.nodes, cfg_.churn_edges, churn_rng_);
+    return Graph::with_edges(plan_.stable, churn_);
   }
 
   /// Phase-level statistics accumulated so far; theta is finalized from
@@ -313,7 +316,7 @@ class PhaseDriver {
     save_node_vec(w, layout_.chain);
     save_node_vec(w, layout_.gateways);
     save_node_vec(w, plan_.head_of);
-    save_graph(w, Graph(cfg_.nodes, plan_.stable));
+    save_graph(w, plan_.stable);
     save_view(w, plan_.view);
   }
 
@@ -330,7 +333,7 @@ class PhaseDriver {
     layout_.chain = load_node_vec(r);
     layout_.gateways = load_node_vec(r);
     plan_.head_of = load_node_vec(r);
-    plan_.stable = load_graph(r, cfg_.nodes).edges();
+    plan_.stable = load_graph(r, cfg_.nodes);
     plan_.view = load_view(r);
     if (prev_head_of_.size() != cfg_.nodes ||
         plan_.head_of.size() != cfg_.nodes ||
@@ -369,6 +372,26 @@ class PhaseDriver {
         throw IoError("HiNet generator state corrupt: head set not sorted");
       }
     }
+    // The phase's rounds are its stable graph plus churn, served under its
+    // view, so the three must be the consistent triple plan_phase makes:
+    // an affiliation the view does not show, or a member whose head edge
+    // is missing, would break the 1-hop cluster model for the rest of the
+    // phase.
+    if (prev_head_of_ != plan_.head_of) {
+      throw IoError(
+          "HiNet generator state corrupt: previous affiliations differ");
+    }
+    for (NodeId v = 0; v < cfg_.nodes; ++v) {
+      if (plan_.head_of[v] != plan_.view.cluster_of(v)) {
+        throw IoError(
+            "HiNet generator state corrupt: affiliation differs from view");
+      }
+    }
+    if (!plan_.view.validate(plan_.stable).empty()) {
+      throw IoError(
+          "HiNet generator state corrupt: stable graph does not carry the "
+          "view");
+    }
     // Restored mid-run state carries no statistics: stats are a whole-
     // trace property, computed by hinet_trace_stats and unaffected by
     // where a checkpoint cut the run.
@@ -381,11 +404,11 @@ class PhaseDriver {
     // Head churn at phase boundaries (never in ∞-stable mode).
     bool heads_changed = false;
     if (!first && !cfg_.stable_heads && cfg_.head_churn_prob > 0.0) {
+      std::vector<char> is_head(cfg_.nodes, 0);
+      for (NodeId x : head_set_) is_head[x] = 1;
       for (NodeId& h : head_set_) {
         if (!head_rng_.bernoulli(cfg_.head_churn_prob)) continue;
         // Swap head role with a random non-head node.
-        std::vector<char> is_head(cfg_.nodes, 0);
-        for (NodeId x : head_set_) is_head[x] = 1;
         NodeId replacement = h;
         for (int attempt = 0; attempt < 64; ++attempt) {
           const auto cand = static_cast<NodeId>(head_rng_.below(cfg_.nodes));
@@ -395,6 +418,8 @@ class PhaseDriver {
           }
         }
         if (replacement != h) {
+          is_head[h] = 0;
+          is_head[replacement] = 1;
           h = replacement;
           ever_head_[replacement] = 1;
           heads_changed = true;
@@ -424,6 +449,7 @@ class PhaseDriver {
   std::vector<char> ever_head_;
   BackboneLayout layout_;
   PhasePlan plan_;
+  std::vector<Edge> churn_;  ///< realize_round's reused draw buffer
   std::size_t phase_ = 0;
   HiNetTraceStats stats_;
 };
@@ -545,12 +571,13 @@ HiNetTrace make_hinet_trace(const HiNetConfig& cfg) {
   }
 
   // No whole-trace re-validation here: every phase already passed
-  // plan.view.validate(plan.stable) at construction, each round's view IS
-  // its phase's validated view, and each round's graph is plan.stable plus
-  // churn edges — realize_round only ever ADDS edges, and the per-round
-  // check at hop limit 1 is pure edge existence (has_edge), which is
-  // monotone under edge addition.  Re-running Ctvg::validate() per round
-  // was the single largest cost of trace generation and could never fire.
+  // plan.view.validate(plan.stable) on its CSR at construction, each
+  // round's view IS its phase's validated view, and each round's graph is
+  // Graph::with_edges(plan.stable, churn), a superset of the validated
+  // graph; the per-round check at hop limit 1 is pure edge existence
+  // (has_edge), which is monotone under edge addition.  Re-running
+  // Ctvg::validate() per round was the single largest cost of trace
+  // generation and could never fire.
   Ctvg ctvg(GraphSequence(std::move(graphs)),
             HierarchySequence(std::move(views)));
   return HiNetTrace{std::move(ctvg), hinet_trace_stats(cfg)};

@@ -77,11 +77,13 @@ class PhaseDriver;
 }  // namespace detail
 
 /// The (T, L)-HiNet generator as a streaming provider: one phase driver
-/// plans each phase (head churn, backbone, affiliations), and each round is
-/// the phase's stable edges plus that round's churn draws.  Besides the
-/// graph ring of StreamingNetwork it keeps the matching W views, so
-/// hierarchy_at(r) shares graph_at(r)'s clamping, residency and replay.
-/// Byte-identical, round by round, to make_hinet_trace(cfg).
+/// plans each phase (head churn, backbone, affiliations) and builds the
+/// phase's stable edges into a CSR once, validating the view on it; each
+/// round is that CSR with the round's churn draws merged in
+/// (Graph::with_edges, linear in the graph).  Besides the graph ring of
+/// StreamingNetwork it keeps the matching W views, so hierarchy_at(r)
+/// shares graph_at(r)'s clamping, residency and replay.  Byte-identical,
+/// round by round, to make_hinet_trace(cfg).
 class HiNetStreamNetwork final : public StreamingNetwork {
  public:
   /// Throws PreconditionError on an invalid cfg (see make_hinet_trace).

@@ -51,20 +51,67 @@ Graph::Graph(std::size_t n, const std::vector<Edge>& edges)
   neighbors_.resize(out);
 }
 
-void Graph::check_node(NodeId v) const {
-  HINET_REQUIRE(v < node_count(), "node id out of range");
+Graph Graph::with_edges(const Graph& base, std::span<const Edge> extra) {
+  HINET_REQUIRE(base.edge_count() + extra.size() <=
+                    std::numeric_limits<std::uint32_t>::max() / 2,
+                "edge list too long for 32-bit offsets");
+  // Both arcs of every extra edge, sorted by (row, neighbour) and unique:
+  // each touched row's additions are then one sorted run.
+  std::vector<Edge> arcs;
+  arcs.reserve(2 * extra.size());
+  for (const Edge& e : extra) {
+    base.check_node(e.u);
+    base.check_node(e.v);
+    HINET_REQUIRE(e.u != e.v, "self-loop");
+    arcs.push_back({e.u, e.v});
+    arcs.push_back({e.v, e.u});
+  }
+  if (arcs.empty()) return base;
+  std::sort(arcs.begin(), arcs.end());
+  arcs.erase(std::unique(arcs.begin(), arcs.end()), arcs.end());
+
+  const std::size_t n = base.node_count();
+  Graph g;
+  g.offsets_.resize(n + 1);
+  g.neighbors_.reserve(base.neighbors_.size() + arcs.size());
+  // Rows [next, end) are untouched: one block copy, offsets shifted by the
+  // arcs merged into earlier rows.
+  NodeId next = 0;
+  const auto copy_rows = [&](NodeId end) {
+    const std::uint32_t shift =
+        static_cast<std::uint32_t>(g.neighbors_.size()) - base.offsets_[next];
+    for (NodeId v = next; v < end; ++v) {
+      g.offsets_[v] = base.offsets_[v] + shift;
+    }
+    g.neighbors_.insert(g.neighbors_.end(),
+                        base.neighbors_.begin() + base.offsets_[next],
+                        base.neighbors_.begin() + base.offsets_[end]);
+    next = end;
+  };
+  for (auto it = arcs.begin(); it != arcs.end();) {
+    const NodeId v = it->u;
+    copy_rows(v);
+    g.offsets_[v] = static_cast<std::uint32_t>(g.neighbors_.size());
+    // Merge row v with its sorted additions, keeping one of each.
+    const auto row = base.neighbors(v);
+    auto a = row.begin();
+    for (; it != arcs.end() && it->u == v; ++it) {
+      while (a != row.end() && *a < it->v) g.neighbors_.push_back(*a++);
+      if (a != row.end() && *a == it->v) ++a;
+      g.neighbors_.push_back(it->v);
+    }
+    g.neighbors_.insert(g.neighbors_.end(), a, row.end());
+    next = v + 1;
+  }
+  copy_rows(static_cast<NodeId>(n));
+  g.offsets_[n] = static_cast<std::uint32_t>(g.neighbors_.size());
+  return g;
 }
 
 bool Graph::has_edge(NodeId a, NodeId b) const {
   check_node(b);
   const auto row = neighbors(a);
   return std::binary_search(row.begin(), row.end(), b);
-}
-
-std::span<const NodeId> Graph::neighbors(NodeId v) const {
-  check_node(v);
-  return std::span<const NodeId>(neighbors_.data() + offsets_[v],
-                                 offsets_[v + 1] - offsets_[v]);
 }
 
 std::vector<Edge> Graph::edges() const {
@@ -172,10 +219,7 @@ Graph Graph::intersection(const Graph& a, const Graph& b) {
 Graph Graph::union_of(const Graph& a, const Graph& b) {
   HINET_REQUIRE(a.node_count() == b.node_count(),
                 "union of graphs with different node counts");
-  std::vector<Edge> all = a.edges();
-  const std::vector<Edge> more = b.edges();
-  all.insert(all.end(), more.begin(), more.end());
-  return Graph(a.node_count(), all);
+  return with_edges(a, b.edges());
 }
 
 bool Graph::contains_subgraph(const Graph& sub) const {

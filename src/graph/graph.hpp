@@ -3,13 +3,18 @@
 // and per-round set algebra (intersection/union) used by the T-interval
 // connectivity checker.
 //
-// Representation: one CSR (compressed sparse row) array pair, built once
-// from an edge list and never changed afterwards.  The neighbours of v are
-// neighbors_[offsets_[v] .. offsets_[v+1]), sorted and unique, so
-// neighbour iteration walks contiguous memory and has_edge is a binary
-// search in one row.  A dynamic network is one static graph per round,
-// built once and then only read: there are no edge mutators and no lazily
-// refreshed caches, so a Graph is safe to share read-only across threads.
+// Representation: one CSR (compressed sparse row) array pair, never changed
+// after it is built.  The neighbours of v are neighbors_[offsets_[v] ..
+// offsets_[v+1]), sorted and unique, so neighbour iteration walks
+// contiguous memory and has_edge is a binary search in one row.  There are
+// two ways to build one: from an edge list (the constructor, a counting
+// sort), or as an existing graph plus a few extra edges (with_edges, a
+// linear merge that copies the untouched rows as blocks).  The second is
+// how a round is emitted when most of its edges are a longer-lived
+// footprint, e.g. a (T, L)-HiNet phase's stable edges plus that round's
+// churn.  A dynamic network is one static graph per round, built once and
+// then only read: there are no edge mutators and no lazily refreshed
+// caches, so a Graph is safe to share read-only across threads.
 #pragma once
 
 #include <cstdint>
@@ -56,12 +61,23 @@ class Graph {
   }
   std::size_t edge_count() const { return neighbors_.size() / 2; }
 
+  /// Returns `base` plus the `extra` edges: exactly
+  /// Graph(n, base.edges() + extra), with the constructor's preconditions,
+  /// in one linear pass.  The extra edges are sorted and deduplicated, rows
+  /// they do not touch are copied as blocks with shifted offsets, and only
+  /// the touched rows are merged.
+  static Graph with_edges(const Graph& base, std::span<const Edge> extra);
+
   /// Membership test: binary search in a's neighbour row.
   bool has_edge(NodeId a, NodeId b) const;
 
   /// Sorted neighbour list of v as a span into the flat neighbour array;
   /// valid for the lifetime of the graph.
-  std::span<const NodeId> neighbors(NodeId v) const;
+  std::span<const NodeId> neighbors(NodeId v) const {
+    check_node(v);
+    return std::span<const NodeId>(neighbors_.data() + offsets_[v],
+                                   offsets_[v + 1] - offsets_[v]);
+  }
 
   std::size_t degree(NodeId v) const { return neighbors(v).size(); }
 
@@ -92,7 +108,8 @@ class Graph {
   /// Edge-wise intersection of two graphs on the same node set.
   static Graph intersection(const Graph& a, const Graph& b);
 
-  /// Edge-wise union of two graphs on the same node set.
+  /// Edge-wise union of two graphs on the same node set:
+  /// with_edges(a, b.edges()).
   static Graph union_of(const Graph& a, const Graph& b);
 
   /// True when every edge of `sub` is also an edge of *this.
@@ -106,7 +123,9 @@ class Graph {
   }
 
  private:
-  void check_node(NodeId v) const;
+  void check_node(NodeId v) const {
+    HINET_REQUIRE(v < node_count(), "node id out of range");
+  }
 
   std::vector<std::uint32_t> offsets_{0};  ///< n + 1 row starts
   std::vector<NodeId> neighbors_;          ///< 2m entries, rows sorted

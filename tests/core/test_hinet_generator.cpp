@@ -8,6 +8,7 @@
 
 #include "core/hinet_properties.hpp"
 #include "graph/interval.hpp"
+#include "util/binary_io.hpp"
 
 namespace hinet {
 namespace {
@@ -259,6 +260,66 @@ TEST(HiNetGenerator, DryPassStatsMatchTheRealizedViews) {
   // The sweep must exercise both kinds of churn it recounts.
   EXPECT_GT(all_head_changes, 0u);
   EXPECT_GT(all_reaffiliations, 0u);
+}
+
+/// CRC-32 over every round of cfg's stream: the round's edges() as u32
+/// pairs, then its view's role (u8) and cluster_of (u32) per node.
+std::uint32_t round_bytes_crc(const HiNetConfig& cfg) {
+  HiNetStreamNetwork net(cfg);
+  std::uint32_t crc = 0;
+  for (Round r = 0; r < net.round_count(); ++r) {
+    ByteWriter w;
+    for (const Edge& e : net.graph_at(r).edges()) {
+      w.u32(e.u);
+      w.u32(e.v);
+    }
+    const HierarchyView& view = net.hierarchy_at(r);
+    for (NodeId v = 0; v < cfg.nodes; ++v) {
+      w.u8(static_cast<std::uint8_t>(view.role(v)));
+      w.u32(view.cluster_of(v));
+    }
+    crc = crc32(w.buffer(), crc);
+  }
+  return crc;
+}
+
+TEST(HiNetGenerator, RoundBytesArePinned) {
+  // Every round's graph and view, pinned per trace shape: however a round
+  // is built (a CSR from the full edge list, or the phase's CSR plus a
+  // churn merge), its bytes must not move.
+  HiNetConfig flood;  // scenario_generator(kKloOne) at n = 2000, 30 rounds
+  flood.nodes = 2000;
+  flood.heads = 250;
+  flood.phase_length = 1;
+  flood.phases = 30;
+  flood.hop_l = 2;
+  flood.reaffiliation_prob = 0.05;
+  flood.backbone_rewire_prob = 0.05;
+  flood.churn_edges = 4;
+  flood.seed = 1;
+  EXPECT_EQ(round_bytes_crc(flood), 0xdc942694u);
+
+  HiNetConfig interval;  // scenario_generator(kKloInterval): T = k + αL
+  interval.nodes = 200;
+  interval.heads = 25;
+  interval.phase_length = 36;
+  interval.phases = 3;
+  interval.hop_l = 2;
+  interval.reaffiliation_prob = 0.1;
+  interval.churn_edges = 4;
+  interval.seed = 1;
+  EXPECT_EQ(round_bytes_crc(interval), 0x99431c9cu);
+
+  // Head churn and rewiring at every boundary, and enough churn on a
+  // small graph that draws repeat stable edges and each other.
+  HiNetConfig churny = base_config(7);
+  churny.phase_length = 2;
+  churny.phases = 12;
+  churny.hop_l = 3;
+  churny.head_churn_prob = 0.3;
+  churny.backbone_rewire_prob = 0.5;
+  churny.churn_edges = 16;
+  EXPECT_EQ(round_bytes_crc(churny), 0x4cc44fd3u);
 }
 
 // Property sweep across seeds and parameter combinations: every generated

@@ -163,6 +163,91 @@ TEST(Graph, EqualityIsStructural) {
   EXPECT_FALSE(Graph(3) == Graph(4));
 }
 
+/// The reference with_edges must reproduce: one rebuild from the
+/// concatenated edge list.
+Graph rebuilt(const Graph& base, const std::vector<Edge>& extra) {
+  std::vector<Edge> all = base.edges();
+  all.insert(all.end(), extra.begin(), extra.end());
+  return Graph(base.node_count(), all);
+}
+
+TEST(Graph, WithEdgesEqualsARebuildOnRandomInputs) {
+  Rng rng(23);
+  for (int trial = 0; trial < 300; ++trial) {
+    const std::size_t n = 2 + rng.below(30);
+    // Sparse bases leave rows empty; denser ones touch nearly every row.
+    const std::size_t m = rng.below(trial % 2 == 0 ? n : 3 * n);
+    std::vector<Edge> base_edges;
+    for (std::size_t e = 0; e < m; ++e) {
+      const auto x = static_cast<NodeId>(rng.below(n));
+      const auto y = static_cast<NodeId>(rng.below(n));
+      if (x != y) base_edges.push_back({x, y});
+    }
+    const Graph base(n, base_edges);
+    const std::vector<Edge> present = base.edges();
+
+    // Extras mix fresh pairs, edges the base already has and repeats of
+    // earlier extras, each in either orientation.
+    std::vector<Edge> extra;
+    const std::size_t k = rng.below(12);
+    for (std::size_t e = 0; e < k; ++e) {
+      Edge x{};
+      const std::uint64_t kind = rng.below(3);
+      if (kind == 0 && !present.empty()) {
+        x = rng.pick(present);
+      } else if (kind == 1 && !extra.empty()) {
+        x = rng.pick(extra);
+      } else {
+        x = {static_cast<NodeId>(rng.below(n)),
+             static_cast<NodeId>(rng.below(n))};
+        if (x.u == x.v) continue;
+      }
+      if (rng.bernoulli(0.5)) std::swap(x.u, x.v);
+      extra.push_back(x);
+    }
+    EXPECT_TRUE(Graph::with_edges(base, extra) == rebuilt(base, extra))
+        << "trial " << trial;
+  }
+}
+
+TEST(Graph, WithEdgesMergesBoundaryAndEmptyRows) {
+  // Rows 0 and 5 (the first and last node) are empty in the base; row 2
+  // gains a neighbour between two it already has.
+  const Graph base(6, {{1, 2}, {2, 4}, {3, 4}});
+  const std::vector<Edge> extra = {{0, 5}, {5, 0}, {2, 3}, {4, 2}, {1, 0}};
+  const Graph g = Graph::with_edges(base, extra);
+  EXPECT_TRUE(g == rebuilt(base, extra));
+  EXPECT_EQ(g.edge_count(), 6u);
+  EXPECT_EQ(std::vector<NodeId>(g.neighbors(0).begin(), g.neighbors(0).end()),
+            (std::vector<NodeId>{1, 5}));
+  EXPECT_EQ(std::vector<NodeId>(g.neighbors(2).begin(), g.neighbors(2).end()),
+            (std::vector<NodeId>{1, 3, 4}));
+  EXPECT_EQ(std::vector<NodeId>(g.neighbors(5).begin(), g.neighbors(5).end()),
+            (std::vector<NodeId>{0}));
+
+  // Nothing new, or only edges the base has: the base itself.
+  EXPECT_TRUE(Graph::with_edges(base, {}) == base);
+  const std::vector<Edge> present = {{4, 2}, {2, 1}};
+  EXPECT_TRUE(Graph::with_edges(base, present) == base);
+
+  // A single node can take no edge at all.
+  const Graph one(1);
+  EXPECT_TRUE(Graph::with_edges(one, {}) == one);
+  EXPECT_EQ(Graph::with_edges(one, {}).node_count(), 1u);
+}
+
+TEST(Graph, WithEdgesRejectsWhatTheConstructorRejects) {
+  const Graph base(3, {{0, 1}});
+  const std::vector<Edge> self_loop = {{1, 2}, {2, 2}};
+  const std::vector<Edge> past_end = {{0, 3}};
+  const std::vector<Edge> past_end_first = {{3, 0}};
+  EXPECT_THROW(Graph::with_edges(base, self_loop), PreconditionError);
+  EXPECT_THROW(Graph::with_edges(base, past_end), PreconditionError);
+  EXPECT_THROW(Graph::with_edges(base, past_end_first), PreconditionError);
+  const std::vector<Edge> any = {{0, 1}};
+  EXPECT_THROW(Graph::with_edges(Graph(1), any), PreconditionError);
+}
+
 TEST(Graph, ConcurrentReadsOfAFreshGraphAgree) {
   // A graph is immutable once built, so threads may share one read-only
   // without synchronisation; none of the queries below may write.

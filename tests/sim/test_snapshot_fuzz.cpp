@@ -198,6 +198,8 @@ TEST(SnapshotFuzz, EveryHiNetTraceStateBitFlipRestoresOrThrowsIoError) {
   // in a HiNet stream's trace state must either decode to some other valid
   // state or be rejected as IoError, never surface as another exception
   // (e.g. a hierarchy mutator's precondition on a stored affiliation).
+  // A state that restores must also still be a (T, L)-HiNet phase: round
+  // 8 is in the restored phase, so its view must validate on its graph.
   HiNetConfig cfg;
   cfg.nodes = 24;
   cfg.heads = 4;
@@ -215,7 +217,9 @@ TEST(SnapshotFuzz, EveryHiNetTraceStateBitFlipRestoresOrThrowsIoError) {
 
   std::size_t rejected = 0;
   std::size_t mistyped = 0;
+  std::size_t invalid = 0;
   std::string first_mistyped;
+  std::string first_invalid;
   for (std::size_t bit = 0; bit < good.size() * 8; ++bit) {
     std::vector<std::uint8_t> bad = good;
     bad[bit / 8] ^= static_cast<std::uint8_t>(1u << (bit % 8));
@@ -226,13 +230,20 @@ TEST(SnapshotFuzz, EveryHiNetTraceStateBitFlipRestoresOrThrowsIoError) {
       r.expect_done();
     } catch (const IoError&) {
       ++rejected;
+      continue;
     } catch (const std::exception& e) {
       if (mistyped++ == 0) {
         first_mistyped = "bit " + std::to_string(bit) + ": " + e.what();
       }
+      continue;
+    }
+    const std::string why = fresh.hierarchy_at(8).validate(fresh.graph_at(8));
+    if (!why.empty() && invalid++ == 0) {
+      first_invalid = "bit " + std::to_string(bit) + ": " + why;
     }
   }
   EXPECT_EQ(mistyped, 0u) << "first: " << first_mistyped;
+  EXPECT_EQ(invalid, 0u) << "first: " << first_invalid;
   EXPECT_GT(rejected, 0u);
 }
 
