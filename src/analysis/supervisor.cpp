@@ -6,7 +6,6 @@
 #include <csignal>
 #include <limits>
 #include <mutex>
-#include <sstream>
 #include <thread>
 
 #include "sim/engine.hpp"
@@ -127,10 +126,8 @@ SupervisedBatch run_replicates_supervised(const SpecFactory& factory,
         return;
       } catch (const std::exception& e) {
         const RunErrorClass cls = classify_run_error(e);
-        const bool retryable =
-            is_transient(cls) &&
-            (cls != RunErrorClass::kDeadline || policy.retry_deadline);
-        if (retryable && attempt < max_attempts && !cancel_requested()) {
+        if (is_transient(cls) && attempt < max_attempts &&
+            !cancel_requested()) {
           std::this_thread::sleep_for(std::chrono::milliseconds(
               policy.backoff_base_ms << (attempt - 1)));
           continue;
@@ -196,34 +193,6 @@ AggregateResult aggregate_supervised(const SupervisedBatch& batch,
   out.failed_replicates = batch.failures.size();
   out.retried_replicates = batch.retried_replicates;
   return out;
-}
-
-AggregateResult run_experiment_supervised(const SpecFactory& factory,
-                                          const ExperimentOptions& options,
-                                          const SupervisorPolicy& policy) {
-  const std::size_t jobs = options.policy.effective_jobs();
-  const auto t0 = Clock::now();
-  const SupervisedBatch batch =
-      run_replicates_supervised(factory, options, policy);
-  const double seconds =
-      std::chrono::duration<double>(Clock::now() - t0).count();
-  if (batch.completed() == 0) {
-    std::vector<ReplicateFailure> failures;
-    failures.reserve(batch.failures.size());
-    for (const RunError& f : batch.failures) {
-      std::ostringstream os;
-      os << "[" << to_string(f.cls) << ", " << f.attempts << " attempt(s)] "
-         << f.message;
-      failures.push_back(ReplicateFailure{f.replicate, f.seed, os.str()});
-    }
-    if (failures.empty()) {
-      failures.push_back(ReplicateFailure{
-          0, replicate_seed(options.base_seed, 0),
-          "batch cancelled before any replicate completed"});
-    }
-    throw ReplicateBatchError(std::move(failures));
-  }
-  return aggregate_supervised(batch, seconds, jobs);
 }
 
 namespace {

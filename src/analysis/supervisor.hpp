@@ -89,11 +89,6 @@ struct SupervisorPolicy {
   /// Backoff before retry i (1-based) is backoff_base_ms << (i-1).
   std::size_t backoff_base_ms = 10;
 
-  /// Whether DeadlineError counts as transient.  True by default — on a
-  /// loaded machine a deadline often passes on retry; set false when the
-  /// deadline is meant as a hard per-replicate cost cap.
-  bool retry_deadline = true;
-
   /// Completed-replicate store for crash-safe resume; not owned.  When
   /// set, recorded seeds are skipped (their results reused) and fresh
   /// completions are appended durably.
@@ -140,16 +135,6 @@ SupervisedBatch run_replicates_supervised(const SpecFactory& factory,
 /// failed), with failed/retried counts filled in.
 AggregateResult aggregate_supervised(const SupervisedBatch& batch,
                                      double batch_seconds, std::size_t jobs);
-
-/// run_replicates_supervised + aggregate_supervised.  Throws
-/// ReplicateBatchError only when *no* replicate succeeded (there is
-/// nothing to aggregate); partial failure is reported through
-/// AggregateResult::failed_replicates instead.  Statistics (and the
-/// stats_digest) do not depend on options.policy — a threaded resumed
-/// sweep aggregates byte-identically to a serial one.
-AggregateResult run_experiment_supervised(const SpecFactory& factory,
-                                          const ExperimentOptions& options,
-                                          const SupervisorPolicy& policy);
 
 /// Installs a handler on SIGINT and SIGTERM that sets (and never clears)
 /// an internal cancellation flag, and returns a pointer to it for

@@ -29,33 +29,20 @@ JobQueue::JobQueue(std::string path, std::size_t max_pending,
 }
 
 void JobQueue::maybe_compact() {
-  // Compact history down to the live backlog — replaying (pending
-  // submits + their claims) reproduces exactly this state — but only
-  // when history has meaningfully outgrown the backlog: concurrent
-  // drains reopen the queue for every short mutation, and compacting on
-  // each of those opens would turn O(1) appends into O(backlog) rewrites.
+  // Compact history down to the live backlog — replaying the pending
+  // submits reproduces exactly this state — but only when history has
+  // meaningfully outgrown the backlog: concurrent drains reopen the queue
+  // for every short mutation, and compacting on each of those opens would
+  // turn O(1) appends into O(backlog) rewrites.
   if (log_.access() == FramedLog::Access::kReadOnly) return;
   if (log_.records().size() <= 2 * order_.size() + 8) return;
   std::vector<std::vector<std::uint8_t>> keep;
-  keep.reserve(order_.size() + claims_.size());
+  keep.reserve(order_.size());
   for (const std::uint64_t hash : order_) {
     ByteWriter w;
     w.u8(kRecSubmit);
     w.blob(pending_.at(hash));
     keep.push_back(w.take());
-    const auto claim = claims_.find(hash);
-    if (claim != claims_.end()) {
-      ByteWriter c;
-      c.u8(kRecClaim);
-      c.u64(hash);
-      const std::span<const std::uint8_t> owner_bytes(
-          reinterpret_cast<const std::uint8_t*>(claim->second.owner.data()),
-          claim->second.owner.size());
-      c.blob(owner_bytes);
-      c.u64(claim->second.token);
-      c.u64(claim->second.expiry_ms);
-      keep.push_back(c.take());
-    }
   }
   log_.compact(keep);
 }
@@ -87,24 +74,15 @@ void JobQueue::replay() {
         pending_.erase(it);
         order_.erase(std::find(order_.begin(), order_.end(), hash));
       }
-      claims_.erase(hash);  // a finished job has no live claim
-    } else if (kind == kRecClaim) {
-      const std::uint64_t hash = r.u64();
-      const auto owner_bytes = r.blob();
-      Claim claim;
-      claim.owner.assign(owner_bytes.begin(), owner_bytes.end());
-      claim.token = r.u64();
-      claim.expiry_ms = r.u64();
+    } else if (kind == kRecClaim || kind == kRecRelease) {
+      // Written by earlier builds: claim {hash, owner, token, expiry} and
+      // release {hash, token}.  Validated, then ignored — the lease file
+      // is the only record of which drain holds a job.
+      r.u64();                          // hash
+      if (kind == kRecClaim) r.blob();  // owner
+      r.u64();                          // token
+      if (kind == kRecClaim) r.u64();   // expiry
       r.expect_done();
-      claims_.insert_or_assign(hash, std::move(claim));
-    } else if (kind == kRecRelease) {
-      const std::uint64_t hash = r.u64();
-      const std::uint64_t token = r.u64();
-      r.expect_done();
-      const auto it = claims_.find(hash);
-      if (it != claims_.end() && it->second.token == token) {
-        claims_.erase(it);
-      }
     } else {
       std::ostringstream os;
       os << "job-queue record has unknown kind " << static_cast<unsigned>(kind)
@@ -177,7 +155,6 @@ void JobQueue::mark_done(std::uint64_t hash) {
   w.u64(hash);
   log_.append(w.buffer());
   remove_pending(hash, "done");
-  claims_.erase(hash);
 }
 
 void JobQueue::mark_failed(std::uint64_t hash, const std::string& reason) {
@@ -191,51 +168,6 @@ void JobQueue::mark_failed(std::uint64_t hash, const std::string& reason) {
   w.blob(reason_bytes);
   log_.append(w.buffer());
   remove_pending(hash, "failed");
-  claims_.erase(hash);
-}
-
-void JobQueue::record_claim(std::uint64_t hash, const std::string& owner,
-                            std::uint64_t token, std::uint64_t expiry_ms) {
-  HINET_REQUIRE(is_pending(hash),
-                "only a pending job can be claimed for execution");
-  ByteWriter w;
-  w.u8(kRecClaim);
-  w.u64(hash);
-  const std::span<const std::uint8_t> owner_bytes(
-      reinterpret_cast<const std::uint8_t*>(owner.data()), owner.size());
-  w.blob(owner_bytes);
-  w.u64(token);
-  w.u64(expiry_ms);
-  log_.append(w.buffer());
-  claims_.insert_or_assign(hash, Claim{owner, token, expiry_ms});
-}
-
-void JobQueue::release_claim(std::uint64_t hash, std::uint64_t token) {
-  const auto it = claims_.find(hash);
-  if (it == claims_.end() || it->second.token != token) return;
-  ByteWriter w;
-  w.u8(kRecRelease);
-  w.u64(hash);
-  w.u64(token);
-  log_.append(w.buffer());
-  claims_.erase(it);
-}
-
-std::optional<JobQueue::Claim> JobQueue::claim_of(
-    std::uint64_t hash, std::uint64_t now_ms) const {
-  const auto it = claims_.find(hash);
-  if (it == claims_.end()) return std::nullopt;
-  if (!is_pending(hash)) return std::nullopt;
-  if (now_ms >= it->second.expiry_ms) return std::nullopt;  // expired
-  return it->second;
-}
-
-std::size_t JobQueue::claimed(std::uint64_t now_ms) const {
-  std::size_t n = 0;
-  for (const std::uint64_t hash : order_) {
-    if (claim_of(hash, now_ms).has_value()) ++n;
-  }
-  return n;
 }
 
 }  // namespace hinet

@@ -1,6 +1,5 @@
 #include "service/job_spec.hpp"
 
-#include <iomanip>
 #include <sstream>
 #include <stdexcept>
 
@@ -124,9 +123,7 @@ std::uint64_t JobSpec::content_hash() const {
 }
 
 std::string JobSpec::hash_hex() const {
-  std::ostringstream os;
-  os << std::hex << std::setw(16) << std::setfill('0') << content_hash();
-  return os.str();
+  return hinet::hash_hex(content_hash());
 }
 
 std::string JobSpec::describe() const {
@@ -141,6 +138,15 @@ std::string JobSpec::describe() const {
      << " full-schedule=" << (config.run_full_schedule ? 1 : 0)
      << " seed=" << base_seed << " reps=" << repetitions;
   return os.str();
+}
+
+std::string hash_hex(std::uint64_t value) {
+  static constexpr char kDigits[] = "0123456789abcdef";
+  std::string out(16, '0');
+  for (std::size_t i = out.size(); i-- > 0; value >>= 4) {
+    out[i] = kDigits[value & 0xFu];
+  }
+  return out;
 }
 
 std::uint64_t parse_hash_hex(const std::string& hex) {

@@ -43,8 +43,7 @@ struct JobSpec {
   /// FNV-1a 64 of canonical_bytes(): the job's content address.
   std::uint64_t content_hash() const;
 
-  /// content_hash as fixed-width lowercase hex — the spelling used in
-  /// filenames and the --hash= CLI flags.
+  /// hash_hex(content_hash()).
   std::string hash_hex() const;
 
   /// Human-readable one-liner ("scenario=hinet-one nodes=24 ... reps=4").
@@ -65,8 +64,13 @@ void encode_job_spec(ByteWriter& w, const JobSpec& spec);
 /// not know.
 JobSpec decode_job_spec(ByteReader& r);
 
+/// `value` as 16 lowercase hex digits ("04c11db7deadbeef") — the one
+/// spelling of content hashes and digests in file names, lease and ledger
+/// names, and CLI output.
+std::string hash_hex(std::uint64_t value);
+
 /// Parses a 16-digit hex content hash ("04c11db7deadbeef"); throws
-/// std::invalid_argument naming the defect otherwise.
+/// std::invalid_argument naming the defect otherwise.  Inverts hash_hex.
 std::uint64_t parse_hash_hex(const std::string& hex);
 
 }  // namespace hinet

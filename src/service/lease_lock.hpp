@@ -157,8 +157,9 @@ class LeaseManager {
   /// Every lease file in the directory, lexicographic by name.
   std::vector<std::pair<std::string, LeaseInfo>> list() const;
 
-  /// Expired-lease takeovers this manager performed (observability:
-  /// `hinetd status` reports it as stale-detected).
+  /// Expired-lease takeovers this manager performed — an in-process
+  /// count that nothing persists.  (`hinetd status` prints the ledger's
+  /// stale-detected count instead: the fenced drain records that.)
   std::size_t takeovers() const { return takeovers_; }
 
   std::string lease_path(const std::string& name) const;

@@ -29,15 +29,6 @@ std::vector<std::uint8_t> wal_record(std::uint8_t kind, std::uint64_t hash,
   return w.take();
 }
 
-std::string hash_hex(std::uint64_t hash) {
-  std::ostringstream os;
-  os << std::hex;
-  for (int shift = 60; shift >= 0; shift -= 4) {
-    os << ((hash >> shift) & 0xFu);
-  }
-  return os.str();
-}
-
 bool file_exists(const std::string& path) {
   struct ::stat st {};
   return ::stat(path.c_str(), &st) == 0;

@@ -26,12 +26,7 @@ std::string ServiceReport::to_string() const {
 }
 
 std::string ExperimentService::job_resource(std::uint64_t hash) {
-  std::ostringstream os;
-  os << "job-" << std::hex;
-  for (int shift = 60; shift >= 0; shift -= 4) {
-    os << ((hash >> shift) & 0xFu);
-  }
-  return os.str();
+  return "job-" + hash_hex(hash);
 }
 
 StoreOptions ExperimentService::store_options() {
@@ -162,7 +157,6 @@ std::optional<ExperimentService::ClaimedJob> ExperimentService::claim_next(
   JobQueue queue(queue_path(), options_.max_pending,
                  FramedLog::Access::kWait);
   store_->refresh();
-  const std::uint64_t now = leases_->now_ms();
   std::size_t foreign = 0;
   for (const JobSpec& job : queue.pending_jobs()) {
     const std::uint64_t hash = job.content_hash();
@@ -181,21 +175,16 @@ std::optional<ExperimentService::ClaimedJob> ExperimentService::claim_next(
     // held journal) until the call is killed.
     if (handed_back.count(hash) != 0) continue;
 
-    // A sibling's live durable claim is a cheap pre-filter; the lease
-    // below is the authority (claims are advisory observability).
-    const std::optional<JobQueue::Claim> claim = queue.claim_of(hash, now);
-    if (claim.has_value() && claim->owner != leases_->owner()) {
-      ++foreign;
-      continue;
-    }
-
+    // The lease is the claim.  It is taken inside this queue session,
+    // after the refresh above, because a publisher marks its job done
+    // (which needs the queue lock held here) before it releases the
+    // lease: a job still pending now is either unpublished or still
+    // leased, so no claim can land on a job a sibling just published.
     std::optional<LeaseLock> lease = leases_->try_acquire(job_resource(hash));
     if (!lease.has_value()) {
-      ++foreign;  // lost the race — someone else is executing it
+      ++foreign;  // a sibling holds it, or won the race to it
       continue;
     }
-    queue.record_claim(hash, leases_->owner(), lease->token(),
-                       now + leases_->lease_ms());
     return ClaimedJob{job, std::move(*lease)};
   }
   // Nothing claimable: report what was left to sibling drainers (this
@@ -210,15 +199,6 @@ bool ExperimentService::execute_claimed(ClaimedJob claimed,
   const std::uint64_t hash = job.content_hash();
   LeaseLock& lease = claimed.lease;
 
-  // Helper: end the durable claim (transient queue session).  The lease
-  // itself is released separately — queue claims are observability, the
-  // lease file is the lock.
-  const auto drop_claim = [&]() {
-    JobQueue queue(queue_path(), options_.max_pending,
-                   FramedLog::Access::kWait);
-    queue.release_claim(hash, lease.token());
-  };
-
   // Execute the missing replicates under the supervisor, journaling
   // completions durably.  A journal left by a killed run prefills
   // finished replicates, so nothing executes twice.  The journal passes
@@ -232,7 +212,6 @@ bool ExperimentService::execute_claimed(ClaimedJob claimed,
     // A live writer still holds the journal: a drain stopped
     // mid-simulation whose lease we took over.  Leave the job to it; its
     // replicates land in the journal, and a later run resumes from them.
-    drop_claim();
     lease.release();
     ++report.skipped_claimed;
     return true;
@@ -274,7 +253,7 @@ bool ExperimentService::execute_claimed(ClaimedJob claimed,
   if (lease_lost.load(std::memory_order_relaxed)) {
     // Taken over mid-execution.  The job is the successor's now; our
     // journal stays for it to resume from.  The lease object is already
-    // ownerless, and the stale claim record expires on its own.
+    // ownerless.
     append_ledger(kLedgerStale, hash, lease.token());
     ++report.stale_leases;
     return false;
@@ -283,7 +262,6 @@ bool ExperimentService::execute_claimed(ClaimedJob claimed,
   if (batch.cancelled) {
     // Journal keeps what completed; the job stays pending for resume.
     report.cancelled = true;
-    drop_claim();
     lease.release();
     return false;
   }
@@ -345,7 +323,6 @@ bool ExperimentService::execute_claimed(ClaimedJob claimed,
     std::remove(journal_path(job).c_str());
     ++report.failed_jobs;
   } else {
-    drop_claim();
     ++report.deferred_jobs;
   }
   lease.release();

@@ -32,16 +32,17 @@
 // N service instances (N `hinetd run` processes) may share one directory.
 // run_pending() claims one job at a time: open the queue transiently
 // (wait-mode FramedLog — short lock-mutate-close sections), pick the
-// first unclaimed pending job, win its lease (lease_lock.hpp), record a
-// durable claim, close the queue, and only then execute — the queue and
-// store are never held across a simulation.  The supervisor's progress
-// callback renews the lease after every journaled replicate (the
-// heartbeat); publish() carries the lease's fencing token so a drainer
-// that lost its lease mid-run is refused at the first commit stage
-// instead of clobbering its successor.  Every claim, publish and
-// stale-lease detection is appended to <dir>/ledger.hle — the append-only
-// execution ledger `hinetd status` reports and the CI multi-drain smoke
-// asserts over ("no job published twice").
+// first pending job whose lease (lease_lock.hpp) it can win, close the
+// queue, and only then execute — the queue and store are never held
+// across a simulation.  The lease file is the only record of which drain
+// holds a job.  The supervisor's progress callback renews the lease
+// after every journaled replicate (the heartbeat); publish() carries the
+// lease's fencing token so a drainer that lost its lease mid-run is
+// refused at the first commit stage instead of clobbering its successor.
+// Every claim, publish and stale-lease detection is appended to
+// <dir>/ledger.hle — the append-only execution ledger `hinetd status`
+// reports and the CI multi-drain smoke asserts over ("no job published
+// twice").
 #pragma once
 
 #include <atomic>
@@ -93,8 +94,8 @@ struct ServiceOptions {
   /// (absorbs clock skew between drainer hosts).
   std::uint64_t takeover_grace_ms = 1000;
 
-  /// This drainer's identity in lease files, claims and the ledger.
-  /// Empty: "pid-<pid>".
+  /// This drainer's identity in lease files and the ledger.  Empty:
+  /// "pid-<pid>".
   std::string drain_id;
 
   /// Millisecond clock for lease expiry (tests inject a fake; empty uses
@@ -118,9 +119,9 @@ struct ServiceReport {
   /// fenced): the successor owns the job; nothing was corrupted and
   /// nothing of the successor's was overwritten.
   std::size_t stale_leases = 0;
-  /// Pending jobs left alone because a sibling drainer holds their lease
-  /// or live claim, or whose journal another writer still holds — they
-  /// are *someone else's* work, not a failure.
+  /// Pending jobs left alone because a sibling drainer holds their
+  /// lease, or whose journal another writer still holds — they are
+  /// *someone else's* work, not a failure.
   std::size_t skipped_claimed = 0;
   bool cancelled = false;          ///< stopped on the cancel flag
   std::vector<std::string> failure_messages;

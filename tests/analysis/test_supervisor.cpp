@@ -200,19 +200,14 @@ TEST(Supervisor, ExhaustedRetriesReportTotalAttempts) {
 TEST(Supervisor, DeadlineBoundsAStuckReplicate) {
   SupervisorPolicy policy;
   policy.deadline_ms = 1;
-  policy.retry_deadline = false;
+  policy.max_retries = 0;
   const SpecFactory factory = [](std::uint64_t) { return heavy_spec(); };
   const SupervisedBatch batch = run_replicates_supervised(
       factory, ExperimentOptions{1, 1, ExecutionPolicy::serial()}, policy);
   EXPECT_EQ(batch.completed(), 0u);
   ASSERT_EQ(batch.failures.size(), 1u);
   EXPECT_EQ(batch.failures[0].cls, RunErrorClass::kDeadline);
-  EXPECT_EQ(batch.failures[0].attempts, 1u);  // retry_deadline=false
-
-  EXPECT_THROW(
-      run_experiment_supervised(
-          factory, ExperimentOptions{1, 1, ExecutionPolicy::serial()}, policy),
-               ReplicateBatchError);
+  EXPECT_EQ(batch.failures[0].attempts, 1u);  // max_retries=0
 }
 
 TEST(Supervisor, RetryDeadlinePolicyGivesDeadlinesASecondChance) {
@@ -220,7 +215,6 @@ TEST(Supervisor, RetryDeadlinePolicyGivesDeadlinesASecondChance) {
   policy.deadline_ms = 1;
   policy.max_retries = 1;
   policy.backoff_base_ms = 1;
-  policy.retry_deadline = true;
   const SpecFactory factory = [](std::uint64_t) { return heavy_spec(); };
   const SupervisedBatch batch = run_replicates_supervised(
       factory, ExperimentOptions{1, 1, ExecutionPolicy::serial()}, policy);
@@ -238,16 +232,6 @@ TEST(Supervisor, PreArmedCancelRunsNothing) {
   EXPECT_TRUE(batch.cancelled);
   EXPECT_EQ(batch.completed(), 0u);
   EXPECT_TRUE(batch.failures.empty());
-
-  try {
-    run_experiment_supervised(
-        tiny_factory(), ExperimentOptions{4, 1, ExecutionPolicy::threaded(2)},
-        policy);
-    FAIL() << "cancelled-empty batch did not throw";
-  } catch (const ReplicateBatchError& e) {
-    ASSERT_EQ(e.failures().size(), 1u);
-    EXPECT_NE(e.failures()[0].message.find("cancelled"), std::string::npos);
-  }
 }
 
 TEST(Supervisor, CancelMidBatchKeepsWhatCompleted) {
@@ -274,9 +258,11 @@ TEST(Supervisor, SupervisedMatchesUnsupervisedWhenNothingGoesWrong) {
   const SpecFactory factory = tiny_factory();
   const AggregateResult plain = run_experiment(
       factory, ExperimentOptions{6, 9, ExecutionPolicy::threaded(2)});
-  SupervisorPolicy policy;
-  const AggregateResult supervised = run_experiment_supervised(
-      factory, ExperimentOptions{6, 9, ExecutionPolicy::threaded(2)}, policy);
+  const AggregateResult supervised = aggregate_supervised(
+      run_replicates_supervised(
+          factory, ExperimentOptions{6, 9, ExecutionPolicy::threaded(2)},
+          SupervisorPolicy{}),
+      0.0, 2);
   EXPECT_TRUE(supervised.same_statistics(plain));
   EXPECT_EQ(supervised.stats_digest(), plain.stats_digest());
 }

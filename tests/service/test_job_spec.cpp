@@ -10,6 +10,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
+
+#include "service/service.hpp"
 #include "util/binary_io.hpp"
 
 namespace hinet {
@@ -89,6 +93,19 @@ TEST(JobSpec, ParseHashHex) {
   EXPECT_THROW(parse_hash_hex("75eb"), std::invalid_argument);
   EXPECT_THROW(parse_hash_hex("75eb5eada5c3781x"), std::invalid_argument);
   EXPECT_THROW(parse_hash_hex("75eb5eada5c378190"), std::invalid_argument);
+}
+
+TEST(JobSpec, HashHexIsSixteenLowercaseDigitsAndRoundTrips) {
+  EXPECT_EQ(hash_hex(0), "0000000000000000");
+  EXPECT_EQ(hash_hex(std::numeric_limits<std::uint64_t>::max()),
+            "ffffffffffffffff");
+  for (const std::uint64_t x :
+       {std::uint64_t{1}, std::uint64_t{0xa0}, tiny_spec().content_hash(),
+        std::uint64_t{0x8000000000000000}, std::uint64_t{0x0123456789abcdef}}) {
+    EXPECT_EQ(parse_hash_hex(hash_hex(x)), x) << hash_hex(x);
+  }
+  // Lease and ledger resource names use the same spelling.
+  EXPECT_EQ(ExperimentService::job_resource(1), "job-0000000000000001");
 }
 
 TEST(JobSpec, DescribeNamesTheScenario) {

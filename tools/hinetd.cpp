@@ -37,8 +37,8 @@
 #include <atomic>
 #include <cstdlib>
 #include <fstream>
-#include <iomanip>
 #include <iostream>
+#include <map>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -100,7 +100,7 @@ JobSpec spec_from_args(CliArgs& args) {
   spec.config.reaffiliation_prob = args.get_double(
       "reaffil", 0.05, "member re-affiliation probability per phase");
   spec.config.churn_edges = static_cast<std::size_t>(
-      args.get_int("churn-edges", 4, "churn edges per phase boundary"));
+      args.get_int("churn-edges", 4, "churn edges per round"));
   spec.config.assignment = parse_assignment(args.get_string(
       "assignment", "distinct-random",
       "token assignment: distinct-random | single-source | round-robin"));
@@ -155,8 +155,8 @@ ServiceOptions service_options_from_args(CliArgs& args,
         "takeover-grace-ms", 1000,
         "extra slack past lease expiry before another drain takes over"));
     opt.drain_id = args.get_string(
-        "drain-id", "", "this drain's identity in leases/claims/ledger "
-        "(default pid-<pid>)");
+        "drain-id", "", "this drain's identity in lease files and the "
+        "ledger (default pid-<pid>)");
   }
   return opt;
 }
@@ -167,12 +167,6 @@ void print_counters(const ResultsStore::Counters& c) {
             << " rolled-back-intents=" << c.rolled_back_intents
             << " salvaged-wal-bytes=" << c.salvaged_wal_bytes
             << " orphan-temps-removed=" << c.orphan_temps_removed << "\n";
-}
-
-std::string digest_hex(std::uint64_t digest) {
-  std::ostringstream os;
-  os << std::hex << std::setw(16) << std::setfill('0') << digest;
-  return os.str();
 }
 
 const char* submit_outcome_name(ExperimentService::SubmitOutcome outcome) {
@@ -394,7 +388,7 @@ int cmd_query(CliArgs& args) {
   std::cout << "job " << result->spec.hash_hex() << "  ["
             << result->spec.describe() << "]\n";
   std::cout << aggregate_stored(*result).to_string() << "\n";
-  std::cout << "query-digest: " << digest_hex(query_digest(*result)) << "\n";
+  std::cout << "query-digest: " << hash_hex(query_digest(*result)) << "\n";
 
   if (curve) {
     const CompletionCurve c = completion_curve(*result);
@@ -461,23 +455,33 @@ int cmd_status(CliArgs& args) {
   for (const JobSpec& s : store.entries()) {
     std::cout << "  " << s.hash_hex() << "  [" << s.describe() << "]\n";
   }
-  std::cout << "pending jobs: " << queue.pending() << "/"
-            << queue.max_pending() << " (claimed: " << queue.claimed(now)
-            << ")\n";
-  for (const JobSpec& s : queue.pending_jobs()) {
-    std::cout << "  " << s.hash_hex() << "  [" << s.describe() << "]";
-    const std::optional<JobQueue::Claim> claim =
-        queue.claim_of(s.content_hash(), now);
-    if (claim.has_value()) {
-      std::cout << "  claimed-by=" << claim->owner
-                << " token=" << claim->token;
-    }
-    std::cout << "\n";
+  // One lease snapshot serves both sections: the lease file is the only
+  // record of which drain holds a job, and a pending job counts as
+  // claimed while its lease is unexpired.
+  const auto leased = leases.list();
+  std::map<std::string, LeaseInfo> live;
+  for (const auto& [name, info] : leased) {
+    if (info.expiry_ms > now) live.emplace(name, info);
   }
+  std::size_t claimed = 0;
+  std::ostringstream pending;
+  for (const JobSpec& s : queue.pending_jobs()) {
+    pending << "  " << s.hash_hex() << "  [" << s.describe() << "]";
+    const auto lease =
+        live.find(ExperimentService::job_resource(s.content_hash()));
+    if (lease != live.end()) {
+      ++claimed;
+      pending << "  claimed-by=" << lease->second.owner
+              << " token=" << lease->second.token;
+    }
+    pending << "\n";
+  }
+  std::cout << "pending jobs: " << queue.pending() << "/"
+            << queue.max_pending() << " (claimed: " << claimed << ")\n"
+            << pending.str();
 
-  const auto live = leases.list();
-  std::cout << "leases: " << live.size() << "\n";
-  for (const auto& [name, info] : live) {
+  std::cout << "leases: " << leased.size() << "\n";
+  for (const auto& [name, info] : leased) {
     const std::uint64_t ttl =
         info.expiry_ms > now ? info.expiry_ms - now : 0;
     std::cout << "  " << name << "  owner=" << info.owner
