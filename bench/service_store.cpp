@@ -5,9 +5,9 @@
 //
 //   simulate   — executing the job's replicates (the cost a cache hit
 //                avoids, and the floor a cold submit must pay anyway)
-//   publish    — the staged commit protocol end to end (WAL intent fsync,
-//                checksummed segment write + rename + directory fsync,
-//                index rewrite, commit fsync)
+//   publish    — the two-stage commit protocol end to end (checksummed
+//                segment write + rename + directory fsync, then the
+//                index rewrite the same way)
 //   serve      — a content-addressed load from a freshly opened store
 //                (CRC-validated segment read, the `hinetd query` path)
 //

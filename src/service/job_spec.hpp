@@ -7,8 +7,8 @@
 // dedupes and caches by a *canonical content hash*: every JobSpec encodes
 // to one fixed byte sequence (versioned field order, little-endian,
 // doubles as IEEE-754 bit patterns), and the 64-bit FNV-1a hash of those
-// bytes is the job's identity everywhere — the queue, the write-ahead
-// intents, the segment filenames, the `hinetd query --hash=` lookups.
+// bytes is the job's identity everywhere — the queue, the segment, journal
+// and lease filenames, the `hinetd query --hash=` lookups.
 //
 // Hash collisions are detected, not assumed away: the store keeps the full
 // canonical bytes next to each hash and refuses a publish whose hash

@@ -174,11 +174,11 @@ class LeaseManager {
 };
 
 /// A process-wide advisory critical section over `path` (flock LOCK_EX on
-/// a dedicated lock file, blocking).  Serializes the store's compound
-/// read-modify-write steps — WAL append, index merge, recovery,
-/// compaction — across processes.  Released on destruction (and
-/// automatically by the kernel if the holder dies, which is why this is
-/// flock and not a lease: no stale-state cleanup exists to get wrong).
+/// a dedicated lock file, blocking).  Serializes the store's one compound
+/// read-modify-write step, the index merge, across processes.  Released
+/// on destruction (and automatically by the kernel if the holder dies,
+/// which is why this is flock and not a lease: no stale-state cleanup
+/// exists to get wrong).
 class ScopedFlock {
  public:
   explicit ScopedFlock(const std::string& path);

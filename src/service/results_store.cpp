@@ -4,7 +4,6 @@
 
 #include <algorithm>
 #include <cerrno>
-#include <cstdio>
 #include <sstream>
 
 #include "sim/snapshot.hpp"
@@ -13,21 +12,6 @@
 namespace hinet {
 
 namespace {
-
-// WAL record kinds.  A v2 record is {u8 kind, u64 job hash, u64 fencing
-// token} (token 0 = unfenced publish).
-constexpr std::uint8_t kWalIntent = 1;
-constexpr std::uint8_t kWalCommit = 2;
-constexpr std::uint8_t kWalRollback = 3;
-
-std::vector<std::uint8_t> wal_record(std::uint8_t kind, std::uint64_t hash,
-                                     std::uint64_t token) {
-  ByteWriter w;
-  w.u8(kind);
-  w.u64(hash);
-  w.u64(token);
-  return w.take();
-}
 
 bool file_exists(const std::string& path) {
   struct ::stat st {};
@@ -39,15 +23,16 @@ bool file_exists(const std::string& path) {
 ResultsStore::ResultsStore(std::string dir, StoreOptions options)
     : dir_(std::move(dir)), options_(std::move(options)) {
   HINET_REQUIRE(!dir_.empty(), "results store needs a directory path");
-  if (options_.read_only) {
-    // Observe only: no directory creation, no locks, no WAL, no recovery.
-    entries_ = read_index_from_disk();
-    return;
+  if (!options_.read_only) {
+    if (::mkdir(dir_.c_str(), 0755) != 0 && errno != EEXIST) {
+      throw IoError(
+          errno_message("cannot create results-store directory", dir_));
+    }
+    // Dead publishers' in-flight temp files (unique-named, pid-tagged)
+    // are litter now; live publishers' temps are left strictly alone.
+    counters_.orphan_temps_removed = remove_orphan_temp_files(dir_);
   }
-  if (::mkdir(dir_.c_str(), 0755) != 0 && errno != EEXIST) {
-    throw IoError(errno_message("cannot create results-store directory", dir_));
-  }
-  recover();
+  entries_ = read_index_from_disk();
 }
 
 std::map<std::uint64_t, ResultsStore::Entry>
@@ -69,106 +54,6 @@ ResultsStore::read_index_from_disk() const {
   }
   r.expect_done();
   return entries;
-}
-
-void ResultsStore::recover() {
-  // The whole sequence — index load, WAL replay, intent resolution,
-  // compaction — is one critical section: concurrent opens serialize, and
-  // a publisher mid-stage cannot interleave with the resolution of its
-  // own intent (its lease blocks us; see below).
-  const ScopedFlock section(lock_path());
-  entries_ = read_index_from_disk();
-
-  FramedLog wal(wal_path(), kWalMagic, kWalVersion, kWalRecordMagic,
-                "results-store WAL", FramedLog::Access::kWait);
-  counters_.salvaged_wal_bytes = wal.dropped_bytes();
-
-  // An intent with no commit/rollback after it is an interrupted publish.
-  // (Hashes repeat across re-publish-after-rollback cycles, so resolve by
-  // the *latest* record per hash.)
-  struct LastRecord {
-    std::uint8_t kind = 0;
-    std::uint64_t token = 0;
-  };
-  std::map<std::uint64_t, LastRecord> last;
-  for (const std::vector<std::uint8_t>& rec : wal.records()) {
-    ByteReader r(rec, "results-store WAL record");
-    const std::uint8_t kind = r.u8();
-    const std::uint64_t hash = r.u64();
-    const std::uint64_t token = r.u64();
-    r.expect_done();
-    if (kind != kWalIntent && kind != kWalCommit && kind != kWalRollback) {
-      std::ostringstream os;
-      os << "results-store WAL record has unknown kind "
-         << static_cast<unsigned>(kind) << " — the WAL is corrupt";
-      throw IoError(os.str());
-    }
-    last[hash] = LastRecord{kind, token};
-  }
-
-  std::vector<std::vector<std::uint8_t>> keep;
-  for (const auto& [hash, rec] : last) {
-    if (rec.kind != kWalIntent) continue;
-
-    // Resolving an intent while its publisher is still alive would race
-    // its remaining stages (we might roll back a segment it is about to
-    // index).  Winning the job's lease settles it: either nobody holds
-    // the lease (the publisher is dead, or done and late releasing) and
-    // winning fences out any zombie via the token bump, or the holder is
-    // alive — leave the intent in the WAL for it (or a later recovery).
-    std::optional<LeaseLock> guard;
-    if (options_.try_lease) {
-      guard = options_.try_lease(hash);
-      if (!guard.has_value()) {
-        keep.push_back(wal_record(kWalIntent, hash, rec.token));
-        continue;
-      }
-    }
-
-    // The segment is rename-atomic: if it exists and validates, the
-    // publish was fully durable — roll forward.  Anything else (absent,
-    // truncated, corrupt) rolls back to a clean miss.
-    bool segment_ok = false;
-    const auto it = entries_.find(hash);
-    try {
-      const std::vector<std::uint8_t> expect =
-          it != entries_.end() ? it->second.spec_bytes
-                               : std::vector<std::uint8_t>{};
-      const StoredResult result = load_segment(hash, expect);
-      segment_ok = true;
-      if (it == entries_.end()) {
-        entries_.insert_or_assign(hash,
-                                  Entry{result.spec.canonical_bytes()});
-        write_index(entries_);
-      }
-    } catch (const IoError&) {
-      segment_ok = false;
-    }
-
-    if (segment_ok) {
-      wal.append(wal_record(kWalCommit, hash, rec.token));
-      ++counters_.recovered_commits;
-    } else {
-      if (it != entries_.end()) {
-        entries_.erase(hash);
-        write_index(entries_);
-      }
-      std::remove(segment_path(hash).c_str());
-      wal.append(wal_record(kWalRollback, hash, rec.token));
-      ++counters_.rolled_back_intents;
-    }
-    if (guard.has_value()) guard->release();
-  }
-
-  // Compact the WAL down to the intents we deliberately left unresolved
-  // (live publishers), so it cannot grow without bound across restarts.
-  // (Crash-safe: compaction is itself write-then-rename, and an old WAL
-  // full of resolved intents replays to the same state.)
-  wal.compact(keep);
-
-  // Dead publishers' in-flight temp files (unique-named, pid-tagged) are
-  // litter now; live publishers' temps are left strictly alone.
-  counters_.orphan_temps_removed = remove_orphan_temp_files(dir_);
 }
 
 void ResultsStore::write_index(
@@ -198,9 +83,9 @@ void ResultsStore::require_writable(const char* action) const {
 
 void ResultsStore::check_not_poisoned() const {
   if (poisoned_) {
-    throw IoError(
-        "results store at " + dir_ +
-        " is poisoned by an interrupted publish — reopen it to recover");
+    throw IoError("results store at " + dir_ +
+                  " is poisoned: a publish through this handle was cut "
+                  "short — reopen the store to read what reached disk");
   }
 }
 
@@ -212,10 +97,6 @@ bool ResultsStore::contains(const JobSpec& spec) const {
   const auto it = entries_.find(spec.content_hash());
   return it != entries_.end() &&
          it->second.spec_bytes == spec.canonical_bytes();
-}
-
-bool ResultsStore::contains_hash(std::uint64_t hash) const {
-  return entries_.find(hash) != entries_.end();
 }
 
 std::vector<JobSpec> ResultsStore::entries() const {
@@ -317,8 +198,8 @@ std::optional<StoredResult> ResultsStore::load_hash(std::uint64_t hash) {
 namespace {
 
 /// The commit-time fencing check: the lease file must still carry the
-/// writer's token.  Runs before *every* durable stage — a zombie drainer
-/// is stopped at the first stage it reaches after losing its lease.
+/// writer's token.  Runs before each durable stage — a zombie drainer is
+/// stopped at the first stage it reaches after losing its lease.
 void check_fencing(const Fencing* fencing, const std::string& dir) {
   if (fencing == nullptr || fencing->leases == nullptr) return;
   if (!fencing->leases->validate(fencing->resource, fencing->token)) {
@@ -334,11 +215,6 @@ void check_fencing(const Fencing* fencing, const std::string& dir) {
 }  // namespace
 
 void ResultsStore::publish(const JobSpec& spec,
-                           const std::vector<ReplicateResult>& replicates) {
-  publish(spec, replicates, nullptr);
-}
-
-void ResultsStore::publish(const JobSpec& spec,
                            const std::vector<ReplicateResult>& replicates,
                            const Fencing* fencing) {
   check_not_poisoned();
@@ -349,9 +225,9 @@ void ResultsStore::publish(const JobSpec& spec,
                 "never published");
   const std::uint64_t hash = spec.content_hash();
   const std::vector<std::uint8_t> spec_bytes = spec.canonical_bytes();
-  // Fencing first: a zombie whose successor already published this very
-  // job must hear "stale lease" (transient, expected, handled), not trip
-  // the already-published precondition below.
+  // Stage 1's fencing check comes first of all: a zombie whose successor
+  // already published this very job must hear "stale lease" (transient,
+  // expected, handled), not trip the already-published precondition below.
   check_fencing(fencing, dir_);
   // Check against *fresh* disk state: another drainer may have published
   // since this handle last read the index.
@@ -374,23 +250,10 @@ void ResultsStore::publish(const JobSpec& spec,
   // fault-injection hook (or the in-process torture harness re-entering
   // another drainer) can never deadlock against the flock.
 
-  // Stage 1: durable intent.  From here recovery owns this hash until a
-  // commit or rollback resolves it.  The WAL is opened transiently under
-  // the store lock: lock, append, close — no process monopolizes it.
-  check_fencing(fencing, dir_);
-  {
-    const ScopedFlock section(lock_path());
-    FramedLog wal(wal_path(), kWalMagic, kWalVersion, kWalRecordMagic,
-                  "results-store WAL", FramedLog::Access::kWait);
-    wal.append(wal_record(kWalIntent, hash,
-                          fencing != nullptr ? fencing->token : 0));
-  }
-  if (commit_hook_) commit_hook_(CommitStage::kIntentLogged);
-
-  // Stage 2: segment (atomic write + directory fsync via
+  // Stage 1: segment (atomic write + directory fsync via
   // write_checksummed_file; the temp name is per-process-unique, so no
-  // lock is needed — the final rename targets a content-addressed name).
-  check_fencing(fencing, dir_);
+  // lock is needed — the final rename targets a content-addressed name,
+  // and overwrites the unindexed segment of an earlier, cut publish).
   ByteWriter payload;
   payload.blob(spec_bytes);
   std::vector<std::uint64_t> seeds;
@@ -410,9 +273,10 @@ void ResultsStore::publish(const JobSpec& spec,
                          payload.buffer());
   if (commit_hook_) commit_hook_(CommitStage::kSegmentWritten);
 
-  // Stage 3: index.  Merged, not blind-rewritten: re-read the on-disk
-  // index under the lock, add this entry, rename the merged file into
-  // place — a concurrent publisher of a different job cannot be lost.
+  // Stage 2, the commit point: index.  Merged, not blind-rewritten:
+  // re-read the on-disk index under the lock, add this entry, rename the
+  // merged file into place — a concurrent publisher of a different job
+  // cannot be lost.
   check_fencing(fencing, dir_);
   {
     const ScopedFlock section(lock_path());
@@ -429,18 +293,6 @@ void ResultsStore::publish(const JobSpec& spec,
     entries_ = std::move(disk);
   }
   if (commit_hook_) commit_hook_(CommitStage::kIndexPublished);
-
-  // Stage 4: commit marker — recovery no longer needs to look at this
-  // publish.
-  check_fencing(fencing, dir_);
-  {
-    const ScopedFlock section(lock_path());
-    FramedLog wal(wal_path(), kWalMagic, kWalVersion, kWalRecordMagic,
-                  "results-store WAL", FramedLog::Access::kWait);
-    wal.append(wal_record(kWalCommit, hash,
-                          fencing != nullptr ? fencing->token : 0));
-  }
-  if (commit_hook_) commit_hook_(CommitStage::kCommitLogged);
 
   poisoned_ = false;
 }

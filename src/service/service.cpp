@@ -1,9 +1,6 @@
 #include "service/service.hpp"
 
-#include <sys/stat.h>
-
 #include <algorithm>
-#include <cerrno>
 #include <cstdio>
 #include <limits>
 #include <set>
@@ -29,37 +26,19 @@ std::string ExperimentService::job_resource(std::uint64_t hash) {
   return "job-" + hash_hex(hash);
 }
 
-StoreOptions ExperimentService::store_options() {
-  StoreOptions so;
-  // Recovery resolves an intent only after winning the job's lease: a
-  // live publisher keeps its intent (it will finish the job itself), a
-  // dead or zombie one is fenced out by the token bump the win performs.
-  so.try_lease = [this](std::uint64_t hash) {
-    return leases_->try_acquire(job_resource(hash));
-  };
-  return so;
-}
-
 void ExperimentService::reopen_store() {
-  store_.reset();  // release before recovery re-runs
-  store_ = std::make_unique<ResultsStore>(dir_, store_options());
+  store_ = std::make_unique<ResultsStore>(dir_);
 }
 
 ExperimentService::ExperimentService(std::string dir, ServiceOptions options)
     : dir_(std::move(dir)), options_(std::move(options)) {
-  // The lease manager must exist before the store: store recovery asks it
-  // for job leases.  Create the directory first so lease files have a
-  // home even before the store constructor runs.
-  if (::mkdir(dir_.c_str(), 0755) != 0 && errno != EEXIST) {
-    throw IoError(errno_message("cannot create service directory", dir_));
-  }
+  store_ = std::make_unique<ResultsStore>(dir_);  // creates dir_
   LeaseManager::Options lo;
   lo.lease_ms = options_.lease_ms;
   lo.takeover_grace_ms = options_.takeover_grace_ms;
   lo.owner = options_.drain_id;  // empty → "pid-<pid>"
   lo.now_ms = options_.now_ms;   // empty → wall clock
   leases_ = std::make_unique<LeaseManager>(dir_, lo);
-  store_ = std::make_unique<ResultsStore>(dir_, store_options());
   // Touch the queue once (wait mode): creates the file, salvages a torn
   // tail, compacts drained history.  Closed immediately — the queue is
   // opened transiently per mutation so N drains can share it.
@@ -151,7 +130,7 @@ ExperimentService::SubmitOutcome ExperimentService::submit(
 
 std::optional<ExperimentService::ClaimedJob> ExperimentService::claim_next(
     ServiceReport& report, const std::set<std::uint64_t>& handed_back) {
-  // One transient queue session: acknowledge cache hits, then claim the
+  // One transient queue session: acknowledge stored jobs, then claim the
   // first job no sibling drainer holds.  The queue closes before any
   // simulation starts.
   JobQueue queue(queue_path(), options_.max_pending,
@@ -160,31 +139,40 @@ std::optional<ExperimentService::ClaimedJob> ExperimentService::claim_next(
   std::size_t foreign = 0;
   for (const JobSpec& job : queue.pending_jobs()) {
     const std::uint64_t hash = job.content_hash();
+    const bool stored = store_->contains(job);
 
-    // Deduped execution: a job already stored (published by a sibling
-    // drain, or recovered by the store's roll-forward) is acknowledged
-    // without simulating anything.
-    if (store_->contains(job)) {
+    // Tried once already by this call and handed back still pending:
+    // claiming it again would spin on the same failure (or on the same
+    // held journal) until the call is killed.
+    if (!stored && handed_back.count(hash) != 0) continue;
+
+    // The lease is the claim, stored job or not: its winner is the one
+    // place a half-published job is resolved.  It is taken inside this
+    // queue session, after the refresh above, and a publisher releases
+    // its lease and marks its job done inside one queue session too, so a
+    // pending job this claim wins is unstored, or stored by a drain that
+    // died before marking it done.
+    std::optional<LeaseLock> lease = leases_->try_acquire(job_resource(hash));
+    if (!lease.has_value()) {
+      // A sibling holds it, or won the race to it.  A stored job whose
+      // lease is live belongs to its holder, which marks it done itself.
+      ++foreign;
+      continue;
+    }
+
+    // Deduped execution: a stored job (published by a sibling drain, or
+    // by a drain that died after its index stage) is acknowledged without
+    // simulating anything, and the dead drain's journal goes with it.
+    if (stored) {
+      std::remove(journal_path(job).c_str());
+      lease->release();
       queue.mark_done(hash);
       ++report.cache_hits;
       continue;
     }
 
-    // Tried once already by this call and handed back still pending:
-    // claiming it again would spin on the same failure (or on the same
-    // held journal) until the call is killed.
-    if (handed_back.count(hash) != 0) continue;
-
-    // The lease is the claim.  It is taken inside this queue session,
-    // after the refresh above, because a publisher marks its job done
-    // (which needs the queue lock held here) before it releases the
-    // lease: a job still pending now is either unpublished or still
-    // leased, so no claim can land on a job a sibling just published.
-    std::optional<LeaseLock> lease = leases_->try_acquire(job_resource(hash));
-    if (!lease.has_value()) {
-      ++foreign;  // a sibling holds it, or won the race to it
-      continue;
-    }
+    // Unstored: a fresh job, or one whose publish died after its segment
+    // stage.  Its journal holds what was done; the claim re-publishes it.
     return ClaimedJob{job, std::move(*lease)};
   }
   // Nothing claimable: report what was left to sibling drainers (this
@@ -279,7 +267,7 @@ bool ExperimentService::execute_claimed(ClaimedJob claimed,
     } catch (const StaleLeaseError&) {
       // Fenced out at a commit stage: the successor owns the job and
       // will (or did) publish the identical result.  The handle is
-      // poisoned — reopen to recover before the next job.
+      // poisoned — reopen it before the next job.
       reopen_store();
       append_ledger(kLedgerStale, hash, lease.token());
       ++report.stale_leases;
@@ -291,11 +279,14 @@ bool ExperimentService::execute_claimed(ClaimedJob claimed,
     // because the store hit short-circuits before it is ever opened.
     std::remove(journal_path(job).c_str());
     {
+      // Release, then mark done, in one queue session: claims need its
+      // lock, so none interleaves.  A crash between the two leaves the
+      // job pending and unleased, and the next drain acknowledges it.
       JobQueue queue(queue_path(), options_.max_pending,
                      FramedLog::Access::kWait);
+      lease.release();
       if (queue.is_pending(hash)) queue.mark_done(hash);
     }
-    lease.release();
     ++report.executed_jobs;
     if (options_.on_job_published) options_.on_job_published(job);
     return false;

@@ -24,8 +24,8 @@
 //                      store, without re-simulating.
 //
 // Everything is observable: the service report and the store counters
-// (hits/misses/recoveries) make the cache behaviour auditable — the CI
-// acceptance check literally greps them.
+// (hits/misses) make the cache behaviour auditable — the CI acceptance
+// check literally greps them.
 //
 // ## Concurrent drains
 //
@@ -35,10 +35,15 @@
 // first pending job whose lease (lease_lock.hpp) it can win, close the
 // queue, and only then execute — the queue and store are never held
 // across a simulation.  The lease file is the only record of which drain
-// holds a job.  The supervisor's progress callback renews the lease
-// after every journaled replicate (the heartbeat); publish() carries the
-// lease's fencing token so a drainer that lost its lease mid-run is
-// refused at the first commit stage instead of clobbering its successor.
+// holds a job, and winning it is the one place a half-published job is
+// resolved: a job whose publish died after the segment stage is still
+// unstored, so its winner re-publishes it from the journal; one that died
+// after the index stage is stored, so its winner acknowledges it (journal
+// deleted, lease released, marked done).  The supervisor's progress
+// callback renews the lease after every journaled replicate (the
+// heartbeat); publish() carries the lease's fencing token so a drainer
+// that lost its lease mid-run is refused at the next commit stage instead
+// of clobbering its successor.
 // Every claim, publish and stale-lease detection is appended to
 // <dir>/ledger.hle — the append-only execution ledger `hinetd status`
 // reports and the CI multi-drain smoke asserts over ("no job published
@@ -111,7 +116,9 @@ struct ServiceOptions {
 /// What run_pending did, per drained queue entry and in total.
 struct ServiceReport {
   std::size_t executed_jobs = 0;   ///< simulated and published this run
-  std::size_t cache_hits = 0;      ///< already stored — served, not re-run
+  /// Already stored: its lease won, its journal deleted and the job
+  /// marked done — served, not re-run.
+  std::size_t cache_hits = 0;
   std::size_t failed_jobs = 0;     ///< left the queue permanently failed
   std::size_t deferred_jobs = 0;   ///< transient failure — still pending
   std::size_t resumed_replicates = 0;  ///< journal-recovered, not re-run
@@ -120,8 +127,9 @@ struct ServiceReport {
   /// nothing of the successor's was overwritten.
   std::size_t stale_leases = 0;
   /// Pending jobs left alone because a sibling drainer holds their
-  /// lease, or whose journal another writer still holds — they are
-  /// *someone else's* work, not a failure.
+  /// lease (a stored job too: its holder marks it done), or whose journal
+  /// another writer still holds — they are *someone else's* work, not a
+  /// failure.
   std::size_t skipped_claimed = 0;
   bool cancelled = false;          ///< stopped on the cancel flag
   std::vector<std::string> failure_messages;
@@ -144,10 +152,10 @@ class ExperimentService {
   static constexpr std::uint8_t kLedgerStale = 3;
 
   /// Opens (creating) the service state under `dir`: <dir>/queue.hjq,
-  /// <dir>/index.hix + segments + WAL + store.lock, <dir>/ledger.hle,
+  /// <dir>/index.hix + segments + store.lock, <dir>/ledger.hle,
   /// <dir>/job-<hash>.{journal,lease,fence} while a job is in flight.
-  /// Recovery (store intents — gated on winning each job's lease — queue
-  /// backlog, journals) happens here.
+  /// Nothing is resolved here: run_pending() resolves a half-published
+  /// job when it wins the job's lease.
   ExperimentService(std::string dir, ServiceOptions options);
 
   ResultsStore& store() { return *store_; }
@@ -199,12 +207,11 @@ class ExperimentService {
   void append_ledger(std::uint8_t kind, std::uint64_t hash,
                      std::uint64_t token);
   void reopen_store();
-  StoreOptions store_options();
 
   std::string dir_;
   ServiceOptions options_;
-  std::unique_ptr<LeaseManager> leases_;  ///< must outlive store_ (hook)
   std::unique_ptr<ResultsStore> store_;
+  std::unique_ptr<LeaseManager> leases_;
 };
 
 /// Per-job execution counts replayed from <dir>/ledger.hle — the "no job

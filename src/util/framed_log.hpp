@@ -1,8 +1,8 @@
 // FramedLog: append-only, CRC-framed, fsynced record file with
 // salvage-the-prefix recovery — the one durable-record substrate in the
-// tree.  Its four users: the experiment journal (analysis/journal.hpp),
-// the job queue and the results store's write-ahead intent log
-// (service/), and the service's execution ledger.
+// tree.  Its three users: the experiment journal (analysis/journal.hpp),
+// and the job queue and the execution ledger of the experiment service
+// (service/).
 //
 //   file header : u32 file magic · u16 version · u16 reserved(0)
 //   record      : u32 record magic · u64 payload length · u32 crc32(payload)
@@ -56,7 +56,7 @@ class FramedLog {
 
   /// Opens (creating if absent, unless read-only) and replays the log at
   /// `path`.  `what` names the artifact in every diagnostic
-  /// ("results-store WAL").
+  /// ("job queue").
   FramedLog(std::string path, std::uint32_t file_magic, std::uint16_t version,
             std::uint32_t record_magic, std::string what,
             Access access = Access::kExclusive);

@@ -2,10 +2,14 @@
 // ExperimentService instances share one directory and one fake clock, and
 // test hooks interleave them at the exact boundaries that matter — while
 // a job is claimed, between replicate completion and publish, and after
-// each staged-commit boundary.  The invariants under torture:
+// each of the two commit stages.  The invariants under torture:
 //
 //   * every submitted job ends up stored exactly once (ledger publishes
 //     == 1 per hash, no matter who won);
+//   * a drain that died mid-publish is finished by whoever next wins the
+//     job's lease: re-published from its journal after the segment stage,
+//     acknowledged after the index stage, and no journal or lease of the
+//     dead drain survives;
 //   * the stored result is byte-identical (query_digest) to an
 //     uninterrupted single-drain run — takeovers resume from the
 //     zombie's journal instead of re-executing;
@@ -26,6 +30,7 @@
 #include "analysis/journal.hpp"
 #include "analysis/scenarios.hpp"
 #include "service/lease_lock.hpp"
+#include "service/results_store.hpp"
 #include "service/service.hpp"
 #include "util/framed_log.hpp"
 
@@ -69,6 +74,46 @@ ServiceOptions drain_options(const std::shared_ptr<std::uint64_t>& clock,
   opt.drain_id = id;
   opt.now_ms = [clock] { return *clock; };
   return opt;
+}
+
+/// A drain that died mid-publish: submits `job`, takes its lease as owner
+/// "dead" (never renewed or released — the returned lock must outlive the
+/// test's checks), journals every replicate, and publishes through a
+/// standalone store whose commit hook cuts the publish after `stage`.
+std::optional<LeaseLock> die_mid_publish(
+    const std::string& dir, const JobSpec& job,
+    const std::shared_ptr<std::uint64_t>& clock,
+    ResultsStore::CommitStage stage) {
+  ExperimentService submitter(dir, drain_options(clock, "submitter"));
+  submitter.submit(job);
+  LeaseManager::Options opt;
+  opt.owner = "dead";
+  opt.lease_ms = 1000;
+  opt.takeover_grace_ms = 100;
+  opt.now_ms = [clock] { return *clock; };
+  LeaseManager dead(dir, opt);
+  const std::string resource =
+      ExperimentService::job_resource(job.content_hash());
+  std::optional<LeaseLock> lease = dead.try_acquire(resource);
+  if (!lease.has_value()) return lease;
+
+  const std::vector<ReplicateResult> replicates =
+      run_replicates(scenario_factory(job.scenario, job.config),
+                     job.repetitions, job.base_seed, 1);
+  {
+    ExperimentJournal journal(submitter.journal_path(job));
+    for (std::size_t i = 0; i < replicates.size(); ++i) {
+      journal.append(replicate_seed(job.base_seed, i), replicates[i]);
+    }
+  }
+  struct Cut {};
+  ResultsStore store(dir);
+  store.set_commit_hook([stage](ResultsStore::CommitStage s) {
+    if (s == stage) throw Cut{};
+  });
+  const Fencing fencing{&dead, resource, lease->token()};
+  EXPECT_THROW(store.publish(job, replicates, &fencing), Cut);
+  return lease;
 }
 
 TEST(MultiDrain, SiblingSkipsClaimedJobAndDrainsTheRest) {
@@ -166,56 +211,108 @@ TEST(MultiDrain, ZombieIsFencedAndSuccessorResumesFromItsJournal) {
 }
 
 TEST(MultiDrain, TakeoverAtEveryCommitStageBoundaryPublishesExactlyOnce) {
-  // The in-process analogue of kill -9 at each staged-commit boundary,
-  // with a live contender instead of a restart: A passes stage S, is
-  // taken over, B fully executes the job, A resumes and must be fenced at
-  // its next stage.  Regardless of S, the store ends with exactly one
-  // published result, byte-identical to a clean run.
-  const ResultsStore::CommitStage stages[] = {
-      ResultsStore::CommitStage::kIntentLogged,
-      ResultsStore::CommitStage::kSegmentWritten,
-  };
-  for (const ResultsStore::CommitStage stage : stages) {
-    const std::string dir =
-        fresh_dir("stage" + std::to_string(static_cast<int>(stage)));
-    const auto clock = std::make_shared<std::uint64_t>(0);
-    const JobSpec job = tiny_spec(11, 2);
+  // The in-process analogue of kill -9 after the segment stage, with a
+  // live contender instead of a restart: A writes its segment, is taken
+  // over, B fully executes the job, A resumes and must be fenced at the
+  // index stage.  The store ends with exactly one published result,
+  // byte-identical to a clean run.  (Past the index stage the job is
+  // stored, and a contender acknowledges it instead: see
+  // LatePublisherAfterIndexStageStillCommitsOnce.)
+  const std::string dir = fresh_dir("stage-segment");
+  const auto clock = std::make_shared<std::uint64_t>(0);
+  const JobSpec job = tiny_spec(11, 2);
 
-    ExperimentService b(dir, drain_options(clock, "drain-b"));
-    ExperimentService a(dir, drain_options(clock, "drain-a"));
-    bool fired = false;
-    ServiceReport b_report;
-    a.store().set_commit_hook([&](ResultsStore::CommitStage s) {
-      if (s != stage || fired) return;
-      fired = true;
-      *clock += 5000;  // expire A's lease…
-      b_report = b.run_pending();  // …and let B take the job end-to-end
-    });
-    a.submit(job);
+  ExperimentService b(dir, drain_options(clock, "drain-b"));
+  ExperimentService a(dir, drain_options(clock, "drain-a"));
+  bool fired = false;
+  ServiceReport b_report;
+  a.store().set_commit_hook([&](ResultsStore::CommitStage s) {
+    if (s != ResultsStore::CommitStage::kSegmentWritten || fired) return;
+    fired = true;
+    *clock += 5000;  // expire A's lease…
+    b_report = b.run_pending();  // …and let B take the job end-to-end
+  });
+  a.submit(job);
 
-    const ServiceReport a_report = a.run_pending();
-    ASSERT_TRUE(fired);
-    EXPECT_EQ(b_report.executed_jobs, 1u)
-        << "stage " << static_cast<int>(stage);
-    EXPECT_EQ(b_report.resumed_replicates, job.repetitions)
-        << "B must resume from A's journal, not re-execute";
-    EXPECT_EQ(a_report.stale_leases, 1u)
-        << "A must be fenced after stage " << static_cast<int>(stage);
-    EXPECT_EQ(a_report.executed_jobs, 0u);
+  const ServiceReport a_report = a.run_pending();
+  ASSERT_TRUE(fired);
+  EXPECT_EQ(b_report.executed_jobs, 1u);
+  EXPECT_EQ(b_report.resumed_replicates, job.repetitions)
+      << "B must resume from A's journal, not re-execute";
+  EXPECT_EQ(a_report.stale_leases, 1u)
+      << "A must be fenced at the index stage";
+  EXPECT_EQ(a_report.executed_jobs, 0u);
 
-    const ExecutionLedger ledger = read_execution_ledger(dir);
-    EXPECT_EQ(ledger.jobs.at(job.content_hash()).publishes, 1u);
-    EXPECT_EQ(query_digest(*b.store().load(job)), clean_digest(job));
+  const ExecutionLedger ledger = read_execution_ledger(dir);
+  EXPECT_EQ(ledger.jobs.at(job.content_hash()).publishes, 1u);
+  EXPECT_EQ(query_digest(*b.store().load(job)), clean_digest(job));
 
-    // A is healthy afterwards: its reopened store serves the result.
-    EXPECT_TRUE(a.store().contains(job));
-  }
+  // A is healthy afterwards: its reopened store serves the result.
+  EXPECT_TRUE(a.store().contains(job));
+}
+
+TEST(MultiDrain, DeathAfterTheSegmentRepublishesFromTheJournal) {
+  // A drain died between the segment and the index stage: the segment is
+  // on disk but unindexed, so the job is still pending and unstored.  The
+  // drain that wins its lease once it expires re-publishes from the
+  // journal — nothing is simulated again — and cleans up after the dead.
+  const std::string dir = fresh_dir("death-segment");
+  const auto clock = std::make_shared<std::uint64_t>(0);
+  const JobSpec job = tiny_spec(19, 3);
+  const std::optional<LeaseLock> dead = die_mid_publish(
+      dir, job, clock, ResultsStore::CommitStage::kSegmentWritten);
+  ASSERT_TRUE(dead.has_value());
+
+  *clock += 5000;
+  ExperimentService b(dir, drain_options(clock, "drain-b"));
+  EXPECT_FALSE(b.store().contains(job)) << "an unindexed segment is a miss";
+  const ServiceReport report = b.run_pending();
+  EXPECT_EQ(report.executed_jobs, 1u);
+  EXPECT_EQ(report.cache_hits, 0u);
+  EXPECT_EQ(report.resumed_replicates, job.repetitions)
+      << "every replicate must come from the dead drain's journal";
+  EXPECT_EQ(query_digest(*b.store().load(job)), clean_digest(job));
+  EXPECT_EQ(read_execution_ledger(dir).jobs.at(job.content_hash()).publishes,
+            1u);
+  EXPECT_FALSE(std::filesystem::exists(b.journal_path(job)));
+  EXPECT_TRUE(b.leases().list().empty()) << "no lease may outlive the job";
+}
+
+TEST(MultiDrain, DeathAfterTheIndexIsAcknowledgedByTheLeaseWinner) {
+  // A drain died right after its index stage: the job is stored but still
+  // pending, and the dead drain's journal and lease are still on disk.
+  // While that lease is live the job is its holder's; once it expires,
+  // the drain that wins it acknowledges the job and cleans up.
+  const std::string dir = fresh_dir("death-index");
+  const auto clock = std::make_shared<std::uint64_t>(0);
+  const JobSpec job = tiny_spec(23, 3);
+  const std::optional<LeaseLock> dead = die_mid_publish(
+      dir, job, clock, ResultsStore::CommitStage::kIndexPublished);
+  ASSERT_TRUE(dead.has_value());
+
+  ExperimentService b(dir, drain_options(clock, "drain-b"));
+  EXPECT_TRUE(b.store().contains(job));
+  const ServiceReport early = b.run_pending();
+  EXPECT_EQ(early.cache_hits, 0u);
+  EXPECT_EQ(early.skipped_claimed, 1u)
+      << "a stored job whose lease is live belongs to its holder";
+  EXPECT_EQ(b.pending(), 1u);
+
+  *clock += 5000;
+  const ServiceReport late = b.run_pending();
+  EXPECT_EQ(late.cache_hits, 1u);
+  EXPECT_EQ(late.executed_jobs, 0u);
+  EXPECT_EQ(b.pending(), 0u);
+  EXPECT_EQ(query_digest(*b.store().load(job)), clean_digest(job));
+  EXPECT_FALSE(std::filesystem::exists(b.journal_path(job)));
+  EXPECT_TRUE(b.leases().list().empty()) << "no lease may outlive the job";
 }
 
 TEST(MultiDrain, LatePublisherAfterIndexStageStillCommitsOnce) {
-  // Past the index stage the result is already served; a sibling sees a
-  // cache hit instead of taking the lease over, and A — never fenced —
-  // finishes its commit normally.  One publish, one result.
+  // Past the index stage the result is already served; a sibling that
+  // wins A's expired lease acknowledges it as a cache hit, and A — never
+  // fenced, since no stage follows the index — finishes normally.  One
+  // publish, one result.
   const std::string dir = fresh_dir("index-stage");
   const auto clock = std::make_shared<std::uint64_t>(0);
   const JobSpec job = tiny_spec(13, 2);

@@ -4,7 +4,7 @@
 // (tests/sim/test_snapshot_fuzz.cpp), applied to the service formats:
 // the index and the segments are all-or-nothing (any truncation, bit flip,
 // version skew or foreign header is a typed IoError — a torn result must
-// never be served), while the WAL and the job queue are salvage-the-prefix
+// never be served), while the job queue is salvage-the-prefix
 // (per-record CRC framing; corruption is treated as a crash tail, the
 // intact prefix survives).  Every mutation must produce a typed exception
 // or a clean salvage — never UB; the CI ASan job runs this suite (label:
@@ -171,54 +171,6 @@ TEST(StoreFuzz, EveryBitFlipInTheIndexIsRejected) {
     write_file(index, bad);
     EXPECT_THROW(ResultsStore{dir}, IoError) << "flip at byte " << byte;
   }
-}
-
-// ── WAL: salvage-the-prefix ─────────────────────────────────────────────
-
-TEST(StoreFuzz, TornWalTailIsSalvagedAndCounted) {
-  // Leave an unresolved intent (crash between intent and segment), then
-  // shear bytes off the WAL tail: recovery still works from whatever
-  // intact prefix remains, and salvaged bytes are accounted.
-  const std::string dir = fresh_dir("wal_tear");
-  const JobSpec spec = tiny_spec();
-  struct Crash {};
-  {
-    ResultsStore store(dir);
-    store.set_commit_hook([](ResultsStore::CommitStage s) {
-      if (s == ResultsStore::CommitStage::kIntentLogged) throw Crash{};
-    });
-    EXPECT_THROW(
-        store.publish(spec, run_replicates(
-                                scenario_factory(spec.scenario, spec.config),
-                                spec.repetitions, spec.base_seed, 1)),
-        Crash);
-  }
-  const std::string wal = dir + "/wal.hwl";
-  const std::vector<std::uint8_t> good = read_file(wal);
-  ASSERT_GT(good.size(), 8u);  // header + one intent record
-
-  // len == 8 is the record boundary right after the header (a clean,
-  // empty log) — start past it so every shear leaves a genuine torn tail.
-  for (std::size_t len = 9; len < good.size(); ++len) {
-    write_file(wal, {good.begin(),
-                     good.begin() + static_cast<std::ptrdiff_t>(len)});
-    ResultsStore recovered(dir);
-    // The sheared intent is torn away — nothing to resolve, a clean miss.
-    EXPECT_FALSE(recovered.load(spec).has_value());
-    EXPECT_GT(recovered.counters().salvaged_wal_bytes, 0u)
-        << "shear at " << len;
-    // Recovery compacts the WAL; the next iteration re-tears the original.
-  }
-}
-
-TEST(StoreFuzz, ForeignWalHeaderIsRefusedNotSalvaged) {
-  const std::string dir = make_populated_store("wal_foreign");
-  const std::string wal = dir + "/wal.hwl";
-  std::vector<std::uint8_t> bytes = read_file(wal);
-  ASSERT_GE(bytes.size(), 8u);
-  bytes[0] ^= 0xff;
-  write_file(wal, bytes);
-  EXPECT_THROW(ResultsStore{dir}, IoError);
 }
 
 // ── Job queue: salvage-the-prefix ───────────────────────────────────────

@@ -1,11 +1,11 @@
 // Torn-tail fuzz and writer discipline for FramedLog, the framing under
-// the experiment journal, the job queue, the results-store WAL and the
-// execution ledger.  Policy under test: corruption past the file header
-// is a crash tail — the intact prefix survives and the rest is counted in
-// dropped_bytes() — while a foreign or version-skewed header is refused
-// with IoError.  Every mutation must produce a typed exception or a clean
-// salvage, never UB; the sanitizer CI jobs run this suite (label:
-// robustness) to enforce that byte by byte.
+// the experiment journal, the job queue and the execution ledger.  Policy
+// under test: corruption past the file header is a crash tail — the
+// intact prefix survives and the rest is counted in dropped_bytes() —
+// while a foreign or version-skewed header is refused with IoError.
+// Every mutation must produce a typed exception or a clean salvage, never
+// UB; the sanitizer CI jobs run this suite (label: robustness) to enforce
+// that byte by byte.
 #include "util/framed_log.hpp"
 
 #include <gtest/gtest.h>

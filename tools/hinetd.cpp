@@ -15,19 +15,21 @@
 // executes the missing replicates under the supervisor, journaling every
 // completion durably: kill -9 at any point — mid-replicate, mid-commit —
 // and a restarted `run` resumes without re-executing anything that
-// finished, while the store's staged commit protocol guarantees a query
-// sees a full result or a clean miss, never a torn one.  `query` serves
-// aggregates, completion curves and crossover lookups purely from the
-// store and prints a deterministic digest plus the hit/miss/recovery
-// counters.
+// finished, while the store's two-stage commit (segment, then the index
+// rename that commits) guarantees a query sees a full result or a clean
+// miss, never a torn one.  The drain that next wins a cut job's lease
+// finishes it: it re-publishes from the journal, or acknowledges a job
+// the dead drain already indexed.  `query` serves aggregates, completion
+// curves and crossover lookups purely from the store and prints a
+// deterministic digest plus the hit/miss counters.
 //
 // --from=FILE (or `-` for stdin) batches submissions: one job per line of
 // space-separated key=value pairs using the same keys as the spec flags
 // (scenario=hinet-one nodes=24 ... reps=4); '#' starts a comment.
 //
 // Crash levers for the CI kill-and-recover smoke: --crash-at-stage=
-// {intent|segment|index|commit} hard-exits (status 42, no cleanup) the
-// moment the store's commit protocol passes that stage, and
+// {segment|index} hard-exits (status 42, no cleanup) the moment the
+// store's commit protocol passes that stage, and
 // --abort-after-jobs=N does the same after N jobs published cleanly.
 //
 // Exit codes and signal handling follow the convention shared with
@@ -163,9 +165,6 @@ ServiceOptions service_options_from_args(CliArgs& args,
 
 void print_counters(const ResultsStore::Counters& c) {
   std::cout << "store-counters: hits=" << c.hits << " misses=" << c.misses
-            << " recovered-commits=" << c.recovered_commits
-            << " rolled-back-intents=" << c.rolled_back_intents
-            << " salvaged-wal-bytes=" << c.salvaged_wal_bytes
             << " orphan-temps-removed=" << c.orphan_temps_removed << "\n";
 }
 
@@ -279,7 +278,7 @@ int cmd_run(CliArgs& args) {
   const std::string crash_stage = args.get_string(
       "crash-at-stage", "",
       "CI crash lever: hard-exit(42) after this store commit stage "
-      "(intent | segment | index | commit)");
+      "(segment | index)");
   const std::size_t abort_after_jobs = static_cast<std::size_t>(args.get_int(
       "abort-after-jobs", 0,
       "CI crash lever: hard-exit(42) after this many published jobs "
@@ -300,23 +299,14 @@ int cmd_run(CliArgs& args) {
     std::cerr << "hinetd run: --store=DIR is required\n";
     return kExitUsage;
   }
-  ResultsStore::CommitStage crash_at = ResultsStore::CommitStage::kIntentLogged;
-  bool crash_armed = false;
-  if (!crash_stage.empty()) {
-    crash_armed = true;
-    if (crash_stage == "intent") {
-      crash_at = ResultsStore::CommitStage::kIntentLogged;
-    } else if (crash_stage == "segment") {
-      crash_at = ResultsStore::CommitStage::kSegmentWritten;
-    } else if (crash_stage == "index") {
-      crash_at = ResultsStore::CommitStage::kIndexPublished;
-    } else if (crash_stage == "commit") {
-      crash_at = ResultsStore::CommitStage::kCommitLogged;
-    } else {
-      std::cerr << "hinetd run: unknown --crash-at-stage '" << crash_stage
-                << "' (intent | segment | index | commit)\n";
-      return kExitUsage;
-    }
+  using Stage = ResultsStore::CommitStage;
+  Stage crash_at = Stage::kSegmentWritten;
+  if (crash_stage == "index") {
+    crash_at = Stage::kIndexPublished;
+  } else if (!crash_stage.empty() && crash_stage != "segment") {
+    std::cerr << "hinetd run: unknown --crash-at-stage '" << crash_stage
+              << "' (segment | index)\n";
+    return kExitUsage;
   }
 
   opt.cancel = install_termination_cancellation();
@@ -333,8 +323,8 @@ int cmd_run(CliArgs& args) {
   }
 
   ExperimentService service(store_dir, opt);
-  if (crash_armed) {
-    service.store().set_commit_hook([crash_at](ResultsStore::CommitStage s) {
+  if (!crash_stage.empty()) {
+    service.store().set_commit_hook([crash_at](Stage s) {
       if (s == crash_at) std::_Exit(42);
     });
   }
@@ -369,7 +359,7 @@ int cmd_query(CliArgs& args) {
     return kExitUsage;
   }
 
-  // Read-only handle: queries never lock, recover, or otherwise perturb a
+  // Read-only handle: queries never lock, clean up, or otherwise perturb a
   // store that live drains are publishing into.
   StoreOptions ro;
   ro.read_only = true;
@@ -440,7 +430,7 @@ int cmd_status(CliArgs& args) {
   }
 
   // Everything here is observe-only: read-only store (no locks, no
-  // recovery), read-only queue (no flock, no compaction), lease files
+  // cleanup), read-only queue (no flock, no compaction), lease files
   // peeked without acquiring — `status` is safe to run while N drains
   // are live, and that is exactly how the CI multi-drain smoke uses it.
   StoreOptions ro;
