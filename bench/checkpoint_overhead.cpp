@@ -6,15 +6,21 @@
 // Engine::snapshot() taken every --every rounds — and the wall-time delta
 // is attributed to checkpointing.  A separate timed section measures the
 // durable path (save_snapshot_file + load_snapshot_file round trip, i.e.
-// serialize + CRC + atomic rename + re-validate).  Both runs must produce
-// identical SimMetrics, so the bench doubles as a smoke check that
-// snapshotting never perturbs the simulation it observes.  Results go to
-// stdout and, with --out, to BENCH_checkpoint_overhead.json.
+// serialize + CRC + atomic rename + re-validate).  Finally the last
+// snapshot is restored into a freshly built spec and the run finished:
+// restore_us times Engine::restore plus the resumed run's first step,
+// which is where a streamed trace re-synthesizes the prefix the snapshot
+// does not hold.  The checkpointed and the restored run must both produce
+// the uninterrupted run's SimMetrics, so the bench doubles as a smoke
+// check that snapshotting never perturbs the simulation it observes and
+// that resume is exact.  Results go to stdout and, with --out, to
+// BENCH_checkpoint_overhead.json.
 #include "common.hpp"
 
 #include <chrono>
 #include <cstdio>
 #include <fstream>
+#include <thread>
 
 #include "sim/engine.hpp"
 #include "sim/snapshot.hpp"
@@ -33,6 +39,7 @@ struct Point {
   double snapshot_us = 0.0;          ///< mean in-memory snapshot() cost
   double overhead_pct = 0.0;         ///< (ckpt - plain) / plain * 100
   double file_roundtrip_us = 0.0;    ///< save + load of one snapshot file
+  double restore_us = 0.0;  ///< restore of the last snapshot + first step
 };
 
 ScenarioConfig size_config(std::size_t nodes) {
@@ -125,6 +132,26 @@ Point measure(std::size_t nodes, std::uint64_t seed, std::size_t reps,
   }
   std::remove(path.c_str());
   pt.file_roundtrip_us = best * 1e6;
+
+  // A run too short to snapshot (--every past its length) has nothing to
+  // restore.
+  if (pt.snapshots == 0) return pt;
+  best = -1.0;
+  for (std::size_t rep = 0; rep < reps; ++rep) {
+    Engine eng(factory(seed));
+    const auto t0 = std::chrono::steady_clock::now();
+    eng.restore(last);
+    bool more = eng.step();
+    const double secs = std::chrono::duration<double>(
+                            std::chrono::steady_clock::now() - t0)
+                            .count();
+    while (more) more = eng.step();
+    HINET_ENSURE(eng.finish() == plain_metrics,
+                 "resume is not exact: the run restored from the last "
+                 "snapshot differs from the uninterrupted run");
+    if (best < 0.0 || secs < best) best = secs;
+  }
+  pt.restore_us = best * 1e6;
   return pt;
 }
 
@@ -151,17 +178,21 @@ int main(int argc, char** argv) {
       sizes = {60, 120, 240};
     }
 
+    const unsigned hw = std::thread::hardware_concurrency();
     std::cout << "=== Checkpoint overhead ((T, L)-HiNet interval scenario, "
                  "snapshot every " << every << " round(s), seed=" << seed
-              << ") ===\n\n";
+              << ") ===\n"
+              << "commit " << HINET_GIT_COMMIT << ", " << HINET_BUILD_TYPE
+              << ", hardware_concurrency=" << hw << ", "
+              << bench::cpu_model() << "\n\n";
     TextTable t({"n", "rounds", "plain s", "ckpt s", "overhead %",
-                 "snap bytes", "snap us", "file rt us"});
+                 "snap bytes", "snap us", "file rt us", "restore us"});
     std::vector<Point> points;
     for (const std::size_t n : sizes) {
       const Point p = measure(n, seed, reps, every);
       t.add(p.nodes, p.rounds, p.plain_seconds, p.ckpt_seconds,
             p.overhead_pct, p.snapshot_bytes, p.snapshot_us,
-            p.file_roundtrip_us);
+            p.file_roundtrip_us, p.restore_us);
       points.push_back(p);
     }
     std::cout << t;
@@ -178,12 +209,19 @@ int main(int argc, char** argv) {
         << " round(s) (worst case); best-of-" << reps
         << " wall time, build RelWithDebInfo (-O2). snapshot_us is the "
            "in-memory serialize cost per checkpoint, file_roundtrip_us adds "
-           "the checksummed atomic write + validated re-read. Reproduce "
-           "with: build/bench/checkpoint_overhead --reps=" << reps
+           "the checksummed atomic write + validated re-read, restore_us is "
+           "Engine::restore of the last snapshot into a freshly built spec "
+           "plus the resumed run's first step (best of reps; the restored "
+           "run is finished and must equal the uninterrupted one). "
+           "Reproduce with: build/bench/checkpoint_overhead --reps=" << reps
         << " --out=...\",\n";
       f << "  \"every\": " << every << ",\n";
       f << "  \"seed\": " << seed << ",\n";
       f << "  \"reps\": " << reps << ",\n";
+      f << "  \"commit\": \"" << HINET_GIT_COMMIT << "\",\n";
+      f << "  \"build_type\": \"" << HINET_BUILD_TYPE << "\",\n";
+      f << "  \"hardware_concurrency\": " << hw << ",\n";
+      f << "  \"cpu_model\": \"" << bench::cpu_model() << "\",\n";
       f << "  \"points\": [\n";
       for (std::size_t i = 0; i < points.size(); ++i) {
         const Point& p = points[i];
@@ -194,7 +232,8 @@ int main(int argc, char** argv) {
           << ", \"snapshots\": " << p.snapshots
           << ", \"snapshot_bytes\": " << p.snapshot_bytes
           << ", \"snapshot_us\": " << p.snapshot_us
-          << ", \"file_roundtrip_us\": " << p.file_roundtrip_us << "}"
+          << ", \"file_roundtrip_us\": " << p.file_roundtrip_us
+          << ", \"restore_us\": " << p.restore_us << "}"
           << (i + 1 < points.size() ? "," : "") << "\n";
       }
       f << "  ]\n}\n";

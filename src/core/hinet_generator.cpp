@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "graph/generators.hpp"
-#include "util/binary_io.hpp"
 #include "util/rng.hpp"
 
 namespace hinet {
@@ -163,84 +162,6 @@ PhasePlan plan_phase(const HiNetConfig& cfg, const BackboneLayout& layout,
   return plan;
 }
 
-void save_node_vec(ByteWriter& w, const std::vector<NodeId>& v) {
-  w.u64(v.size());
-  for (NodeId x : v) w.u32(x);
-}
-
-std::vector<NodeId> load_node_vec(ByteReader& r) {
-  const std::uint64_t count = r.u64();
-  // Validate before allocating (same contract as ByteReader::vec_u64): a
-  // corrupt count must be a typed error, not a multi-GiB zero-fill.
-  if (count > r.remaining() / 4) {
-    throw IoError("HiNet generator state corrupt: node vector exceeds payload");
-  }
-  std::vector<NodeId> v(count);
-  for (NodeId& x : v) x = r.u32();
-  return v;
-}
-
-void save_view(ByteWriter& w, const HierarchyView& view) {
-  const std::size_t n = view.node_count();
-  w.u64(n);
-  for (NodeId v = 0; v < n; ++v) {
-    w.u8(static_cast<std::uint8_t>(view.role(v)));
-    w.u32(view.cluster_of(v));
-  }
-}
-
-HierarchyView load_view(ByteReader& r) {
-  const std::uint64_t n = r.u64();
-  // Each node stores a u8 role + u32 cluster, so a count past remaining()/5
-  // cannot be honest — check before the two vector(n) allocations.
-  if (n > r.remaining() / 5) {
-    throw IoError("hierarchy view state corrupt: node count exceeds payload");
-  }
-  std::vector<NodeRole> roles(n);
-  std::vector<ClusterId> clusters(n);
-  for (std::size_t v = 0; v < n; ++v) {
-    const std::uint8_t raw = r.u8();
-    if (raw > static_cast<std::uint8_t>(NodeRole::kMember)) {
-      throw IoError("hierarchy view state corrupt: unknown role");
-    }
-    roles[v] = static_cast<NodeRole>(raw);
-    clusters[v] = r.u32();
-  }
-  // Rebuild through the public mutators (heads first: set_member requires
-  // its target to be a head already).  A stored target that is not a
-  // stored head is corrupt input, so it is checked here and reported as
-  // IoError before set_member's precondition could fire.
-  const auto stored_head = [&](NodeId v) {
-    const ClusterId head = clusters[v];
-    if (head >= n || roles[head] != NodeRole::kHead || head == v) {
-      throw IoError(
-          "hierarchy view state corrupt: affiliation target is not a head");
-    }
-    return head;
-  };
-  HierarchyView view(n);
-  for (NodeId v = 0; v < n; ++v) {
-    if (roles[v] == NodeRole::kHead) view.set_head(v);
-  }
-  for (NodeId v = 0; v < n; ++v) {
-    switch (roles[v]) {
-      case NodeRole::kHead:
-        break;
-      case NodeRole::kGateway:
-        if (clusters[v] == kNoCluster) {
-          view.set_unaffiliated_gateway(v);
-        } else {
-          view.set_member(v, stored_head(v), /*gateway=*/true);
-        }
-        break;
-      case NodeRole::kMember:
-        if (clusters[v] != kNoCluster) view.set_member(v, stored_head(v));
-        break;
-    }
-  }
-  return view;
-}
-
 }  // namespace
 
 namespace detail {
@@ -306,99 +227,6 @@ class PhaseDriver {
     return s;
   }
 
-  void save_state(ByteWriter& w) const {
-    save_rng(w, layout_rng_);
-    save_rng(w, churn_rng_);
-    save_rng(w, head_rng_);
-    w.u64(phase_);
-    save_node_vec(w, head_set_);
-    save_node_vec(w, prev_head_of_);
-    save_node_vec(w, layout_.chain);
-    save_node_vec(w, layout_.gateways);
-    save_node_vec(w, plan_.head_of);
-    save_graph(w, plan_.stable);
-    save_view(w, plan_.view);
-  }
-
-  void load_state(ByteReader& r) {
-    load_rng(r, layout_rng_);
-    load_rng(r, churn_rng_);
-    load_rng(r, head_rng_);
-    phase_ = r.u64();
-    if (phase_ >= cfg_.phases) {
-      throw IoError("HiNet generator state corrupt: phase out of range");
-    }
-    head_set_ = load_node_vec(r);
-    prev_head_of_ = load_node_vec(r);
-    layout_.chain = load_node_vec(r);
-    layout_.gateways = load_node_vec(r);
-    plan_.head_of = load_node_vec(r);
-    plan_.stable = load_graph(r, cfg_.nodes);
-    plan_.view = load_view(r);
-    if (prev_head_of_.size() != cfg_.nodes ||
-        plan_.head_of.size() != cfg_.nodes ||
-        plan_.view.node_count() != cfg_.nodes) {
-      throw IoError("HiNet generator state corrupt: node count mismatch");
-    }
-    // Every stored node id is used as an index downstream (head churn's
-    // is_head scratch, backbone planning, affiliation targets), so an
-    // out-of-range id from a corrupt payload must be a typed error here,
-    // not UB later.
-    if (head_set_.size() != cfg_.heads) {
-      throw IoError("HiNet generator state corrupt: head set size mismatch");
-    }
-    const auto check_ids = [&](const std::vector<NodeId>& ids,
-                               bool allow_no_cluster) {
-      for (const NodeId x : ids) {
-        if (x >= cfg_.nodes && !(allow_no_cluster && x == kNoCluster)) {
-          throw IoError("HiNet generator state corrupt: node id out of range");
-        }
-      }
-    };
-    check_ids(head_set_, false);
-    check_ids(layout_.chain, false);
-    check_ids(layout_.gateways, false);
-    check_ids(prev_head_of_, true);
-    check_ids(plan_.head_of, true);
-    // plan_phase walks (chain - 1) * (L - 1) relays off the gateway list,
-    // so the layout's sizes must be exactly what plan_backbone produces.
-    if (layout_.chain.size() != cfg_.heads ||
-        layout_.gateways.size() !=
-            (cfg_.heads - 1) * (static_cast<std::size_t>(cfg_.hop_l) - 1)) {
-      throw IoError("HiNet generator state corrupt: backbone layout size");
-    }
-    for (std::size_t i = 1; i < head_set_.size(); ++i) {
-      if (head_set_[i - 1] >= head_set_[i]) {
-        throw IoError("HiNet generator state corrupt: head set not sorted");
-      }
-    }
-    // The phase's rounds are its stable graph plus churn, served under its
-    // view, so the three must be the consistent triple plan_phase makes:
-    // an affiliation the view does not show, or a member whose head edge
-    // is missing, would break the 1-hop cluster model for the rest of the
-    // phase.
-    if (prev_head_of_ != plan_.head_of) {
-      throw IoError(
-          "HiNet generator state corrupt: previous affiliations differ");
-    }
-    for (NodeId v = 0; v < cfg_.nodes; ++v) {
-      if (plan_.head_of[v] != plan_.view.cluster_of(v)) {
-        throw IoError(
-            "HiNet generator state corrupt: affiliation differs from view");
-      }
-    }
-    if (!plan_.view.validate(plan_.stable).empty()) {
-      throw IoError(
-          "HiNet generator state corrupt: stable graph does not carry the "
-          "view");
-    }
-    // Restored mid-run state carries no statistics: stats are a whole-
-    // trace property, computed by hinet_trace_stats and unaffected by
-    // where a checkpoint cut the run.
-    ever_head_.assign(cfg_.nodes, 0);
-    stats_ = HiNetTraceStats{};
-  }
-
  private:
   void plan_current(bool first) {
     // Head churn at phase boundaries (never in ∞-stable mode).
@@ -460,21 +288,13 @@ namespace {
 
 /// make_hinet_stream's two handles: each holds the shared stream, so
 /// neither can outlive it.
-class HiNetStreamTopology final : public DynamicNetwork,
-                                  public TraceStateSource {
+class HiNetStreamTopology final : public DynamicNetwork {
  public:
   explicit HiNetStreamTopology(std::shared_ptr<HiNetStreamNetwork> net)
       : net_(std::move(net)) {}
 
   std::size_t node_count() const override { return net_->node_count(); }
   const Graph& graph_at(Round r) override { return net_->graph_at(r); }
-
-  void save_trace_state(ByteWriter& w) const override {
-    net_->save_trace_state(w);
-  }
-  void restore_trace_state(ByteReader& r) override {
-    net_->restore_trace_state(r);
-  }
 
  private:
   std::shared_ptr<HiNetStreamNetwork> net_;
@@ -496,9 +316,8 @@ class HiNetStreamHierarchy final : public HierarchyProvider {
 
 }  // namespace
 
-HiNetStreamNetwork::HiNetStreamNetwork(const HiNetConfig& cfg,
-                                       std::size_t window)
-    : StreamingNetwork(cfg.nodes, checked_horizon(cfg), window),
+HiNetStreamNetwork::HiNetStreamNetwork(const HiNetConfig& cfg)
+    : StreamingNetwork(cfg.nodes, checked_horizon(cfg)),
       phase_length_(cfg.phase_length),
       driver_(std::make_unique<detail::PhaseDriver>(cfg)),
       views_(this->window()) {}
@@ -520,14 +339,6 @@ Graph HiNetStreamNetwork::synthesize_next() {
 }
 
 void HiNetStreamNetwork::reset_generator() { driver_->reset(); }
-
-void HiNetStreamNetwork::save_generator_state(ByteWriter& w) const {
-  driver_->save_state(w);
-}
-
-void HiNetStreamNetwork::load_generator_state(ByteReader& r) {
-  driver_->load_state(r);
-}
 
 HiNetTraceStats hinet_trace_stats(const HiNetConfig& cfg) {
   detail::PhaseDriver driver(cfg);

@@ -87,9 +87,7 @@ class PhaseDriver;
 class HiNetStreamNetwork final : public StreamingNetwork {
  public:
   /// Throws PreconditionError on an invalid cfg (see make_hinet_trace).
-  explicit HiNetStreamNetwork(
-      const HiNetConfig& cfg,
-      std::size_t window = StreamingNetwork::kDefaultWindow);
+  explicit HiNetStreamNetwork(const HiNetConfig& cfg);
   ~HiNetStreamNetwork() override;
 
   /// Hierarchy view of round r, under graph_at(r)'s conventions.
@@ -98,8 +96,6 @@ class HiNetStreamNetwork final : public StreamingNetwork {
  private:
   Graph synthesize_next() override;
   void reset_generator() override;
-  void save_generator_state(ByteWriter& w) const override;
-  void load_generator_state(ByteReader& r) override;
 
   std::size_t phase_length_;
   std::unique_ptr<detail::PhaseDriver> driver_;
@@ -108,9 +104,9 @@ class HiNetStreamNetwork final : public StreamingNetwork {
 
 /// make_hinet_stream's pair of handles over one shared HiNetStreamNetwork,
 /// so a trace at n = 10^5 is never fully resident and each round is
-/// synthesized once for graph_at and hierarchy_at.  The topology forwards
-/// TraceStateSource, so Engine snapshots carry the generator state and
-/// resume without replaying the prefix.
+/// synthesized once for graph_at and hierarchy_at.  Neither handle has
+/// state to checkpoint: an engine restored over a fresh pair reaches its
+/// resume round by synthesizing forward from the seed.
 struct HiNetStream {
   std::unique_ptr<DynamicNetwork> topology;
   std::unique_ptr<HierarchyProvider> hierarchy;

@@ -1,7 +1,6 @@
 #include "graph/adversary.hpp"
 
 #include "graph/generators.hpp"
-#include "util/binary_io.hpp"
 
 namespace hinet {
 
@@ -27,8 +26,8 @@ Graph make_backbone(std::size_t nodes, bool path_backbone, Rng& rng) {
 }  // namespace
 
 TIntervalNetwork::TIntervalNetwork(const AdversaryConfig& cfg,
-                                   bool path_backbone, std::size_t window)
-    : StreamingNetwork(cfg.nodes, cfg.rounds, window),
+                                   bool path_backbone)
+    : StreamingNetwork(cfg.nodes, cfg.rounds),
       cfg_(cfg),
       path_backbone_(path_backbone) {
   HINET_REQUIRE(cfg.interval >= 1, "T must be >= 1");
@@ -67,22 +66,6 @@ Graph TIntervalNetwork::synthesize_next() {
   edges.insert(edges.end(), next.begin(), next.end());
   gen::append_churn_edges(edges, cfg_.nodes, cfg_.churn_edges, churn_rng_);
   return Graph(cfg_.nodes, edges);
-}
-
-void TIntervalNetwork::save_generator_state(ByteWriter& w) const {
-  save_rng(w, backbone_rng_);
-  save_rng(w, churn_rng_);
-  w.u64(cur_window_);
-  save_graph(w, backbone_cur_);
-  save_graph(w, backbone_next_);
-}
-
-void TIntervalNetwork::load_generator_state(ByteReader& r) {
-  load_rng(r, backbone_rng_);
-  load_rng(r, churn_rng_);
-  cur_window_ = r.u64();
-  backbone_cur_ = load_graph(r, node_count());
-  backbone_next_ = load_graph(r, node_count());
 }
 
 namespace {

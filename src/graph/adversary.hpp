@@ -33,14 +33,11 @@ struct AdversaryConfig {
 /// are independent forks, so lazy interleaving preserves the draw order.
 class TIntervalNetwork final : public StreamingNetwork {
  public:
-  TIntervalNetwork(const AdversaryConfig& cfg, bool path_backbone,
-                   std::size_t window = StreamingNetwork::kDefaultWindow);
+  TIntervalNetwork(const AdversaryConfig& cfg, bool path_backbone);
 
  private:
   Graph synthesize_next() override;
   void reset_generator() override;
-  void save_generator_state(ByteWriter& w) const override;
-  void load_generator_state(ByteReader& r) override;
 
   AdversaryConfig cfg_;
   bool path_backbone_;

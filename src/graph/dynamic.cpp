@@ -2,8 +2,6 @@
 
 #include <sstream>
 
-#include "util/binary_io.hpp"
-
 namespace hinet {
 
 GraphSequence::GraphSequence(std::vector<Graph> rounds)
@@ -27,13 +25,11 @@ void GraphSequence::push_back(Graph g) {
   rounds_.push_back(std::move(g));
 }
 
-StreamingNetwork::StreamingNetwork(std::size_t nodes, std::size_t horizon,
-                                   std::size_t window)
+StreamingNetwork::StreamingNetwork(std::size_t nodes, std::size_t horizon)
     : n_(nodes), horizon_(horizon) {
   HINET_REQUIRE(nodes >= 1, "streaming network needs nodes");
   HINET_REQUIRE(horizon >= 1, "streaming network needs at least one round");
-  HINET_REQUIRE(window >= 1, "ring window must hold at least one round");
-  ring_.resize(std::min(window, horizon));
+  ring_.resize(std::min(kDefaultWindow, horizon));
 }
 
 const Graph& StreamingNetwork::graph_at(Round r) {
@@ -46,16 +42,12 @@ const Graph& StreamingNetwork::graph_at(Round r) {
 const Graph& StreamingNetwork::ensure(Round r) {
   const std::size_t w = ring_.size();
   if (r < frontier_) {
-    if (r >= resident_begin_ && r + w >= frontier_) {
-      return ring_[r % w];  // still resident
-    }
-    // Behind the window (or behind a restore's frontier): deterministic
-    // replay from round 0.  Counted so tests and tools can assert the
-    // expected (forward) access pattern.
+    if (r + w >= frontier_) return ring_[r % w];  // still resident
+    // Behind the window: deterministic replay from round 0.  Counted so
+    // tests and tools can assert the expected (forward) access pattern.
     ++rewinds_;
     reset_generator();
     frontier_ = 0;
-    resident_begin_ = 0;
   }
   while (frontier_ <= r) {
     ring_[frontier_ % w] = synthesize_next();
@@ -64,65 +56,6 @@ const Graph& StreamingNetwork::ensure(Round r) {
     ++frontier_;
   }
   return ring_[r % w];
-}
-
-void StreamingNetwork::save_trace_state(ByteWriter& w) const {
-  w.u64(frontier_);
-  ByteWriter gw;
-  save_generator_state(gw);
-  w.blob(gw.buffer());
-}
-
-void StreamingNetwork::restore_trace_state(ByteReader& r) {
-  const std::uint64_t stored_frontier = r.u64();
-  if (stored_frontier > horizon_) {
-    std::ostringstream os;
-    os << "streaming trace state corrupt or mismatched: stored frontier "
-       << stored_frontier << " is past the provider's horizon " << horizon_;
-    throw IoError(os.str());
-  }
-  ByteReader gr(r.blob(), "streaming generator state");
-  load_generator_state(gr);
-  gr.expect_done();
-  // The ring is not serialized: the resume path walks forward from the
-  // restored frontier (one synthesize_next per round), and any backward
-  // access replays deterministically from round 0.
-  frontier_ = stored_frontier;
-  resident_begin_ = stored_frontier;
-  for (Graph& g : ring_) g = Graph();
-}
-
-void save_graph(ByteWriter& w, const Graph& g) {
-  w.u64(g.node_count());
-  const auto edges = g.edges();
-  w.u64(edges.size());
-  for (const Edge& e : edges) {
-    w.u32(e.u);
-    w.u32(e.v);
-  }
-}
-
-Graph load_graph(ByteReader& r, std::size_t expected_nodes) {
-  const std::uint64_t n = r.u64();
-  const std::uint64_t m = r.u64();
-  // The caller always knows how many nodes the graph must have, and the
-  // stored count is (possibly corrupt) input — checking it before Graph
-  // construction keeps a flipped high bit from zero-filling gigabytes.
-  if (n != expected_nodes) {
-    throw IoError("serialized graph corrupt: node count mismatch");
-  }
-  if (m > r.remaining() / 8) {
-    throw IoError("serialized graph corrupt: edge count exceeds payload");
-  }
-  std::vector<Edge> edges(m);
-  for (Edge& e : edges) {
-    e.u = r.u32();
-    e.v = r.u32();
-    if (e.u >= n || e.v >= n || e.u == e.v) {
-      throw IoError("serialized graph corrupt: edge endpoint out of range");
-    }
-  }
-  return Graph(n, edges);
 }
 
 std::size_t estimated_graph_bytes(std::size_t nodes, std::size_t edges) {

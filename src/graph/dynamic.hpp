@@ -12,6 +12,10 @@
 //     fully resident trace would not fit.
 // materialize() converts the latter into the former as an explicit,
 // budget-guarded opt-in.
+//
+// No provider knows a byte format.  A round is a function of (spec, seed,
+// round index), so whoever needs round r of a trace again — a backward
+// read, or an engine resumed from a snapshot — rebuilds it from the seed.
 #pragma once
 
 #include <memory>
@@ -20,9 +24,6 @@
 #include "graph/graph.hpp"
 
 namespace hinet {
-
-class ByteWriter;
-class ByteReader;
 
 /// Round index within the lifetime Γ = {t0, t1, ...}.
 using Round = std::size_t;
@@ -40,33 +41,6 @@ class DynamicNetwork {
   /// deterministic: repeated calls with the same r return the same graph.
   virtual const Graph& graph_at(Round r) = 0;
 };
-
-/// Checkpoint capability for trace providers whose rounds are synthesised
-/// from evolving generator state (RNG streams, chain state, positions).
-/// Engine::snapshot() discovers the capability via dynamic_cast and stores
-/// the blob, so checkpoint/resume of a streamed run re-attaches generator
-/// state instead of replaying the whole prefix.  Providers that are pure
-/// functions of the round index (GraphSequence, StaticNetwork) do not need
-/// it: rebuilding them from the spec's seed is already exact.
-class TraceStateSource {
- public:
-  virtual ~TraceStateSource() = default;
-
-  /// Serializes everything needed to continue synthesis from the current
-  /// frontier with the exact draw sequence of an uninterrupted run.
-  virtual void save_trace_state(ByteWriter& w) const = 0;
-
-  /// Re-attaches state saved by save_trace_state to a freshly built
-  /// identical provider.  Throws IoError on shape mismatch.
-  virtual void restore_trace_state(ByteReader& r) = 0;
-};
-
-/// Graph (de)serialization for trace-state blobs: node count + sorted edge
-/// list.  load_graph requires the stored node count to equal the caller's
-/// expectation (checked before any allocation, so corrupt counts cannot
-/// trigger huge zero-fills) and validates edge endpoints against it.
-void save_graph(ByteWriter& w, const Graph& g);
-Graph load_graph(ByteReader& r, std::size_t expected_nodes);
 
 /// A dynamic network backed by an explicit, precomputed list of rounds.
 /// Rounds past the end repeat the final graph, which matches the models'
@@ -91,8 +65,8 @@ class GraphSequence final : public DynamicNetwork {
 };
 
 /// Base for lazily synthesised dynamic networks: a generator produces
-/// round graphs in order and only the last `window` realized rounds stay
-/// resident in a ring buffer.  graph_at honours the GraphSequence
+/// round graphs in order and only the last kDefaultWindow realized rounds
+/// stay resident in a ring buffer.  graph_at honours the GraphSequence
 /// contract exactly — including the repeat-final-round convention past the
 /// nominal horizon — so streaming and materialized providers are
 /// observationally interchangeable.
@@ -100,20 +74,24 @@ class GraphSequence final : public DynamicNetwork {
 /// Access pattern and cost:
 ///   - forward, monotone access (the engine's round loop) is O(1) ring
 ///     lookups plus one synthesize_next() per new round;
+///   - the first read of a round past the frontier synthesizes forward
+///     to it from wherever the generator stands — from round 0 on a fresh
+///     stream, which is how a restored engine reaches its resume round;
 ///   - access behind the ring window triggers a deterministic replay from
 ///     round 0 (reset_generator() + re-synthesis).  Replays are counted in
 ///     rewinds() so tests and tools can assert the expected access
 ///     pattern; certification passes that need free random access should
 ///     materialize() first.
 ///
-/// Derived classes implement synthesize_next()/reset_generator() (and the
-/// generator-state hooks for checkpointing) and keep ALL evolving state in
-/// their generator members: the base owns the ring and the frontier.
-class StreamingNetwork : public DynamicNetwork, public TraceStateSource {
+/// Derived classes implement synthesize_next()/reset_generator() and keep
+/// ALL evolving state in their generator members: the base owns the ring
+/// and the frontier.
+class StreamingNetwork : public DynamicNetwork {
  public:
-  /// Engine and FaultyNetwork hold a round's graph reference only for that
-  /// round, but a window of 2 keeps the previous round valid as well,
-  /// which sliding-window consumers (and debuggers) rely on.
+  /// The ring width W.  Engine and FaultyNetwork hold a round's graph
+  /// reference only for that round, but a window of 2 keeps the previous
+  /// round valid as well, which sliding-window consumers (and debuggers)
+  /// rely on.
   static constexpr std::size_t kDefaultWindow = 2;
 
   std::size_t node_count() const override { return n_; }
@@ -123,7 +101,7 @@ class StreamingNetwork : public DynamicNetwork, public TraceStateSource {
   /// graph (same convention as GraphSequence::graph_at).
   std::size_t round_count() const { return horizon_; }
 
-  /// Ring capacity W: how many realized rounds stay resident.
+  /// Ring capacity: kDefaultWindow, clamped to the horizon.
   std::size_t window() const { return ring_.size(); }
 
   /// Next round the generator would synthesise (realized rounds are
@@ -133,17 +111,9 @@ class StreamingNetwork : public DynamicNetwork, public TraceStateSource {
   /// Number of replays-from-zero forced by accesses behind the window.
   std::size_t rewinds() const { return rewinds_; }
 
-  // TraceStateSource: frontier + the derived generator's state.  The ring
-  // itself is NOT serialized — the first post-restore graph_at(frontier)
-  // resynthesises forward, and earlier rounds replay deterministically.
-  void save_trace_state(ByteWriter& w) const final;
-  void restore_trace_state(ByteReader& r) final;
-
  protected:
-  /// `horizon` is the nominal trace length Γ (>= 1); `window` the ring
-  /// capacity (>= 1, clamped to the horizon).
-  StreamingNetwork(std::size_t nodes, std::size_t horizon,
-                   std::size_t window);
+  /// `horizon` is the nominal trace length Γ (>= 1).
+  StreamingNetwork(std::size_t nodes, std::size_t horizon);
 
   /// Produces the graph of round frontier() and advances the generator's
   /// internal state by exactly one round.  Called with strictly
@@ -155,22 +125,12 @@ class StreamingNetwork : public DynamicNetwork, public TraceStateSource {
   /// start.  Must reproduce the original draw sequence exactly.
   virtual void reset_generator() = 0;
 
-  /// Serializes the generator's evolving state (RNG words, chain state,
-  /// positions) so a restored provider continues the exact sequence.
-  virtual void save_generator_state(ByteWriter& w) const = 0;
-  virtual void load_generator_state(ByteReader& r) = 0;
-
  private:
   const Graph& ensure(Round r);
 
   std::size_t n_;
   std::size_t horizon_;
   Round frontier_ = 0;
-  /// First round that may be served from the ring: rounds in
-  /// [max(resident_begin_, frontier_ - W), frontier_) are resident.
-  /// Normally 0 (the window condition dominates); a restore sets it to the
-  /// restored frontier, because the ring is not serialized.
-  Round resident_begin_ = 0;
   std::size_t rewinds_ = 0;
   std::vector<Graph> ring_;  ///< slot for round r is ring_[r % window()]
 };

@@ -1,12 +1,9 @@
 #include "graph/markovian.hpp"
 
-#include "util/binary_io.hpp"
-
 namespace hinet {
 
-EdgeMarkovianNetwork::EdgeMarkovianNetwork(const MarkovianConfig& cfg,
-                                           std::size_t window)
-    : StreamingNetwork(cfg.nodes, cfg.rounds, window), cfg_(cfg) {
+EdgeMarkovianNetwork::EdgeMarkovianNetwork(const MarkovianConfig& cfg)
+    : StreamingNetwork(cfg.nodes, cfg.rounds), cfg_(cfg) {
   HINET_REQUIRE(cfg.birth >= 0.0 && cfg.birth <= 1.0, "birth outside [0,1]");
   HINET_REQUIRE(cfg.death >= 0.0 && cfg.death <= 1.0, "death outside [0,1]");
   HINET_REQUIRE(cfg.initial >= 0.0 && cfg.initial <= 1.0,
@@ -40,16 +37,6 @@ Graph EdgeMarkovianNetwork::synthesize_next() {
   }
   prev_ = Graph(n, edges);
   return prev_;
-}
-
-void EdgeMarkovianNetwork::save_generator_state(ByteWriter& w) const {
-  save_rng(w, rng_);
-  save_graph(w, prev_);
-}
-
-void EdgeMarkovianNetwork::load_generator_state(ByteReader& r) {
-  load_rng(r, rng_);
-  prev_ = load_graph(r, node_count());
 }
 
 GraphSequence make_edge_markovian_trace(const MarkovianConfig& cfg) {

@@ -28,15 +28,11 @@ struct MarkovianConfig {
 /// trace from make_edge_markovian_trace with the same config.
 class EdgeMarkovianNetwork final : public StreamingNetwork {
  public:
-  explicit EdgeMarkovianNetwork(
-      const MarkovianConfig& cfg,
-      std::size_t window = StreamingNetwork::kDefaultWindow);
+  explicit EdgeMarkovianNetwork(const MarkovianConfig& cfg);
 
  private:
   Graph synthesize_next() override;
   void reset_generator() override;
-  void save_generator_state(ByteWriter& w) const override;
-  void load_generator_state(ByteReader& r) override;
 
   MarkovianConfig cfg_;
   Rng rng_;

@@ -4,8 +4,6 @@
 #include <numbers>
 #include <utility>
 
-#include "util/binary_io.hpp"
-
 namespace hinet {
 
 namespace {
@@ -104,91 +102,7 @@ class MobilityStepper {
 
   const std::vector<gen::Point2D>& positions() const { return pos_; }
 
-  void save_state(ByteWriter& w) const {
-    save_rng(w, rng_);
-    w.u64(round_);
-    w.u64(pos_.size());
-    for (const gen::Point2D& p : pos_) {
-      w.f64(p.x);
-      w.f64(p.y);
-    }
-    w.u64(waypoint_.size());
-    for (const WaypointState& s : waypoint_) {
-      w.f64(s.target.x);
-      w.f64(s.target.y);
-      w.f64(s.speed);
-      w.u64(s.pause_left);
-    }
-    w.u64(manhattan_.size());
-    for (const ManhattanState& s : manhattan_) {
-      w.u64(s.from_x);
-      w.u64(s.from_y);
-      w.u64(s.to_x);
-      w.u64(s.to_y);
-      w.f64(s.progress);
-      w.f64(s.speed);
-    }
-  }
-
-  void load_state(ByteReader& r) {
-    load_rng(r, rng_);
-    round_ = r.u64();
-    pos_.resize(check_count(r.u64(), "positions"));
-    for (gen::Point2D& p : pos_) {
-      p.x = check_f64(r.f64(), 1.0, "position");
-      p.y = check_f64(r.f64(), 1.0, "position");
-    }
-    waypoint_.resize(check_count(r.u64(), "waypoint states"));
-    for (WaypointState& s : waypoint_) {
-      s.target.x = check_f64(r.f64(), 1.0, "waypoint target");
-      s.target.y = check_f64(r.f64(), 1.0, "waypoint target");
-      s.speed = check_f64(r.f64(), cfg_.max_speed, "waypoint speed");
-      s.pause_left = r.u64();
-    }
-    // Manhattan speeds are segment fractions per round, so the legit
-    // ceiling is max_speed / segment; progress stays below 1 between
-    // rounds.  Bounding both here keeps the advance loop's iteration
-    // count finite even for adversarial payloads.
-    const double segments = static_cast<double>(cfg_.streets - 1);
-    manhattan_.resize(check_count(r.u64(), "Manhattan states"));
-    for (ManhattanState& s : manhattan_) {
-      s.from_x = check_street(r.u64(), "Manhattan waypoint");
-      s.from_y = check_street(r.u64(), "Manhattan waypoint");
-      s.to_x = check_street(r.u64(), "Manhattan waypoint");
-      s.to_y = check_street(r.u64(), "Manhattan waypoint");
-      s.progress = check_f64(r.f64(), 1.0, "Manhattan progress");
-      s.speed =
-          check_f64(r.f64(), cfg_.max_speed * segments, "Manhattan speed");
-    }
-  }
-
  private:
-  std::size_t check_count(std::uint64_t count, const char* what) const {
-    if (count != 0 && count != cfg_.nodes) {
-      throw IoError(std::string("mobility state corrupt: ") + what +
-                    " count mismatches the node count");
-    }
-    return count;
-  }
-
-  /// Rejects NaN and values outside [0, hi] (the negated comparison is what
-  /// catches NaN) so corrupt floats cannot drive unbounded movement loops.
-  static double check_f64(double v, double hi, const char* what) {
-    if (!(v >= 0.0 && v <= hi)) {
-      throw IoError(std::string("mobility state corrupt: ") + what +
-                    " out of range");
-    }
-    return v;
-  }
-
-  std::uint64_t check_street(std::uint64_t v, const char* what) const {
-    if (v >= cfg_.streets) {
-      throw IoError(std::string("mobility state corrupt: ") + what +
-                    " off the grid");
-    }
-    return v;
-  }
-
   void init_round_zero() {
     if (cfg_.model == MobilityModel::kManhattan) {
       manhattan_.assign(cfg_.nodes, ManhattanState{});
@@ -278,8 +192,8 @@ class MobilityStepper {
 
 }  // namespace detail
 
-MobilityNetwork::MobilityNetwork(const MobilityConfig& cfg, std::size_t window)
-    : StreamingNetwork(cfg.nodes, cfg.rounds, window),
+MobilityNetwork::MobilityNetwork(const MobilityConfig& cfg)
+    : StreamingNetwork(cfg.nodes, cfg.rounds),
       cfg_(cfg),
       stepper_(std::make_unique<detail::MobilityStepper>(cfg)) {}
 
@@ -294,14 +208,6 @@ Graph MobilityNetwork::synthesize_next() {
 }
 
 void MobilityNetwork::reset_generator() { stepper_->reset(); }
-
-void MobilityNetwork::save_generator_state(ByteWriter& w) const {
-  stepper_->save_state(w);
-}
-
-void MobilityNetwork::load_generator_state(ByteReader& r) {
-  stepper_->load_state(r);
-}
 
 MobilityTrace::MobilityTrace(const MobilityConfig& cfg)
     : positions_([&] {

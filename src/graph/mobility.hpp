@@ -51,9 +51,7 @@ class MobilityStepper;
 /// to MobilityTrace::network() for the same config.
 class MobilityNetwork final : public StreamingNetwork {
  public:
-  explicit MobilityNetwork(
-      const MobilityConfig& cfg,
-      std::size_t window = StreamingNetwork::kDefaultWindow);
+  explicit MobilityNetwork(const MobilityConfig& cfg);
   ~MobilityNetwork() override;
 
   /// Node positions of the most recently synthesized round (the mobility
@@ -63,8 +61,6 @@ class MobilityNetwork final : public StreamingNetwork {
  private:
   Graph synthesize_next() override;
   void reset_generator() override;
-  void save_generator_state(ByteWriter& w) const override;
-  void load_generator_state(ByteReader& r) override;
 
   MobilityConfig cfg_;
   std::unique_ptr<detail::MobilityStepper> stepper_;

@@ -114,6 +114,10 @@ SimMetrics Engine::run(const EngineConfig& cfg) {
 void Engine::start(const EngineConfig& cfg) {
   HINET_REQUIRE(!started_, "Engine::run is single-shot: this engine already "
                            "started a run (processes hold consumed state)");
+  HINET_REQUIRE(!partly_restored_,
+                "Engine::start() after a failed restore(): the channel and "
+                "some processes may hold snapshot state, so only another "
+                "restore() (or a freshly built engine) can begin a run");
   started_ = true;
   cfg_ = cfg;
   round_ = 0;
@@ -301,17 +305,6 @@ SimSnapshot Engine::snapshot() const {
     channel_->save_state(cw);
     w.blob(cw.buffer());
   }
-  // Streaming topologies (StreamingNetwork and decorators over one) carry
-  // generator state: persisting it lets restore continue synthesis at the
-  // frontier instead of replaying the whole prefix.  Materialized traces
-  // have no such state and store only the absence flag.
-  const auto* trace = dynamic_cast<const TraceStateSource*>(net_);
-  w.u8(trace != nullptr ? 1 : 0);
-  if (trace != nullptr) {
-    ByteWriter tw;
-    trace->save_trace_state(tw);
-    w.blob(tw.buffer());
-  }
   // Each process state is length-framed so restore can hand every process a
   // bounded reader and verify it consumes its section exactly — a process
   // type mismatch surfaces as a diagnostic, not as silent misalignment.
@@ -329,6 +322,10 @@ void Engine::restore(const SimSnapshot& snap) {
                 "the spec with the same factory and seed first)");
   const std::size_t n = net_->node_count();
   ByteReader r(snap.payload, "snapshot payload");
+  // Cleared only once every section has decoded: a throw part-way leaves
+  // the channel and a prefix of the processes restored, which start()
+  // must not build on.  Another restore() overwrites every section.
+  partly_restored_ = true;
 
   const std::uint64_t stored_round = r.u64();
   const std::uint64_t stored_n = r.u64();
@@ -378,20 +375,6 @@ void Engine::restore(const SimSnapshot& snap) {
     channel_->restore_state(cr);
     cr.expect_done();
   }
-  const bool stored_trace = r.u8() != 0;
-  auto* trace = dynamic_cast<TraceStateSource*>(net_);
-  if (stored_trace != (trace != nullptr)) {
-    throw IoError(
-        std::string("snapshot corrupt or mismatched: snapshot was taken ") +
-        (stored_trace ? "with" : "without") +
-        " a streaming network but this spec has the opposite — restore "
-        "requires an identically-built spec");
-  }
-  if (trace != nullptr) {
-    ByteReader tr(r.blob(), "snapshot network trace state");
-    trace->restore_trace_state(tr);
-    tr.expect_done();
-  }
   for (NodeId v = 0; v < n; ++v) {
     ByteReader pr(r.blob(), "snapshot process state");
     processes_[v]->restore_state(pr);
@@ -399,7 +382,11 @@ void Engine::restore(const SimSnapshot& snap) {
   }
   r.expect_done();
 
-  // Commit only after the whole payload decoded cleanly.
+  // Commit only after the whole payload decoded cleanly.  The topology is
+  // not in the snapshot: the first step() reads round stored_round from
+  // the freshly built spec, which a stream synthesizes forward from its
+  // seed.
+  partly_restored_ = false;
   started_ = true;
   cfg_ = cfg;
   round_ = stored_round;

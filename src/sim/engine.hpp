@@ -36,6 +36,9 @@
 // re-attaches that state to a freshly built identical spec, and the
 // resumed run finishes with byte-identical SimMetrics to an uninterrupted
 // one (pinned by tests/sim/test_snapshot.cpp for every scenario×channel).
+// The topology and hierarchy are never in a snapshot: the resumed run's
+// first step reads its round from the rebuilt spec, and a streamed trace
+// reaches that round by synthesizing its prefix forward from the seed.
 //
 // Two ownership modes:
 //   - spec-owning (preferred): Engine(SimulationSpec) takes the whole run
@@ -119,7 +122,11 @@ class Engine {
   /// was taken from (same factory, same seed).  The engine config is
   /// restored from the snapshot.  Throws IoError when the payload is
   /// corrupt or belongs to a structurally different run (node count,
-  /// channel presence, per-process state shape).
+  /// channel presence, per-process state shape).  A restore that throws
+  /// may have restored the channel and some processes already, so the
+  /// engine then accepts only another restore(); start() and run() throw
+  /// PreconditionError.  The first step() after a restore at round r
+  /// synthesizes a streamed trace's rounds 0..r from its seed.
   void restore(const SimSnapshot& snap);
 
   /// Round index of the next round step() would execute.
@@ -161,10 +168,11 @@ class Engine {
   ChannelModel* channel_ = nullptr;
 
   // Run state, valid between start()/restore() and finish().  snapshot()
-  // captures cfg_, round_ and metrics_ (with the channel, trace and
-  // process states); restore() re-derives the completion flags.
+  // captures cfg_, round_ and metrics_ (with the channel and process
+  // states); restore() re-derives the completion flags.
   bool started_ = false;
   bool finished_ = false;
+  bool partly_restored_ = false;  ///< a restore() threw part-way
   EngineConfig cfg_;
   Round round_ = 0;
   SimMetrics metrics_;

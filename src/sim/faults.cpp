@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "util/binary_io.hpp"
 #include "util/rng.hpp"
 
 namespace hinet {
@@ -137,26 +136,6 @@ const Graph& FaultyNetwork::rebuild(Round r) {
   cache_round_ = r;
   cache_valid_ = true;
   return cache_;
-}
-
-void FaultyNetwork::save_trace_state(ByteWriter& w) const {
-  // The decorator itself is stateless (the plan is construction data);
-  // forward the capability to the base when it has one.
-  const auto* src = dynamic_cast<const TraceStateSource*>(base_);
-  w.u8(src != nullptr ? 1 : 0);
-  if (src != nullptr) src->save_trace_state(w);
-}
-
-void FaultyNetwork::restore_trace_state(ByteReader& r) {
-  const bool has_base = r.u8() != 0;
-  auto* src = dynamic_cast<TraceStateSource*>(base_);
-  if (has_base != (src != nullptr)) {
-    throw IoError(
-        "fault decorator state corrupt or mismatched: base network "
-        "checkpoint capability differs from the snapshot's");
-  }
-  if (src != nullptr) src->restore_trace_state(r);
-  cache_valid_ = false;
 }
 
 }  // namespace hinet

@@ -22,11 +22,10 @@
 // off the table — run the monitor's one-pass checkers directly over the
 // decorator (it streams: each round is edited on the fly and dropped).
 //
-// FaultyNetwork also forwards the TraceStateSource checkpoint capability:
-// when the base network is streaming, an Engine snapshot taken through the
-// decorator carries the base generator's state, so kill-and-resume works
-// unchanged over faulty streamed traces (the fault plan itself is
-// construction data and needs no serialization).
+// Checkpoints need nothing from the decorator: the plan is construction
+// data and the base network a function of its seed, so an Engine restored
+// over a freshly built FaultyNetwork re-derives every faulty round, on a
+// streamed base as on a materialized one.
 #pragma once
 
 #include <memory>
@@ -97,7 +96,7 @@ FaultPlan random_churn_plan(std::size_t node_count, std::size_t crash_count,
 /// every generator (anything implementing DynamicNetwork) and with other
 /// FaultyNetworks; copies a round's graph only when a fault is active in
 /// that round.
-class FaultyNetwork final : public DynamicNetwork, public TraceStateSource {
+class FaultyNetwork final : public DynamicNetwork {
  public:
   /// Owning mode: the decorator keeps the base network alive (the form a
   /// self-owning SimulationSpec needs).
@@ -110,11 +109,6 @@ class FaultyNetwork final : public DynamicNetwork, public TraceStateSource {
   const Graph& graph_at(Round r) override;
 
   const FaultPlan& plan() const { return plan_; }
-
-  /// Forwards to the base network when it is itself a TraceStateSource;
-  /// otherwise stores/checks only an absence flag (the plan is static).
-  void save_trace_state(ByteWriter& w) const override;
-  void restore_trace_state(ByteReader& r) override;
 
  private:
   const Graph& rebuild(Round r);

@@ -5,14 +5,14 @@
 // SimMetrics, per-node completion flags, every process's mutable state
 // (token/sent sets, phase bookkeeping — via Process::save_state) and the
 // channel's cross-round state (RNG stream positions, Gilbert–Elliott chain
-// states — via ChannelModel::save_state).  The topology's *graphs* are
-// NOT serialized: DynamicNetwork/HierarchyProvider are deterministic
-// functions of the spec's seed, so the resuming caller rebuilds the spec
-// (same factory, same seed) and Engine::restore re-attaches the saved
-// state to it.  Streaming topologies (TraceStateSource) additionally store
-// their generator state (RNG positions, synthesis frontier — a few hundred
-// bytes), so a resumed run continues emitting rounds at the frontier
-// instead of replaying the whole prefix (version 2 payloads).
+// states — via ChannelModel::save_state).  The topology and hierarchy are
+// NOT serialized, streamed or not: DynamicNetwork/HierarchyProvider are
+// deterministic functions of the spec's seed, so the resuming caller
+// rebuilds the spec (same factory, same seed) and Engine::restore
+// re-attaches the saved state to it.  A streamed trace then reaches the
+// resume round by synthesizing its prefix forward from the seed — the
+// restore pays that synthesis, and the snapshot stores no generator state
+// (version 3 payloads; version 2 carried it, and is refused).
 //
 // The hard guarantee, pinned by tests/sim/test_snapshot.cpp over every
 // scenario × channel pair: snapshot at round r, restore into a freshly
@@ -41,7 +41,7 @@ namespace hinet {
 /// save_snapshot_file / load_snapshot_file.
 struct SimSnapshot {
   static constexpr std::uint32_t kMagic = 0x53'4e'48'53u;  // "SHNS"
-  static constexpr std::uint16_t kVersion = 2;
+  static constexpr std::uint16_t kVersion = 3;
 
   std::vector<std::uint8_t> payload;
 

@@ -8,9 +8,10 @@
 // exercised too), restore into a freshly built identical spec and run to
 // the end — the final SimMetrics must equal the uninterrupted run's via
 // the exhaustive defaulted operator==.  The remaining tests pin the
-// misuse surface: snapshot/restore called at the wrong time, restored
-// into the wrong spec, or used with processes that opted out of
-// checkpointing must all fail loudly with the documented exception types.
+// misuse surface: snapshot/restore called at the wrong time, a run
+// started after a failed restore, a restore into the wrong spec, or
+// processes that opted out of checkpointing must all fail loudly with the
+// documented exception types.
 #include "sim/snapshot.hpp"
 
 #include <gtest/gtest.h>
@@ -197,6 +198,40 @@ TEST(EngineSnapshot, RestoreOnAStartedEngineIsRejected) {
   Engine started(std::move(spec2));
   started.start(cfg2);
   EXPECT_THROW(started.restore(snap), PreconditionError);
+}
+
+TEST(EngineSnapshot, AFailedRestoreAdmitsOnlyAnotherRestore) {
+  // A payload cut by its last byte fails in the final process's section,
+  // after the channel and every other process were already restored.  A
+  // run started on that state would finish with wrong metrics, so the
+  // engine refuses start()/run() until a restore succeeds.
+  ScenarioConfig cfg;
+  cfg.nodes = 12;
+  cfg.heads = 3;
+  cfg.k = 3;
+  cfg.alpha = 2;
+  cfg.hop_l = 2;
+  const SpecFactory factory = scenario_factory(Scenario::kHiNetOne, cfg);
+  SimulationSpec spec = factory(5);
+  const EngineConfig run_cfg = spec.engine;
+  Engine donor(std::move(spec));
+  donor.start(run_cfg);
+  for (int i = 0; i < 3; ++i) ASSERT_TRUE(donor.step());
+  const SimSnapshot snap = donor.snapshot();
+  SimSnapshot cut = snap;
+  cut.payload.pop_back();
+
+  Engine eng(factory(5));
+  EXPECT_THROW(eng.restore(cut), IoError);
+  EXPECT_THROW(eng.run(), PreconditionError);
+  EXPECT_THROW(eng.start(run_cfg), PreconditionError);
+
+  // Another restore overwrites every section, and the run it begins
+  // finishes as the uninterrupted one does.
+  eng.restore(snap);
+  while (eng.step()) {
+  }
+  EXPECT_EQ(eng.finish(), run_uninterrupted(factory(5)));
 }
 
 TEST(EngineSnapshot, RestoreIntoDifferentlySizedSpecIsRejected) {

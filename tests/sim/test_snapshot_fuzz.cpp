@@ -22,7 +22,6 @@
 
 #include "analysis/journal.hpp"
 #include "analysis/scenarios.hpp"
-#include "core/hinet_generator.hpp"
 #include "sim/engine.hpp"
 #include "util/binary_io.hpp"
 
@@ -116,17 +115,23 @@ TEST(SnapshotFuzz, VersionSkewIsRejectedWithAVersionDiagnostic) {
   const SimSnapshot snap = make_valid_snapshot();
   const std::string path = fuzz_path("version");
   save_snapshot_file(snap, path);
-  std::vector<std::uint8_t> bytes = read_file(path);
-  // Container layout: u32 magic · u16 version · ...
-  bytes[4] = static_cast<std::uint8_t>(SimSnapshot::kVersion + 1);
-  bytes[5] = 0;
-  write_file(path, bytes);
-  try {
-    load_snapshot_file(path);
-    FAIL() << "future version was accepted";
-  } catch (const IoError& e) {
-    EXPECT_NE(std::string(e.what()).find("version"), std::string::npos)
-        << "diagnostic does not mention the version: " << e.what();
+  const std::vector<std::uint8_t> good = read_file(path);
+  // Version 2 payloads carried a trace section this layout does not have:
+  // an old file must be refused, not misread.  A future one likewise.
+  for (const int version : {2, SimSnapshot::kVersion + 1}) {
+    SCOPED_TRACE("version " + std::to_string(version));
+    std::vector<std::uint8_t> bytes = good;
+    // Container layout: u32 magic · u16 version · ...
+    bytes[4] = static_cast<std::uint8_t>(version);
+    bytes[5] = 0;
+    write_file(path, bytes);
+    try {
+      load_snapshot_file(path);
+      ADD_FAILURE() << "version " << version << " was accepted";
+    } catch (const IoError& e) {
+      EXPECT_NE(std::string(e.what()).find("version"), std::string::npos)
+          << "diagnostic does not mention the version: " << e.what();
+    }
   }
   std::remove(path.c_str());
 }
@@ -147,7 +152,7 @@ TEST(SnapshotFuzz, EveryPayloadTruncationIsRejectedByRestore) {
   // Bypasses the container CRC and attacks Engine::restore directly with
   // structurally short payloads; the bounds-checked ByteReader must turn
   // every missing byte into an IoError, and a failed restore must leave
-  // the engine fresh (restorable again).
+  // the engine restorable again.
   const SimSnapshot snap = make_valid_snapshot();
   Engine eng(tiny_spec(5));
   for (std::size_t len = 0; len < snap.payload.size(); ++len) {
@@ -190,61 +195,6 @@ TEST(SnapshotFuzz, MutatedPayloadsNeverCrashRestore) {
       // would flag.
     }
   }
-}
-
-TEST(SnapshotFuzz, EveryHiNetTraceStateBitFlipRestoresOrThrowsIoError) {
-  // Engine::restore documents IoError for a corrupt payload, and the
-  // service maps IoError to its corrupt-input exit code.  So a flipped bit
-  // in a HiNet stream's trace state must either decode to some other valid
-  // state or be rejected as IoError, never surface as another exception
-  // (e.g. a hierarchy mutator's precondition on a stored affiliation).
-  // A state that restores must also still be a (T, L)-HiNet phase: round
-  // 8 is in the restored phase, so its view must validate on its graph.
-  HiNetConfig cfg;
-  cfg.nodes = 24;
-  cfg.heads = 4;
-  cfg.phase_length = 3;
-  cfg.phases = 6;
-  cfg.hop_l = 3;
-  cfg.head_churn_prob = 0.3;
-  cfg.backbone_rewire_prob = 0.5;
-  cfg.seed = 5;
-  HiNetStreamNetwork net(cfg);
-  (void)net.graph_at(7);
-  ByteWriter w;
-  net.save_trace_state(w);
-  const std::vector<std::uint8_t> good(w.buffer().begin(), w.buffer().end());
-
-  std::size_t rejected = 0;
-  std::size_t mistyped = 0;
-  std::size_t invalid = 0;
-  std::string first_mistyped;
-  std::string first_invalid;
-  for (std::size_t bit = 0; bit < good.size() * 8; ++bit) {
-    std::vector<std::uint8_t> bad = good;
-    bad[bit / 8] ^= static_cast<std::uint8_t>(1u << (bit % 8));
-    HiNetStreamNetwork fresh(cfg);
-    try {
-      ByteReader r(bad, "trace state");
-      fresh.restore_trace_state(r);
-      r.expect_done();
-    } catch (const IoError&) {
-      ++rejected;
-      continue;
-    } catch (const std::exception& e) {
-      if (mistyped++ == 0) {
-        first_mistyped = "bit " + std::to_string(bit) + ": " + e.what();
-      }
-      continue;
-    }
-    const std::string why = fresh.hierarchy_at(8).validate(fresh.graph_at(8));
-    if (!why.empty() && invalid++ == 0) {
-      first_invalid = "bit " + std::to_string(bit) + ": " + why;
-    }
-  }
-  EXPECT_EQ(mistyped, 0u) << "first: " << first_mistyped;
-  EXPECT_EQ(invalid, 0u) << "first: " << first_invalid;
-  EXPECT_GT(rejected, 0u);
 }
 
 // The journal's framing (torn tails, monotone salvage, foreign headers,
