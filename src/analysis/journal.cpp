@@ -1,6 +1,6 @@
 #include "analysis/journal.hpp"
 
-#include "sim/snapshot.hpp"
+#include "sim/metrics.hpp"
 
 namespace hinet {
 

@@ -1,7 +1,5 @@
 #include "baseline/klo.hpp"
 
-#include "sim/snapshot.hpp"
-
 namespace hinet {
 
 KloFloodProcess::KloFloodProcess(NodeId self, TokenSet initial,
@@ -71,26 +69,6 @@ std::vector<ProcessPtr> make_klo_flood_processes(
     out.push_back(std::make_unique<KloFloodProcess>(v, initial[v], params));
   }
   return out;
-}
-
-void KloFloodProcess::save_state(ByteWriter& w) const {
-  save_token_set(w, ta_);
-}
-
-void KloFloodProcess::restore_state(ByteReader& r) {
-  ta_ = load_token_set(r, ta_.universe());
-}
-
-void KloPipelineProcess::save_state(ByteWriter& w) const {
-  save_token_set(w, ta_);
-  save_token_set(w, ts_);
-  w.u64(next_phase_start_);
-}
-
-void KloPipelineProcess::restore_state(ByteReader& r) {
-  ta_ = load_token_set(r, ta_.universe());
-  ts_ = load_token_set(r, ts_.universe());
-  next_phase_start_ = r.u64();
 }
 
 std::vector<ProcessPtr> make_klo_pipeline_processes(

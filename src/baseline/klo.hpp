@@ -35,10 +35,6 @@ class KloFloodProcess final : public Process {
   const TokenSet& knowledge() const override { return ta_; }
   bool finished(const RoundContext& ctx) const override;
 
-  // Checkpoint hooks (see sim/process.hpp for the contract).
-  void save_state(ByteWriter& w) const override;
-  void restore_state(ByteReader& r) override;
-
  private:
   NodeId self_;
   KloFloodParams params_;
@@ -60,10 +56,6 @@ class KloPipelineProcess final : public Process {
   void receive(const RoundContext& ctx, InboxView inbox) override;
   const TokenSet& knowledge() const override { return ta_; }
   bool finished(const RoundContext& ctx) const override;
-
-  // Checkpoint hooks (see sim/process.hpp for the contract).
-  void save_state(ByteWriter& w) const override;
-  void restore_state(ByteReader& r) override;
 
  private:
   NodeId self_;

@@ -1,7 +1,5 @@
 #include "core/alg1.hpp"
 
-#include "sim/snapshot.hpp"
-
 namespace hinet {
 
 Alg1Process::Alg1Process(NodeId self, TokenSet initial,
@@ -140,30 +138,6 @@ void Alg1Process::receive(const RoundContext& ctx, InboxView inbox) {
       break;
     }
   }
-}
-
-void Alg1Process::save_state(ByteWriter& w) const {
-  save_token_set(w, ta_);
-  save_token_set(w, ts_);
-  save_token_set(w, tr_);
-  w.u64(head_in_prev_phase_);
-  w.u64(next_phase_start_);
-  w.u64(ta_at_phase_start_);
-  w.u64(quiet_phases_);
-  w.u64(resend_sweeps_);
-  w.u8(reaffiliated_ ? 1 : 0);
-}
-
-void Alg1Process::restore_state(ByteReader& r) {
-  ta_ = load_token_set(r, ta_.universe());
-  ts_ = load_token_set(r, ts_.universe());
-  tr_ = load_token_set(r, tr_.universe());
-  head_in_prev_phase_ = static_cast<ClusterId>(r.u64());
-  next_phase_start_ = r.u64();
-  ta_at_phase_start_ = r.u64();
-  quiet_phases_ = r.u64();
-  resend_sweeps_ = r.u64();
-  reaffiliated_ = r.u8() != 0;
 }
 
 std::vector<ProcessPtr> make_alg1_processes(

@@ -86,10 +86,6 @@ class Alg1Process final : public Process {
   const TokenSet& received_from_head_set() const { return tr_; }
   std::size_t resend_sweeps() const { return resend_sweeps_; }
 
-  // Checkpoint hooks (see sim/process.hpp for the contract).
-  void save_state(ByteWriter& w) const override;
-  void restore_state(ByteReader& r) override;
-
  private:
   void maybe_start_phase(const RoundContext& ctx);
 

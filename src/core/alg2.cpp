@@ -1,7 +1,5 @@
 #include "core/alg2.hpp"
 
-#include "sim/snapshot.hpp"
-
 namespace hinet {
 
 Alg2Process::Alg2Process(NodeId self, TokenSet initial,
@@ -76,24 +74,6 @@ void Alg2Process::receive(const RoundContext& ctx, InboxView inbox) {
   } else {
     quiet_rounds_ = 0;
   }
-}
-
-void Alg2Process::save_state(ByteWriter& w) const {
-  save_token_set(w, ta_);
-  save_token_set(w, echoed_);
-  w.u64(last_seen_head_);
-  w.u8(sent_initial_ ? 1 : 0);
-  w.u64(member_uploads_);
-  w.u64(quiet_rounds_);
-}
-
-void Alg2Process::restore_state(ByteReader& r) {
-  ta_ = load_token_set(r, ta_.universe());
-  echoed_ = load_token_set(r, echoed_.universe());
-  last_seen_head_ = static_cast<ClusterId>(r.u64());
-  sent_initial_ = r.u8() != 0;
-  member_uploads_ = r.u64();
-  quiet_rounds_ = r.u64();
 }
 
 std::vector<ProcessPtr> make_alg2_processes(

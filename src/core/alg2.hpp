@@ -49,10 +49,6 @@ class Alg2Process final : public Process {
   /// drives the measured n_m · n_r cost audit.
   std::size_t member_uploads() const { return member_uploads_; }
 
-  // Checkpoint hooks (see sim/process.hpp for the contract).
-  void save_state(ByteWriter& w) const override;
-  void restore_state(ByteReader& r) override;
-
  private:
   NodeId self_;
   Alg2Params params_;

@@ -104,9 +104,7 @@ class HiNetStreamNetwork final : public StreamingNetwork {
 
 /// make_hinet_stream's pair of handles over one shared HiNetStreamNetwork,
 /// so a trace at n = 10^5 is never fully resident and each round is
-/// synthesized once for graph_at and hierarchy_at.  Neither handle has
-/// state to checkpoint: an engine restored over a fresh pair reaches its
-/// resume round by synthesizing forward from the seed.
+/// synthesized once for graph_at and hierarchy_at.
 struct HiNetStream {
   std::unique_ptr<DynamicNetwork> topology;
   std::unique_ptr<HierarchyProvider> hierarchy;

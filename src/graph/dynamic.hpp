@@ -15,7 +15,7 @@
 //
 // No provider knows a byte format.  A round is a function of (spec, seed,
 // round index), so whoever needs round r of a trace again — a backward
-// read, or an engine resumed from a snapshot — rebuilds it from the seed.
+// read, or a second pass — rebuilds it from the seed.
 #pragma once
 
 #include <memory>
@@ -75,8 +75,8 @@ class GraphSequence final : public DynamicNetwork {
 ///   - forward, monotone access (the engine's round loop) is O(1) ring
 ///     lookups plus one synthesize_next() per new round;
 ///   - the first read of a round past the frontier synthesizes forward
-///     to it from wherever the generator stands — from round 0 on a fresh
-///     stream, which is how a restored engine reaches its resume round;
+///     to it from wherever the generator stands (from round 0 on a fresh
+///     stream);
 ///   - access behind the ring window triggers a deterministic replay from
 ///     round 0 (reset_generator() + re-synthesis).  Replays are counted in
 ///     rewinds() so tests and tools can assert the expected access

@@ -6,7 +6,7 @@
 #include <cerrno>
 #include <sstream>
 
-#include "sim/snapshot.hpp"
+#include "sim/metrics.hpp"
 #include "util/require.hpp"
 
 namespace hinet {

@@ -43,9 +43,9 @@
 //
 // A publish that throws poisons the handle: the caller cannot tell which
 // stage landed, so every later call throws until the store is reopened
-// and reads the index back from disk.  The same all-or-nothing policy as
-// SimSnapshot applies to the index and segments: any corruption there is
-// a typed IoError, never a partial answer.
+// and reads the index back from disk.  The index and segments are
+// all-or-nothing: any corruption there is a typed IoError, never a
+// partial answer.
 //
 // ## Multi-process safety
 //

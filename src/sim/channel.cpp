@@ -5,14 +5,6 @@ namespace hinet {
 void ChannelModel::begin_round(Round, const Graph&, std::span<const Packet>) {
 }
 
-void ChannelModel::save_state(ByteWriter&) const {}
-
-void ChannelModel::restore_state(ByteReader&) {}
-
-void LossyChannel::save_state(ByteWriter& w) const { save_rng(w, rng_); }
-
-void LossyChannel::restore_state(ByteReader& r) { load_rng(r, rng_); }
-
 LossyChannel::LossyChannel(double loss, std::uint64_t seed)
     : loss_(loss), rng_(seed) {
   HINET_REQUIRE(loss >= 0.0 && loss <= 1.0, "loss outside [0,1]");
@@ -97,21 +89,6 @@ bool GilbertElliottChannel::deliver(Round, const Packet&, NodeId receiver) {
 
 bool GilbertElliottChannel::in_bad_state(NodeId v) const {
   return v < bad_.size() && bad_[v] != 0;
-}
-
-void GilbertElliottChannel::save_state(ByteWriter& w) const {
-  save_rng(w, state_rng_);
-  save_rng(w, loss_rng_);
-  w.u64(bad_.size());
-  for (char b : bad_) w.u8(static_cast<std::uint8_t>(b));
-}
-
-void GilbertElliottChannel::restore_state(ByteReader& r) {
-  load_rng(r, state_rng_);
-  load_rng(r, loss_rng_);
-  const std::uint64_t n = r.u64();
-  bad_.resize(static_cast<std::size_t>(n));
-  for (auto& b : bad_) b = static_cast<char>(r.u8());
 }
 
 }  // namespace hinet

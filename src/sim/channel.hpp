@@ -27,7 +27,6 @@
 
 #include "graph/dynamic.hpp"
 #include "sim/packet.hpp"
-#include "util/binary_io.hpp"
 #include "util/rng.hpp"
 
 namespace hinet {
@@ -47,16 +46,6 @@ class ChannelModel {
   /// sender order) — stateful channels (LossyChannel's RNG stream) depend
   /// on that order for per-seed determinism.
   virtual bool deliver(Round r, const Packet& pkt, NodeId receiver) = 0;
-
-  // Checkpoint hooks (engine snapshot/resume).  Saved at a round boundary
-  // and restored into an identically-constructed channel, the restored
-  // instance must produce the same deliver()/begin_round() decisions from
-  // that round on.  Per-round scratch that begin_round() rebuilds (e.g.
-  // CollisionChannel's interference counts) need not be serialized; RNG
-  // stream positions and cross-round Markov state must be.  The defaults
-  // save/restore nothing, which is exactly right for stateless channels.
-  virtual void save_state(ByteWriter& w) const;
-  virtual void restore_state(ByteReader& r);
 };
 
 /// The paper's idealised medium: everything is heard.
@@ -73,9 +62,6 @@ class LossyChannel final : public ChannelModel {
   bool deliver(Round r, const Packet& pkt, NodeId receiver) override;
 
   double loss() const { return loss_; }
-
-  void save_state(ByteWriter& w) const override;
-  void restore_state(ByteReader& r) override;
 
  private:
   double loss_;
@@ -128,9 +114,6 @@ class GilbertElliottChannel final : public ChannelModel {
   /// True when `v`'s chain is currently in the Bad state (introspection
   /// for tests).
   bool in_bad_state(NodeId v) const;
-
-  void save_state(ByteWriter& w) const override;
-  void restore_state(ByteReader& r) override;
 
  private:
   GilbertElliottParams params_;

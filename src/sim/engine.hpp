@@ -29,16 +29,10 @@
 // steady-state round performs no heap allocation inside the engine.
 //
 // Execution is round-granular: run() is start() + step()-until-done +
-// finish(), and the three stages are public so callers can pause between
-// rounds.  At any round boundary snapshot() serializes the complete run
-// state (round counter, partial metrics, per-process state, channel RNG /
-// Markov state) into a versioned, CRC-guarded SimSnapshot; restore()
-// re-attaches that state to a freshly built identical spec, and the
-// resumed run finishes with byte-identical SimMetrics to an uninterrupted
-// one (pinned by tests/sim/test_snapshot.cpp for every scenario×channel).
-// The topology and hierarchy are never in a snapshot: the resumed run's
-// first step reads its round from the rebuilt spec, and a streamed trace
-// reaches that round by synthesizing its prefix forward from the seed.
+// finish().  The three stages stay public so a benchmark can time each
+// round; every program runs whole replicates through run().  A killed
+// sweep or service job resumes from its journal, which records whole
+// replicates, so the engine keeps no checkpoint of a run in flight.
 //
 // Two ownership modes:
 //   - spec-owning (preferred): Engine(SimulationSpec) takes the whole run
@@ -57,14 +51,13 @@
 #include "cluster/hierarchy.hpp"
 #include "graph/dynamic.hpp"
 #include "sim/channel.hpp"
-#include "sim/snapshot.hpp"
 #include "sim/spec.hpp"
 
 namespace hinet {
 
 /// Thrown by step() when EngineConfig::deadline_ms elapses before the run
 /// finishes.  The run is abandoned, never resumed: a deadline is a
-/// supervision boundary, not a pause (use snapshot() for pausing).
+/// supervision boundary, and a retry re-runs the replicate from its seed.
 class DeadlineError : public std::runtime_error {
  public:
   using std::runtime_error::runtime_error;
@@ -96,10 +89,6 @@ class Engine {
   /// Spec-owning mode only: runs with the owned spec's engine config.
   SimMetrics run();
 
-  // Round-granular execution, for callers that pause, checkpoint, or
-  // interleave with other work.  Exactly one of start()/restore() begins a
-  // run; step() executes one round; finish() seals the metrics.
-
   /// Begins a run.  PreconditionError if a run already started.
   void start(const EngineConfig& cfg);
 
@@ -112,26 +101,6 @@ class Engine {
   /// Finalizes and returns the run's metrics; the engine is spent after.
   SimMetrics finish();
 
-  /// Serializes the full run state at the current round boundary.  Valid
-  /// between start()/restore() and finish().  Requires every process (and
-  /// the channel, if stateful) to implement the checkpoint hooks.
-  SimSnapshot snapshot() const;
-
-  /// Begins a run by re-attaching snapshotted state to this engine, which
-  /// must be freshly built from a spec identical to the one the snapshot
-  /// was taken from (same factory, same seed).  The engine config is
-  /// restored from the snapshot.  Throws IoError when the payload is
-  /// corrupt or belongs to a structurally different run (node count,
-  /// channel presence, per-process state shape).  A restore that throws
-  /// may have restored the channel and some processes already, so the
-  /// engine then accepts only another restore(); start() and run() throw
-  /// PreconditionError.  The first step() after a restore at round r
-  /// synthesizes a streamed trace's rounds 0..r from its seed.
-  void restore(const SimSnapshot& snap);
-
-  /// Round index of the next round step() would execute.
-  Round current_round() const { return round_; }
-
   void set_observer(RoundObserver obs) { observer_ = std::move(obs); }
 
   /// Installs a failure-injecting channel; the engine does not own it.
@@ -143,15 +112,6 @@ class Engine {
 
  private:
   void validate() const;
-
-  /// Re-derives the completion flags from current process knowledge (at
-  /// start() and restore(); knowledge().full() is the same predicate the
-  /// live run uses, so recomputing cannot disagree).
-  void rescan_completion();
-
-  /// Arms (or disarms) the wall-clock budget from cfg_.deadline_ms,
-  /// saturating un-representable budgets to "no deadline".
-  void arm_deadline();
 
   // Owned storage (spec-owning mode only; empty when borrowing).
   std::unique_ptr<DynamicNetwork> owned_network_;
@@ -167,12 +127,9 @@ class Engine {
   RoundObserver observer_;
   ChannelModel* channel_ = nullptr;
 
-  // Run state, valid between start()/restore() and finish().  snapshot()
-  // captures cfg_, round_ and metrics_ (with the channel and process
-  // states); restore() re-derives the completion flags.
+  // Run state, valid between start() and finish().
   bool started_ = false;
   bool finished_ = false;
-  bool partly_restored_ = false;  ///< a restore() threw part-way
   EngineConfig cfg_;
   Round round_ = 0;
   SimMetrics metrics_;

@@ -21,11 +21,6 @@
 // rounds) and replay the copy, or — at scales where a resident trace is
 // off the table — run the monitor's one-pass checkers directly over the
 // decorator (it streams: each round is edited on the fly and dropped).
-//
-// Checkpoints need nothing from the decorator: the plan is construction
-// data and the base network a function of its seed, so an Engine restored
-// over a freshly built FaultyNetwork re-derives every faulty round, on a
-// streamed base as on a materialized one.
 #pragma once
 
 #include <memory>

@@ -9,6 +9,9 @@
 
 namespace hinet {
 
+class ByteWriter;
+class ByteReader;
+
 inline constexpr std::size_t kNever = std::numeric_limits<std::size_t>::max();
 
 struct SimMetrics {
@@ -81,5 +84,12 @@ struct WireModel {
 
 /// Total bytes on the wire for a run: packets·header + tokens·payload.
 std::size_t total_wire_bytes(const SimMetrics& m, const WireModel& w);
+
+/// Full SimMetrics, bit-exact (doubles are not stored — SimMetrics holds
+/// only integral series; derived fractions are recomputed).  The one
+/// metric codec: the experiment journal and the results store both embed
+/// it, so its byte layout is part of both on-disk formats.
+void save_metrics(ByteWriter& w, const SimMetrics& m);
+SimMetrics load_metrics(ByteReader& r);
 
 }  // namespace hinet

@@ -19,8 +19,6 @@
 #include "cluster/hierarchy.hpp"
 #include "graph/dynamic.hpp"
 #include "sim/packet.hpp"
-#include "util/binary_io.hpp"
-#include "util/require.hpp"
 
 namespace hinet {
 
@@ -65,40 +63,7 @@ class Process {
   /// The engine may keep running other nodes; a finished node simply stays
   /// silent.  Default: never finishes on its own.
   virtual bool finished(const RoundContext&) const { return false; }
-
-  // Checkpoint hooks (engine snapshot/resume, sim/snapshot.hpp).
-  //
-  // Contract: restore_state(r) applied to a process freshly built with the
-  // same constructor arguments, where r decodes bytes from save_state of a
-  // peer at round boundary b, must reproduce the peer's observable behavior
-  // from round b on exactly — this is what makes snapshot-then-resume
-  // byte-identical to an uninterrupted run.  Constructor parameters are
-  // NOT serialized (the resuming caller rebuilds the spec from its seed);
-  // only mutable per-run state is.  The defaults throw so that algorithms
-  // without an implementation fail loudly at snapshot time rather than
-  // resuming with silently reset state.
-
-  /// Serializes the node's mutable per-run state.
-  virtual void save_state(ByteWriter& w) const;
-
-  /// Restores state saved by save_state on an identically-constructed
-  /// process.  Must consume the reader exactly (the engine verifies).
-  virtual void restore_state(ByteReader& r);
 };
-
-inline void Process::save_state(ByteWriter&) const {
-  throw PreconditionError(
-      "this Process type does not implement save_state/restore_state — "
-      "engine snapshots require every process in the spec to support "
-      "checkpointing (see sim/process.hpp)");
-}
-
-inline void Process::restore_state(ByteReader&) {
-  throw PreconditionError(
-      "this Process type does not implement save_state/restore_state — "
-      "engine snapshots require every process in the spec to support "
-      "checkpointing (see sim/process.hpp)");
-}
 
 using ProcessPtr = std::unique_ptr<Process>;
 

@@ -37,8 +37,8 @@ struct EngineConfig {
   /// sim/engine.hpp) instead of occupying its worker forever — the
   /// supervised experiment runner uses this to bound stuck replicates.
   /// The budget never influences simulation results (a run either finishes
-  /// with its deterministic metrics or throws); resuming from a snapshot
-  /// restarts the budget.
+  /// with its deterministic metrics or throws), and a retry re-runs the
+  /// replicate from its seed under a fresh budget.
   std::size_t deadline_ms = 0;
 };
 

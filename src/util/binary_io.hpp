@@ -1,8 +1,9 @@
 // Checksummed binary serialization primitives.
 //
-// The crash-safety layer (engine snapshots, the experiment journal) stores
-// binary state on disk, where torn writes, truncation and bit rot are facts
-// of life.  Everything here is therefore defensive by construction:
+// The crash-safety layer (the experiment journal, the results store, the
+// job queue and its leases) stores binary state on disk, where torn
+// writes, truncation and bit rot are facts of life.  Everything here is
+// therefore defensive by construction:
 //
 //   ByteWriter — append-only little-endian encoder into a growable buffer;
 //   ByteReader — bounds-checked decoder over a byte span: every read
@@ -78,7 +79,7 @@ class ByteWriter {
 class ByteReader {
  public:
   /// `what` names the artifact being decoded; it prefixes every error
-  /// message ("snapshot payload truncated: ...").
+  /// message ("results-store segment metrics truncated: ...").
   explicit ByteReader(std::span<const std::uint8_t> data,
                       std::string what = "payload");
 
@@ -126,7 +127,7 @@ std::string errno_message(const std::string& what, const std::string& path);
 /// write-then-rename makes the *file contents* atomic, but the rename
 /// itself lives in the directory, and a power failure can forget it unless
 /// the directory inode is synced too.  Every atomic-publish step in the
-/// tree (snapshots, journals, the results store) funnels through this.
+/// tree (journals, the results store, leases) funnels through this.
 /// Throws IoError when the directory cannot be opened or synced.
 void fsync_parent_directory(const std::string& path);
 

@@ -48,6 +48,18 @@ std::int64_t CliArgs::get_int(const std::string& name, std::int64_t def,
   }
 }
 
+std::uint64_t CliArgs::get_uint(const std::string& name, std::uint64_t def,
+                                const std::string& description) {
+  const std::int64_t v =
+      get_int(name, static_cast<std::int64_t>(def), description);
+  if (v < 0) {
+    throw std::invalid_argument("--" + name +
+                                " expects a non-negative integer, got " +
+                                std::to_string(v));
+  }
+  return static_cast<std::uint64_t>(v);
+}
+
 double CliArgs::get_double(const std::string& name, double def,
                            const std::string& description) {
   registered_.push_back({name, std::to_string(def), description});

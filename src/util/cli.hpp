@@ -26,6 +26,10 @@ class CliArgs {
   /// does not parse.
   std::int64_t get_int(const std::string& name, std::int64_t def,
                        const std::string& description);
+  /// get_int for counts, sizes, seeds and budgets: a negative value is a
+  /// std::invalid_argument naming the flag, never a wrapped huge unsigned.
+  std::uint64_t get_uint(const std::string& name, std::uint64_t def,
+                         const std::string& description);
   double get_double(const std::string& name, double def,
                     const std::string& description);
   bool get_bool(const std::string& name, bool def,

@@ -1,7 +1,5 @@
 #include "util/rng.hpp"
 
-#include "util/binary_io.hpp"
-
 #ifdef _MSC_VER
 #include <intrin.h>
 #endif
@@ -79,16 +77,6 @@ Rng Rng::fork() {
   child.s_[2] = sm.next();
   child.s_[3] = sm.next();
   return child;
-}
-
-void save_rng(ByteWriter& w, const Rng& rng) {
-  for (std::uint64_t word : rng.state()) w.u64(word);
-}
-
-void load_rng(ByteReader& r, Rng& rng) {
-  std::array<std::uint64_t, 4> s{};
-  for (std::uint64_t& word : s) word = r.u64();
-  rng.set_state(s);
 }
 
 }  // namespace hinet

@@ -8,7 +8,6 @@
 // platform.
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <limits>
 #include <vector>
@@ -109,17 +108,6 @@ class Rng {
   /// one subsystem does not perturb another.
   Rng fork();
 
-  /// The four raw Xoshiro256** state words, for checkpointing: a generator
-  /// restored via set_state continues the exact draw sequence of the
-  /// original, which is what makes engine snapshot/resume byte-identical.
-  std::array<std::uint64_t, 4> state() const {
-    return {s_[0], s_[1], s_[2], s_[3]};
-  }
-
-  void set_state(const std::array<std::uint64_t, 4>& s) {
-    for (std::size_t i = 0; i < 4; ++i) s_[i] = s[i];
-  }
-
  private:
   static constexpr std::uint64_t rotl(std::uint64_t x, int k) {
     return (x << k) | (x >> (64 - k));
@@ -127,13 +115,5 @@ class Rng {
 
   std::uint64_t s_[4];
 };
-
-class ByteWriter;
-class ByteReader;
-
-/// Checkpoint serializers for a generator's state(): four u64 words.
-/// load_rng restores a generator that continues the saved draw sequence.
-void save_rng(ByteWriter& w, const Rng& rng);
-void load_rng(ByteReader& r, Rng& rng);
 
 }  // namespace hinet

@@ -77,7 +77,7 @@ SpecFactory channel_factory(Scenario s, ChannelKind c) {
 }
 
 /// The hostile variant: churn faults layered on the trace, Gilbert–Elliott
-/// burst loss on the medium (the test_snapshot_faults.cpp construction).
+/// burst loss on the medium.
 SpecFactory faulty_factory(Scenario s) {
   const SpecFactory base = scenario_factory(s, small_config());
   return [base](std::uint64_t seed) {

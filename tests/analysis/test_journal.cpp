@@ -1,7 +1,11 @@
 // ExperimentJournal: durable record/replay of completed replicates, and
 // the headline guarantee it exists for — a killed sweep, resumed against
 // its journal, aggregates byte-identically to a sweep that was never
-// killed, at any worker count.
+// killed, at any worker count.  Plus the journal-specific corruption fuzz
+// and the fuzz of the metric codec that journal records and store
+// segments share; every mutation must produce a typed exception or a
+// clean salvage, never UB (the sanitizer CI runs this suite under the
+// robustness label).
 #include "analysis/journal.hpp"
 
 #include <gtest/gtest.h>
@@ -10,6 +14,7 @@
 #include <cstdio>
 #include <fstream>
 #include <iterator>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -17,7 +22,6 @@
 #include "analysis/supervisor.hpp"
 #include "service/exit_codes.hpp"
 #include "sim/engine.hpp"
-#include "sim/snapshot.hpp"
 #include "util/framed_log.hpp"
 
 namespace hinet {
@@ -40,6 +44,13 @@ SpecFactory tiny_factory() {
 std::vector<std::uint8_t> read_file(const std::string& path) {
   std::ifstream f(path, std::ios::binary);
   return {std::istreambuf_iterator<char>(f), std::istreambuf_iterator<char>()};
+}
+
+void write_file(const std::string& path,
+                const std::vector<std::uint8_t>& bytes) {
+  std::ofstream f(path, std::ios::binary | std::ios::trunc);
+  f.write(reinterpret_cast<const char*>(bytes.data()),
+          static_cast<std::streamsize>(bytes.size()));
 }
 
 /// Fresh temp path per test; the previous incarnation is removed so a
@@ -279,6 +290,108 @@ TEST(ExperimentJournal, ResultsFromTheJournalAreTheResultsThatRan) {
               run_simulation(factory(seed)));
   }
   std::remove(path.c_str());
+}
+
+// The journal's framing (torn tails, monotone salvage, foreign headers,
+// writer locks) is fuzzed once, in tests/util/test_framed_log.cpp; what is
+// journal-specific is that every record it salvages decodes to the
+// replicate that was appended.
+
+/// Journals three real replicates, seeds 1..3, in a fresh file at `path`.
+std::vector<ReplicateResult> write_journal(const std::string& path) {
+  std::vector<ReplicateResult> results;
+  ExperimentJournal j(path);
+  for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+    results.push_back(run_one(seed));
+    j.append(seed, results.back());
+  }
+  return results;
+}
+
+/// Reopens a mutated journal: it holds a prefix of seeds 1..3, each
+/// decoding to the replicate that was appended.
+void expect_salvaged_prefix(const std::string& path,
+                            const std::vector<ReplicateResult>& results,
+                            const std::string& where) {
+  const ExperimentJournal j(path);
+  const std::vector<std::uint64_t> seeds = j.seeds();
+  for (std::size_t i = 0; i < seeds.size(); ++i) {
+    ASSERT_EQ(seeds[i], i + 1) << where;
+    const auto got = j.lookup(seeds[i]);
+    ASSERT_TRUE(got.has_value()) << where;
+    EXPECT_EQ(got->metrics, results[i].metrics) << where << " seed " << i + 1;
+    EXPECT_DOUBLE_EQ(got->wall_ms, results[i].wall_ms) << where;
+  }
+}
+
+TEST(JournalFuzz, EveryCorruptionBeyondTheHeaderSalvagesAPrefix) {
+  const std::string path = journal_path("journal_flip");
+  const std::vector<ReplicateResult> results = write_journal(path);
+  const std::vector<std::uint8_t> good = read_file(path);
+  ASSERT_GT(good.size(), 8u);
+
+  for (std::size_t i = 8; i < good.size(); ++i) {
+    std::vector<std::uint8_t> bad = good;
+    bad[i] ^= static_cast<std::uint8_t>(1u << (i % 8));
+    write_file(path, bad);
+    expect_salvaged_prefix(path, results, "byte " + std::to_string(i));
+  }
+  std::remove(path.c_str());
+}
+
+TEST(JournalFuzz, EveryTruncationBeyondTheHeaderSalvagesAPrefix) {
+  const std::string path = journal_path("journal_trunc");
+  const std::vector<ReplicateResult> results = write_journal(path);
+  const std::vector<std::uint8_t> good = read_file(path);
+
+  for (std::size_t len = 8; len < good.size(); ++len) {
+    write_file(path, {good.begin(),
+                      good.begin() + static_cast<std::ptrdiff_t>(len)});
+    expect_salvaged_prefix(path, results, "length " + std::to_string(len));
+  }
+  std::remove(path.c_str());
+}
+
+// The metric codec attacked directly, below the CRC that guards it on
+// disk: a CRC-valid record that does not decode must still be a typed
+// error, and a flip the codec cannot detect must still decode safely.
+
+std::vector<std::uint8_t> metric_payload(const SimMetrics& m) {
+  ByteWriter w;
+  save_metrics(w, m);
+  return w.take();
+}
+
+TEST(MetricCodecFuzz, EveryPayloadTruncationIsAnIoError) {
+  const SimMetrics metrics = run_one(5).metrics;
+  const std::vector<std::uint8_t> good = metric_payload(metrics);
+  for (std::size_t len = 0; len < good.size(); ++len) {
+    const std::span<const std::uint8_t> cut(good.data(), len);
+    ByteReader r(cut, "metrics");
+    EXPECT_THROW(load_metrics(r), IoError) << "payload cut to " << len;
+  }
+  ByteReader r(good, "metrics");
+  EXPECT_EQ(load_metrics(r), metrics);
+  EXPECT_TRUE(r.done());
+}
+
+TEST(MetricCodecFuzz, EveryBitFlipThrowsTypedOrDecodes) {
+  // A flip in a counter decodes to a different record, which only the
+  // CRC around it can catch; a flip in a vector length must be refused
+  // before it sizes anything.  Any other exception escapes and fails.
+  const std::vector<std::uint8_t> good = metric_payload(run_one(5).metrics);
+  std::size_t rejected = 0;
+  for (std::size_t bit = 0; bit < good.size() * 8; ++bit) {
+    std::vector<std::uint8_t> bad = good;
+    bad[bit / 8] ^= static_cast<std::uint8_t>(1u << (bit % 8));
+    ByteReader r(bad, "metrics");
+    try {
+      (void)load_metrics(r);
+    } catch (const IoError&) {
+      ++rejected;
+    }
+  }
+  EXPECT_GT(rejected, 0u);
 }
 
 }  // namespace

@@ -1,10 +1,9 @@
 // Corruption fuzz for the results-store on-disk formats.
 //
-// Same split of policies as the snapshot/journal fuzz suite
-// (tests/sim/test_snapshot_fuzz.cpp), applied to the service formats:
-// the index and the segments are all-or-nothing (any truncation, bit flip,
-// version skew or foreign header is a typed IoError — a torn result must
-// never be served), while the job queue is salvage-the-prefix
+// Two policies, applied to the service formats: the index and the
+// segments are all-or-nothing (any truncation, bit flip, version skew or
+// foreign header is a typed IoError — a torn result must never be
+// served), while the job queue is salvage-the-prefix
 // (per-record CRC framing; corruption is treated as a crash tail, the
 // intact prefix survives).  Every mutation must produce a typed exception
 // or a clean salvage — never UB; the CI ASan job runs this suite (label:

@@ -5,7 +5,9 @@
 // while a foreign or version-skewed header is refused with IoError.
 // Every mutation must produce a typed exception or a clean salvage, never
 // UB; the sanitizer CI jobs run this suite (label: robustness) to enforce
-// that byte by byte.
+// that byte by byte.  The whole-file container under the results store,
+// leases and fences (read_checksummed_file) is all-or-nothing instead;
+// its missing-file diagnostic is pinned here too.
 #include "util/framed_log.hpp"
 
 #include <gtest/gtest.h>
@@ -178,6 +180,17 @@ TEST(FramedLog, ReadOnlyObserverIsNeverRefused) {
   EXPECT_EQ(observer.records().size(), 3u);
   EXPECT_GT(observer.dropped_bytes(), 0u);
   EXPECT_EQ(read_file(path), torn) << "a reader must not truncate";
+}
+
+TEST(ChecksummedFile, MissingFileIsAnIoErrorNamingThePath) {
+  const std::string path = fresh_path("missing");
+  try {
+    read_checksummed_file(path, kFileMagic, kVersion, "fuzz file");
+    FAIL() << "missing file was accepted";
+  } catch (const IoError& e) {
+    EXPECT_NE(std::string(e.what()).find(path), std::string::npos)
+        << "diagnostic does not name the path: " << e.what();
+  }
 }
 
 }  // namespace

@@ -115,6 +115,21 @@ TEST(CliArgs, BadIntThrows) {
   EXPECT_THROW(args.get_int("n", 0, ""), std::invalid_argument);
 }
 
+TEST(CliArgs, NegativeUnsignedThrowsNamingTheFlag) {
+  const char* argv[] = {"prog", "--reps=-1", "--seed=0", "--k=7"};
+  CliArgs args(4, argv);
+  try {
+    args.get_uint("reps", 20, "");
+    FAIL() << "--reps=-1 was accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("--reps"), std::string::npos)
+        << e.what();
+  }
+  EXPECT_EQ(args.get_uint("seed", 1, ""), 0u);
+  EXPECT_EQ(args.get_uint("k", 6, ""), 7u);
+  EXPECT_EQ(args.get_uint("absent", 9, ""), 9u);
+}
+
 TEST(CliArgs, BadBoolThrows) {
   const char* argv[] = {"prog", "--b=maybe"};
   CliArgs args(2, argv);

@@ -89,30 +89,27 @@ JobSpec spec_from_args(CliArgs& args) {
   JobSpec spec;
   const std::string scenario = args.get_string(
       "scenario", "hinet-interval", "scenario: " + scenario_choices());
-  spec.config.nodes = static_cast<std::size_t>(
-      args.get_int("nodes", 60, "number of nodes n"));
-  spec.config.heads = static_cast<std::size_t>(
-      args.get_int("heads", 12, "generator cluster-head count"));
-  spec.config.k = static_cast<std::size_t>(
-      args.get_int("k", 6, "token universe size k"));
-  spec.config.alpha = static_cast<std::size_t>(
-      args.get_int("alpha", 3, "bounded-degree parameter alpha"));
+  spec.config.nodes = args.get_uint("nodes", 60, "number of nodes n");
+  spec.config.heads =
+      args.get_uint("heads", 12, "generator cluster-head count");
+  spec.config.k = args.get_uint("k", 6, "token universe size k");
+  spec.config.alpha =
+      args.get_uint("alpha", 3, "bounded-degree parameter alpha");
   spec.config.hop_l =
       static_cast<int>(args.get_int("hop-l", 2, "cluster radius L"));
   spec.config.reaffiliation_prob = args.get_double(
       "reaffil", 0.05, "member re-affiliation probability per phase");
-  spec.config.churn_edges = static_cast<std::size_t>(
-      args.get_int("churn-edges", 4, "churn edges per round"));
+  spec.config.churn_edges =
+      args.get_uint("churn-edges", 4, "churn edges per round");
   spec.config.assignment = parse_assignment(args.get_string(
       "assignment", "distinct-random",
       "token assignment: distinct-random | single-source | round-robin"));
   spec.config.run_full_schedule = args.get_bool(
       "full-schedule", true,
       "run the full schedule instead of stopping at completion");
-  spec.base_seed = static_cast<std::uint64_t>(
-      args.get_int("seed", 1, "base seed (replicate i uses seed + i)"));
-  spec.repetitions = static_cast<std::uint64_t>(
-      args.get_int("reps", 20, "number of replicates"));
+  spec.base_seed =
+      args.get_uint("seed", 1, "base seed (replicate i uses seed + i)");
+  spec.repetitions = args.get_uint("reps", 20, "number of replicates");
   spec.scenario = parse_scenario(scenario);
   return spec;
 }
@@ -140,22 +137,22 @@ JobSpec spec_from_line(const std::string& line) {
 ServiceOptions service_options_from_args(CliArgs& args,
                                          bool register_run_flags) {
   ServiceOptions opt;
-  opt.max_pending = static_cast<std::size_t>(args.get_int(
+  opt.max_pending = args.get_uint(
       "max-pending", 256,
-      "admission bound: queue capacity before submissions are rejected"));
+      "admission bound: queue capacity before submissions are rejected");
   if (register_run_flags) {
     opt.policy = ExecutionPolicy::threaded(args.get_jobs());
-    opt.deadline_ms = static_cast<std::size_t>(args.get_int(
-        "deadline-ms", 0, "per-replicate wall-clock budget (0 = none)"));
-    opt.max_retries = static_cast<std::size_t>(args.get_int(
-        "retries", 1, "retry budget per replicate for transient failures"));
-    opt.lease_ms = static_cast<std::uint64_t>(args.get_int(
+    opt.deadline_ms = args.get_uint(
+        "deadline-ms", 0, "per-replicate wall-clock budget (0 = none)");
+    opt.max_retries = args.get_uint(
+        "retries", 1, "retry budget per replicate for transient failures");
+    opt.lease_ms = args.get_uint(
         "lease-ms", 30000,
         "per-job lease validity; renewed after every journaled replicate, "
-        "so keep it well above one replicate's wall time"));
-    opt.takeover_grace_ms = static_cast<std::uint64_t>(args.get_int(
+        "so keep it well above one replicate's wall time");
+    opt.takeover_grace_ms = args.get_uint(
         "takeover-grace-ms", 1000,
-        "extra slack past lease expiry before another drain takes over"));
+        "extra slack past lease expiry before another drain takes over");
     opt.drain_id = args.get_string(
         "drain-id", "", "this drain's identity in lease files and the "
         "ledger (default pid-<pid>)");
@@ -279,10 +276,10 @@ int cmd_run(CliArgs& args) {
       "crash-at-stage", "",
       "CI crash lever: hard-exit(42) after this store commit stage "
       "(segment | index)");
-  const std::size_t abort_after_jobs = static_cast<std::size_t>(args.get_int(
+  const std::size_t abort_after_jobs = args.get_uint(
       "abort-after-jobs", 0,
       "CI crash lever: hard-exit(42) after this many published jobs "
-      "(0 = off)"));
+      "(0 = off)");
 
   if (args.help_requested()) {
     std::cout << args.usage(
@@ -411,8 +408,8 @@ int cmd_query(CliArgs& args) {
 int cmd_status(CliArgs& args) {
   const std::string store_dir = args.get_string(
       "store", "", "service state directory (required)");
-  const std::size_t max_pending = static_cast<std::size_t>(args.get_int(
-      "max-pending", 256, "admission bound (for opening the queue)"));
+  const std::size_t max_pending = args.get_uint(
+      "max-pending", 256, "admission bound (for opening the queue)");
 
   if (args.help_requested()) {
     std::cout << args.usage(

@@ -73,33 +73,28 @@ int main(int argc, char** argv) {
         "scenario: klo-interval | hinet-interval | hinet-interval-stable | "
         "klo-one | hinet-one");
     ScenarioConfig cfg;
-    cfg.nodes = static_cast<std::size_t>(
-        args.get_int("nodes", 60, "number of nodes n"));
-    cfg.heads = static_cast<std::size_t>(
-        args.get_int("heads", 12, "generator cluster-head count"));
-    cfg.k = static_cast<std::size_t>(
-        args.get_int("k", 6, "token universe size k"));
-    cfg.alpha = static_cast<std::size_t>(
-        args.get_int("alpha", 3, "bounded-degree parameter alpha"));
+    cfg.nodes = args.get_uint("nodes", 60, "number of nodes n");
+    cfg.heads = args.get_uint("heads", 12, "generator cluster-head count");
+    cfg.k = args.get_uint("k", 6, "token universe size k");
+    cfg.alpha = args.get_uint("alpha", 3, "bounded-degree parameter alpha");
     cfg.hop_l = static_cast<int>(args.get_int("hop-l", 2, "cluster radius L"));
-    const std::size_t reps = static_cast<std::size_t>(
-        args.get_int("reps", 20, "number of replicates"));
-    const std::uint64_t seed = static_cast<std::uint64_t>(
-        args.get_int("seed", 1, "base seed (replicate i uses seed + i)"));
+    const std::size_t reps = args.get_uint("reps", 20, "number of replicates");
+    const std::uint64_t seed =
+        args.get_uint("seed", 1, "base seed (replicate i uses seed + i)");
     const std::size_t jobs = args.get_jobs();
     const std::string journal_path = args.get_string(
         "journal", "", "journal file for crash-safe resume ('' = none)");
     const bool resume = args.get_bool(
         "resume", false,
         "continue a sweep whose journal already holds replicates");
-    const std::size_t deadline_ms = static_cast<std::size_t>(args.get_int(
-        "deadline-ms", 0, "per-replicate wall-clock budget (0 = none)"));
-    const std::size_t retries = static_cast<std::size_t>(args.get_int(
-        "retries", 1, "retry budget per replicate for transient failures"));
-    const std::size_t abort_after = static_cast<std::size_t>(args.get_int(
+    const std::size_t deadline_ms = args.get_uint(
+        "deadline-ms", 0, "per-replicate wall-clock budget (0 = none)");
+    const std::size_t retries = args.get_uint(
+        "retries", 1, "retry budget per replicate for transient failures");
+    const std::size_t abort_after = args.get_uint(
         "abort-after", 0,
         "crash lever for CI: hard-exit(42) after this many fresh "
-        "replicates reached the journal (0 = off)"));
+        "replicates reached the journal (0 = off)");
 
     if (args.help_requested()) {
       std::cout << args.usage(
