@@ -28,14 +28,11 @@ struct Scheme {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   CliArgs args(argc, argv);
-  const auto nodes =
-      static_cast<std::size_t>(args.get_int("nodes", 48, "network size"));
-  const auto k =
-      static_cast<std::size_t>(args.get_int("k", 5, "token count"));
-  const auto seed =
-      static_cast<std::uint64_t>(args.get_int("seed", 7, "seed"));
+  const auto nodes = args.get_uint("nodes", 48, "network size");
+  const auto k = args.get_uint("k", 5, "token count");
+  const auto seed = args.get_uint("seed", 7, "seed");
 
   return bench::run_main(args, "A1 — clustering-scheme ablation", [&] {
     std::cout << "=== A1: clustering substrate ablation ===\n\n";
@@ -119,4 +116,6 @@ int main(int argc, char** argv) {
     }
     std::cout << e2e;
   });
+} catch (const std::invalid_argument& e) {
+  return bench::usage_error(e);
 }

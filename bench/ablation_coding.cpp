@@ -16,14 +16,11 @@
 
 using namespace hinet;
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   CliArgs args(argc, argv);
-  const auto nodes =
-      static_cast<std::size_t>(args.get_int("nodes", 24, "network size"));
-  const auto k =
-      static_cast<std::size_t>(args.get_int("k", 6, "token count"));
-  const auto reps =
-      static_cast<std::size_t>(args.get_int("reps", 3, "seeds per cell"));
+  const auto nodes = args.get_uint("nodes", 24, "network size");
+  const auto k = args.get_uint("k", 6, "token count");
+  const auto reps = args.get_uint("reps", 3, "seeds per cell");
 
   return bench::run_main(args, "A3 — dissemination-strategy ablation", [&] {
     std::cout << "=== A3: forwarding vs pipelining vs coding on adversarial "
@@ -114,4 +111,6 @@ int main(int argc, char** argv) {
                  "coding advantage [8] on the same traces the paper's\n"
                  "hierarchy exploits differently (structure vs coding).\n";
   });
+} catch (const std::invalid_argument& e) {
+  return bench::usage_error(e);
 }

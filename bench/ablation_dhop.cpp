@@ -18,14 +18,11 @@
 
 using namespace hinet;
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   CliArgs args(argc, argv);
-  const auto nodes =
-      static_cast<std::size_t>(args.get_int("nodes", 60, "network size"));
-  const auto k =
-      static_cast<std::size_t>(args.get_int("k", 6, "token count"));
-  const auto reps =
-      static_cast<std::size_t>(args.get_int("reps", 3, "topologies"));
+  const auto nodes = args.get_uint("nodes", 60, "network size");
+  const auto k = args.get_uint("k", 6, "token count");
+  const auto reps = args.get_uint("reps", 3, "topologies");
 
   return bench::run_main(args, "A5 — 1-hop vs multi-hop clusters", [&] {
     std::cout << "=== A5: multi-hop clusters (Section VI future work), "
@@ -122,4 +119,6 @@ int main(int argc, char** argv) {
                  "on delta-only uploads — the trade the paper's\nfuture-work "
                  "section anticipates, quantified.\n";
   });
+} catch (const std::invalid_argument& e) {
+  return bench::usage_error(e);
 }

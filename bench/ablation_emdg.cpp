@@ -19,14 +19,11 @@
 
 using namespace hinet;
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   CliArgs args(argc, argv);
-  const auto nodes =
-      static_cast<std::size_t>(args.get_int("nodes", 32, "network size"));
-  const auto k =
-      static_cast<std::size_t>(args.get_int("k", 5, "token count"));
-  const auto seed =
-      static_cast<std::uint64_t>(args.get_int("seed", 13, "seed"));
+  const auto nodes = args.get_uint("nodes", 32, "network size");
+  const auto k = args.get_uint("k", 5, "token count");
+  const auto seed = args.get_uint("seed", 13, "seed");
 
   return bench::run_main(args, "A2 — clusters over EMDG dynamics", [&] {
     std::cout << "=== A2: cluster hierarchy over an edge-Markovian dynamic "
@@ -119,4 +116,6 @@ int main(int argc, char** argv) {
                  "this is the regime the future-work extension\nwould need "
                  "to formalise.\n";
   });
+} catch (const std::invalid_argument& e) {
+  return bench::usage_error(e);
 }

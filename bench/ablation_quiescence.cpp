@@ -13,14 +13,11 @@
 
 using namespace hinet;
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   CliArgs args(argc, argv);
-  const auto reps =
-      static_cast<std::size_t>(args.get_int("reps", 5, "seeds per cell"));
-  const auto nodes =
-      static_cast<std::size_t>(args.get_int("nodes", 48, "network size"));
-  const auto k =
-      static_cast<std::size_t>(args.get_int("k", 5, "token count"));
+  const auto reps = args.get_uint("reps", 5, "seeds per cell");
+  const auto nodes = args.get_uint("nodes", 48, "network size");
+  const auto k = args.get_uint("k", 5, "token count");
 
   return bench::run_main(args, "A4 — scheduled vs adaptive termination", [&] {
     std::cout << "=== A4: Algorithm 2 quiescence ablation ((1,L)-HiNet, n0="
@@ -74,4 +71,6 @@ int main(int argc, char** argv) {
                  "these traces while cutting the tail of the\nworst-case "
                  "schedule.\n";
   });
+} catch (const std::invalid_argument& e) {
+  return bench::usage_error(e);
 }

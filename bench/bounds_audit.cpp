@@ -11,10 +11,9 @@
 
 using namespace hinet;
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   CliArgs args(argc, argv);
-  const auto seeds =
-      static_cast<std::uint64_t>(args.get_int("seeds", 6, "seeds to audit"));
+  const auto seeds = args.get_uint("seeds", 6, "seeds to audit");
   const std::size_t jobs = args.get_jobs();
 
   return bench::run_main(args, "V5 — theorem bound audit", [&] {
@@ -67,4 +66,6 @@ int main(int argc, char** argv) {
     std::cout << t;
     std::cout << "\nAudit failures: " << failures << '\n';
   });
+} catch (const std::invalid_argument& e) {
+  return bench::usage_error(e);
 }

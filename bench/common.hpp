@@ -4,6 +4,7 @@
 #include <fstream>
 #include <functional>
 #include <iostream>
+#include <stdexcept>
 #include <string>
 #include <utility>
 
@@ -110,6 +111,14 @@ inline std::pair<std::size_t, std::size_t> analytic_costs(Scenario s,
       return {time_hinet_one(p), comm_hinet_one(p)};
   }
   return {0, 0};
+}
+
+/// A malformed or out-of-range flag value, which the getters report with
+/// the flag's name: a usage error, exit 2 like an unknown option.  Every
+/// bench's main catches std::invalid_argument into this.
+inline int usage_error(const std::invalid_argument& e) {
+  std::cerr << "usage error: " << e.what() << "\n";
+  return 2;
 }
 
 inline int run_main(CliArgs& args, const std::string& summary,

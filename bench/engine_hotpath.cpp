@@ -179,18 +179,16 @@ std::string layer_cell(const Point& p, double v) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   CliArgs args(argc, argv);
-  const auto reps = static_cast<std::size_t>(
-      args.get_int("reps", 3, "timed repetitions per size (best is kept)"));
-  const auto seed =
-      static_cast<std::uint64_t>(args.get_int("seed", 1, "trace seed"));
-  const auto k = static_cast<std::size_t>(
-      args.get_int("k", 16, "token universe size"));
-  const auto only_nodes = static_cast<std::size_t>(args.get_int(
-      "nodes", 0, "measure a single network size (0 = the full sweep)"));
-  const auto only_rounds = static_cast<std::size_t>(args.get_int(
-      "rounds", 0, "rounds for --nodes (0 = min(nodes-1, 150))"));
+  const auto reps =
+      args.get_uint("reps", 3, "timed repetitions per size (best is kept)");
+  const auto seed = args.get_uint("seed", 1, "trace seed");
+  const auto k = args.get_uint("k", 16, "token universe size");
+  const auto only_nodes = args.get_uint(
+      "nodes", 0, "measure a single network size (0 = the full sweep)");
+  const auto only_rounds = args.get_uint(
+      "rounds", 0, "rounds for --nodes (0 = min(nodes-1, 150))");
   const std::string mode = args.get_string(
       "mode", "both",
       "trace mode: both | materialized | streaming (with --nodes the "
@@ -310,4 +308,6 @@ int main(int argc, char** argv) {
       std::cout << "\nJSON written to " << out_path << '\n';
     }
   });
+} catch (const std::invalid_argument& e) {
+  return bench::usage_error(e);
 }

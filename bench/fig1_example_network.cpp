@@ -9,14 +9,11 @@
 
 using namespace hinet;
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   CliArgs args(argc, argv);
-  const auto nodes =
-      static_cast<std::size_t>(args.get_int("nodes", 16, "node count"));
-  const auto heads =
-      static_cast<std::size_t>(args.get_int("heads", 3, "cluster heads"));
-  const auto seed =
-      static_cast<std::uint64_t>(args.get_int("seed", 4, "trace seed"));
+  const auto nodes = args.get_uint("nodes", 16, "node count");
+  const auto heads = args.get_uint("heads", 3, "cluster heads");
+  const auto seed = args.get_uint("seed", 4, "trace seed");
 
   return bench::run_main(args, "Fig. 1 — example clustered network", [&] {
     HiNetConfig cfg;
@@ -66,4 +63,6 @@ int main(int argc, char** argv) {
     std::cout << "Structural validation: "
               << (trace.ctvg.validate().empty() ? "OK" : "FAILED") << '\n';
   });
+} catch (const std::invalid_argument& e) {
+  return bench::usage_error(e);
 }

@@ -9,10 +9,9 @@
 
 using namespace hinet;
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   CliArgs args(argc, argv);
-  const auto seeds = static_cast<std::uint64_t>(
-      args.get_int("seeds", 8, "number of audited traces"));
+  const auto seeds = args.get_uint("seeds", 8, "number of audited traces");
 
   return bench::run_main(args, "Fig. 2 — definition relationship tree", [&] {
     std::cout << "=== Fig. 2: Relationship among definitions on dynamics of "
@@ -72,4 +71,6 @@ int main(int argc, char** argv) {
     std::cout << t;
     std::cout << "\nImplication violations: " << violations << '\n';
   });
+} catch (const std::invalid_argument& e) {
+  return bench::usage_error(e);
 }

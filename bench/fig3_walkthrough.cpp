@@ -9,7 +9,7 @@
 
 using namespace hinet;
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   CliArgs args(argc, argv);
   return bench::run_main(args, "Fig. 3 — Algorithm 1 walkthrough", [&] {
     std::cout << "=== Fig. 3: An example illustration of Algorithm 1 ===\n\n";
@@ -67,4 +67,6 @@ int main(int argc, char** argv) {
     }
     std::cout << '\n' << kt;
   });
+} catch (const std::invalid_argument& e) {
+  return bench::usage_error(e);
 }

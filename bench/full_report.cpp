@@ -44,12 +44,10 @@ std::string fmt(double v) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   CliArgs args(argc, argv);
-  const auto reps =
-      static_cast<std::size_t>(args.get_int("reps", 5, "seeds per scenario"));
-  const auto seed =
-      static_cast<std::uint64_t>(args.get_int("seed", 1, "base seed"));
+  const auto reps = args.get_uint("reps", 5, "seeds per scenario");
+  const auto seed = args.get_uint("seed", 1, "base seed");
   const std::string out_path =
       args.get_string("out", "", "write report to this path (default stdout)");
   const std::size_t jobs = args.get_jobs();
@@ -229,4 +227,6 @@ int main(int argc, char** argv) {
                 << "/" << checks_total << " checks passed)\n";
     }
   });
+} catch (const std::invalid_argument& e) {
+  return bench::usage_error(e);
 }

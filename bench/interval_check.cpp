@@ -27,12 +27,11 @@ double time_once(const std::function<void()>& fn) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   CliArgs args(argc, argv);
-  const auto reps = static_cast<std::size_t>(
-      args.get_int("reps", 3, "timed repetitions (best is kept)"));
-  const auto seed =
-      static_cast<std::uint64_t>(args.get_int("seed", 1, "trace seed"));
+  const auto reps =
+      args.get_uint("reps", 3, "timed repetitions (best is kept)");
+  const auto seed = args.get_uint("seed", 1, "trace seed");
 
   return bench::run_main(args, "T-interval checker throughput", [&] {
     std::cout << "=== max_interval_connectivity: incremental vs reference "
@@ -74,4 +73,6 @@ int main(int argc, char** argv) {
                  "T-interval connected;\nthe incremental form is the one "
                  "the online assumption monitor streams with.\n";
   });
+} catch (const std::invalid_argument& e) {
+  return bench::usage_error(e);
 }

@@ -13,16 +13,14 @@
 
 using namespace hinet;
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   CliArgs args(argc, argv);
-  const auto reps = static_cast<std::size_t>(
-      args.get_int("reps", 16, "repetitions in the batch"));
-  const auto seed =
-      static_cast<std::uint64_t>(args.get_int("seed", 1, "base seed"));
-  const auto nodes = static_cast<std::size_t>(
-      args.get_int("nodes", 100, "network size of the workload"));
-  const auto max_jobs = static_cast<std::size_t>(
-      args.get_int("max-jobs", 8, "largest worker count to measure"));
+  const auto reps = args.get_uint("reps", 16, "repetitions in the batch");
+  const auto seed = args.get_uint("seed", 1, "base seed");
+  const auto nodes =
+      args.get_uint("nodes", 100, "network size of the workload");
+  const auto max_jobs =
+      args.get_uint("max-jobs", 8, "largest worker count to measure");
   const std::string out_path = args.get_string(
       "out", "", "write BENCH json to this path (empty = stdout only)");
 
@@ -128,4 +126,6 @@ int main(int argc, char** argv) {
       std::cout << "\nJSON written to " << out_path << '\n';
     }
   });
+} catch (const std::invalid_argument& e) {
+  return bench::usage_error(e);
 }

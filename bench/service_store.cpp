@@ -114,16 +114,14 @@ Point measure(std::size_t nodes, std::uint64_t seed, std::size_t job_reps,
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   CliArgs args(argc, argv);
-  const auto bench_reps = static_cast<std::size_t>(args.get_int(
-      "reps", 3, "timed repetitions per size (best is kept)"));
-  const auto seed =
-      static_cast<std::uint64_t>(args.get_int("seed", 1, "job base seed"));
-  const auto job_reps = static_cast<std::size_t>(
-      args.get_int("job-reps", 5, "replicates per job"));
-  const auto only_nodes = static_cast<std::size_t>(args.get_int(
-      "nodes", 0, "measure a single network size (0 = the full sweep)"));
+  const auto bench_reps = args.get_uint(
+      "reps", 3, "timed repetitions per size (best is kept)");
+  const auto seed = args.get_uint("seed", 1, "job base seed");
+  const auto job_reps = args.get_uint("job-reps", 5, "replicates per job");
+  const auto only_nodes = args.get_uint(
+      "nodes", 0, "measure a single network size (0 = the full sweep)");
   const std::string out_path = args.get_string(
       "out", "", "write BENCH json to this path (empty = stdout only)");
 
@@ -179,4 +177,6 @@ int main(int argc, char** argv) {
       std::cout << "\nwrote " << out_path << "\n";
     }
   });
+} catch (const std::invalid_argument& e) {
+  return bench::usage_error(e);
 }

@@ -8,10 +8,9 @@
 
 using namespace hinet;
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   CliArgs args(argc, argv);
-  const auto reps =
-      static_cast<std::size_t>(args.get_int("reps", 3, "seeds per cell"));
+  const auto reps = args.get_uint("reps", 3, "seeds per cell");
   const double tx = args.get_double("tx", 1.0, "energy per transmitted token");
   const double rx = args.get_double("rx", 0.5, "energy per received token");
   const std::size_t jobs = args.get_jobs();
@@ -57,4 +56,6 @@ int main(int argc, char** argv) {
                  "column shows load\nconcentration: the backbone carries a "
                  "similar *relative* share in both designs.\n";
   });
+} catch (const std::invalid_argument& e) {
+  return bench::usage_error(e);
 }

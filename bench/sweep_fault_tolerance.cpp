@@ -162,13 +162,11 @@ std::string variant_label(const Cell& c) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   CliArgs args(argc, argv);
   Workload w;
-  const auto reps =
-      static_cast<std::size_t>(args.get_int("reps", 6, "seeds per cell"));
-  w.nodes =
-      static_cast<std::size_t>(args.get_int("nodes", 36, "network size"));
+  const auto reps = args.get_uint("reps", 6, "seeds per cell");
+  w.nodes = args.get_uint("nodes", 36, "network size");
   w.heads = w.nodes / 6;
   const std::size_t jobs = args.get_jobs();
   const std::string out_path = args.get_string(
@@ -264,4 +262,6 @@ int main(int argc, char** argv) {
       std::cout << "\nJSON written to " << out_path << '\n';
     }
   });
+} catch (const std::invalid_argument& e) {
+  return bench::usage_error(e);
 }

@@ -5,12 +5,10 @@
 
 using namespace hinet;
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   CliArgs args(argc, argv);
-  const auto reps =
-      static_cast<std::size_t>(args.get_int("reps", 3, "seeds per point"));
-  const auto seed =
-      static_cast<std::uint64_t>(args.get_int("seed", 1, "base seed"));
+  const auto reps = args.get_uint("reps", 3, "seeds per point");
+  const auto seed = args.get_uint("seed", 1, "base seed");
   const std::string csv_path =
       args.get_string("csv", "", "write CSV to this path (empty = skip)");
   const std::size_t jobs = args.get_jobs();
@@ -52,4 +50,6 @@ int main(int argc, char** argv) {
     std::cout << t;
     if (!csv_path.empty()) std::cout << "\nCSV written to " << csv_path << '\n';
   });
+} catch (const std::invalid_argument& e) {
+  return bench::usage_error(e);
 }

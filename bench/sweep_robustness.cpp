@@ -78,14 +78,11 @@ Outcome run_cells(bool hinet, double loss, std::size_t reps,
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   CliArgs args(argc, argv);
-  const auto reps =
-      static_cast<std::size_t>(args.get_int("reps", 4, "seeds per cell"));
-  const auto nodes =
-      static_cast<std::size_t>(args.get_int("nodes", 36, "network size"));
-  const auto k =
-      static_cast<std::size_t>(args.get_int("k", 5, "token count"));
+  const auto reps = args.get_uint("reps", 4, "seeds per cell");
+  const auto nodes = args.get_uint("nodes", 36, "network size");
+  const auto k = args.get_uint("k", 5, "token count");
   const std::size_t jobs = args.get_jobs();
 
   return bench::run_main(args, "V6 — robustness under packet loss", [&] {
@@ -109,4 +106,6 @@ int main(int argc, char** argv) {
                  "paths)\nmeans fewer redundant copies per round — while its "
                  "token cost stays below KLO's\nat every loss level.\n";
   });
+} catch (const std::invalid_argument& e) {
+  return bench::usage_error(e);
 }

@@ -5,7 +5,7 @@
 
 using namespace hinet;
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   CliArgs args(argc, argv);
   const bool csv = args.get_bool("csv", false, "also emit CSV to stdout");
 
@@ -49,4 +49,6 @@ int main(int argc, char** argv) {
     }
     if (csv) std::cout << "CSV:\n" << csv_out.content();
   });
+} catch (const std::invalid_argument& e) {
+  return bench::usage_error(e);
 }

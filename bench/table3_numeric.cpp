@@ -6,12 +6,10 @@
 
 using namespace hinet;
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   CliArgs args(argc, argv);
-  const auto reps = static_cast<std::size_t>(
-      args.get_int("reps", 5, "repetitions per scenario"));
-  const auto seed =
-      static_cast<std::uint64_t>(args.get_int("seed", 1, "base seed"));
+  const auto reps = args.get_uint("reps", 5, "repetitions per scenario");
+  const auto seed = args.get_uint("seed", 1, "base seed");
   const std::size_t jobs = args.get_jobs();
 
   return bench::run_main(args, "Table 3 — numeric example + measured", [&] {
@@ -75,4 +73,6 @@ int main(int argc, char** argv) {
                  "the [7] rows on\ncommunication at similar-or-smaller "
                  "time.\n";
   });
+} catch (const std::invalid_argument& e) {
+  return bench::usage_error(e);
 }

@@ -6,6 +6,7 @@
 //
 //   ./examples/adversarial_stress [--nodes=N] [--k=K] [--seed=S]
 #include <iostream>
+#include <stdexcept>
 
 #include "analysis/assignment.hpp"
 #include "baseline/flooding.hpp"
@@ -32,12 +33,9 @@ SimMetrics run_on(GraphSequence& net, std::vector<ProcessPtr> procs,
 
 int main(int argc, char** argv) try {
   CliArgs args(argc, argv);
-  const auto n =
-      static_cast<std::size_t>(args.get_int("nodes", 32, "network size"));
-  const auto k =
-      static_cast<std::size_t>(args.get_int("k", 4, "token count"));
-  const auto seed =
-      static_cast<std::uint64_t>(args.get_int("seed", 9, "seed"));
+  const auto n = args.get_uint("nodes", 32, "network size");
+  const auto k = args.get_uint("k", 4, "token count");
+  const auto seed = args.get_uint("seed", 9, "seed");
   if (args.help_requested()) {
     std::cout << args.usage("adversarial_stress: baselines on hostile traces");
     return 0;
@@ -169,6 +167,9 @@ int main(int argc, char** argv) try {
                "deterministic n-1 round\nguarantees do not apply, which is "
                "exactly why the paper's model assumptions matter.\n";
   return 0;
+} catch (const std::invalid_argument& e) {
+  std::cerr << "usage error: " << e.what() << '\n';
+  return 2;
 } catch (const std::exception& e) {
   std::cerr << "error: " << e.what() << '\n';
   return 1;

@@ -11,6 +11,7 @@
 //
 //   ./examples/mobile_adhoc [--nodes=N] [--radius=R] [--k=K] [--seed=S]
 #include <iostream>
+#include <stdexcept>
 
 #include "analysis/assignment.hpp"
 #include "baseline/klo.hpp"
@@ -28,26 +29,23 @@ using namespace hinet;
 int main(int argc, char** argv) try {
   CliArgs args(argc, argv);
   MobilityConfig mob;
-  mob.nodes =
-      static_cast<std::size_t>(args.get_int("nodes", 50, "network size"));
+  mob.nodes = args.get_uint("nodes", 50, "network size");
   mob.radius = args.get_double("radius", 0.35, "communication radius");
   mob.min_speed = args.get_double("min-speed", 0.01, "min speed per round");
   mob.max_speed = args.get_double("max-speed", 0.04, "max speed per round");
-  mob.seed = static_cast<std::uint64_t>(args.get_int("seed", 3, "seed"));
+  mob.seed = args.get_uint("seed", 3, "seed");
   const std::string model = args.get_string(
       "model", "waypoint", "mobility model: waypoint|walk|manhattan");
   if (model == "walk") {
     mob.model = MobilityModel::kRandomWalk;
   } else if (model == "manhattan") {
     mob.model = MobilityModel::kManhattan;
-    mob.streets = static_cast<std::size_t>(
-        args.get_int("streets", 5, "Manhattan streets per axis"));
+    mob.streets = args.get_uint("streets", 5, "Manhattan streets per axis");
   } else if (model != "waypoint") {
     std::cerr << "error: unknown mobility model '" << model << "'\n";
     return 2;
   }
-  const auto k =
-      static_cast<std::size_t>(args.get_int("k", 5, "tokens to disseminate"));
+  const auto k = args.get_uint("k", 5, "tokens to disseminate");
   if (args.help_requested()) {
     std::cout << args.usage("mobile_adhoc: dissemination under mobility");
     return 0;
@@ -116,6 +114,9 @@ int main(int argc, char** argv) try {
               << "%  (paper claims up to ~50% on its example)\n";
   }
   return 0;
+} catch (const std::invalid_argument& e) {
+  std::cerr << "usage error: " << e.what() << '\n';
+  return 2;
 } catch (const std::exception& e) {
   std::cerr << "error: " << e.what() << '\n';
   return 1;

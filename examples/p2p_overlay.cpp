@@ -7,6 +7,7 @@
 //
 //   ./examples/p2p_overlay [--peers=N] [--announcements=K] [--seed=S]
 #include <iostream>
+#include <stdexcept>
 
 #include "analysis/assignment.hpp"
 #include "analysis/model_estimation.hpp"
@@ -25,16 +26,14 @@ using namespace hinet;
 
 int main(int argc, char** argv) try {
   CliArgs args(argc, argv);
-  const auto peers =
-      static_cast<std::size_t>(args.get_int("peers", 40, "overlay size"));
-  const auto k = static_cast<std::size_t>(
-      args.get_int("announcements", 6, "content announcements (tokens)"));
+  const auto peers = args.get_uint("peers", 40, "overlay size");
+  const auto k =
+      args.get_uint("announcements", 6, "content announcements (tokens)");
   const double session_open =
       args.get_double("open", 0.06, "P(connection opens) per round");
   const double session_close =
       args.get_double("close", 0.04, "P(connection closes) per round");
-  const auto seed =
-      static_cast<std::uint64_t>(args.get_int("seed", 21, "seed"));
+  const auto seed = args.get_uint("seed", 21, "seed");
   if (args.help_requested()) {
     std::cout << args.usage("p2p_overlay: dissemination on a churning overlay");
     return 0;
@@ -139,6 +138,9 @@ int main(int argc, char** argv) try {
                "where the savings come\nfrom — the same structural argument "
                "the paper makes for MANETs.\n";
   return 0;
+} catch (const std::invalid_argument& e) {
+  std::cerr << "usage error: " << e.what() << '\n';
+  return 2;
 } catch (const std::exception& e) {
   std::cerr << "error: " << e.what() << '\n';
   return 1;

@@ -4,6 +4,7 @@
 //
 //   ./examples/quickstart [--nodes=N] [--heads=H] [--k=K] [--seed=S]
 #include <iostream>
+#include <stdexcept>
 
 #include "analysis/scenarios.hpp"
 #include "core/hinet_generator.hpp"
@@ -16,17 +17,12 @@ using namespace hinet;
 int main(int argc, char** argv) try {
   CliArgs args(argc, argv);
   ScenarioConfig cfg;
-  cfg.nodes =
-      static_cast<std::size_t>(args.get_int("nodes", 60, "network size n0"));
-  cfg.heads = static_cast<std::size_t>(
-      args.get_int("heads", 8, "cluster-head budget (theta)"));
-  cfg.k = static_cast<std::size_t>(args.get_int("k", 6, "tokens to spread"));
-  cfg.alpha =
-      static_cast<std::size_t>(args.get_int("alpha", 2, "coefficient alpha"));
-  cfg.hop_l = static_cast<int>(
-      args.get_int("l", 2, "L-hop cluster-head connectivity"));
-  const auto seed =
-      static_cast<std::uint64_t>(args.get_int("seed", 7, "trace seed"));
+  cfg.nodes = args.get_uint("nodes", 60, "network size n0");
+  cfg.heads = args.get_uint("heads", 8, "cluster-head budget (theta)");
+  cfg.k = args.get_uint("k", 6, "tokens to spread");
+  cfg.alpha = args.get_uint("alpha", 2, "coefficient alpha");
+  cfg.hop_l = args.get_int32("l", 2, "L-hop cluster-head connectivity");
+  const auto seed = args.get_uint("seed", 7, "trace seed");
   if (args.help_requested()) {
     std::cout << args.usage("quickstart: Algorithm 1 on a (T,L)-HiNet trace");
     return 0;
@@ -80,6 +76,9 @@ int main(int argc, char** argv) try {
             << " nodes — " << (m.all_delivered ? "success" : "FAILURE")
             << ".\n";
   return m.all_delivered ? 0 : 1;
+} catch (const std::invalid_argument& e) {
+  std::cerr << "usage error: " << e.what() << '\n';
+  return 2;
 } catch (const std::exception& e) {
   std::cerr << "error: " << e.what() << '\n';
   return 1;

@@ -6,6 +6,7 @@
 //
 //   ./examples/sensor_network [--sensors=N] [--heads=H] [--readings=K]
 #include <iostream>
+#include <stdexcept>
 
 #include "analysis/assignment.hpp"
 #include "analysis/scenarios.hpp"
@@ -17,20 +18,15 @@ using namespace hinet;
 int main(int argc, char** argv) try {
   CliArgs args(argc, argv);
   ScenarioConfig cfg;
-  cfg.nodes = static_cast<std::size_t>(
-      args.get_int("sensors", 80, "total sensor nodes"));
-  cfg.heads = static_cast<std::size_t>(
-      args.get_int("heads", 10, "backbone (mains-powered) heads"));
-  cfg.k = static_cast<std::size_t>(
-      args.get_int("readings", 8, "sensor readings to disseminate"));
-  cfg.alpha = static_cast<std::size_t>(args.get_int("alpha", 2, "alpha"));
-  cfg.hop_l = static_cast<int>(args.get_int("l", 2, "backbone hop length L"));
+  cfg.nodes = args.get_uint("sensors", 80, "total sensor nodes");
+  cfg.heads = args.get_uint("heads", 10, "backbone (mains-powered) heads");
+  cfg.k = args.get_uint("readings", 8, "sensor readings to disseminate");
+  cfg.alpha = args.get_uint("alpha", 2, "alpha");
+  cfg.hop_l = args.get_int32("l", 2, "backbone hop length L");
   cfg.reaffiliation_prob =
       args.get_double("churn", 0.3, "sensor re-association probability");
-  const auto seed =
-      static_cast<std::uint64_t>(args.get_int("seed", 5, "seed"));
-  const auto reps =
-      static_cast<std::size_t>(args.get_int("reps", 5, "repetitions"));
+  const auto seed = args.get_uint("seed", 5, "seed");
+  const auto reps = args.get_uint("reps", 5, "repetitions");
   const std::size_t jobs = args.get_jobs();
   if (args.help_requested()) {
     std::cout << args.usage(
@@ -82,6 +78,9 @@ int main(int argc, char** argv) try {
                "readings the backbone already has\n(Remark 1) — the saving "
                "grows with churn.\n";
   return 0;
+} catch (const std::invalid_argument& e) {
+  std::cerr << "usage error: " << e.what() << '\n';
+  return 2;
 } catch (const std::exception& e) {
   std::cerr << "error: " << e.what() << '\n';
   return 1;

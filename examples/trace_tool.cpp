@@ -12,6 +12,7 @@
 // estimate  empirical stability estimation (largest T, worst L);
 // dot       Graphviz export of one round (pipe into `dot -Tsvg`).
 #include <iostream>
+#include <stdexcept>
 
 #include "analysis/model_estimation.hpp"
 #include "cluster/dot.hpp"
@@ -66,20 +67,17 @@ int main(int argc, char** argv) try {
   const std::string out = args.get_string("out", "", "output path (generate)");
   // Generation parameters.
   HiNetConfig cfg;
-  cfg.nodes = static_cast<std::size_t>(args.get_int("nodes", 40, "nodes"));
-  cfg.heads = static_cast<std::size_t>(args.get_int("heads", 6, "heads"));
-  cfg.phase_length =
-      static_cast<std::size_t>(args.get_int("t", 10, "phase length T"));
-  cfg.phases = static_cast<std::size_t>(args.get_int("phases", 4, "phases"));
-  cfg.hop_l = static_cast<int>(args.get_int("l", 2, "L"));
+  cfg.nodes = args.get_uint("nodes", 40, "nodes");
+  cfg.heads = args.get_uint("heads", 6, "heads");
+  cfg.phase_length = args.get_uint("t", 10, "phase length T");
+  cfg.phases = args.get_uint("phases", 4, "phases");
+  cfg.hop_l = args.get_int32("l", 2, "L");
   cfg.reaffiliation_prob =
       args.get_double("reaff", 0.2, "re-affiliation probability");
-  cfg.churn_edges =
-      static_cast<std::size_t>(args.get_int("churn", 4, "churn edges/round"));
+  cfg.churn_edges = args.get_uint("churn", 4, "churn edges/round");
   cfg.stable_heads = args.get_bool("stable-heads", false, "∞-stable head set");
-  cfg.seed = static_cast<std::uint64_t>(args.get_int("seed", 1, "seed"));
-  const auto round =
-      static_cast<std::size_t>(args.get_int("round", 0, "round (dot mode)"));
+  cfg.seed = args.get_uint("seed", 1, "seed");
+  const auto round = args.get_uint("round", 0, "round (dot mode)");
   if (args.help_requested()) {
     std::cout << args.usage("trace_tool: CTVG trace utility");
     return 0;
@@ -168,6 +166,9 @@ int main(int argc, char** argv) try {
   }
 
   std::cerr << "error: unknown mode '" << mode << "'\n";
+  return 2;
+} catch (const std::invalid_argument& e) {
+  std::cerr << "usage error: " << e.what() << '\n';
   return 2;
 } catch (const std::exception& e) {
   std::cerr << "error: " << e.what() << '\n';

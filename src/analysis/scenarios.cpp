@@ -44,6 +44,11 @@ std::span<const Scenario> all_scenarios() {
   return kAll;
 }
 
+void validate_scenario_config(Scenario s, const ScenarioConfig& cfg) {
+  HINET_REQUIRE(cfg.k >= 1 && cfg.alpha >= 1, "k and alpha must be positive");
+  validate_hinet_config(scenario_generator(s, cfg, /*seed=*/0));
+}
+
 HiNetConfig scenario_generator(Scenario s, const ScenarioConfig& cfg,
                                std::uint64_t seed,
                                ScenarioSchedule* schedule) {
@@ -162,7 +167,7 @@ SimulationSpec assemble_spec(Scenario s, const ScenarioConfig& cfg,
 /// computed here.
 SimulationSpec streamed_spec(Scenario s, const ScenarioConfig& cfg,
                              std::uint64_t seed) {
-  HINET_REQUIRE(cfg.k >= 1 && cfg.alpha >= 1, "k and alpha must be positive");
+  validate_scenario_config(s, cfg);
   ScenarioSchedule sched;
   HiNetStream stream =
       make_hinet_stream(scenario_generator(s, cfg, seed, &sched));
@@ -194,7 +199,7 @@ ScenarioRun with_trace_stats(SimulationSpec spec, const HiNetTraceStats& stats,
 
 ScenarioRun make_scenario_from_trace(Scenario s, const ScenarioConfig& cfg,
                                      HiNetTrace&& trace, std::uint64_t seed) {
-  HINET_REQUIRE(cfg.k >= 1 && cfg.alpha >= 1, "k and alpha must be positive");
+  validate_scenario_config(s, cfg);
   ScenarioSchedule sched;
   (void)scenario_generator(s, cfg, seed, &sched);
   SimulationSpec spec = assemble_spec(

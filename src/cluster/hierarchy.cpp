@@ -1,6 +1,7 @@
 #include "cluster/hierarchy.hpp"
 
 #include <algorithm>
+#include <numeric>
 #include <sstream>
 
 namespace hinet {
@@ -104,6 +105,14 @@ std::size_t HierarchyView::member_count() const {
 
 std::string HierarchyView::validate(const Graph& g,
                                     std::size_t max_hops) const {
+  std::vector<NodeId> all(role_.size());
+  std::iota(all.begin(), all.end(), NodeId{0});
+  return validate(g, all, max_hops);
+}
+
+std::string HierarchyView::validate(const Graph& g,
+                                    std::span<const NodeId> nodes,
+                                    std::size_t max_hops) const {
   if (g.node_count() != role_.size()) {
     return "graph and hierarchy disagree on node count";
   }
@@ -116,7 +125,8 @@ std::string HierarchyView::validate(const Graph& g,
   // per generated phase, and an eager ostringstream per node dominated the
   // happy path.
   std::vector<std::vector<int>> dist_cache(max_hops > 1 ? role_.size() : 0);
-  for (NodeId v = 0; v < role_.size(); ++v) {
+  for (const NodeId v : nodes) {
+    check_node(v);
     const ClusterId k = cluster_[v];
     if (role_[v] == NodeRole::kHead) {
       if (k != v) {

@@ -10,6 +10,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -83,8 +84,16 @@ class HierarchyView {
   ///     (max_hops = 1 is the paper's 1-hop system-model assumption;
   ///     larger values support the future-work d-hop clusters).
   /// Returns an empty string when valid, else a description of the first
-  /// violation.
+  /// violation.  The same as validate(g, nodes, max_hops) over all nodes.
   std::string validate(const Graph& g, std::size_t max_hops = 1) const;
+
+  /// validate restricted to the rows of `nodes`, in that order: the checks
+  /// above, for those nodes only.  Each check reads one node's role, its
+  /// cluster id and the head's role, and its edge or distance to the head,
+  /// so a view edited at a few nodes (re-affiliated members, say) is valid
+  /// when it was valid before and these rows still are.
+  std::string validate(const Graph& g, std::span<const NodeId> nodes,
+                       std::size_t max_hops = 1) const;
 
   friend bool operator==(const HierarchyView&, const HierarchyView&) = default;
 

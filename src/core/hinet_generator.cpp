@@ -15,9 +15,7 @@ std::size_t hinet_min_nodes(std::size_t heads, int hop_l) {
   return heads + relays;
 }
 
-namespace {
-
-void validate_config(const HiNetConfig& cfg) {
+void validate_hinet_config(const HiNetConfig& cfg) {
   HINET_REQUIRE(cfg.nodes >= 1, "need nodes");
   HINET_REQUIRE(cfg.heads >= 1, "need at least one head");
   HINET_REQUIRE(cfg.phase_length >= 1, "T must be >= 1");
@@ -35,11 +33,13 @@ void validate_config(const HiNetConfig& cfg) {
       "backbone_rewire_prob outside [0,1]");
 }
 
+namespace {
+
 /// Validates cfg before the StreamingNetwork base is built, so a bad
 /// config reports the generator's diagnostic (e.g. "need at least one
 /// phase") rather than the base's, and returns the horizon.
 std::size_t checked_horizon(const HiNetConfig& cfg) {
-  validate_config(cfg);
+  validate_hinet_config(cfg);
   return cfg.phases * cfg.phase_length;
 }
 
@@ -49,6 +49,7 @@ std::size_t checked_horizon(const HiNetConfig& cfg) {
 struct BackboneLayout {
   std::vector<NodeId> chain;     ///< heads in chain order
   std::vector<NodeId> gateways;  ///< relay nodes, chain order
+  std::vector<NodeId> members;   ///< everyone else, in id (draw) order
 };
 
 BackboneLayout plan_backbone(const HiNetConfig& cfg,
@@ -59,13 +60,13 @@ BackboneLayout plan_backbone(const HiNetConfig& cfg,
   layout.chain = head_set;
   rng.shuffle(layout.chain);
 
-  std::vector<char> is_head(n, 0);
-  for (NodeId h : layout.chain) is_head[h] = 1;
+  std::vector<char> on_backbone(n, 0);
+  for (NodeId h : layout.chain) on_backbone[h] = 1;
 
   std::vector<NodeId> pool;
   pool.reserve(n);
   for (NodeId v = 0; v < n; ++v) {
-    if (!is_head[v]) pool.push_back(v);
+    if (!on_backbone[v]) pool.push_back(v);
   }
   const std::size_t relay_count =
       layout.chain.empty() ? 0 : (layout.chain.size() - 1) * (l - 1);
@@ -74,36 +75,46 @@ BackboneLayout plan_backbone(const HiNetConfig& cfg,
   rng.shuffle(pool);
   layout.gateways.assign(
       pool.begin(), pool.begin() + static_cast<std::ptrdiff_t>(relay_count));
+  for (NodeId v : layout.gateways) on_backbone[v] = 1;
+  layout.members.reserve(n - layout.chain.size() - relay_count);
+  for (NodeId v = 0; v < n; ++v) {
+    if (!on_backbone[v]) layout.members.push_back(v);
+  }
   return layout;
 }
 
 struct PhasePlan {
-  std::vector<ClusterId> head_of;  ///< per node affiliation (kNoCluster ok)
   Graph stable;  ///< backbone + member edges: every round's base CSR
   HierarchyView view;
 };
 
+/// A member's head for the next phase, given its head `prev` in the last
+/// one: it stays unless the re-affiliation coin fires or `prev` is no
+/// longer a head (kNoCluster before phase 0), in which case it draws a head
+/// uniformly.  Counts the draws that move it, forced moves included.
+ClusterId draw_head(const HiNetConfig& cfg, const BackboneLayout& layout,
+                    ClusterId prev, bool prev_is_head, Rng& rng,
+                    std::size_t& reaffiliations) {
+  if (prev_is_head && !rng.bernoulli(cfg.reaffiliation_prob)) return prev;
+  const ClusterId target = rng.pick(layout.chain);
+  if (prev != kNoCluster && (!prev_is_head || target != prev)) {
+    ++reaffiliations;
+  }
+  return target;
+}
+
 /// Lays out one phase from a backbone layout: collect the chain's edges,
-/// then affiliate every non-backbone node with a head (keeping its
-/// previous head when possible — the re-affiliation coin decides churn),
-/// and build the phase's CSR once.
+/// then affiliate every non-backbone node with a head (keeping its head in
+/// `last`, the last phase's view, when possible: the re-affiliation coin
+/// decides churn), and build the phase's CSR once.
 PhasePlan plan_phase(const HiNetConfig& cfg, const BackboneLayout& layout,
-                     const std::vector<ClusterId>& prev_head_of, Rng& rng,
-                     std::size_t* reaffiliations) {
+                     const HierarchyView& last, Rng& rng,
+                     std::size_t& reaffiliations) {
   const std::size_t n = cfg.nodes;
   const auto l = static_cast<std::size_t>(cfg.hop_l);
   PhasePlan plan;
   plan.view = HierarchyView(n);
-  plan.head_of.assign(n, kNoCluster);
-
-  std::vector<char> is_head(n, 0);
-  for (NodeId h : layout.chain) {
-    plan.view.set_head(h);
-    plan.head_of[h] = h;
-    is_head[h] = 1;
-  }
-  std::vector<char> is_gateway(n, 0);
-  for (NodeId v : layout.gateways) is_gateway[v] = 1;
+  for (NodeId h : layout.chain) plan.view.set_head(h);
 
   // The chain plus one edge per member is a spanning tree: n - 1 edges.
   std::vector<Edge> stable;
@@ -120,10 +131,8 @@ PhasePlan plan_phase(const HiNetConfig& cfg, const BackboneLayout& layout,
       // unaffiliated (the "at most one cluster" case).
       if (hop == 1) {
         plan.view.set_member(relay, layout.chain[i], /*gateway=*/true);
-        plan.head_of[relay] = layout.chain[i];
       } else if (hop == l - 1) {
         plan.view.set_member(relay, right, /*gateway=*/true);
-        plan.head_of[relay] = right;
       } else {
         plan.view.set_unaffiliated_gateway(relay);
       }
@@ -132,27 +141,12 @@ PhasePlan plan_phase(const HiNetConfig& cfg, const BackboneLayout& layout,
     stable.push_back({prev, right});
   }
 
-  // Members: everyone not a head or relay.
-  for (NodeId v = 0; v < n; ++v) {
-    if (is_head[v] || is_gateway[v]) continue;
-    const ClusterId prev = prev_head_of[v];
-    ClusterId target = kNoCluster;
-    const bool prev_valid = prev != kNoCluster && is_head[prev];
-    if (prev_valid && !rng.bernoulli(cfg.reaffiliation_prob)) {
-      target = prev;
-    } else {
-      target = rng.pick(layout.chain);
-      if (prev_valid && target != prev && reaffiliations != nullptr) {
-        ++*reaffiliations;
-      }
-      // Forced moves (previous head vanished) also count: the member must
-      // re-affiliate regardless of the coin.
-      if (!prev_valid && prev != kNoCluster && reaffiliations != nullptr) {
-        ++*reaffiliations;
-      }
-    }
+  for (const NodeId v : layout.members) {
+    const ClusterId was = last.cluster_of(v);
+    const ClusterId target = draw_head(
+        cfg, layout, was, was != kNoCluster && plan.view.is_head(was), rng,
+        reaffiliations);
     plan.view.set_member(v, target);
-    plan.head_of[v] = target;
     stable.push_back({v, target});
   }
 
@@ -173,7 +167,7 @@ namespace detail {
 class PhaseDriver {
  public:
   explicit PhaseDriver(const HiNetConfig& cfg) : cfg_(cfg) {
-    validate_config(cfg);
+    validate_hinet_config(cfg);
     reset();
   }
 
@@ -190,16 +184,18 @@ class PhaseDriver {
     }
     std::sort(head_set_.begin(), head_set_.end());
 
-    prev_head_of_.assign(cfg_.nodes, kNoCluster);
     ever_head_.assign(cfg_.nodes, 0);
     for (NodeId h : head_set_) ever_head_[h] = 1;
 
     stats_ = HiNetTraceStats{};
     phase_ = 0;
+    plan_.view = HierarchyView(cfg_.nodes);  // phase 0: nobody has a head
     plan_current(/*first=*/true);
   }
 
-  /// Plans the next phase (head churn, backbone rewire, affiliation).
+  /// Plans the next phase (head churn, backbone rewire, affiliation): a
+  /// full re-plan when the head set or the backbone changed, else derived
+  /// from the current phase (reaffiliate).
   void advance() {
     ++phase_;
     HINET_REQUIRE(phase_ < cfg_.phases, "advance() past the last phase");
@@ -262,10 +258,38 @@ class PhaseDriver {
     if (first || heads_changed ||
         layout_rng_.bernoulli(cfg_.backbone_rewire_prob)) {
       layout_ = plan_backbone(cfg_, head_set_, layout_rng_);
+      plan_ = plan_phase(cfg_, layout_, plan_.view, layout_rng_,
+                         stats_.reaffiliation_events);
+    } else {
+      reaffiliate();
     }
-    plan_ = plan_phase(cfg_, layout_, prev_head_of_, layout_rng_,
-                       &stats_.reaffiliation_events);
-    prev_head_of_ = plan_.head_of;
+  }
+
+  /// The next phase on an unchanged head set and backbone, as an edit of
+  /// the current one.  plan_phase would draw the same coins in the same
+  /// order and rebuild the same chain, and every member's last head is
+  /// still a head, so only the members whose head changes move: each is
+  /// re-pointed in the view, its old head edge is swapped for the new one
+  /// in the stable CSR, and only its row is re-validated.
+  void reaffiliate() {
+    HierarchyView& view = plan_.view;
+    movers_.clear();
+    cut_.clear();
+    put_.clear();
+    for (const NodeId v : layout_.members) {
+      const ClusterId was = view.cluster_of(v);
+      const ClusterId target =
+          draw_head(cfg_, layout_, was, /*prev_is_head=*/true, layout_rng_,
+                    stats_.reaffiliation_events);
+      if (target == was) continue;
+      view.set_member(v, target);
+      movers_.push_back(v);
+      cut_.push_back({v, was});
+      put_.push_back({v, target});
+    }
+    plan_.stable = Graph::edited(plan_.stable, cut_, put_);
+    HINET_ENSURE(view.validate(plan_.stable, movers_).empty(),
+                 "derived phase hierarchy invalid");
   }
 
   HiNetConfig cfg_;
@@ -273,11 +297,15 @@ class PhaseDriver {
   Rng churn_rng_;
   Rng head_rng_;
   std::vector<NodeId> head_set_;
-  std::vector<ClusterId> prev_head_of_;
   std::vector<char> ever_head_;
   BackboneLayout layout_;
   PhasePlan plan_;
   std::vector<Edge> churn_;  ///< realize_round's reused draw buffer
+  // reaffiliate's reused buffers: the members whose head changed, their
+  // old head edges and their new ones.
+  std::vector<NodeId> movers_;
+  std::vector<Edge> cut_;
+  std::vector<Edge> put_;
   std::size_t phase_ = 0;
   HiNetTraceStats stats_;
 };
@@ -381,9 +409,10 @@ HiNetTrace make_hinet_trace(const HiNetConfig& cfg) {
     views.push_back(net.hierarchy_at(r));
   }
 
-  // No whole-trace re-validation here: every phase already passed
-  // plan.view.validate(plan.stable) on its CSR at construction, each
-  // round's view IS its phase's validated view, and each round's graph is
+  // No whole-trace re-validation here: every phase's view was validated on
+  // its CSR when it was planned (every row on a full re-plan, the movers'
+  // rows on a phase derived from a validated one), each round's view IS
+  // its phase's validated view, and each round's graph is
   // Graph::with_edges(plan.stable, churn), a superset of the validated
   // graph; the per-round check at hop limit 1 is pure edge existence
   // (has_edge), which is monotone under edge addition.  Re-running

@@ -66,8 +66,15 @@ struct HiNetTrace {
   HiNetTraceStats stats;
 };
 
-/// Generates a trace; throws PreconditionError when the node budget cannot
-/// host `heads` heads plus the (heads-1)*(hop_l-1) backbone gateways.
+/// Throws PreconditionError unless cfg is inside the generator's model:
+/// at least one node, head and phase, T >= 1, L >= 1, every probability in
+/// [0, 1], and a node budget that hosts `heads` heads plus the
+/// (heads-1)*(hop_l-1) backbone gateways.  Every generator entry point
+/// checks it first.
+void validate_hinet_config(const HiNetConfig& cfg);
+
+/// Generates a trace; throws PreconditionError on a cfg outside the model
+/// (validate_hinet_config).
 /// This is the materialized special case: a walk over HiNetStreamNetwork
 /// that keeps every round, with stats from hinet_trace_stats.
 HiNetTrace make_hinet_trace(const HiNetConfig& cfg);
@@ -77,10 +84,15 @@ class PhaseDriver;
 }  // namespace detail
 
 /// The (T, L)-HiNet generator as a streaming provider: one phase driver
-/// plans each phase (head churn, backbone, affiliations) and builds the
-/// phase's stable edges into a CSR once, validating the view on it; each
-/// round is that CSR with the round's churn draws merged in
-/// (Graph::with_edges, linear in the graph).  Besides the graph ring of
+/// plans each phase (head churn, backbone, affiliations) and holds the
+/// phase's stable edges as a CSR with the view validated on it.  Phase 0
+/// and any phase whose head set or backbone changed are planned whole: the
+/// CSR built from the edge list and every row validated.  Any other phase
+/// is derived from the last: the same draws, but only the re-affiliated
+/// members are re-pointed, their head edges swapped in the CSR
+/// (Graph::edited) and their rows re-validated.  Each round is the phase's
+/// CSR with the round's churn draws merged in (Graph::with_edges, linear
+/// in the graph).  Besides the graph ring of
 /// StreamingNetwork it keeps the matching W views, so hierarchy_at(r)
 /// shares graph_at(r)'s clamping, residency and replay.  Byte-identical,
 /// round by round, to make_hinet_trace(cfg).

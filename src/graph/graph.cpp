@@ -37,13 +37,16 @@ Graph::Graph(std::size_t n, const std::vector<Edge>& edges)
     neighbors_[--offsets_[e.v]] = e.u;
   }
   // Sort each row and drop duplicate edges, compacting in place.  Row v's
-  // old end is still offsets_[v + 1] when v is visited.
+  // old end is still offsets_[v + 1] when v is visited.  A row of at most
+  // one arc (a HiNet member's, most rows of a phase) is already both.
   std::uint32_t out = 0;
   for (std::size_t v = 0; v < n; ++v) {
     const auto row = neighbors_.begin() + offsets_[v];
-    const auto row_end = neighbors_.begin() + offsets_[v + 1];
-    std::sort(row, row_end);
-    const auto unique_end = std::unique(row, row_end);
+    auto unique_end = neighbors_.begin() + offsets_[v + 1];
+    if (unique_end - row > 1) {
+      std::sort(row, unique_end);
+      unique_end = std::unique(row, unique_end);
+    }
     offsets_[v] = out;
     for (auto it = row; it != unique_end; ++it) neighbors_[out++] = *it;
   }
@@ -51,35 +54,58 @@ Graph::Graph(std::size_t n, const std::vector<Edge>& edges)
   neighbors_.resize(out);
 }
 
-Graph Graph::with_edges(const Graph& base, std::span<const Edge> extra) {
-  HINET_REQUIRE(base.edge_count() + extra.size() <=
+namespace {
+
+/// An arc (row, neighbour) as one key that sorts by row, then neighbour.
+std::uint64_t arc_key(NodeId row, NodeId neighbour) {
+  return std::uint64_t{row} << 32 | neighbour;
+}
+NodeId arc_row(std::uint64_t key) { return static_cast<NodeId>(key >> 32); }
+NodeId arc_neighbour(std::uint64_t key) { return static_cast<NodeId>(key); }
+
+/// Sorts after every arc of a graph whose node ids fit in a NodeId.
+constexpr std::uint64_t kNoArc = ~std::uint64_t{0};
+
+}  // namespace
+
+Graph Graph::edited(const Graph& base, std::span<const Edge> removed,
+                    std::span<const Edge> added) {
+  HINET_REQUIRE(base.edge_count() + added.size() <=
                     std::numeric_limits<std::uint32_t>::max() / 2,
                 "edge list too long for 32-bit offsets");
-  // Both arcs of every extra edge, sorted by (row, neighbour) and unique:
-  // each touched row's additions are then one sorted run.
-  std::vector<Edge> arcs;
-  arcs.reserve(2 * extra.size());
-  for (const Edge& e : extra) {
-    base.check_node(e.u);
-    base.check_node(e.v);
-    HINET_REQUIRE(e.u != e.v, "self-loop");
-    arcs.push_back({e.u, e.v});
-    arcs.push_back({e.v, e.u});
-  }
-  if (arcs.empty()) return base;
-  std::sort(arcs.begin(), arcs.end());
-  arcs.erase(std::unique(arcs.begin(), arcs.end()), arcs.end());
+  // Both arcs of every edge as sorted, unique keys, ended by kNoArc: each
+  // touched row's removals and additions are then one sorted run each.
+  const auto arcs_of = [&base](std::span<const Edge> edges) {
+    std::vector<std::uint64_t> arcs;
+    arcs.reserve(2 * edges.size() + 1);
+    for (const Edge& e : edges) {
+      base.check_node(e.u);
+      base.check_node(e.v);
+      HINET_REQUIRE(e.u != e.v, "self-loop");
+      arcs.push_back(arc_key(e.u, e.v));
+      arcs.push_back(arc_key(e.v, e.u));
+    }
+    std::sort(arcs.begin(), arcs.end());
+    arcs.erase(std::unique(arcs.begin(), arcs.end()), arcs.end());
+    arcs.push_back(kNoArc);
+    return arcs;
+  };
+  const std::vector<std::uint64_t> cut = arcs_of(removed);
+  const std::vector<std::uint64_t> put = arcs_of(added);
+  if (std::min(cut.front(), put.front()) == kNoArc) return base;
 
   const std::size_t n = base.node_count();
   Graph g;
   g.offsets_.resize(n + 1);
-  g.neighbors_.reserve(base.neighbors_.size() + arcs.size());
+  g.neighbors_.reserve(base.neighbors_.size() + put.size() - 1);
+  const auto written = [&g] {
+    return static_cast<std::uint32_t>(g.neighbors_.size());
+  };
   // Rows [next, end) are untouched: one block copy, offsets shifted by the
-  // arcs merged into earlier rows.
+  // arcs merged into and cut from earlier rows.
   NodeId next = 0;
   const auto copy_rows = [&](NodeId end) {
-    const std::uint32_t shift =
-        static_cast<std::uint32_t>(g.neighbors_.size()) - base.offsets_[next];
+    const std::uint32_t shift = written() - base.offsets_[next];
     for (NodeId v = next; v < end; ++v) {
       g.offsets_[v] = base.offsets_[v] + shift;
     }
@@ -88,23 +114,34 @@ Graph Graph::with_edges(const Graph& base, std::span<const Edge> extra) {
                         base.neighbors_.begin() + base.offsets_[end]);
     next = end;
   };
-  for (auto it = arcs.begin(); it != arcs.end();) {
-    const NodeId v = it->u;
+  const std::uint64_t* c = cut.data();
+  const std::uint64_t* p = put.data();
+  for (std::uint64_t arc; (arc = std::min(*c, *p)) != kNoArc;) {
+    const NodeId v = arc_row(arc);
     copy_rows(v);
-    g.offsets_[v] = static_cast<std::uint32_t>(g.neighbors_.size());
-    // Merge row v with its sorted additions, keeping one of each.
-    const auto row = base.neighbors(v);
-    auto a = row.begin();
-    for (; it != arcs.end() && it->u == v; ++it) {
-      while (a != row.end() && *a < it->v) g.neighbors_.push_back(*a++);
-      if (a != row.end() && *a == it->v) ++a;
-      g.neighbors_.push_back(it->v);
+    g.offsets_[v] = written();
+    // Merge row v with its sorted additions, dropping its removals and
+    // keeping one of each neighbour.  Every removal must meet its arc.
+    // The runs of later rows, and kNoArc, sort after every arc of row v.
+    for (const NodeId a : base.neighbors(v)) {
+      const std::uint64_t key = arc_key(v, a);
+      for (; *p < key; ++p) g.neighbors_.push_back(arc_neighbour(*p));
+      HINET_REQUIRE(*c >= key, "removed edge is not in the graph");
+      const bool kept = *c != key;
+      if (!kept) ++c;
+      const bool readded = *p == key;
+      if (readded) ++p;
+      if (kept || readded) g.neighbors_.push_back(a);
     }
-    g.neighbors_.insert(g.neighbors_.end(), a, row.end());
+    for (; *p != kNoArc && arc_row(*p) == v; ++p) {
+      g.neighbors_.push_back(arc_neighbour(*p));
+    }
+    HINET_REQUIRE(*c == kNoArc || arc_row(*c) != v,
+                  "removed edge is not in the graph");
     next = v + 1;
   }
   copy_rows(static_cast<NodeId>(n));
-  g.offsets_[n] = static_cast<std::uint32_t>(g.neighbors_.size());
+  g.offsets_[n] = written();
   return g;
 }
 

@@ -8,13 +8,16 @@
 // offsets_[v+1]), sorted and unique, so neighbour iteration walks
 // contiguous memory and has_edge is a binary search in one row.  There are
 // two ways to build one: from an edge list (the constructor, a counting
-// sort), or as an existing graph plus a few extra edges (with_edges, a
-// linear merge that copies the untouched rows as blocks).  The second is
-// how a round is emitted when most of its edges are a longer-lived
-// footprint, e.g. a (T, L)-HiNet phase's stable edges plus that round's
-// churn.  A dynamic network is one static graph per round, built once and
-// then only read: there are no edge mutators and no lazily refreshed
-// caches, so a Graph is safe to share read-only across threads.
+// sort), or as an edit of an existing graph that removes some edges and
+// adds others (edited, a linear merge that copies the untouched rows as
+// blocks; with_edges is its no-removal case).  The edit is how a graph
+// that differs from a longer-lived one in a few edges is emitted: a
+// (T, L)-HiNet round is its phase's stable edges plus that round's churn,
+// and a phase on an unchanged backbone is the previous phase's stable
+// edges with each re-affiliated member's head edge swapped.  A dynamic
+// network is one static graph per round, built once and then only read:
+// there are no edge mutators and no lazily refreshed caches, so a Graph is
+// safe to share read-only across threads.
 #pragma once
 
 #include <cstdint>
@@ -61,12 +64,21 @@ class Graph {
   }
   std::size_t edge_count() const { return neighbors_.size() / 2; }
 
-  /// Returns `base` plus the `extra` edges: exactly
-  /// Graph(n, base.edges() + extra), with the constructor's preconditions,
-  /// in one linear pass.  The extra edges are sorted and deduplicated, rows
-  /// they do not touch are copied as blocks with shifted offsets, and only
-  /// the touched rows are merged.
-  static Graph with_edges(const Graph& base, std::span<const Edge> extra);
+  /// Returns `base` without the `removed` edges and with the `added` ones:
+  /// exactly Graph(n, base.edges() - removed + added), with the
+  /// constructor's preconditions, in one linear pass.  Each list is sorted
+  /// and deduplicated, rows neither touches are copied as blocks with
+  /// shifted offsets, and only the touched rows are merged, so beyond that
+  /// copy the cost grows with the lists, not with n.  An edge in both lists
+  /// ends up present.  Removing an edge `base` lacks is a
+  /// PreconditionError.
+  static Graph edited(const Graph& base, std::span<const Edge> removed,
+                      std::span<const Edge> added);
+
+  /// Returns `base` plus the `extra` edges: edited(base, {}, extra).
+  static Graph with_edges(const Graph& base, std::span<const Edge> extra) {
+    return edited(base, {}, extra);
+  }
 
   /// Membership test: binary search in a's neighbour row.
   bool has_edge(NodeId a, NodeId b) const;

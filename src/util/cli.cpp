@@ -1,5 +1,6 @@
 #include "util/cli.hpp"
 
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 #include <thread>
@@ -60,6 +61,18 @@ std::uint64_t CliArgs::get_uint(const std::string& name, std::uint64_t def,
   return static_cast<std::uint64_t>(v);
 }
 
+int CliArgs::get_int32(const std::string& name, int def,
+                       const std::string& description) {
+  const std::int64_t v = get_int(name, def, description);
+  if (v < std::numeric_limits<int>::min() ||
+      v > std::numeric_limits<int>::max()) {
+    throw std::invalid_argument("--" + name +
+                                " expects an integer an int can hold, got " +
+                                std::to_string(v));
+  }
+  return static_cast<int>(v);
+}
+
 double CliArgs::get_double(const std::string& name, double def,
                            const std::string& description) {
   registered_.push_back({name, std::to_string(def), description});
@@ -95,10 +108,10 @@ std::string CliArgs::get_string(const std::string& name, const std::string& def,
 }
 
 std::size_t CliArgs::get_jobs() {
-  const std::int64_t raw_jobs = get_int(
+  const std::uint64_t jobs = get_uint(
       "jobs", 0,
       "worker threads for repetition batches (0 = hardware concurrency)");
-  if (raw_jobs > 0) return static_cast<std::size_t>(raw_jobs);
+  if (jobs > 0) return jobs;
   const unsigned hw = std::thread::hardware_concurrency();
   return hw == 0 ? 1 : static_cast<std::size_t>(hw);
 }

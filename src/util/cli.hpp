@@ -30,6 +30,11 @@ class CliArgs {
   /// std::invalid_argument naming the flag, never a wrapped huge unsigned.
   std::uint64_t get_uint(const std::string& name, std::uint64_t def,
                          const std::string& description);
+  /// get_int for a value stored in an int, such as a cluster radius: one
+  /// an int cannot hold is a std::invalid_argument naming the flag, never
+  /// a truncated one.
+  int get_int32(const std::string& name, int def,
+                const std::string& description);
   double get_double(const std::string& name, double def,
                     const std::string& description);
   bool get_bool(const std::string& name, bool def,
@@ -39,7 +44,8 @@ class CliArgs {
 
   /// Registers the conventional "--jobs" option (worker threads for
   /// repetition batches) and returns its value with 0/default resolved to
-  /// the hardware concurrency.  Always >= 1.
+  /// the hardware concurrency.  Always >= 1; a negative value is a
+  /// std::invalid_argument naming the flag.
   std::size_t get_jobs();
 
   /// Usage text built from every getter called so far.

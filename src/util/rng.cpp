@@ -35,20 +35,9 @@ std::int64_t Rng::uniform_int(std::int64_t lo, std::int64_t hi) {
   return lo + static_cast<std::int64_t>(below(span));
 }
 
-double Rng::uniform01() {
-  // 53 high-quality bits -> [0, 1) with full double precision.
-  return static_cast<double>((*this)() >> 11) * 0x1.0p-53;
-}
-
 double Rng::uniform_real(double lo, double hi) {
   HINET_REQUIRE(lo <= hi, "uniform_real() with inverted range");
   return lo + (hi - lo) * uniform01();
-}
-
-bool Rng::bernoulli(double p) {
-  if (p <= 0.0) return false;
-  if (p >= 1.0) return true;
-  return uniform01() < p;
 }
 
 std::vector<std::size_t> Rng::sample(std::size_t population,

@@ -72,14 +72,21 @@ class Rng {
   /// Uniform integer in [lo, hi] inclusive.
   std::int64_t uniform_int(std::int64_t lo, std::int64_t hi);
 
-  /// Uniform double in [0, 1).
-  double uniform01();
+  /// Uniform double in [0, 1): 53 high-quality bits, full double precision.
+  double uniform01() {
+    return static_cast<double>((*this)() >> 11) * 0x1.0p-53;
+  }
 
   /// Uniform double in [lo, hi).
   double uniform_real(double lo, double hi);
 
   /// Bernoulli trial with success probability p (clamped to [0,1]).
-  bool bernoulli(double p);
+  /// Inline: generators draw one per node per phase.
+  bool bernoulli(double p) {
+    if (p <= 0.0) return false;
+    if (p >= 1.0) return true;
+    return uniform01() < p;
+  }
 
   /// Fisher-Yates shuffle.
   template <typename T>

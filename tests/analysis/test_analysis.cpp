@@ -109,6 +109,36 @@ TEST(Scenario, AnalyticParamsUseMeasuredDynamics) {
   EXPECT_EQ(run.scheduled_rounds, 32u);
 }
 
+TEST(Scenario, ValidateRejectsWhatTheBuildersRefuse) {
+  // The check a front end runs before queueing a spec is the one every
+  // builder runs: each config it rejects, the builders refuse too.
+  const auto with = [](auto field, auto value) {
+    ScenarioConfig cfg;
+    cfg.*field = value;
+    return cfg;
+  };
+  const ScenarioConfig outside[] = {
+      with(&ScenarioConfig::hop_l, -1),
+      with(&ScenarioConfig::hop_l, 0),
+      with(&ScenarioConfig::reaffiliation_prob, 7.0),
+      with(&ScenarioConfig::reaffiliation_prob, -0.5),
+      with(&ScenarioConfig::nodes, std::size_t{0}),
+      with(&ScenarioConfig::k, std::size_t{0}),
+      with(&ScenarioConfig::alpha, std::size_t{0}),
+      with(&ScenarioConfig::heads, std::size_t{0}),
+      with(&ScenarioConfig::heads, std::size_t{90}),  // 90 + 89 relays > 100
+  };
+  for (const Scenario s : all_scenarios()) {
+    EXPECT_NO_THROW(validate_scenario_config(s, ScenarioConfig{}));
+    for (const ScenarioConfig& cfg : outside) {
+      EXPECT_THROW(validate_scenario_config(s, cfg), PreconditionError)
+          << scenario_cli_name(s);
+      EXPECT_THROW((void)make_scenario(s, cfg, 1), PreconditionError)
+          << scenario_cli_name(s);
+    }
+  }
+}
+
 TEST(Scenario, EveryScenarioDeliversAtDefaults) {
   ScenarioConfig cfg;
   cfg.nodes = 36;

@@ -285,8 +285,9 @@ std::uint32_t round_bytes_crc(const HiNetConfig& cfg) {
 
 TEST(HiNetGenerator, RoundBytesArePinned) {
   // Every round's graph and view, pinned per trace shape: however a round
-  // is built (a CSR from the full edge list, or the phase's CSR plus a
-  // churn merge), its bytes must not move.
+  // is built (a CSR from the full edge list, the phase's CSR plus a churn
+  // merge, or a phase derived from the last by an edit), its bytes must
+  // not move.
   HiNetConfig flood;  // scenario_generator(kKloOne) at n = 2000, 30 rounds
   flood.nodes = 2000;
   flood.heads = 250;
@@ -320,6 +321,30 @@ TEST(HiNetGenerator, RoundBytesArePinned) {
   churny.backbone_rewire_prob = 0.5;
   churny.churn_edges = 16;
   EXPECT_EQ(round_bytes_crc(churny), 0x4cc44fd3u);
+
+  // Shapes where no boundary changes the head set or the backbone, so
+  // every phase after the first is derived from the one before:
+  // single-round phases without rewiring at L = 1 (no relays) and L = 3,
+  // and ∞-stable heads at T = 2 that ignore the head churn asked for.
+  HiNetConfig derived_l1 = flood;
+  derived_l1.hop_l = 1;
+  derived_l1.reaffiliation_prob = 0.2;
+  derived_l1.backbone_rewire_prob = 0.0;
+  EXPECT_EQ(round_bytes_crc(derived_l1), 0x19646cceu);
+
+  HiNetConfig derived_l3 = derived_l1;
+  derived_l3.hop_l = 3;
+  EXPECT_EQ(round_bytes_crc(derived_l3), 0xf93437c4u);
+
+  HiNetConfig stable = base_config(11);
+  stable.phase_length = 2;
+  stable.phases = 12;
+  stable.stable_heads = true;
+  stable.head_churn_prob = 0.3;
+  stable.reaffiliation_prob = 0.3;
+  stable.backbone_rewire_prob = 0.0;
+  stable.churn_edges = 16;
+  EXPECT_EQ(round_bytes_crc(stable), 0x9847ff9du);
 }
 
 // Property sweep across seeds and parameter combinations: every generated

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <thread>
 #include <vector>
 
@@ -246,6 +247,148 @@ TEST(Graph, WithEdgesRejectsWhatTheConstructorRejects) {
   EXPECT_THROW(Graph::with_edges(base, past_end_first), PreconditionError);
   const std::vector<Edge> any = {{0, 1}};
   EXPECT_THROW(Graph::with_edges(Graph(1), any), PreconditionError);
+}
+
+/// The reference edited must reproduce: one rebuild from the base's edges
+/// without the removed ones, plus the added ones.
+Graph rebuilt(const Graph& base, const std::vector<Edge>& removed,
+              const std::vector<Edge>& added) {
+  std::vector<Edge> cut;
+  for (const Edge& r : removed) cut.push_back(make_edge(r.u, r.v));
+  std::sort(cut.begin(), cut.end());
+  std::vector<Edge> all;
+  for (const Edge& e : base.edges()) {
+    if (!std::binary_search(cut.begin(), cut.end(), e)) all.push_back(e);
+  }
+  all.insert(all.end(), added.begin(), added.end());
+  return Graph(base.node_count(), all);
+}
+
+TEST(Graph, EditEqualsARebuildOnRandomInputs) {
+  Rng rng(29);
+  for (int trial = 0; trial < 300; ++trial) {
+    const std::size_t n = 2 + rng.below(30);
+    // Sparse bases leave rows empty; denser ones touch nearly every row.
+    const std::size_t m = rng.below(trial % 2 == 0 ? n : 3 * n);
+    std::vector<Edge> base_edges;
+    for (std::size_t e = 0; e < m; ++e) {
+      const auto x = static_cast<NodeId>(rng.below(n));
+      const auto y = static_cast<NodeId>(rng.below(n));
+      if (x != y) base_edges.push_back({x, y});
+    }
+    const Graph base(n, base_edges);
+    const std::vector<Edge> present = base.edges();
+
+    // Removals are edges the base has, some repeated; additions mix fresh
+    // pairs, edges the base keeps, re-additions of removed edges and
+    // repeats.  Each comes in either orientation.
+    const auto flipped = [&](Edge e) {
+      if (rng.bernoulli(0.5)) std::swap(e.u, e.v);
+      return e;
+    };
+    std::vector<Edge> removed;
+    const std::size_t cuts = present.empty() ? 0 : rng.below(10);
+    for (std::size_t e = 0; e < cuts; ++e) {
+      removed.push_back(flipped(rng.pick(present)));
+    }
+    std::vector<Edge> added;
+    const std::size_t puts = rng.below(10);
+    for (std::size_t e = 0; e < puts; ++e) {
+      const std::uint64_t kind = rng.below(4);
+      if (kind == 0 && !present.empty()) {
+        added.push_back(flipped(rng.pick(present)));
+      } else if (kind == 1 && !removed.empty()) {
+        added.push_back(flipped(rng.pick(removed)));
+      } else if (kind == 2 && !added.empty()) {
+        added.push_back(flipped(rng.pick(added)));
+      } else {
+        const Edge x{static_cast<NodeId>(rng.below(n)),
+                     static_cast<NodeId>(rng.below(n))};
+        if (x.u != x.v) added.push_back(x);
+      }
+    }
+    EXPECT_TRUE(Graph::edited(base, removed, added) ==
+                rebuilt(base, removed, added))
+        << "trial " << trial;
+  }
+}
+
+TEST(Graph, EditOfThousandsOfEdgesEqualsARebuild) {
+  // Lists of thousands of edges, over ids that use three bytes, given in
+  // row order and in random order: a member-to-head swap per moved node,
+  // as a (T, L)-HiNet phase derives the next.
+  Rng rng(31);
+  const std::size_t n = 70000;
+  const std::size_t heads = 500;
+  std::vector<Edge> edges;
+  std::vector<NodeId> head_of(n);
+  for (NodeId v = heads; v < n; ++v) {
+    head_of[v] = static_cast<NodeId>(rng.below(heads));
+    edges.push_back({v, head_of[v]});
+  }
+  const Graph base(n, edges);
+  std::vector<Edge> removed;
+  std::vector<Edge> added;
+  for (NodeId v = heads; v < n; ++v) {
+    if (!rng.bernoulli(0.05)) continue;
+    const auto target = static_cast<NodeId>(rng.below(heads));
+    removed.push_back({v, head_of[v]});
+    added.push_back({target, v});
+  }
+  ASSERT_GT(removed.size(), 1000u);
+  EXPECT_TRUE(Graph::edited(base, removed, added) ==
+              rebuilt(base, removed, added));
+  rng.shuffle(removed);
+  rng.shuffle(added);
+  EXPECT_TRUE(Graph::edited(base, removed, added) ==
+              rebuilt(base, removed, added));
+}
+
+TEST(Graph, EditSwapsEdgesInBoundaryAndEmptyRows) {
+  // The first and last rows both lose and gain an edge, row 3 empties,
+  // and {1, 2} is removed and re-added.
+  const Graph base(6, {{0, 1}, {1, 2}, {2, 4}, {3, 4}, {4, 5}});
+  const std::vector<Edge> removed = {{1, 0}, {3, 4}, {1, 2}, {5, 4}};
+  const std::vector<Edge> added = {{0, 5}, {2, 1}, {0, 2}};
+  const Graph g = Graph::edited(base, removed, added);
+  EXPECT_TRUE(g == rebuilt(base, removed, added));
+  EXPECT_EQ(g.edge_count(), 4u);
+  EXPECT_EQ(std::vector<NodeId>(g.neighbors(0).begin(), g.neighbors(0).end()),
+            (std::vector<NodeId>{2, 5}));
+  EXPECT_EQ(std::vector<NodeId>(g.neighbors(2).begin(), g.neighbors(2).end()),
+            (std::vector<NodeId>{0, 1, 4}));
+  EXPECT_EQ(g.degree(3), 0u);
+  EXPECT_EQ(std::vector<NodeId>(g.neighbors(5).begin(), g.neighbors(5).end()),
+            (std::vector<NodeId>{0}));
+
+  // Removing every edge leaves the edgeless graph; removing nothing and
+  // adding nothing leaves the base.
+  EXPECT_TRUE(Graph::edited(base, base.edges(), {}) == Graph(6));
+  EXPECT_TRUE(Graph::edited(base, {}, {}) == base);
+}
+
+TEST(Graph, EditRejectsAnAbsentRemoval) {
+  // Rows: 0 {3}, 1 {2, 4}, 2 {1}, 3 {0}, 4 {1}, 5 {}.
+  const Graph base(6, {{1, 2}, {1, 4}, {0, 3}});
+  const std::vector<Edge> before_row = {{0, 1}};   // 1 sorts before row 0's 3
+  const std::vector<Edge> inside_row = {{1, 3}};   // between row 1's 2 and 4
+  const std::vector<Edge> after_row = {{2, 4}};    // past row 2's last, 1
+  const std::vector<Edge> empty_rows = {{5, 3}};  // row 5 has no arc at all
+  for (const auto& absent : {before_row, inside_row, after_row, empty_rows}) {
+    EXPECT_THROW(Graph::edited(base, absent, {}), PreconditionError);
+    // Removal applies to the base: adding the edge too does not help.
+    EXPECT_THROW(Graph::edited(base, absent, absent), PreconditionError);
+  }
+  // Removing an edge twice in one edit is removing it once.
+  const std::vector<Edge> twice = {{1, 2}, {2, 1}};
+  EXPECT_TRUE(Graph::edited(base, twice, {}) ==
+              Graph(6, {{1, 4}, {0, 3}}));
+  // The constructor's preconditions hold for both lists.
+  const std::vector<Edge> self_loop = {{2, 2}};
+  const std::vector<Edge> past_end = {{0, 6}};
+  EXPECT_THROW(Graph::edited(base, self_loop, {}), PreconditionError);
+  EXPECT_THROW(Graph::edited(base, past_end, {}), PreconditionError);
+  EXPECT_THROW(Graph::edited(base, {}, past_end), PreconditionError);
 }
 
 TEST(Graph, ConcurrentReadsOfAFreshGraphAgree) {

@@ -3,6 +3,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <limits>
 
 #include "util/cli.hpp"
 #include "util/csv.hpp"
@@ -128,6 +129,44 @@ TEST(CliArgs, NegativeUnsignedThrowsNamingTheFlag) {
   EXPECT_EQ(args.get_uint("seed", 1, ""), 0u);
   EXPECT_EQ(args.get_uint("k", 6, ""), 7u);
   EXPECT_EQ(args.get_uint("absent", 9, ""), 9u);
+}
+
+TEST(CliArgs, Int32ThrowsNamingTheFlag) {
+  // A value an int cannot hold is rejected, never truncated.
+  const char* argv[] = {"prog", "--hop-l=3000000000", "--l=-3",
+                        "--x=-2147483649", "--y=2147483647"};
+  CliArgs args(5, argv);
+  try {
+    args.get_int32("hop-l", 2, "");
+    FAIL() << "--hop-l=3000000000 was accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("--hop-l"), std::string::npos)
+        << e.what();
+  }
+  EXPECT_EQ(args.get_int32("l", 2, ""), -3);
+  EXPECT_EQ(args.get_int32("absent", 2, ""), 2);
+  EXPECT_THROW(args.get_int32("x", 0, ""), std::invalid_argument);
+  EXPECT_EQ(args.get_int32("y", 0, ""), std::numeric_limits<int>::max());
+}
+
+TEST(CliArgs, NegativeJobsThrowsNamingTheFlag) {
+  const char* negative[] = {"prog", "--jobs=-1"};
+  CliArgs bad(2, negative);
+  try {
+    bad.get_jobs();
+    FAIL() << "--jobs=-1 was accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("--jobs"), std::string::npos)
+        << e.what();
+  }
+  // 0 and absent mean the hardware concurrency, at least one worker; a
+  // positive count is taken as given.
+  const char* zero[] = {"prog", "--jobs=0"};
+  EXPECT_GE(CliArgs(2, zero).get_jobs(), 1u);
+  const char* none[] = {"prog"};
+  EXPECT_EQ(CliArgs(1, none).get_jobs(), CliArgs(2, zero).get_jobs());
+  const char* three[] = {"prog", "--jobs=3"};
+  EXPECT_EQ(CliArgs(2, three).get_jobs(), 3u);
 }
 
 TEST(CliArgs, BadBoolThrows) {

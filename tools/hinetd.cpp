@@ -36,6 +36,7 @@
 // sweep_runner (see --help): SIGINT/SIGTERM finish and journal the
 // in-flight replicate batch, then exit 3 for a clean resume.
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <fstream>
@@ -83,24 +84,88 @@ AssignmentMode parse_assignment(const std::string& name) {
       "' (choose one of: distinct-random, single-source, round-robin)");
 }
 
-/// Registers the job-spec flags and builds the spec.  Shared by submit and
-/// query so one spelling addresses the same content hash everywhere.
+/// The spec flags' defaults, a config inside the model.
+ScenarioConfig default_config() {
+  ScenarioConfig cfg;
+  cfg.nodes = 60;
+  cfg.heads = 12;
+  cfg.k = 6;
+  cfg.alpha = 3;
+  cfg.hop_l = 2;
+  cfg.reaffiliation_prob = 0.05;
+  cfg.churn_edges = 4;
+  return cfg;
+}
+
+/// Rejects a spec the scenario builders would refuse, before it is queued
+/// to fail in every replicate: their own rules (validate_scenario_config)
+/// as a usage error that names the flag.  When the spec breaks a rule,
+/// each model flag's value is tried alone on the defaults, sized so that
+/// no node budget is in play (one head needs no relays, and --heads is
+/// tried at L = 1 on as many nodes), and the first that breaks a rule by
+/// itself is named.  A spec whose flags each pass alone has too few nodes
+/// for its heads and relays, and the message names the three flags that
+/// budget takes.
+void check_in_model(const JobSpec& spec) {
+  const auto broken = [&](const ScenarioConfig& cfg) {
+    try {
+      validate_scenario_config(spec.scenario, cfg);
+      return std::string();
+    } catch (const PreconditionError& e) {
+      return std::string(e.what());
+    }
+  };
+  const std::string why = broken(spec.config);
+  if (why.empty()) return;
+  const auto name_if_broken = [&](const char* flag,
+                                  const ScenarioConfig& alone) {
+    const std::string alone_why = broken(alone);
+    if (!alone_why.empty()) {
+      throw std::invalid_argument(std::string("--") + flag +
+                                  " is outside the model: " + alone_why);
+    }
+  };
+  const auto one_head_with = [&](auto field) {
+    ScenarioConfig alone = default_config();
+    alone.heads = 1;
+    alone.*field = spec.config.*field;
+    return alone;
+  };
+  name_if_broken("k", one_head_with(&ScenarioConfig::k));
+  name_if_broken("alpha", one_head_with(&ScenarioConfig::alpha));
+  name_if_broken("hop-l", one_head_with(&ScenarioConfig::hop_l));
+  name_if_broken("reaffil",
+                 one_head_with(&ScenarioConfig::reaffiliation_prob));
+  name_if_broken("nodes", one_head_with(&ScenarioConfig::nodes));
+  ScenarioConfig heads_alone = default_config();
+  heads_alone.heads = spec.config.heads;
+  heads_alone.hop_l = 1;
+  heads_alone.nodes = std::max<std::size_t>(spec.config.heads, 1);
+  name_if_broken("heads", heads_alone);
+  throw std::invalid_argument(
+      "--nodes, --heads and --hop-l are outside the model together: " + why);
+}
+
+/// Registers the job-spec flags and builds the spec, rejecting one outside
+/// the model (check_in_model).  Shared by submit and query so one spelling
+/// addresses the same content hash everywhere.
 JobSpec spec_from_args(CliArgs& args) {
+  const ScenarioConfig d = default_config();
   JobSpec spec;
   const std::string scenario = args.get_string(
       "scenario", "hinet-interval", "scenario: " + scenario_choices());
-  spec.config.nodes = args.get_uint("nodes", 60, "number of nodes n");
+  spec.config.nodes = args.get_uint("nodes", d.nodes, "number of nodes n");
   spec.config.heads =
-      args.get_uint("heads", 12, "generator cluster-head count");
-  spec.config.k = args.get_uint("k", 6, "token universe size k");
+      args.get_uint("heads", d.heads, "generator cluster-head count");
+  spec.config.k = args.get_uint("k", d.k, "token universe size k");
   spec.config.alpha =
-      args.get_uint("alpha", 3, "bounded-degree parameter alpha");
-  spec.config.hop_l =
-      static_cast<int>(args.get_int("hop-l", 2, "cluster radius L"));
-  spec.config.reaffiliation_prob = args.get_double(
-      "reaffil", 0.05, "member re-affiliation probability per phase");
+      args.get_uint("alpha", d.alpha, "bounded-degree parameter alpha");
+  spec.config.hop_l = args.get_int32("hop-l", d.hop_l, "cluster radius L");
+  spec.config.reaffiliation_prob =
+      args.get_double("reaffil", d.reaffiliation_prob,
+                      "member re-affiliation probability per phase");
   spec.config.churn_edges =
-      args.get_uint("churn-edges", 4, "churn edges per round");
+      args.get_uint("churn-edges", d.churn_edges, "churn edges per round");
   spec.config.assignment = parse_assignment(args.get_string(
       "assignment", "distinct-random",
       "token assignment: distinct-random | single-source | round-robin"));
@@ -111,6 +176,7 @@ JobSpec spec_from_args(CliArgs& args) {
       args.get_uint("seed", 1, "base seed (replicate i uses seed + i)");
   spec.repetitions = args.get_uint("reps", 20, "number of replicates");
   spec.scenario = parse_scenario(scenario);
+  check_in_model(spec);
   return spec;
 }
 

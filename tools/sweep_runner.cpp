@@ -77,7 +77,7 @@ int main(int argc, char** argv) {
     cfg.heads = args.get_uint("heads", 12, "generator cluster-head count");
     cfg.k = args.get_uint("k", 6, "token universe size k");
     cfg.alpha = args.get_uint("alpha", 3, "bounded-degree parameter alpha");
-    cfg.hop_l = static_cast<int>(args.get_int("hop-l", 2, "cluster radius L"));
+    cfg.hop_l = args.get_int32("hop-l", 2, "cluster radius L");
     const std::size_t reps = args.get_uint("reps", 20, "number of replicates");
     const std::uint64_t seed =
         args.get_uint("seed", 1, "base seed (replicate i uses seed + i)");
