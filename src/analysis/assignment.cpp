@@ -11,14 +11,19 @@ const char* assignment_mode_name(AssignmentMode mode) {
   return "?";
 }
 
-std::vector<TokenSet> assign_tokens(std::size_t n, std::size_t k,
-                                    AssignmentMode mode, Rng& rng) {
+void validate_assignment(std::size_t n, std::size_t k, AssignmentMode mode) {
   HINET_REQUIRE(n >= 1, "need nodes");
   HINET_REQUIRE(k >= 1, "need tokens");
+  HINET_REQUIRE(mode != AssignmentMode::kDistinctRandom || k <= n,
+                "distinct-random needs k <= n");
+}
+
+std::vector<TokenSet> assign_tokens(std::size_t n, std::size_t k,
+                                    AssignmentMode mode, Rng& rng) {
+  validate_assignment(n, k, mode);
   std::vector<TokenSet> out(n, TokenSet(k));
   switch (mode) {
     case AssignmentMode::kDistinctRandom: {
-      HINET_REQUIRE(k <= n, "distinct-random needs k <= n");
       const auto holders = rng.sample(n, k);
       for (TokenId t = 0; t < k; ++t) {
         out[holders[t]].insert(t);

@@ -24,6 +24,11 @@ enum class AssignmentMode {
 
 const char* assignment_mode_name(AssignmentMode mode);
 
+/// Throws PreconditionError unless k tokens can be placed on n nodes in
+/// `mode`: n and k positive, and k <= n for distinct-random.  The rules
+/// assign_tokens checks, so a front end can apply them before any run.
+void validate_assignment(std::size_t n, std::size_t k, AssignmentMode mode);
+
 /// Produces one TokenSet per node with universe k.  Exactly k insertions
 /// are made in total across all nodes.
 std::vector<TokenSet> assign_tokens(std::size_t n, std::size_t k,

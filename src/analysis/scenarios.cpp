@@ -45,13 +45,17 @@ std::span<const Scenario> all_scenarios() {
 }
 
 void validate_scenario_config(Scenario s, const ScenarioConfig& cfg) {
-  HINET_REQUIRE(cfg.k >= 1 && cfg.alpha >= 1, "k and alpha must be positive");
+  validate_assignment(cfg.nodes, cfg.k, cfg.assignment);
   validate_hinet_config(scenario_generator(s, cfg, /*seed=*/0));
 }
 
 HiNetConfig scenario_generator(Scenario s, const ScenarioConfig& cfg,
                                std::uint64_t seed,
                                ScenarioSchedule* schedule) {
+  // The phase lengths and counts below are built from alpha and L (klo-
+  // interval divides by their product), so those two are checked first.
+  HINET_REQUIRE(cfg.alpha >= 1, "alpha must be >= 1");
+  HINET_REQUIRE(cfg.hop_l >= 1, "L must be >= 1");
   const std::size_t t = cfg.k + cfg.alpha * static_cast<std::size_t>(cfg.hop_l);
   HiNetConfig gen;
   gen.nodes = cfg.nodes;

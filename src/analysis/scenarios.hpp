@@ -70,13 +70,15 @@ struct ScenarioSchedule {
   std::size_t rounds() const { return phase_length * phases; }
 };
 
-/// Throws PreconditionError unless scenario `s` can be built from cfg: k
-/// and alpha positive, and the generator's rules (validate_hinet_config)
-/// on scenario_generator(s, cfg).  Every scenario builder checks it first,
+/// Throws PreconditionError unless scenario `s` can be built from cfg: the
+/// token assignment's rules (validate_assignment), then alpha and L at
+/// least 1 and the generator's rules (validate_hinet_config) on
+/// scenario_generator(s, cfg).  Every scenario builder checks it first,
 /// so a front end can reject a spec before any replicate runs it.
 void validate_scenario_config(Scenario s, const ScenarioConfig& cfg);
 
-/// Generator configuration realising scenario `s` at (cfg, seed).  When
+/// Generator configuration realising scenario `s` at (cfg, seed); throws
+/// PreconditionError when alpha or L is below 1.  When
 /// `schedule` is non-null it receives the phase structure.  Exposed so
 /// tools (e.g. quickstart) can generate the trace themselves, inspect or
 /// property-check it, and only then hand it to make_scenario_from_trace.

@@ -1,5 +1,7 @@
 #include "baseline/flooding.hpp"
 
+#include <bit>
+
 #include "sim/metrics.hpp"
 
 namespace hinet {
@@ -37,13 +39,20 @@ std::optional<Packet> FloodingProcess::transmit(const RoundContext& ctx) {
 }
 
 void FloodingProcess::receive(const RoundContext& ctx, InboxView inbox) {
+  constexpr std::size_t kWordBits = 64;
   for (PacketView pkt : inbox) {
-    for (TokenId t : pkt->tokens.to_vector()) {
-      if (ta_.insert(t)) {
+    const auto heard = pkt->tokens.words();
+    const auto known = ta_.words();
+    for (std::size_t i = 0; i < heard.size(); ++i) {
+      for (std::uint64_t fresh = heard[i] & ~known[i]; fresh != 0;
+           fresh &= fresh - 1) {
         // Newly learned in round r: active for rounds r+1 .. r+activity.
-        learned_at_[t] = ctx.round + 1;
+        learned_at_[i * kWordBits +
+                    static_cast<std::size_t>(std::countr_zero(fresh))] =
+            ctx.round + 1;
       }
     }
+    ta_.unite(pkt->tokens);
   }
 }
 

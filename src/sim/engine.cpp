@@ -76,6 +76,10 @@ void Engine::start(const EngineConfig& cfg) {
   metrics_.tokens_sent_per_round.reserve(cap);
   metrics_.complete_nodes_per_round.reserve(cap);
 
+  // At most one packet per node per round, so the packet buffer never
+  // grows inside step().
+  packets_.reserve(n);
+
   // Incremental completion: knowledge is monotone and grows only in
   // receive() (see Process), so scan once up front and afterwards re-check
   // only not-yet-complete nodes right after their receive() call.
@@ -138,10 +142,8 @@ bool Engine::step() {
       hierarchy_ != nullptr ? hierarchy_->hierarchy_at(r) : flat_view_;
   HINET_REQUIRE(g.node_count() == n, "round graph node count changed");
 
-  // Send step: node-id order for determinism.  Each packet's cost is
-  // computed once here and reused for tx and rx accounting.
+  // Send step: node-id order for determinism.
   packets_.clear();
-  packet_costs_.clear();
   std::size_t round_tokens = 0;
   for (NodeId v = 0; v < n; ++v) {
     RoundContext ctx{r, v, &g, &h};
@@ -151,7 +153,6 @@ bool Engine::step() {
       const std::size_t cost = pkt->cost();
       round_tokens += cost;
       metrics_.per_node_tx_tokens[v] += cost;
-      packet_costs_.push_back(cost);
       packets_.push_back(std::move(*pkt));
     }
   }
@@ -173,8 +174,11 @@ bool Engine::step() {
   for (std::size_t v = 0; v < n; ++v) {
     inbox_offsets_[v + 1] += inbox_offsets_[v];
   }
-  // detlint-allow(hot-path-alloc): grows to the high-water inbox total
-  inbox_views_.resize(inbox_offsets_[n]);  // once, then capacity is reused
+  // A round delivers at most one view per arc of G_r, so the array is
+  // sized by the graph, not by the traffic: it grows only when a round's
+  // topology outgrows every earlier one's, then capacity is reused.
+  // detlint-allow(hot-path-alloc): grows to the high-water arc count
+  inbox_views_.resize(2 * g.edge_count());
   inbox_cursor_.assign(n, 0u);
   std::copy(inbox_offsets_.begin(), inbox_offsets_.end() - 1,
             inbox_cursor_.begin());
@@ -200,8 +204,7 @@ bool Engine::step() {
       len = kept;
     }
     for (std::uint32_t i = 0; i < len; ++i) {
-      metrics_.per_node_rx_tokens[v] +=
-          packet_costs_[static_cast<std::size_t>(seg[i] - packets_.data())];
+      metrics_.per_node_rx_tokens[v] += seg[i]->cost();
     }
     RoundContext ctx{r, v, &g, &h};
     processes_[v]->receive(ctx, InboxView(seg, len));

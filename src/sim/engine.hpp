@@ -24,9 +24,14 @@
 // only in receive() (see Process), so each node is checked once per round
 // with an O(1) TokenSet::full() and never re-scanned once complete.
 //
-// All per-round scratch (packet buffer, per-packet costs, inbox offsets /
-// cursors / view lists) is hoisted out of the round loop and reused, so a
-// steady-state round performs no heap allocation inside the engine.
+// All per-round scratch (packet buffer, inbox offsets / cursors / view
+// lists) is hoisted out of the round loop and reused: the packet buffer
+// holds n packets from start(), and the view array grows only when a
+// round's graph has more arcs than any before.  With k <= 128 a packet's
+// TokenSet holds its words inline, so the built-in processes' transmit and
+// receive allocate nothing either (network coding's coefficient vectors
+// aside), and a steady-state round performs no heap allocation at all
+// (tests/sim/test_engine_allocations.cpp counts them).
 //
 // Execution is round-granular: run() is start() + step()-until-done +
 // finish().  The three stages stay public so a benchmark can time each
@@ -137,10 +142,9 @@ class Engine {
   std::size_t complete_nodes_ = 0;
 
   // Per-round scratch, reused round to round (clear()/assign() keep
-  // capacity): the round's packets and their costs, and the per-receiver
-  // inbox segments (offsets, scatter cursors, flat view array).
+  // capacity): the round's packets and the per-receiver inbox segments
+  // (offsets, scatter cursors, flat view array).
   std::vector<Packet> packets_;
-  std::vector<std::size_t> packet_costs_;
   std::vector<std::uint32_t> inbox_offsets_;
   std::vector<std::uint32_t> inbox_cursor_;
   std::vector<PacketView> inbox_views_;

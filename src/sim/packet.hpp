@@ -39,7 +39,7 @@ struct Packet {
 
 /// Non-owning view of one transmitted packet: a pointer into the engine's
 /// per-round packet buffer.  The delivery path hands these out instead of
-/// copying packets (a Packet copy heap-allocates its TokenSet), so a
+/// copying packets (56 bytes each, plus a heap block when k > 128), so a
 /// delivery is one pointer push.
 using PacketView = const Packet*;
 

@@ -1,44 +1,25 @@
 #include "util/token_set.hpp"
 
-#include <bit>
 #include <sstream>
 
 namespace hinet {
 
-TokenSet::TokenSet(std::size_t universe)
-    : universe_(universe), words_((universe + kBits - 1) / kBits, 0) {}
-
-TokenSet::TokenSet(std::size_t universe,
-                   std::initializer_list<TokenId> tokens)
-    : TokenSet(universe) {
-  for (TokenId t : tokens) insert(t);
+void TokenSet::allocate(const std::uint64_t* src) {
+  const std::size_t n = word_count();
+  words_.heap = new std::uint64_t[n];
+  if (src != nullptr) {
+    std::copy_n(src, n, words_.heap);
+  } else {
+    std::fill_n(words_.heap, n, std::uint64_t{0});
+  }
 }
 
-void TokenSet::check_token(TokenId t) const {
-  HINET_REQUIRE(t < universe_, "token id outside universe");
-}
-
-// detlint: hot-path-begin — membership tests and the word-wise set ops below
-// run inside every algorithm's transmit/receive; they must stay allocation
-// free (fixed word arrays, popcount loops).
-bool TokenSet::contains(TokenId t) const {
-  check_token(t);
-  return (words_[t / kBits] >> (t % kBits)) & 1ULL;
-}
-
-bool TokenSet::insert(TokenId t) {
-  check_token(t);
-  std::uint64_t& w = words_[t / kBits];
-  const std::uint64_t mask = 1ULL << (t % kBits);
-  const bool added = (w & mask) == 0;
-  w |= mask;
-  count_ += added ? 1 : 0;
-  return added;
-}
-
+// detlint: hot-path-begin — the set algebra below runs in the algorithms'
+// transmit/receive steps; it works on the words in place (popcount loops)
+// and must stay allocation free.
 bool TokenSet::erase(TokenId t) {
   check_token(t);
-  std::uint64_t& w = words_[t / kBits];
+  std::uint64_t& w = data()[t / kBits];
   const std::uint64_t mask = 1ULL << (t % kBits);
   const bool present = (w & mask) != 0;
   w &= ~mask;
@@ -46,29 +27,14 @@ bool TokenSet::erase(TokenId t) {
   return present;
 }
 
-void TokenSet::clear() {
-  for (std::uint64_t& w : words_) w = 0;
-  count_ = 0;
-}
-
-std::size_t TokenSet::unite(const TokenSet& other) {
-  HINET_REQUIRE(universe_ == other.universe_, "universe mismatch in unite");
-  std::size_t added = 0;
-  for (std::size_t i = 0; i < words_.size(); ++i) {
-    const std::uint64_t fresh = other.words_[i] & ~words_[i];
-    added += static_cast<std::size_t>(std::popcount(fresh));
-    words_[i] |= other.words_[i];
-  }
-  count_ += added;
-  return added;
-}
-
 void TokenSet::subtract(const TokenSet& other) {
   HINET_REQUIRE(universe_ == other.universe_, "universe mismatch in subtract");
+  std::uint64_t* w = data();
+  const std::uint64_t* o = other.data();
   std::size_t n = 0;
-  for (std::size_t i = 0; i < words_.size(); ++i) {
-    words_[i] &= ~other.words_[i];
-    n += static_cast<std::size_t>(std::popcount(words_[i]));
+  for (std::size_t i = 0; i < word_count(); ++i) {
+    w[i] &= ~o[i];
+    n += static_cast<std::size_t>(std::popcount(w[i]));
   }
   count_ = n;
 }
@@ -76,26 +42,32 @@ void TokenSet::subtract(const TokenSet& other) {
 void TokenSet::intersect(const TokenSet& other) {
   HINET_REQUIRE(universe_ == other.universe_,
                 "universe mismatch in intersect");
+  std::uint64_t* w = data();
+  const std::uint64_t* o = other.data();
   std::size_t n = 0;
-  for (std::size_t i = 0; i < words_.size(); ++i) {
-    words_[i] &= other.words_[i];
-    n += static_cast<std::size_t>(std::popcount(words_[i]));
+  for (std::size_t i = 0; i < word_count(); ++i) {
+    w[i] &= o[i];
+    n += static_cast<std::size_t>(std::popcount(w[i]));
   }
   count_ = n;
 }
 
 bool TokenSet::subset_of(const TokenSet& other) const {
   HINET_REQUIRE(universe_ == other.universe_, "universe mismatch in subset_of");
-  for (std::size_t i = 0; i < words_.size(); ++i) {
-    if (words_[i] & ~other.words_[i]) return false;
+  const std::uint64_t* w = data();
+  const std::uint64_t* o = other.data();
+  for (std::size_t i = 0; i < word_count(); ++i) {
+    if (w[i] & ~o[i]) return false;
   }
   return true;
 }
 
 std::optional<TokenId> TokenSet::min_diff(const TokenSet& other) const {
   HINET_REQUIRE(universe_ == other.universe_, "universe mismatch in min_diff");
-  for (std::size_t i = 0; i < words_.size(); ++i) {
-    const std::uint64_t d = words_[i] & ~other.words_[i];
+  const std::uint64_t* w = data();
+  const std::uint64_t* o = other.data();
+  for (std::size_t i = 0; i < word_count(); ++i) {
+    const std::uint64_t d = w[i] & ~o[i];
     if (d != 0) {
       return static_cast<TokenId>(i * kBits +
                                   static_cast<std::size_t>(std::countr_zero(d)));
@@ -106,8 +78,10 @@ std::optional<TokenId> TokenSet::min_diff(const TokenSet& other) const {
 
 std::optional<TokenId> TokenSet::max_diff(const TokenSet& other) const {
   HINET_REQUIRE(universe_ == other.universe_, "universe mismatch in max_diff");
-  for (std::size_t i = words_.size(); i-- > 0;) {
-    const std::uint64_t d = words_[i] & ~other.words_[i];
+  const std::uint64_t* w = data();
+  const std::uint64_t* o = other.data();
+  for (std::size_t i = word_count(); i-- > 0;) {
+    const std::uint64_t d = w[i] & ~o[i];
     if (d != 0) {
       return static_cast<TokenId>(
           i * kBits + (kBits - 1 -
@@ -121,8 +95,11 @@ std::optional<TokenId> TokenSet::max_diff(const TokenSet& a,
                                           const TokenSet& b) const {
   HINET_REQUIRE(universe_ == a.universe_ && universe_ == b.universe_,
                 "universe mismatch in max_diff");
-  for (std::size_t i = words_.size(); i-- > 0;) {
-    const std::uint64_t d = words_[i] & ~(a.words_[i] | b.words_[i]);
+  const std::uint64_t* w = data();
+  const std::uint64_t* x = a.data();
+  const std::uint64_t* y = b.data();
+  for (std::size_t i = word_count(); i-- > 0;) {
+    const std::uint64_t d = w[i] & ~(x[i] | y[i]);
     if (d != 0) {
       return static_cast<TokenId>(
           i * kBits + (kBits - 1 -
@@ -133,21 +110,23 @@ std::optional<TokenId> TokenSet::max_diff(const TokenSet& a,
 }
 
 std::optional<TokenId> TokenSet::min_element() const {
-  for (std::size_t i = 0; i < words_.size(); ++i) {
-    if (words_[i] != 0) {
+  const std::uint64_t* w = data();
+  for (std::size_t i = 0; i < word_count(); ++i) {
+    if (w[i] != 0) {
       return static_cast<TokenId>(
-          i * kBits + static_cast<std::size_t>(std::countr_zero(words_[i])));
+          i * kBits + static_cast<std::size_t>(std::countr_zero(w[i])));
     }
   }
   return std::nullopt;
 }
 
 std::optional<TokenId> TokenSet::max_element() const {
-  for (std::size_t i = words_.size(); i-- > 0;) {
-    if (words_[i] != 0) {
+  const std::uint64_t* w = data();
+  for (std::size_t i = word_count(); i-- > 0;) {
+    if (w[i] != 0) {
       return static_cast<TokenId>(
           i * kBits +
-          (kBits - 1 - static_cast<std::size_t>(std::countl_zero(words_[i]))));
+          (kBits - 1 - static_cast<std::size_t>(std::countl_zero(w[i]))));
     }
   }
   return std::nullopt;
@@ -157,8 +136,9 @@ std::optional<TokenId> TokenSet::max_element() const {
 std::vector<TokenId> TokenSet::to_vector() const {
   std::vector<TokenId> out;
   out.reserve(count());
-  for (std::size_t i = 0; i < words_.size(); ++i) {
-    std::uint64_t w = words_[i];
+  const std::uint64_t* words = data();
+  for (std::size_t i = 0; i < word_count(); ++i) {
+    std::uint64_t w = words[i];
     while (w != 0) {
       const auto bit = static_cast<std::size_t>(std::countr_zero(w));
       out.push_back(static_cast<TokenId>(i * kBits + bit));
@@ -182,7 +162,7 @@ std::string TokenSet::to_string() const {
 }
 
 bool operator==(const TokenSet& a, const TokenSet& b) {
-  return a.universe_ == b.universe_ && a.words_ == b.words_;
+  return a.universe_ == b.universe_ && std::ranges::equal(a.words(), b.words());
 }
 
 TokenSet TokenSet::set_union(const TokenSet& a, const TokenSet& b) {
@@ -193,19 +173,18 @@ TokenSet TokenSet::set_union(const TokenSet& a, const TokenSet& b) {
 }
 
 TokenSet TokenSet::from_words(std::size_t universe,
-                              std::vector<std::uint64_t> words) {
+                              const std::vector<std::uint64_t>& words) {
   TokenSet out(universe);
-  HINET_REQUIRE(words.size() == out.words_.size(),
+  HINET_REQUIRE(words.size() == out.word_count(),
                 "word count does not match the universe");
-  out.words_ = std::move(words);
+  std::uint64_t* w = out.data();
+  std::ranges::copy(words, w);
   // Mask bits beyond the universe so count()/full() stay truthful.
   const std::size_t tail = universe % kBits;
-  if (tail != 0 && !out.words_.empty()) {
-    out.words_.back() &= (1ULL << tail) - 1;
-  }
+  if (tail != 0) w[words.size() - 1] &= (1ULL << tail) - 1;
   std::size_t n = 0;
-  for (std::uint64_t w : out.words_) {
-    n += static_cast<std::size_t>(std::popcount(w));
+  for (std::size_t i = 0; i < words.size(); ++i) {
+    n += static_cast<std::size_t>(std::popcount(w[i]));
   }
   out.count_ = n;
   return out;

@@ -8,8 +8,16 @@
 // cached and maintained by every mutator, so count()/empty()/full() are
 // O(1) — the engine's incremental completion tracking polls full() once
 // per node per round.
+//
+// A universe of at most 128 tokens keeps its two words inside the object,
+// so putting a set in a packet — what every transmission does — allocates
+// nothing; only a larger universe holds its words in a heap block.  The
+// per-packet operations (contains, insert, unite, words) are defined in
+// this header so they inline into each algorithm's transmit/receive.
 #pragma once
 
+#include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <optional>
 #include <span>
@@ -26,10 +34,54 @@ using TokenId = std::uint32_t;
 class TokenSet {
  public:
   /// Creates an empty set over a universe of `universe` token ids.
-  explicit TokenSet(std::size_t universe = 0);
+  explicit TokenSet(std::size_t universe = 0) : universe_(universe) {
+    if (!is_inline()) allocate(nullptr);
+  }
 
   /// Creates a set containing exactly the given tokens.
-  TokenSet(std::size_t universe, std::initializer_list<TokenId> tokens);
+  TokenSet(std::size_t universe, std::initializer_list<TokenId> tokens)
+      : TokenSet(universe) {
+    for (TokenId t : tokens) insert(t);
+  }
+
+  TokenSet(const TokenSet& other)
+      : universe_(other.universe_), count_(other.count_) {
+    if (is_inline()) {
+      words_ = other.words_;
+    } else {
+      allocate(other.words_.heap);
+    }
+  }
+
+  /// Takes `other`'s words (its heap block, if any); `other` is left empty
+  /// over a universe of 0.
+  TokenSet(TokenSet&& other) noexcept
+      : universe_(other.universe_),
+        count_(other.count_),
+        words_(other.words_) {
+    other.forget();
+  }
+
+  TokenSet& operator=(const TokenSet& other) {
+    if (!is_inline() || !other.is_inline()) return *this = TokenSet(other);
+    universe_ = other.universe_;
+    count_ = other.count_;
+    words_ = other.words_;
+    return *this;
+  }
+
+  TokenSet& operator=(TokenSet&& other) noexcept {
+    if (this != &other) {
+      release();
+      universe_ = other.universe_;
+      count_ = other.count_;
+      words_ = other.words_;
+      other.forget();
+    }
+    return *this;
+  }
+
+  ~TokenSet() { release(); }
 
   /// The universe size k this set was created with.
   std::size_t universe() const { return universe_; }
@@ -43,20 +95,57 @@ class TokenSet {
   /// True when the set contains every token of the universe.
   bool full() const { return count_ == universe_; }
 
-  bool contains(TokenId t) const;
+  // detlint: hot-path-begin — the per-packet operations: every transmit
+  // copies a set into its packet and every receive unites one in, so these
+  // work on the words in place and never allocate.
+  bool contains(TokenId t) const {
+    check_token(t);
+    return (data()[t / kBits] >> (t % kBits)) & 1ULL;
+  }
 
   /// Inserts a token; returns true if it was newly added.
-  bool insert(TokenId t);
-
-  /// Removes a token; returns true if it was present.
-  bool erase(TokenId t);
+  bool insert(TokenId t) {
+    check_token(t);
+    std::uint64_t& w = data()[t / kBits];
+    const std::uint64_t mask = 1ULL << (t % kBits);
+    const bool added = (w & mask) == 0;
+    w |= mask;
+    count_ += added ? 1 : 0;
+    return added;
+  }
 
   /// Removes all tokens (the pseudocode's "TS <- Ø").
-  void clear();
+  void clear() {
+    std::fill_n(data(), word_count(), std::uint64_t{0});
+    count_ = 0;
+  }
 
   /// In-place union: *this <- *this ∪ other.  Returns the number of tokens
   /// newly added, which the metrics layer uses to detect progress.
-  std::size_t unite(const TokenSet& other);
+  std::size_t unite(const TokenSet& other) {
+    HINET_REQUIRE(universe_ == other.universe_, "universe mismatch in unite");
+    std::uint64_t* w = data();
+    const std::uint64_t* o = other.data();
+    const std::size_t n = word_count();
+    std::size_t added = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+      added += static_cast<std::size_t>(std::popcount(o[i] & ~w[i]));
+      w[i] |= o[i];
+    }
+    count_ += added;
+    return added;
+  }
+
+  /// Raw 64-bit words of the membership bitmap (low bit of word 0 is
+  /// token 0).  Network coding reinterprets a TokenSet as a GF(2)
+  /// coefficient vector through this view.
+  std::span<const std::uint64_t> words() const {
+    return {data(), word_count()};
+  }
+  // detlint: hot-path-end
+
+  /// Removes a token; returns true if it was present.
+  bool erase(TokenId t);
 
   /// In-place difference: *this <- *this \ other.
   void subtract(const TokenSet& other);
@@ -99,25 +188,57 @@ class TokenSet {
   /// Union as a value (used when the pseudocode unions TS ∪ TR).
   static TokenSet set_union(const TokenSet& a, const TokenSet& b);
 
-  /// Raw 64-bit words of the membership bitmap (low bit of word 0 is
-  /// token 0).  Network coding reinterprets a TokenSet as a GF(2)
-  /// coefficient vector through this view.
-  std::span<const std::uint64_t> words() const { return words_; }
-
-  /// Builds a set directly from a word vector; bits beyond the universe
-  /// are masked off.  `words.size()` must match the universe's word count.
+  /// Builds a set directly from its words; bits beyond the universe are
+  /// masked off.  `words.size()` must match the universe's word count.
   static TokenSet from_words(std::size_t universe,
-                             std::vector<std::uint64_t> words);
+                             const std::vector<std::uint64_t>& words);
 
  private:
   static constexpr std::size_t kBits = 64;
+  static constexpr std::size_t kInlineWords = 2;
 
-  std::size_t word_count() const { return words_.size(); }
-  void check_token(TokenId t) const;
+  /// The words of a universe of at most kInlineWords * kBits tokens live
+  /// in `local` (words past the universe stay zero); a larger universe
+  /// owns the block `heap` points to.  universe_ alone says which member
+  /// is active.
+  union Words {
+    std::uint64_t local[kInlineWords];
+    std::uint64_t* heap;
+  };
+
+  bool is_inline() const { return universe_ <= kInlineWords * kBits; }
+  std::size_t word_count() const { return (universe_ + kBits - 1) / kBits; }
+  std::uint64_t* data() { return is_inline() ? words_.local : words_.heap; }
+  const std::uint64_t* data() const {
+    return is_inline() ? words_.local : words_.heap;
+  }
+
+  void check_token(TokenId t) const {
+    HINET_REQUIRE(t < universe_, "token id outside universe");
+  }
+
+  /// Points words_.heap at a new block of word_count() words, copied from
+  /// `src`, or zeroed when `src` is null.
+  void allocate(const std::uint64_t* src);
+
+  void release() noexcept {
+    if (!is_inline()) delete[] words_.heap;
+  }
+
+  /// Leaves the set empty over a universe of 0 without freeing anything:
+  /// the state of a moved-from set.
+  void forget() noexcept {
+    universe_ = 0;
+    count_ = 0;
+    words_ = Words{};
+  }
 
   std::size_t universe_ = 0;
-  std::size_t count_ = 0;  ///< cached popcount of words_
-  std::vector<std::uint64_t> words_;
+  std::size_t count_ = 0;  ///< cached popcount of the words
+  Words words_{};
 };
+
+static_assert(sizeof(TokenSet) <= 32,
+              "a TokenSet must stay small enough to copy into every packet");
 
 }  // namespace hinet

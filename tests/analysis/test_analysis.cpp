@@ -124,6 +124,7 @@ TEST(Scenario, ValidateRejectsWhatTheBuildersRefuse) {
       with(&ScenarioConfig::reaffiliation_prob, -0.5),
       with(&ScenarioConfig::nodes, std::size_t{0}),
       with(&ScenarioConfig::k, std::size_t{0}),
+      with(&ScenarioConfig::k, std::size_t{101}),  // distinct-random, n = 100
       with(&ScenarioConfig::alpha, std::size_t{0}),
       with(&ScenarioConfig::heads, std::size_t{0}),
       with(&ScenarioConfig::heads, std::size_t{90}),  // 90 + 89 relays > 100
@@ -135,6 +136,44 @@ TEST(Scenario, ValidateRejectsWhatTheBuildersRefuse) {
           << scenario_cli_name(s);
       EXPECT_THROW((void)make_scenario(s, cfg, 1), PreconditionError)
           << scenario_cli_name(s);
+    }
+  }
+}
+
+TEST(Scenario, ValidateAppliesTheAssignmentRule) {
+  ScenarioConfig cfg;
+  cfg.nodes = 24;
+  cfg.heads = 4;
+  cfg.k = 30;
+  cfg.alpha = 2;
+  for (const Scenario s : all_scenarios()) {
+    try {
+      validate_scenario_config(s, cfg);
+      ADD_FAILURE() << scenario_cli_name(s) << " accepted k > n";
+    } catch (const PreconditionError& e) {
+      EXPECT_NE(std::string(e.what()).find("distinct-random needs k <= n"),
+                std::string::npos)
+          << e.what();
+    }
+    ScenarioConfig spread = cfg;
+    spread.assignment = AssignmentMode::kRoundRobin;
+    EXPECT_NO_THROW(validate_scenario_config(s, spread));
+  }
+}
+
+TEST(Scenario, AnLBelowOneIsReportedAsL) {
+  for (const Scenario s : all_scenarios()) {
+    for (const int hop_l : {0, -1}) {
+      ScenarioConfig cfg;
+      cfg.hop_l = hop_l;
+      try {
+        validate_scenario_config(s, cfg);
+        ADD_FAILURE() << scenario_cli_name(s) << " accepted L = " << hop_l;
+      } catch (const PreconditionError& e) {
+        EXPECT_NE(std::string(e.what()).find("L must be >= 1"),
+                  std::string::npos)
+            << scenario_cli_name(s) << ", L = " << hop_l << ": " << e.what();
+      }
     }
   }
 }

@@ -9,9 +9,48 @@
 #include "graph/generators.hpp"
 #include "sim/engine.hpp"
 #include "sim/trace.hpp"
+#include "util/binary_io.hpp"
 
 namespace hinet {
 namespace {
+
+/// CRC-32 of the whole SimMetrics in its on-disk encoding: any change to a
+/// per-round or per-node series shows.
+std::uint32_t metrics_crc(const SimMetrics& m) {
+  ByteWriter w;
+  save_metrics(w, m);
+  return crc32(w.buffer());
+}
+
+/// A 1-interval connected trace with `k` tokens spread over 80 nodes, so a
+/// token set spans two words.
+struct TwoWordRun {
+  static constexpr std::size_t kNodes = 80;
+  static constexpr std::size_t kTokens = 70;
+  static constexpr std::size_t kRounds = 40;
+  GraphSequence net;
+  std::vector<TokenSet> init;
+
+  TwoWordRun() : net(trace()) {
+    Rng rng(9);
+    init = assign_tokens(kNodes, kTokens, AssignmentMode::kDistinctRandom, rng);
+  }
+
+  static GraphSequence trace() {
+    AdversaryConfig cfg;
+    cfg.nodes = kNodes;
+    cfg.interval = 1;
+    cfg.rounds = kRounds;
+    cfg.churn_edges = 6;
+    cfg.seed = 9;
+    return make_t_interval_trace(cfg);
+  }
+
+  SimMetrics run(std::vector<ProcessPtr> processes) {
+    Engine engine(net, nullptr, std::move(processes));
+    return engine.run({.max_rounds = kRounds, .stop_when_complete = false});
+  }
+};
 
 // ---------------- KLO full-broadcast token forwarding --------------------
 
@@ -183,6 +222,21 @@ TEST(Flooding, ActivityWindowSilencesOldTokens) {
   EXPECT_LE(m.packets_sent, 2u * 4u);
 }
 
+TEST(Flooding, MetricsArePinned) {
+  // However receive() walks a packet, it must learn the same tokens in the
+  // same round: every value below is pinned.
+  TwoWordRun r;
+  FloodingParams p;
+  p.k = TwoWordRun::kTokens;
+  p.rounds = TwoWordRun::kRounds;
+  p.activity = 3;
+  const SimMetrics m = r.run(make_flooding_processes(r.init, p));
+  EXPECT_EQ(m.packets_sent, 600u);
+  EXPECT_EQ(m.tokens_sent, 16800u);
+  EXPECT_EQ(m.rounds_to_completion, 6u);
+  EXPECT_EQ(metrics_crc(m), 3797553803u);
+}
+
 TEST(Flooding, HigherActivityCostsMorePackets) {
   StaticNetwork net1(gen::ring(8));
   StaticNetwork net2(gen::ring(8));
@@ -279,8 +333,22 @@ TEST(Gossip, DeterministicPerSeed) {
       e1.run({.max_rounds = 100, .stop_when_complete = true});
   const SimMetrics m2 =
       e2.run({.max_rounds = 100, .stop_when_complete = true});
-  EXPECT_EQ(m1.rounds_to_completion, m2.rounds_to_completion);
-  EXPECT_EQ(m1.tokens_sent, m2.tokens_sent);
+  EXPECT_EQ(m1, m2);
+  EXPECT_EQ(metrics_crc(m1), 1792730443u);
+}
+
+TEST(Gossip, SingleTokenPicksArePinned) {
+  // The pushed token is the set bit whose rank is the draw, the token an
+  // index into the ascending token list would give: the values are pinned.
+  TwoWordRun r;
+  GossipParams p;
+  p.k = TwoWordRun::kTokens;
+  p.rounds = TwoWordRun::kRounds;
+  p.seed = 42;
+  const SimMetrics m = r.run(make_gossip_processes(r.init, p));
+  EXPECT_EQ(m.packets_sent, 3186u);
+  EXPECT_EQ(m.tokens_sent, 3186u);
+  EXPECT_EQ(metrics_crc(m), 2069994612u);
 }
 
 }  // namespace

@@ -174,6 +174,110 @@ TEST(TokenSet, ZeroUniverseIsDegenerateButSafe) {
   EXPECT_EQ(s.min_element(), std::nullopt);
 }
 
+// ---- Ownership on both sides of the inline/heap boundary (128 tokens) ----
+
+/// Universes around the boundary: empty, one word, two words (the largest
+/// held inline), and two heap-backed sizes.
+constexpr std::size_t kUniverses[] = {0, 64, 128, 129, 300};
+
+/// A set holding about half of its universe, always including the last
+/// token, so every word is non-zero.
+TokenSet half_full(std::size_t universe, std::uint64_t seed) {
+  TokenSet s(universe);
+  Rng rng(seed);
+  for (TokenId t = 0; t < universe; ++t) {
+    if (rng.below(2) == 0 || t + 1 == universe) s.insert(t);
+  }
+  return s;
+}
+
+void expect_moved_from(const TokenSet& s) {
+  EXPECT_EQ(s.universe(), 0u);
+  EXPECT_TRUE(s.empty());
+  EXPECT_TRUE(s.words().empty());
+  EXPECT_EQ(s, TokenSet());
+}
+
+TEST(TokenSet, CopyIsIndependentOfItsSource) {
+  for (const std::size_t u : kUniverses) {
+    const TokenSet original = half_full(u, u);
+    TokenSet source = original;
+    TokenSet copy(source);
+    EXPECT_EQ(copy, original) << "universe " << u;
+    if (u == 0) continue;
+    copy.clear();
+    EXPECT_EQ(source, original) << "universe " << u;
+    source.erase(static_cast<TokenId>(u - 1));
+    EXPECT_TRUE(copy.empty()) << "universe " << u;
+  }
+}
+
+TEST(TokenSet, MoveTakesTheWordsAndEmptiesTheSource) {
+  for (const std::size_t u : kUniverses) {
+    const TokenSet original = half_full(u, u);
+    TokenSet source = original;
+    const TokenSet taken(std::move(source));
+    EXPECT_EQ(taken, original) << "universe " << u;
+    expect_moved_from(source);
+    // A moved-from set is an ordinary empty set: it can be assigned to
+    // and then used again.
+    source = half_full(u, u + 1);
+    EXPECT_EQ(source, half_full(u, u + 1)) << "universe " << u;
+    source = taken;
+    EXPECT_EQ(source, original) << "universe " << u;
+  }
+}
+
+TEST(TokenSet, CopyAssignmentAcrossUniverses) {
+  for (const std::size_t from : kUniverses) {
+    for (const std::size_t to : kUniverses) {
+      const TokenSet original = half_full(from, 7);
+      const TokenSet source = original;
+      TokenSet target = half_full(to, 8);
+      target = source;
+      EXPECT_EQ(target, original) << from << " onto " << to;
+      EXPECT_EQ(source, original) << from << " onto " << to;
+      EXPECT_EQ(target.count(), original.count());
+      if (from > 0) {
+        target.clear();
+        EXPECT_EQ(source, original) << from << " onto " << to;
+      }
+    }
+  }
+}
+
+TEST(TokenSet, MoveAssignmentAcrossUniverses) {
+  for (const std::size_t from : kUniverses) {
+    for (const std::size_t to : kUniverses) {
+      const TokenSet original = half_full(from, 7);
+      TokenSet source = original;
+      TokenSet target = half_full(to, 8);
+      target = std::move(source);
+      EXPECT_EQ(target, original) << from << " onto " << to;
+      expect_moved_from(source);
+      // Move-assigning onto the moved-from set, and back again.
+      source = std::move(target);
+      EXPECT_EQ(source, original) << from << " onto " << to;
+      expect_moved_from(target);
+      target = source;
+      EXPECT_EQ(target, original) << from << " onto " << to;
+    }
+  }
+}
+
+TEST(TokenSet, SelfAssignmentKeepsTheValue) {
+  for (const std::size_t u : kUniverses) {
+    const TokenSet original = half_full(u, 3);
+    TokenSet s = original;
+    const TokenSet& alias = s;
+    s = alias;
+    EXPECT_EQ(s, original) << "universe " << u;
+    TokenSet& same = s;
+    s = std::move(same);
+    EXPECT_EQ(s, original) << "universe " << u;
+  }
+}
+
 // Property sweep: set-algebra identities over random sets.
 class TokenSetProperty : public ::testing::TestWithParam<std::uint64_t> {};
 

@@ -101,11 +101,13 @@ ScenarioConfig default_config() {
 /// to fail in every replicate: their own rules (validate_scenario_config)
 /// as a usage error that names the flag.  When the spec breaks a rule,
 /// each model flag's value is tried alone on the defaults, sized so that
-/// no node budget is in play (one head needs no relays, and --heads is
-/// tried at L = 1 on as many nodes), and the first that breaks a rule by
-/// itself is named.  A spec whose flags each pass alone has too few nodes
-/// for its heads and relays, and the message names the three flags that
-/// budget takes.
+/// no rule joining two flags is in play (one head needs no relays, one
+/// token fits on any node count, --k is tried on at least k nodes, and
+/// --heads at L = 1 on as many nodes), and the first that breaks a rule
+/// by itself is named.  Then --k is tried on the spec's --nodes, which
+/// names a k the assignment cannot place (distinct-random needs k <= n).
+/// A spec that passes all of these has too few nodes for its heads and
+/// relays, and the message names the three flags that budget takes.
 void check_in_model(const JobSpec& spec) {
   const auto broken = [&](const ScenarioConfig& cfg) {
     try {
@@ -125,23 +127,29 @@ void check_in_model(const JobSpec& spec) {
                                   " is outside the model: " + alone_why);
     }
   };
-  const auto one_head_with = [&](auto field) {
+  const auto alone_with = [&](auto field) {
     ScenarioConfig alone = default_config();
     alone.heads = 1;
+    alone.k = 1;
+    alone.assignment = spec.config.assignment;
     alone.*field = spec.config.*field;
     return alone;
   };
-  name_if_broken("k", one_head_with(&ScenarioConfig::k));
-  name_if_broken("alpha", one_head_with(&ScenarioConfig::alpha));
-  name_if_broken("hop-l", one_head_with(&ScenarioConfig::hop_l));
+  ScenarioConfig k_alone = alone_with(&ScenarioConfig::k);
+  k_alone.nodes = std::max(k_alone.nodes, k_alone.k);
+  name_if_broken("k", k_alone);
+  name_if_broken("alpha", alone_with(&ScenarioConfig::alpha));
+  name_if_broken("hop-l", alone_with(&ScenarioConfig::hop_l));
   name_if_broken("reaffil",
-                 one_head_with(&ScenarioConfig::reaffiliation_prob));
-  name_if_broken("nodes", one_head_with(&ScenarioConfig::nodes));
-  ScenarioConfig heads_alone = default_config();
-  heads_alone.heads = spec.config.heads;
+                 alone_with(&ScenarioConfig::reaffiliation_prob));
+  name_if_broken("nodes", alone_with(&ScenarioConfig::nodes));
+  ScenarioConfig heads_alone = alone_with(&ScenarioConfig::heads);
   heads_alone.hop_l = 1;
   heads_alone.nodes = std::max<std::size_t>(spec.config.heads, 1);
   name_if_broken("heads", heads_alone);
+  ScenarioConfig k_on_nodes = alone_with(&ScenarioConfig::k);
+  k_on_nodes.nodes = spec.config.nodes;
+  name_if_broken("k", k_on_nodes);
   throw std::invalid_argument(
       "--nodes, --heads and --hop-l are outside the model together: " + why);
 }
