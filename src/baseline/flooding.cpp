@@ -39,15 +39,16 @@ std::optional<Packet> FloodingProcess::transmit(const RoundContext& ctx) {
 }
 
 void FloodingProcess::receive(const RoundContext& ctx, InboxView inbox) {
-  constexpr std::size_t kWordBits = 64;
   for (PacketView pkt : inbox) {
+    HINET_REQUIRE(pkt->tokens.universe() == ta_.universe(),
+                  "universe mismatch");
     const auto heard = pkt->tokens.words();
     const auto known = ta_.words();
     for (std::size_t i = 0; i < heard.size(); ++i) {
       for (std::uint64_t fresh = heard[i] & ~known[i]; fresh != 0;
            fresh &= fresh - 1) {
         // Newly learned in round r: active for rounds r+1 .. r+activity.
-        learned_at_[i * kWordBits +
+        learned_at_[i * TokenSet::kBits +
                     static_cast<std::size_t>(std::countr_zero(fresh))] =
             ctx.round + 1;
       }

@@ -1,28 +1,6 @@
 #include "baseline/gossip.hpp"
 
-#include <bit>
-
 namespace hinet {
-
-namespace {
-
-/// The token of rank `rank` (0-based, ascending) in `s`; rank < s.count().
-TokenId nth_token(const TokenSet& s, std::size_t rank) {
-  constexpr std::size_t kWordBits = 64;
-  const auto words = s.words();
-  std::size_t i = 0;
-  for (;; ++i) {
-    const auto here = static_cast<std::size_t>(std::popcount(words[i]));
-    if (rank < here) break;
-    rank -= here;
-  }
-  std::uint64_t w = words[i];
-  for (; rank > 0; --rank) w &= w - 1;  // drop the lower set bits
-  return static_cast<TokenId>(i * kWordBits +
-                              static_cast<std::size_t>(std::countr_zero(w)));
-}
-
-}  // namespace
 
 GossipProcess::GossipProcess(NodeId self, TokenSet initial,
                              const GossipParams& params)
@@ -50,7 +28,7 @@ std::optional<Packet> GossipProcess::transmit(const RoundContext& ctx) {
   if (params_.push_full_set) {
     pkt.tokens = ta_;
   } else {
-    const TokenId pick = nth_token(ta_, rng_.below(ta_.count()));
+    const TokenId pick = *ta_.nth(rng_.below(ta_.count()));
     pkt.tokens = TokenSet(params_.k, {pick});
   }
   return pkt;

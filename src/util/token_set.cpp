@@ -131,6 +131,22 @@ std::optional<TokenId> TokenSet::max_element() const {
   }
   return std::nullopt;
 }
+
+std::optional<TokenId> TokenSet::nth(std::size_t rank) const {
+  const std::uint64_t* w = data();
+  for (std::size_t i = 0; i < word_count(); ++i) {
+    const auto here = static_cast<std::size_t>(std::popcount(w[i]));
+    if (rank >= here) {
+      rank -= here;
+      continue;
+    }
+    std::uint64_t bits = w[i];
+    for (; rank > 0; --rank) bits &= bits - 1;  // drop the lower set bits
+    return static_cast<TokenId>(
+        i * kBits + static_cast<std::size_t>(std::countr_zero(bits)));
+  }
+  return std::nullopt;
+}
 // detlint: hot-path-end
 
 std::vector<TokenId> TokenSet::to_vector() const {

@@ -33,6 +33,10 @@ using TokenId = std::uint32_t;
 
 class TokenSet {
  public:
+  /// Bits per word of the membership bitmap: bit b of word i is token
+  /// i * kBits + b (see words()).
+  static constexpr std::size_t kBits = 64;
+
   /// Creates an empty set over a universe of `universe` token ids.
   explicit TokenSet(std::size_t universe = 0) : universe_(universe) {
     if (!is_inline()) allocate(nullptr);
@@ -63,11 +67,7 @@ class TokenSet {
   }
 
   TokenSet& operator=(const TokenSet& other) {
-    if (!is_inline() || !other.is_inline()) return *this = TokenSet(other);
-    universe_ = other.universe_;
-    count_ = other.count_;
-    words_ = other.words_;
-    return *this;
+    return *this = TokenSet(other);
   }
 
   TokenSet& operator=(TokenSet&& other) noexcept {
@@ -174,6 +174,10 @@ class TokenSet {
   /// Largest token present, or nullopt if empty.
   std::optional<TokenId> max_element() const;
 
+  /// The token of rank `rank` (0-based, ascending), or nullopt when
+  /// rank >= count().
+  std::optional<TokenId> nth(std::size_t rank) const;
+
   /// All tokens in increasing order (for reporting / tests; not hot path).
   std::vector<TokenId> to_vector() const;
 
@@ -194,7 +198,6 @@ class TokenSet {
                              const std::vector<std::uint64_t>& words);
 
  private:
-  static constexpr std::size_t kBits = 64;
   static constexpr std::size_t kInlineWords = 2;
 
   /// The words of a universe of at most kInlineWords * kBits tokens live

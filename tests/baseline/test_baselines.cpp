@@ -237,6 +237,37 @@ TEST(Flooding, MetricsArePinned) {
   EXPECT_EQ(metrics_crc(m), 3797553803u);
 }
 
+TEST(Flooding, PacketOverAnotherUniverseThrowsBeforeItIsRead) {
+  // A process that knows the same k tokens as its flooding neighbour but
+  // sends a set over a larger universe: flooding must refuse the packet
+  // before it walks its words against its own.
+  class OversizedSender final : public Process {
+   public:
+    std::optional<Packet> transmit(const RoundContext& ctx) override {
+      Packet pkt;
+      pkt.src = ctx.self;
+      pkt.dest = kBroadcastDest;
+      pkt.tokens = TokenSet(300, {299});
+      return pkt;
+    }
+    void receive(const RoundContext&, InboxView) override {}
+    const TokenSet& knowledge() const override { return ta_; }
+
+   private:
+    TokenSet ta_{4, {1}};
+  };
+  StaticNetwork net(gen::path(2));
+  FloodingParams p;
+  p.k = 4;
+  p.rounds = 3;
+  std::vector<ProcessPtr> procs;
+  procs.push_back(std::make_unique<FloodingProcess>(0, TokenSet(4, {0}), p));
+  procs.push_back(std::make_unique<OversizedSender>());
+  Engine engine(net, nullptr, std::move(procs));
+  EXPECT_THROW(engine.run({.max_rounds = 3, .stop_when_complete = false}),
+               PreconditionError);
+}
+
 TEST(Flooding, HigherActivityCostsMorePackets) {
   StaticNetwork net1(gen::ring(8));
   StaticNetwork net2(gen::ring(8));

@@ -128,6 +128,17 @@ TEST(TokenSet, MinMaxElements) {
   EXPECT_EQ(TokenSet(4).max_element(), std::nullopt);
 }
 
+TEST(TokenSet, NthIsTheTokenOfThatRank) {
+  TokenSet s(300, {5, 63, 64, 129, 299});
+  EXPECT_EQ(s.nth(0), std::optional<TokenId>(5));
+  EXPECT_EQ(s.nth(1), std::optional<TokenId>(63));
+  EXPECT_EQ(s.nth(2), std::optional<TokenId>(64));
+  EXPECT_EQ(s.nth(3), std::optional<TokenId>(129));
+  EXPECT_EQ(s.nth(4), std::optional<TokenId>(299));
+  EXPECT_EQ(s.nth(5), std::nullopt);
+  EXPECT_EQ(TokenSet(4).nth(0), std::nullopt);
+}
+
 TEST(TokenSet, CrossWordBoundaries) {
   TokenSet s(200);
   for (TokenId t : {63u, 64u, 127u, 128u, 199u}) s.insert(t);
@@ -319,6 +330,12 @@ TEST_P(TokenSetProperty, AlgebraIdentities) {
     EXPECT_EQ(a.min_diff(empty), std::optional<TokenId>(vec.front()));
     EXPECT_EQ(a.max_diff(empty), std::optional<TokenId>(vec.back()));
   }
+
+  // nth walks the same ascending order as the vector view.
+  for (std::size_t i = 0; i < vec.size(); ++i) {
+    ASSERT_EQ(a.nth(i), std::optional<TokenId>(vec[i])) << "rank " << i;
+  }
+  EXPECT_EQ(a.nth(vec.size()), std::nullopt);
 
   // subset relations.
   EXPECT_TRUE(inter.subset_of(a));
