@@ -14,9 +14,9 @@
 #include "core/hinet_properties.hpp"
 #include "core/trace_io.hpp"
 #include "graph/adversary.hpp"
+#include "graph/dynamic.hpp"
 #include "graph/generators.hpp"
 #include "graph/interval.hpp"
-#include "graph/tvg.hpp"
 #include "sim/engine.hpp"
 
 namespace hinet {
@@ -181,21 +181,6 @@ void BM_Gf2BasisInsert(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_Gf2BasisInsert)->Arg(64)->Arg(256);
-
-void BM_TvgForemostArrival(benchmark::State& state) {
-  AdversaryConfig cfg;
-  cfg.nodes = 40;
-  cfg.interval = 4;
-  cfg.rounds = 40;
-  cfg.churn_edges = 5;
-  cfg.seed = 13;
-  GraphSequence seq = make_t_interval_trace(cfg);
-  Tvg tvg = Tvg::from_sequence(seq, 40);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(tvg.foremost_arrival(0, 0));
-  }
-}
-BENCHMARK(BM_TvgForemostArrival);
 
 void BM_DynamicDiameter(benchmark::State& state) {
   AdversaryConfig cfg;

@@ -1,6 +1,8 @@
 #include "analysis/scenarios.hpp"
 
+#include <algorithm>
 #include <cmath>
+#include <stdexcept>
 
 #include "baseline/klo.hpp"
 #include "core/alg1.hpp"
@@ -30,13 +32,6 @@ const char* scenario_cli_name(Scenario s) {
   return "?";
 }
 
-std::optional<Scenario> scenario_from_cli_name(const std::string& name) {
-  for (const Scenario s : all_scenarios()) {
-    if (name == scenario_cli_name(s)) return s;
-  }
-  return std::nullopt;
-}
-
 std::span<const Scenario> all_scenarios() {
   static constexpr Scenario kAll[] = {
       Scenario::kKloInterval, Scenario::kHiNetInterval,
@@ -44,9 +39,83 @@ std::span<const Scenario> all_scenarios() {
   return kAll;
 }
 
+std::string scenario_choices() {
+  std::string out;
+  for (const Scenario s : all_scenarios()) {
+    if (!out.empty()) out += " | ";
+    out += scenario_cli_name(s);
+  }
+  return out;
+}
+
+Scenario parse_scenario(const std::string& name) {
+  for (const Scenario s : all_scenarios()) {
+    if (name == scenario_cli_name(s)) return s;
+  }
+  throw std::invalid_argument("unknown --scenario '" + name +
+                              "' (choose one of: " + scenario_choices() + ")");
+}
+
 void validate_scenario_config(Scenario s, const ScenarioConfig& cfg) {
   validate_assignment(cfg.nodes, cfg.k, cfg.assignment);
   validate_hinet_config(scenario_generator(s, cfg, /*seed=*/0));
+}
+
+ScenarioConfig cli_default_config() {
+  ScenarioConfig cfg;
+  cfg.nodes = 60;
+  cfg.heads = 12;
+  cfg.k = 6;
+  cfg.alpha = 3;
+  cfg.hop_l = 2;
+  cfg.reaffiliation_prob = 0.05;
+  cfg.churn_edges = 4;
+  return cfg;
+}
+
+void check_in_model(Scenario s, const ScenarioConfig& cfg) {
+  const auto broken = [&](const ScenarioConfig& trial) {
+    try {
+      validate_scenario_config(s, trial);
+      return std::string();
+    } catch (const PreconditionError& e) {
+      return e.rule();
+    }
+  };
+  const std::string why = broken(cfg);
+  if (why.empty()) return;
+  const auto name_if_broken = [&](const char* flag,
+                                  const ScenarioConfig& alone) {
+    const std::string alone_why = broken(alone);
+    if (!alone_why.empty()) {
+      throw std::invalid_argument(std::string("--") + flag +
+                                  " is outside the model: " + alone_why);
+    }
+  };
+  const auto alone_with = [&](auto field) {
+    ScenarioConfig alone = cli_default_config();
+    alone.heads = 1;
+    alone.k = 1;
+    alone.assignment = cfg.assignment;
+    alone.*field = cfg.*field;
+    return alone;
+  };
+  ScenarioConfig k_alone = alone_with(&ScenarioConfig::k);
+  k_alone.nodes = std::max(k_alone.nodes, k_alone.k);
+  name_if_broken("k", k_alone);
+  name_if_broken("alpha", alone_with(&ScenarioConfig::alpha));
+  name_if_broken("hop-l", alone_with(&ScenarioConfig::hop_l));
+  name_if_broken("reaffil", alone_with(&ScenarioConfig::reaffiliation_prob));
+  name_if_broken("nodes", alone_with(&ScenarioConfig::nodes));
+  ScenarioConfig heads_alone = alone_with(&ScenarioConfig::heads);
+  heads_alone.hop_l = 1;
+  heads_alone.nodes = std::max<std::size_t>(cfg.heads, 1);
+  name_if_broken("heads", heads_alone);
+  ScenarioConfig k_on_nodes = alone_with(&ScenarioConfig::k);
+  k_on_nodes.nodes = cfg.nodes;
+  name_if_broken("k", k_on_nodes);
+  throw std::invalid_argument(
+      "--nodes, --heads and --hop-l are outside the model together: " + why);
 }
 
 HiNetConfig scenario_generator(Scenario s, const ScenarioConfig& cfg,

@@ -14,7 +14,6 @@
 // print analytic-vs-measured side by side.
 #pragma once
 
-#include <optional>
 #include <span>
 #include <string>
 
@@ -39,13 +38,17 @@ const char* scenario_name(Scenario s);
 /// the spelling the CLI tools accept and the durable job specs store.
 const char* scenario_cli_name(Scenario s);
 
-/// Inverse of scenario_cli_name; nullopt for an unknown name.  Shared by
-/// sweep_runner and hinetd so the two front-ends cannot drift apart.
-std::optional<Scenario> scenario_from_cli_name(const std::string& name);
-
 /// Every scenario, in declaration order (for "list what I accept" help
 /// text and exhaustive tests).
 std::span<const Scenario> all_scenarios();
+
+/// Every scenario_cli_name, joined by " | " (for help text).
+std::string scenario_choices();
+
+/// Inverse of scenario_cli_name; throws std::invalid_argument, a usage
+/// error listing scenario_choices(), for an unknown name.  Shared by
+/// sweep_runner and hinetd so the two front-ends cannot drift apart.
+Scenario parse_scenario(const std::string& name);
 
 struct ScenarioConfig {
   std::size_t nodes = 100;
@@ -76,6 +79,24 @@ struct ScenarioSchedule {
 /// scenario_generator(s, cfg).  Every scenario builder checks it first,
 /// so a front end can reject a spec before any replicate runs it.
 void validate_scenario_config(Scenario s, const ScenarioConfig& cfg);
+
+/// The spec flags' defaults in sweep_runner and hinetd: a config inside
+/// the model.
+ScenarioConfig cli_default_config();
+
+/// Throws std::invalid_argument, a usage error that names the flag at
+/// fault and the broken rule's own message, unless
+/// validate_scenario_config(s, cfg) passes; sweep_runner and hinetd call
+/// it before any replicate runs.  Each model flag's value is tried alone
+/// on cli_default_config(), sized so that no rule joining two flags is in
+/// play (one head needs no relays, one token fits on any node count, --k
+/// is tried on at least k nodes, and --heads at L = 1 on as many nodes),
+/// and the first that breaks a rule by itself is named.  Then --k is
+/// tried on cfg's node count, which names a k the assignment cannot place
+/// (distinct-random needs k <= n).  A config that passes all of these has
+/// too few nodes for its heads and relays, and the message names the
+/// three flags that budget takes.
+void check_in_model(Scenario s, const ScenarioConfig& cfg);
 
 /// Generator configuration realising scenario `s` at (cfg, seed); throws
 /// PreconditionError when alpha or L is below 1.  When

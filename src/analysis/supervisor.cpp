@@ -19,6 +19,9 @@ namespace {
 // detlint-allow(banned-time): supervisor wall-time is a bench-style timer
 using Clock = std::chrono::steady_clock;
 
+/// Backoff before retry i (1-based) is kBackoffBaseMs << (i-1).
+constexpr std::size_t kBackoffBaseMs = 10;
+
 }  // namespace
 
 const char* to_string(RunErrorClass c) {
@@ -129,7 +132,7 @@ SupervisedBatch run_replicates_supervised(const SpecFactory& factory,
         if (is_transient(cls) && attempt < max_attempts &&
             !cancel_requested()) {
           std::this_thread::sleep_for(std::chrono::milliseconds(
-              policy.backoff_base_ms << (attempt - 1)));
+              kBackoffBaseMs << (attempt - 1)));
           continue;
         }
         const std::lock_guard<std::mutex> lock(book_mutex);

@@ -83,11 +83,9 @@ struct SupervisorPolicy {
   std::size_t deadline_ms = 0;
 
   /// Extra attempts per replicate for transient failures.  0 = fail on
-  /// first error (still isolated to that replicate).
+  /// first error (still isolated to that replicate).  Retry i (1-based)
+  /// waits 10 ms << (i-1) first.
   std::size_t max_retries = 0;
-
-  /// Backoff before retry i (1-based) is backoff_base_ms << (i-1).
-  std::size_t backoff_base_ms = 10;
 
   /// Completed-replicate store for crash-safe resume; not owned.  When
   /// set, recorded seeds are skipped (their results reused) and fresh

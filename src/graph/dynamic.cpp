@@ -1,5 +1,6 @@
 #include "graph/dynamic.hpp"
 
+#include <algorithm>
 #include <sstream>
 
 namespace hinet {
@@ -85,6 +86,76 @@ GraphSequence materialize(DynamicNetwork& net, std::size_t rounds,
   }
   for (Round r = 1; r < rounds; ++r) out.push_back(net.graph_at(r));
   return GraphSequence(std::move(out));
+}
+
+std::vector<std::size_t> causal_arrival(DynamicNetwork& net, NodeId source,
+                                        Round start, std::size_t horizon) {
+  const std::size_t n = net.node_count();
+  HINET_REQUIRE(source < n, "source out of range");
+  std::vector<std::size_t> arrival(n, kNeverReached);
+  std::vector<char> influenced(n, 0);
+  influenced[source] = 1;
+  arrival[source] = 0;
+  std::size_t reached = 1;
+  for (std::size_t step = 1; step <= horizon && reached < n; ++step) {
+    const Graph& g = net.graph_at(start + step - 1);
+    std::vector<NodeId> fresh;
+    for (NodeId u = 0; u < n; ++u) {
+      if (!influenced[u]) continue;
+      for (NodeId v : g.neighbors(u)) {
+        if (!influenced[v]) fresh.push_back(v);
+      }
+    }
+    for (NodeId v : fresh) {
+      if (!influenced[v]) {
+        influenced[v] = 1;
+        arrival[v] = step;
+        ++reached;
+      }
+    }
+  }
+  return arrival;
+}
+
+std::optional<std::size_t> dynamic_diameter(DynamicNetwork& net,
+                                            std::size_t rounds) {
+  const std::size_t n = net.node_count();
+  if (n <= 1) return 0;
+  HINET_REQUIRE(rounds >= 1, "need at least one round");
+
+  // f(start) = rounds needed for a causal flood from the worst source
+  // starting at `start` to influence everyone, within the remaining
+  // horizon (kNeverReached if some flood does not complete).
+  std::vector<std::size_t> f(rounds, 0);
+  for (Round start = 0; start < rounds; ++start) {
+    const std::size_t horizon = rounds - start;
+    std::size_t local = 0;
+    for (NodeId source = 0; source < n && local != kNeverReached; ++source) {
+      const auto arrival = causal_arrival(net, source, start, horizon);
+      for (std::size_t a : arrival) {
+        if (a == kNeverReached) {
+          local = kNeverReached;
+          break;
+        }
+        local = std::max(local, a);
+      }
+    }
+    f[start] = local;
+  }
+
+  // The trace's dynamic diameter is the smallest D such that every start
+  // with a full window left (start <= rounds - D) completes within D.
+  for (std::size_t d = 1; d <= rounds; ++d) {
+    bool ok = true;
+    for (Round start = 0; start + d <= rounds; ++start) {
+      if (f[start] > d) {  // includes kNeverReached
+        ok = false;
+        break;
+      }
+    }
+    if (ok) return d;
+  }
+  return std::nullopt;
 }
 
 }  // namespace hinet

@@ -13,12 +13,18 @@
 // materialize() converts the latter into the former as an explicit,
 // budget-guarded opt-in.
 //
+// causal_arrival and dynamic_diameter run Kuhn & Oshman's causal-influence
+// flood (one hop per round) over any provider: no dissemination algorithm
+// informs a node before that flood reaches it.
+//
 // No provider knows a byte format.  A round is a function of (spec, seed,
 // round index), so whoever needs round r of a trace again — a backward
 // read, or a second pass — rebuilds it from the seed.
 #pragma once
 
+#include <limits>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "graph/graph.hpp"
@@ -171,5 +177,22 @@ class StaticNetwork final : public DynamicNetwork {
  private:
   Graph g_;
 };
+
+/// Kuhn & Oshman's *dynamic diameter* of a round sequence: the smallest D
+/// such that, from every start round within [0, rounds - D] and every
+/// source, a "causal influence" flood started at the source reaches every
+/// node within D rounds (one hop per round over whichever edges are
+/// present).  Returns nullopt when no such D exists within the horizon.
+std::optional<std::size_t> dynamic_diameter(DynamicNetwork& net,
+                                            std::size_t rounds);
+
+/// Causal-influence arrival times: round (relative to `start`) at which
+/// each node is first causally influenced by `source` when flooding one
+/// hop per round from `start`.  kNeverReached for nodes not reached within
+/// `horizon` rounds.
+inline constexpr std::size_t kNeverReached =
+    std::numeric_limits<std::size_t>::max();
+std::vector<std::size_t> causal_arrival(DynamicNetwork& net, NodeId source,
+                                        Round start, std::size_t horizon);
 
 }  // namespace hinet

@@ -6,7 +6,9 @@
 // robustness benches measure how the correctness guarantees degrade when
 // the model's assumptions are violated.
 //
-//   PerfectChannel        — the paper's model (default; zero overhead path).
+//   (no channel)          — the paper's model: Engine::set_channel(nullptr),
+//                           the default, delivers everything on the engine's
+//                           zero-overhead path.
 //   LossyChannel          — i.i.d. Bernoulli loss per (packet, receiver).
 //   CollisionChannel      — a receiver whose transmitting-neighbour count
 //                           exceeds a capture threshold hears nothing that
@@ -46,12 +48,6 @@ class ChannelModel {
   /// sender order) — stateful channels (LossyChannel's RNG stream) depend
   /// on that order for per-seed determinism.
   virtual bool deliver(Round r, const Packet& pkt, NodeId receiver) = 0;
-};
-
-/// The paper's idealised medium: everything is heard.
-class PerfectChannel final : public ChannelModel {
- public:
-  bool deliver(Round, const Packet&, NodeId) override { return true; }
 };
 
 /// Independent per-(packet, receiver) loss with probability `loss`.

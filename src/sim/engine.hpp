@@ -109,8 +109,8 @@ class Engine {
   void set_observer(RoundObserver obs) { observer_ = std::move(obs); }
 
   /// Installs a failure-injecting channel; the engine does not own it.
-  /// Default: perfect delivery (the paper's model).  A spec-owning engine
-  /// installs (and owns) its spec's channel instead.
+  /// nullptr, the default, is perfect delivery (the paper's model).  A
+  /// spec-owning engine installs (and owns) its spec's channel instead.
   void set_channel(ChannelModel* channel) { channel_ = channel; }
 
   const Process& process(NodeId v) const { return *processes_[v]; }

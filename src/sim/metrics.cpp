@@ -29,10 +29,6 @@ double max_node_energy(const SimMetrics& m, const EnergyModel& e) {
   return worst;
 }
 
-std::size_t total_wire_bytes(const SimMetrics& m, const WireModel& w) {
-  return m.packets_sent * w.header_bytes + m.tokens_sent * w.token_bytes;
-}
-
 double SimMetrics::completion_fraction() const {
   const std::size_t n = per_node_tx_tokens.size();
   if (n == 0) return 0.0;

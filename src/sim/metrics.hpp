@@ -74,17 +74,6 @@ double total_energy(const SimMetrics& m, const EnergyModel& e);
 /// in a sensor network).
 double max_node_energy(const SimMetrics& m, const EnergyModel& e);
 
-/// Wire-size model: turns the token/packet counts into bytes, making the
-/// per-packet header overhead visible (the paper's cost metric is tokens;
-/// this quantifies what that abstraction hides).
-struct WireModel {
-  std::size_t token_bytes = 64;  ///< payload bytes per token
-  std::size_t header_bytes = 16; ///< fixed per-packet header
-};
-
-/// Total bytes on the wire for a run: packets·header + tokens·payload.
-std::size_t total_wire_bytes(const SimMetrics& m, const WireModel& w);
-
 /// Full SimMetrics, bit-exact (doubles are not stored — SimMetrics holds
 /// only integral series; derived fractions are recomputed).  The one
 /// metric codec: the experiment journal and the results store both embed

@@ -9,6 +9,7 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 namespace hinet {
 
@@ -16,6 +17,16 @@ namespace hinet {
 class PreconditionError : public std::logic_error {
  public:
   using std::logic_error::logic_error;
+  PreconditionError(const std::string& what, std::string rule)
+      : std::logic_error(what), rule_(std::move(rule)) {}
+
+  /// The broken rule's own message, without the expression and source
+  /// line HINET_REQUIRE puts before it in what(); what() when the error
+  /// carries no separate message.  The text a usage error shows a user.
+  std::string rule() const { return rule_.empty() ? what() : rule_; }
+
+ private:
+  std::string rule_;
 };
 
 /// Thrown when an internal invariant (HINET_ENSURE) is violated.
@@ -30,7 +41,7 @@ namespace detail {
   std::ostringstream os;
   os << "precondition failed: " << expr << " at " << file << ':' << line;
   if (!msg.empty()) os << " — " << msg;
-  throw PreconditionError(os.str());
+  throw PreconditionError(os.str(), msg);
 }
 
 [[noreturn]] inline void throw_invariant(const char* expr, const char* file,

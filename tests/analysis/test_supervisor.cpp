@@ -171,7 +171,6 @@ TEST(Supervisor, RetriesTransientFailuresWithBackoff) {
 
   SupervisorPolicy policy;
   policy.max_retries = 2;
-  policy.backoff_base_ms = 1;
   const SupervisedBatch batch = run_replicates_supervised(
       factory, ExperimentOptions{3, base_seed, ExecutionPolicy::serial()},
       policy);
@@ -188,7 +187,6 @@ TEST(Supervisor, ExhaustedRetriesReportTotalAttempts) {
       tiny_factory(), bad, [] { throw IoError("permanent hiccup"); });
   SupervisorPolicy policy;
   policy.max_retries = 2;
-  policy.backoff_base_ms = 1;
   const SupervisedBatch batch = run_replicates_supervised(
       factory, ExperimentOptions{2, base_seed, ExecutionPolicy::serial()},
       policy);
@@ -214,7 +212,6 @@ TEST(Supervisor, RetryDeadlinePolicyGivesDeadlinesASecondChance) {
   SupervisorPolicy policy;
   policy.deadline_ms = 1;
   policy.max_retries = 1;
-  policy.backoff_base_ms = 1;
   const SpecFactory factory = [](std::uint64_t) { return heavy_spec(); };
   const SupervisedBatch batch = run_replicates_supervised(
       factory, ExperimentOptions{1, 1, ExecutionPolicy::serial()}, policy);

@@ -8,13 +8,23 @@
 //     is exactly KLO token forwarding.
 // Running both implementations on identical traces and comparing
 // per-round metrics pins the shared semantics down to the packet level.
+//
+// KLO token forwarding is also checked against the causal-influence
+// flood (causal_arrival), the floor no algorithm beats: it sends its whole
+// TA every round, so on a perfect channel a node completes exactly when
+// every token's flood from that token's initial holders reaches it.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <tuple>
+
 #include "analysis/assignment.hpp"
+#include "analysis/scenarios.hpp"
 #include "baseline/klo.hpp"
 #include "core/alg1.hpp"
 #include "core/alg2.hpp"
 #include "graph/adversary.hpp"
+#include "graph/dynamic.hpp"
 #include "sim/engine.hpp"
 
 namespace hinet {
@@ -128,6 +138,70 @@ INSTANTIATE_TEST_SUITE_P(
     Grid, Alg2VsKloFlood,
     ::testing::Values(DiffCase{12, 3, 0, 1}, DiffCase{20, 6, 0, 2},
                       DiffCase{16, 4, 0, 3}, DiffCase{28, 8, 0, 4}));
+
+class KloFloodMeetsCausalFloor
+    : public ::testing::TestWithParam<std::tuple<Scenario, std::uint64_t>> {};
+
+TEST_P(KloFloodMeetsCausalFloor, NodesCompleteExactlyAtTheirFloor) {
+  const auto [scenario, seed] = GetParam();
+  ScenarioConfig cfg;
+  cfg.nodes = 60;
+  cfg.heads = 12;
+  cfg.k = 6;
+  cfg.alpha = 3;
+  cfg.hop_l = 2;
+  HiNetTrace trace = make_hinet_trace(scenario_generator(scenario, cfg, seed));
+  GraphSequence& net = trace.ctvg.topology();
+  Rng rng(seed);
+  const auto init = assign_tokens(cfg.nodes, cfg.k, cfg.assignment, rng);
+  const std::size_t rounds = cfg.nodes - 1;
+
+  // floor[v]: the round after which the flood of every token, started at
+  // all of that token's initial holders, has reached v.
+  std::vector<std::size_t> floor(cfg.nodes, 0);
+  for (TokenId t = 0; t < cfg.k; ++t) {
+    std::vector<std::size_t> first(cfg.nodes, kNeverReached);
+    for (NodeId h = 0; h < cfg.nodes; ++h) {
+      if (!init[h].contains(t)) continue;
+      const auto arrival = causal_arrival(net, h, 0, rounds);
+      for (NodeId v = 0; v < cfg.nodes; ++v) {
+        first[v] = std::min(first[v], arrival[v]);
+      }
+    }
+    for (NodeId v = 0; v < cfg.nodes; ++v) {
+      floor[v] = std::max(floor[v], first[v]);
+    }
+  }
+
+  KloFloodParams kf;
+  kf.k = cfg.k;
+  kf.rounds = rounds;
+  Engine engine(net, nullptr, make_klo_flood_processes(init, kf));
+  const SimMetrics m =
+      engine.run({.max_rounds = rounds, .stop_when_complete = false});
+
+  ASSERT_TRUE(m.all_delivered);
+  EXPECT_EQ(m.rounds_to_completion,
+            *std::max_element(floor.begin(), floor.end()));
+  ASSERT_EQ(m.complete_nodes_per_round.size(), rounds);
+  for (std::size_t r = 0; r < rounds; ++r) {
+    const auto at_floor = std::count_if(
+        floor.begin(), floor.end(), [r](std::size_t f) { return f <= r + 1; });
+    EXPECT_EQ(m.complete_nodes_per_round[r],
+              static_cast<std::size_t>(at_floor))
+        << "round " << r;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    ScenarioTraces, KloFloodMeetsCausalFloor,
+    ::testing::Combine(::testing::ValuesIn(all_scenarios()),
+                       ::testing::Values(1u, 2u, 3u, 7u)),
+    [](const auto& case_info) {
+      std::string name = scenario_cli_name(std::get<0>(case_info.param));
+      std::replace(name.begin(), name.end(), '-', '_');
+      return name + "_seed" + std::to_string(std::get<1>(case_info.param));
+    });
 
 // Engine-level invariants that every algorithm must preserve, checked on
 // one representative of each family.

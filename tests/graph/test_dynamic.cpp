@@ -1,6 +1,6 @@
 // Tests for the dynamic-network layer: sequences, the adversarial
-// T-interval generator, EMDG, mobility, and the interval-connectivity
-// checkers.
+// T-interval generator, EMDG, mobility, the interval-connectivity
+// checkers, and the causal-influence flood (dynamic diameter).
 #include <gtest/gtest.h>
 
 #include "graph/adversary.hpp"
@@ -287,6 +287,78 @@ TEST(Interval, BadArgumentsThrow) {
   GraphSequence seq({gen::path(3)});
   EXPECT_THROW(is_t_interval_connected(seq, 1, 0), PreconditionError);
   EXPECT_THROW(is_t_interval_connected(seq, 1, 2), PreconditionError);
+}
+
+TEST(CausalArrival, OneHopPerRound) {
+  StaticNetwork net(gen::path(4));
+  const auto arrival = causal_arrival(net, 0, 0, 10);
+  EXPECT_EQ(arrival[0], 0u);
+  EXPECT_EQ(arrival[1], 1u);
+  EXPECT_EQ(arrival[2], 2u);
+  EXPECT_EQ(arrival[3], 3u);
+}
+
+TEST(CausalArrival, HorizonLimits) {
+  StaticNetwork net(gen::path(4));
+  const auto arrival = causal_arrival(net, 0, 0, 2);
+  EXPECT_EQ(arrival[2], 2u);
+  EXPECT_EQ(arrival[3], kNeverReached);
+}
+
+TEST(CausalArrival, UsesTheRoundGraphs) {
+  // Edge 0-1 only in round 0; edge 1-2 only in round 1.
+  std::vector<Graph> rounds;
+  rounds.push_back(Graph(3, {{0, 1}}));
+  rounds.push_back(Graph(3, {{1, 2}}));
+  rounds.push_back(Graph(3));
+  GraphSequence net(std::move(rounds));
+  const auto arrival = causal_arrival(net, 0, 0, 3);
+  EXPECT_EQ(arrival[1], 1u);
+  EXPECT_EQ(arrival[2], 2u);
+  // Starting at round 1, the 0-1 edge is already gone.
+  const auto late = causal_arrival(net, 0, 1, 2);
+  EXPECT_EQ(late[1], kNeverReached);
+}
+
+TEST(DynamicDiameter, StaticGraphMatchesDiameter) {
+  std::vector<Graph> rounds(8, gen::path(5));
+  GraphSequence net(std::move(rounds));
+  EXPECT_EQ(dynamic_diameter(net, 8), std::optional<std::size_t>(4));
+}
+
+TEST(DynamicDiameter, SingleNodeIsZero) {
+  StaticNetwork net(Graph(1));
+  EXPECT_EQ(dynamic_diameter(net, 3), std::optional<std::size_t>(0));
+}
+
+TEST(DynamicDiameter, DisconnectedTraceHasNone) {
+  StaticNetwork net(Graph(3));
+  EXPECT_EQ(dynamic_diameter(net, 5), std::nullopt);
+}
+
+TEST(DynamicDiameter, DynamicsCanBeatStaticDiameter) {
+  // Alternating stars centred at 0: any node reaches all others within 2
+  // rounds even though each snapshot is a star (diameter 2).  The dynamic
+  // diameter of a 1-interval connected trace is at most n-1 (O'Dell &
+  // Wattenhofer); here it should be small.
+  std::vector<Graph> rounds(10, gen::star(6));
+  GraphSequence net(std::move(rounds));
+  const auto d = dynamic_diameter(net, 10);
+  ASSERT_TRUE(d.has_value());
+  EXPECT_EQ(*d, 2u);
+}
+
+TEST(DynamicDiameter, AdversarialTraceBoundedByNMinusOne) {
+  AdversaryConfig cfg;
+  cfg.nodes = 10;
+  cfg.interval = 1;
+  cfg.rounds = 30;
+  cfg.churn_edges = 0;
+  cfg.seed = 4;
+  GraphSequence net = make_t_interval_trace(cfg);
+  const auto d = dynamic_diameter(net, 30);
+  ASSERT_TRUE(d.has_value());
+  EXPECT_LE(*d, 9u);  // n-1 bound for 1-interval connected traces
 }
 
 }  // namespace

@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "graph/mobility.hpp"
-#include "sim/metrics.hpp"
 
 namespace hinet {
 namespace {
@@ -105,15 +104,6 @@ TEST(Manhattan, RejectsDegenerateGrid) {
   cfg.streets = 1;
   cfg.rounds = 2;
   EXPECT_THROW(MobilityTrace{cfg}, PreconditionError);
-}
-
-TEST(WireModel, BytesFromPacketsAndTokens) {
-  SimMetrics m;
-  m.packets_sent = 10;
-  m.tokens_sent = 40;
-  const WireModel w{64, 16};
-  EXPECT_EQ(total_wire_bytes(m, w), 10u * 16u + 40u * 64u);
-  EXPECT_EQ(total_wire_bytes(SimMetrics{}, w), 0u);
 }
 
 }  // namespace

@@ -114,12 +114,9 @@ TEST(JobSpec, DescribeNamesTheScenario) {
 
 TEST(JobSpec, ScenarioCliNamesRoundTrip) {
   for (const Scenario s : all_scenarios()) {
-    const std::optional<Scenario> back =
-        scenario_from_cli_name(scenario_cli_name(s));
-    ASSERT_TRUE(back.has_value());
-    EXPECT_EQ(*back, s);
+    EXPECT_EQ(parse_scenario(scenario_cli_name(s)), s);
   }
-  EXPECT_FALSE(scenario_from_cli_name("not-a-scenario").has_value());
+  EXPECT_THROW(parse_scenario("not-a-scenario"), std::invalid_argument);
 }
 
 }  // namespace

@@ -21,17 +21,6 @@ std::vector<ProcessPtr> flood_processes(std::size_t n, std::size_t k,
   return make_klo_flood_processes(init, p);
 }
 
-TEST(PerfectChannel, DeliversEverything) {
-  StaticNetwork net(gen::path(4));
-  PerfectChannel channel;
-  Engine engine(net, nullptr, flood_processes(4, 2, 10));
-  engine.set_channel(&channel);
-  const SimMetrics m =
-      engine.run({.max_rounds = 10, .stop_when_complete = true});
-  EXPECT_TRUE(m.all_delivered);
-  EXPECT_EQ(m.rounds_to_completion, 3u);
-}
-
 TEST(LossyChannel, ZeroLossMatchesPerfect) {
   StaticNetwork net(gen::path(4));
   LossyChannel channel(0.0, 1);

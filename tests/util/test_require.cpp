@@ -21,7 +21,11 @@ TEST(Require, FailureThrowsTypedExceptionWithContext) {
     EXPECT_NE(what.find("2 < 1"), std::string::npos);
     EXPECT_NE(what.find("expected order"), std::string::npos);
     EXPECT_NE(what.find("test_require.cpp"), std::string::npos);
+    // rule() is the message alone, the text a usage error shows.
+    EXPECT_EQ(e.rule(), "expected order");
   }
+  EXPECT_EQ(PreconditionError("built without a rule").rule(),
+            "built without a rule");
 }
 
 TEST(Require, EnsureThrowsInvariantError) {

@@ -36,7 +36,6 @@
 // sweep_runner (see --help): SIGINT/SIGTERM finish and journal the
 // in-flight replicate batch, then exit 3 for a clean resume.
 
-#include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <fstream>
@@ -56,25 +55,6 @@ namespace {
 
 using namespace hinet;
 
-std::string scenario_choices() {
-  std::string out;
-  for (const Scenario s : all_scenarios()) {
-    if (!out.empty()) out += " | ";
-    out += scenario_cli_name(s);
-  }
-  return out;
-}
-
-Scenario parse_scenario(const std::string& name) {
-  const std::optional<Scenario> s = scenario_from_cli_name(name);
-  if (!s.has_value()) {
-    throw std::invalid_argument("unknown scenario '" + name +
-                                "' (choose one of: " + scenario_choices() +
-                                ")");
-  }
-  return *s;
-}
-
 AssignmentMode parse_assignment(const std::string& name) {
   if (name == "distinct-random") return AssignmentMode::kDistinctRandom;
   if (name == "single-source") return AssignmentMode::kSingleSource;
@@ -84,81 +64,11 @@ AssignmentMode parse_assignment(const std::string& name) {
       "' (choose one of: distinct-random, single-source, round-robin)");
 }
 
-/// The spec flags' defaults, a config inside the model.
-ScenarioConfig default_config() {
-  ScenarioConfig cfg;
-  cfg.nodes = 60;
-  cfg.heads = 12;
-  cfg.k = 6;
-  cfg.alpha = 3;
-  cfg.hop_l = 2;
-  cfg.reaffiliation_prob = 0.05;
-  cfg.churn_edges = 4;
-  return cfg;
-}
-
-/// Rejects a spec the scenario builders would refuse, before it is queued
-/// to fail in every replicate: their own rules (validate_scenario_config)
-/// as a usage error that names the flag.  When the spec breaks a rule,
-/// each model flag's value is tried alone on the defaults, sized so that
-/// no rule joining two flags is in play (one head needs no relays, one
-/// token fits on any node count, --k is tried on at least k nodes, and
-/// --heads at L = 1 on as many nodes), and the first that breaks a rule
-/// by itself is named.  Then --k is tried on the spec's --nodes, which
-/// names a k the assignment cannot place (distinct-random needs k <= n).
-/// A spec that passes all of these has too few nodes for its heads and
-/// relays, and the message names the three flags that budget takes.
-void check_in_model(const JobSpec& spec) {
-  const auto broken = [&](const ScenarioConfig& cfg) {
-    try {
-      validate_scenario_config(spec.scenario, cfg);
-      return std::string();
-    } catch (const PreconditionError& e) {
-      return std::string(e.what());
-    }
-  };
-  const std::string why = broken(spec.config);
-  if (why.empty()) return;
-  const auto name_if_broken = [&](const char* flag,
-                                  const ScenarioConfig& alone) {
-    const std::string alone_why = broken(alone);
-    if (!alone_why.empty()) {
-      throw std::invalid_argument(std::string("--") + flag +
-                                  " is outside the model: " + alone_why);
-    }
-  };
-  const auto alone_with = [&](auto field) {
-    ScenarioConfig alone = default_config();
-    alone.heads = 1;
-    alone.k = 1;
-    alone.assignment = spec.config.assignment;
-    alone.*field = spec.config.*field;
-    return alone;
-  };
-  ScenarioConfig k_alone = alone_with(&ScenarioConfig::k);
-  k_alone.nodes = std::max(k_alone.nodes, k_alone.k);
-  name_if_broken("k", k_alone);
-  name_if_broken("alpha", alone_with(&ScenarioConfig::alpha));
-  name_if_broken("hop-l", alone_with(&ScenarioConfig::hop_l));
-  name_if_broken("reaffil",
-                 alone_with(&ScenarioConfig::reaffiliation_prob));
-  name_if_broken("nodes", alone_with(&ScenarioConfig::nodes));
-  ScenarioConfig heads_alone = alone_with(&ScenarioConfig::heads);
-  heads_alone.hop_l = 1;
-  heads_alone.nodes = std::max<std::size_t>(spec.config.heads, 1);
-  name_if_broken("heads", heads_alone);
-  ScenarioConfig k_on_nodes = alone_with(&ScenarioConfig::k);
-  k_on_nodes.nodes = spec.config.nodes;
-  name_if_broken("k", k_on_nodes);
-  throw std::invalid_argument(
-      "--nodes, --heads and --hop-l are outside the model together: " + why);
-}
-
 /// Registers the job-spec flags and builds the spec, rejecting one outside
 /// the model (check_in_model).  Shared by submit and query so one spelling
 /// addresses the same content hash everywhere.
 JobSpec spec_from_args(CliArgs& args) {
-  const ScenarioConfig d = default_config();
+  const ScenarioConfig d = cli_default_config();
   JobSpec spec;
   const std::string scenario = args.get_string(
       "scenario", "hinet-interval", "scenario: " + scenario_choices());
@@ -184,7 +94,7 @@ JobSpec spec_from_args(CliArgs& args) {
       args.get_uint("seed", 1, "base seed (replicate i uses seed + i)");
   spec.repetitions = args.get_uint("reps", 20, "number of replicates");
   spec.scenario = parse_scenario(scenario);
-  check_in_model(spec);
+  check_in_model(spec.scenario, spec.config);
   return spec;
 }
 
