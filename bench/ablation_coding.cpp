@@ -2,12 +2,12 @@
 //
 // Haeupler & Karger [8] improved KLO's bounds via network coding; the
 // paper's Section II cites this as the state of the art it trades against.
-// This bench measures all dissemination strategies on identical
+// This bench measures four dissemination strategies on identical
 // adversarial T-interval traces: rounds to completion and tokens sent.
+// KLO token forwarding is also classic flooding (Section II).
 #include "common.hpp"
 
 #include "analysis/assignment.hpp"
-#include "baseline/flooding.hpp"
 #include "baseline/gossip.hpp"
 #include "baseline/klo.hpp"
 #include "baseline/network_coding.hpp"
@@ -57,13 +57,6 @@ int main(int argc, char** argv) try {
              p.rounds = horizon;
              p.seed = seed ^ 0xabcdULL;
              return make_network_coding_processes(init, p);
-           }},
-          {"classic flooding",
-           [&](const std::vector<TokenSet>& init, std::uint64_t) {
-             FloodingParams p;
-             p.k = k;
-             p.rounds = horizon;
-             return make_flooding_processes(init, p);
            }},
           {"push gossip",
            [&](const std::vector<TokenSet>& init, std::uint64_t seed) {

@@ -18,6 +18,7 @@
 #include "core/cost_model.hpp"
 #include "util/cli.hpp"
 #include "util/csv.hpp"
+#include "util/require.hpp"
 #include "util/table.hpp"
 
 namespace hinet::bench {
@@ -121,6 +122,10 @@ inline int usage_error(const std::invalid_argument& e) {
   return 2;
 }
 
+/// Prints --help or rejects an unknown option, else runs the bench body.
+/// A flag value outside the model reaches the library's preconditions:
+/// like hinetd and sweep_runner, that is a usage error (exit 2) showing
+/// the broken rule alone.  Any other failure is exit 1.
 inline int run_main(CliArgs& args, const std::string& summary,
                     const std::function<void()>& body) {
   if (args.help_requested()) {
@@ -132,7 +137,17 @@ inline int run_main(CliArgs& args, const std::string& summary,
     std::cerr << "unknown option: --" << unknown.front() << "\n";
     return 2;
   }
-  body();
+  try {
+    body();
+  } catch (const std::invalid_argument& e) {
+    return usage_error(e);
+  } catch (const PreconditionError& e) {
+    std::cerr << "usage error: " << e.rule() << "\n";
+    return 2;
+  } catch (const std::exception& e) {
+    std::cerr << "error: " << e.what() << "\n";
+    return 1;
+  }
   return 0;
 }
 

@@ -173,8 +173,10 @@ void BM_Gf2BasisInsert(benchmark::State& state) {
   for (auto _ : state) {
     Gf2Basis basis(k);
     while (!basis.full_rank()) {
-      std::vector<std::uint64_t> vec(Gf2Basis::words_for(k));
-      for (auto& w : vec) w = rng();
+      TokenSet vec(k);
+      for (TokenId t = 0; t < k; ++t) {
+        if ((rng() & 1) != 0) vec.insert(t);
+      }
       basis.insert(std::move(vec));
     }
     benchmark::DoNotOptimize(basis.rank());

@@ -102,7 +102,6 @@ SpecFactory cell_factory(const Cell& cell, const Workload& w) {
         p.phase_length = w.phase_length;
         p.phases = w.phases;
         p.retransmit_budget = cell.budget;
-        p.ack_piggyback = cell.budget > 0;
         spec.processes = make_alg1_processes(init, p);
         break;
       }

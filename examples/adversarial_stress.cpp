@@ -95,14 +95,6 @@ int main(int argc, char** argv) try {
     FloodingParams p;
     p.k = k;
     p.rounds = rounds;
-    add_row("classic flooding",
-            run_on(net, make_flooding_processes(init, p), rounds));
-  }
-  {
-    GraphSequence net = worst;
-    FloodingParams p;
-    p.k = k;
-    p.rounds = rounds;
     p.activity = 2;
     add_row("2-active (parsimonious) flooding",
             run_on(net, make_flooding_processes(init, p), rounds));

@@ -1,11 +1,13 @@
 #include "analysis/experiment.hpp"
 
+#include <array>
 #include <bit>
 #include <chrono>
 #include <sstream>
 #include <thread>
 
 #include "analysis/supervisor.hpp"
+#include "util/binary_io.hpp"
 
 namespace hinet {
 
@@ -112,44 +114,33 @@ bool AggregateResult::same_statistics(const AggregateResult& other) const {
          failed_replicates == other.failed_replicates;
 }
 
-namespace {
-
-// FNV-1a, 64-bit.  Doubles enter as IEEE-754 bit patterns so the digest is
-// exactly as strict as same_statistics' bitwise comparison.
-void digest_u64(std::uint64_t& h, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    h ^= (v >> (8 * i)) & 0xFFu;
-    h *= 0x100000001b3ULL;
-  }
-}
-
-void digest_f64(std::uint64_t& h, double v) {
-  digest_u64(h, std::bit_cast<std::uint64_t>(v));
-}
-
-void digest_summary(std::uint64_t& h, const Summary& s) {
-  digest_u64(h, s.n);
-  digest_f64(h, s.mean);
-  digest_f64(h, s.stddev);
-  digest_f64(h, s.min);
-  digest_f64(h, s.max);
-  digest_f64(h, s.p50);
-  digest_f64(h, s.p95);
-}
-
-}  // namespace
-
 std::uint64_t AggregateResult::stats_digest() const {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  digest_summary(h, rounds_to_completion);
-  digest_summary(h, tokens_sent);
-  digest_summary(h, packets_sent);
-  digest_summary(h, completion_fraction);
-  digest_summary(h, token_coverage);
-  digest_f64(h, delivery_rate);
-  digest_u64(h, repetitions);
-  digest_u64(h, failed_replicates);
-  return h;
+  // FNV-1a over each field's 8 little-endian bytes, doubles as their
+  // IEEE-754 bit patterns, so the digest is exactly as strict as
+  // same_statistics' bitwise comparison.  The bytes sit in a fixed buffer:
+  // every service query digests its result.
+  std::array<std::uint8_t, 8 * (5 * 7 + 3)> bytes{};
+  std::size_t at = 0;
+  const auto u64 = [&](std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      bytes[at++] = static_cast<std::uint8_t>(v >> (8 * i));
+    }
+  };
+  const auto f64 = [&](double v) { u64(std::bit_cast<std::uint64_t>(v)); };
+  for (const Summary* s : {&rounds_to_completion, &tokens_sent, &packets_sent,
+                           &completion_fraction, &token_coverage}) {
+    u64(s->n);
+    f64(s->mean);
+    f64(s->stddev);
+    f64(s->min);
+    f64(s->max);
+    f64(s->p50);
+    f64(s->p95);
+  }
+  f64(delivery_rate);
+  u64(repetitions);
+  u64(failed_replicates);
+  return fnv1a64(bytes);
 }
 
 std::string AggregateResult::to_string() const {

@@ -125,7 +125,13 @@ HiNetConfig scenario_generator(Scenario s, const ScenarioConfig& cfg,
   // interval divides by their product), so those two are checked first.
   HINET_REQUIRE(cfg.alpha >= 1, "alpha must be >= 1");
   HINET_REQUIRE(cfg.hop_l >= 1, "L must be >= 1");
-  const std::size_t t = cfg.k + cfg.alpha * static_cast<std::size_t>(cfg.hop_l);
+  // Section V's schedules, from the cost model: T = k + αL, and M per row.
+  CostParams p;
+  p.n0 = cfg.nodes;
+  p.theta = cfg.heads;
+  p.k = cfg.k;
+  p.alpha = cfg.alpha;
+  p.l = static_cast<std::size_t>(cfg.hop_l);
   HiNetConfig gen;
   gen.nodes = cfg.nodes;
   gen.heads = cfg.heads;
@@ -135,26 +141,26 @@ HiNetConfig scenario_generator(Scenario s, const ScenarioConfig& cfg,
   gen.seed = seed;
   switch (s) {
     case Scenario::kKloInterval: {
-      gen.phase_length = t;
-      gen.phases = ceil_div(cfg.nodes, cfg.alpha *
-                            static_cast<std::size_t>(cfg.hop_l));
+      gen.phase_length = alg1_min_phase_length(p);
+      gen.phases = klo_phase_count(p);
       break;
     }
     case Scenario::kHiNetInterval: {
-      gen.phase_length = t;
-      gen.phases = ceil_div(cfg.heads, cfg.alpha) + 1;
+      gen.phase_length = alg1_min_phase_length(p);
+      gen.phases = alg1_phase_count(p);
       break;
     }
     case Scenario::kHiNetIntervalStable: {
-      gen.phase_length = t;
-      gen.phases = ceil_div(cfg.heads, cfg.alpha) + 1;
+      gen.phase_length = alg1_min_phase_length(p);
+      gen.phases = alg1_phase_count(p);
       gen.stable_heads = true;
       break;
     }
     case Scenario::kKloOne:
     case Scenario::kHiNetOne: {
       gen.phase_length = 1;
-      gen.phases = cfg.nodes >= 2 ? cfg.nodes - 1 : 1;
+      // n0 - 1 rounds, and one phase at the least (n0 = 1).
+      gen.phases = cfg.nodes >= 2 ? alg2_round_count(p) : 1;
       // With single-round phases a full backbone reshuffle every round
       // would force member/gateway role flips far beyond the n_r the
       // analytic model accounts for; keep the relay structure quasi-stable

@@ -14,6 +14,7 @@ FloodingProcess::FloodingProcess(NodeId self, TokenSet initial,
       learned_at_(params.k, kNever) {
   HINET_REQUIRE(params_.k == ta_.universe(), "universe mismatch");
   HINET_REQUIRE(params_.rounds >= 1, "M must be >= 1");
+  HINET_REQUIRE(params_.activity >= 1, "activity must be >= 1");
   for (TokenId t : ta_.to_vector()) learned_at_[t] = 0;
 }
 
@@ -24,9 +25,10 @@ bool FloodingProcess::finished(const RoundContext& ctx) const {
 std::optional<Packet> FloodingProcess::transmit(const RoundContext& ctx) {
   TokenSet active(params_.k);
   for (TokenId t = 0; t < params_.k; ++t) {
-    if (learned_at_[t] == kNever) continue;
-    if (params_.activity == FloodingParams::kForever ||
-        ctx.round < learned_at_[t] + params_.activity) {
+    // A token heard in round r counts from r + 1, so learned_at_[t] <=
+    // ctx.round and the difference cannot wrap, whatever the activity.
+    if (learned_at_[t] != kNever &&
+        ctx.round - learned_at_[t] < params_.activity) {
       active.insert(t);
     }
   }
@@ -59,12 +61,7 @@ void FloodingProcess::receive(const RoundContext& ctx, InboxView inbox) {
 
 std::vector<ProcessPtr> make_flooding_processes(
     const std::vector<TokenSet>& initial, const FloodingParams& params) {
-  std::vector<ProcessPtr> out;
-  out.reserve(initial.size());
-  for (NodeId v = 0; v < initial.size(); ++v) {
-    out.push_back(std::make_unique<FloodingProcess>(v, initial[v], params));
-  }
-  return out;
+  return make_processes<FloodingProcess>(initial, params);
 }
 
 }  // namespace hinet

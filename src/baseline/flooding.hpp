@@ -1,16 +1,11 @@
-// Flooding baselines from the related-work section.
-//
-// FloodingProcess implements the family of flooding protocols the paper's
-// Section II surveys:
-//   - activity == kForever: classic flooding (O'Dell & Wattenhofer) — a
-//     node keeps re-broadcasting everything it knows each round; delivery
-//     is guaranteed on any 1-interval connected network.
-//   - finite activity a: Baumann et al.'s a-active (parsimonious)
-//     flooding — a node forwards a token only for the `a` rounds after
-//     first learning it, trading delivery latitude for communication.
+// Baumann et al.'s a-active (parsimonious) flooding, from the related-work
+// flooding family of the paper's Section II: a node forwards a token only
+// for the `a` rounds after first learning it, trading delivery latitude
+// for communication.  Classic flooding — every node re-broadcasts all it
+// knows every round — is KLO's token forwarding, KloFloodProcess
+// (baseline/klo.hpp); an activity covering the whole schedule behaves
+// exactly like it.
 #pragma once
-
-#include <limits>
 
 #include "sim/process.hpp"
 
@@ -19,12 +14,9 @@ namespace hinet {
 struct FloodingParams {
   std::size_t k = 0;
   std::size_t rounds = 0;  ///< M: scheduled length
-  /// How many rounds a token stays active (re-broadcast) after a node
-  /// first learns it.  kForever = classic flooding.
-  std::size_t activity = kForever;
-
-  static constexpr std::size_t kForever =
-      std::numeric_limits<std::size_t>::max();
+  /// a: how many rounds a token stays active (re-broadcast) after a node
+  /// first learns it; must be >= 1.
+  std::size_t activity = 0;
 };
 
 class FloodingProcess final : public Process {

@@ -45,12 +45,7 @@ void GossipProcess::receive(const RoundContext& ctx, InboxView inbox) {
 
 std::vector<ProcessPtr> make_gossip_processes(
     const std::vector<TokenSet>& initial, const GossipParams& params) {
-  std::vector<ProcessPtr> out;
-  out.reserve(initial.size());
-  for (NodeId v = 0; v < initial.size(); ++v) {
-    out.push_back(std::make_unique<GossipProcess>(v, initial[v], params));
-  }
-  return out;
+  return make_processes<GossipProcess>(initial, params);
 }
 
 }  // namespace hinet

@@ -63,22 +63,12 @@ void KloPipelineProcess::receive(const RoundContext&, InboxView inbox) {
 
 std::vector<ProcessPtr> make_klo_flood_processes(
     const std::vector<TokenSet>& initial, const KloFloodParams& params) {
-  std::vector<ProcessPtr> out;
-  out.reserve(initial.size());
-  for (NodeId v = 0; v < initial.size(); ++v) {
-    out.push_back(std::make_unique<KloFloodProcess>(v, initial[v], params));
-  }
-  return out;
+  return make_processes<KloFloodProcess>(initial, params);
 }
 
 std::vector<ProcessPtr> make_klo_pipeline_processes(
     const std::vector<TokenSet>& initial, const KloPipelineParams& params) {
-  std::vector<ProcessPtr> out;
-  out.reserve(initial.size());
-  for (NodeId v = 0; v < initial.size(); ++v) {
-    out.push_back(std::make_unique<KloPipelineProcess>(v, initial[v], params));
-  }
-  return out;
+  return make_processes<KloPipelineProcess>(initial, params);
 }
 
 }  // namespace hinet

@@ -1,70 +1,53 @@
 #include "baseline/network_coding.hpp"
 
-#include <bit>
-
 namespace hinet {
 
-Gf2Basis::Gf2Basis(std::size_t k) : k_(k), words_(words_for(k)) {}
-
-std::size_t Gf2Basis::reduce(std::vector<std::uint64_t>& vec) const {
-  HINET_REQUIRE(vec.size() == words_, "vector width mismatch");
-  for (std::size_t i = 0; i < rows_.size(); ++i) {
-    const std::size_t p = pivot_[i];
-    if ((vec[p / 64] >> (p % 64)) & 1ULL) {
-      for (std::size_t w = 0; w < words_; ++w) vec[w] ^= rows_[i][w];
-    }
-  }
-  // Leading (lowest-index) set bit, or k_ when zero.
-  for (std::size_t w = 0; w < words_; ++w) {
-    if (vec[w] != 0) {
-      return w * 64 + static_cast<std::size_t>(std::countr_zero(vec[w]));
-    }
-  }
-  return k_;
+Gf2Basis::Gf2Basis(std::size_t k) : k_(k) {
+  rows_.reserve(k);
+  pivot_.reserve(k);
 }
 
-bool Gf2Basis::insert(std::vector<std::uint64_t> vec) {
+std::size_t Gf2Basis::reduce(TokenSet& vec) const {
+  HINET_REQUIRE(vec.universe() == k_, "vector width mismatch");
+  for (std::size_t i = 0; i < rows_.size(); ++i) {
+    if (vec.contains(pivot_[i])) vec.toggle(rows_[i]);
+  }
+  // Leading (lowest-index) set bit, or k_ when zero.
+  const auto lead = vec.min_element();
+  return lead ? *lead : k_;
+}
+
+bool Gf2Basis::insert(TokenSet vec) {
   const std::size_t lead = reduce(vec);
   if (lead >= k_) return false;  // dependent (or zero)
   // Back-substitute: clear this pivot bit from existing rows so the basis
   // stays in reduced form and reduce() needs a single pass.
-  for (std::size_t i = 0; i < rows_.size(); ++i) {
-    if ((rows_[i][lead / 64] >> (lead % 64)) & 1ULL) {
-      for (std::size_t w = 0; w < words_; ++w) rows_[i][w] ^= vec[w];
-    }
+  const auto pivot = static_cast<TokenId>(lead);
+  for (TokenSet& row : rows_) {
+    if (row.contains(pivot)) row.toggle(vec);
   }
   rows_.push_back(std::move(vec));
-  pivot_.push_back(lead);
+  pivot_.push_back(pivot);
   return true;
 }
 
-bool Gf2Basis::contains(const std::vector<std::uint64_t>& vec) const {
-  std::vector<std::uint64_t> copy = vec;
-  return reduce(copy) >= k_;
-}
+bool Gf2Basis::contains(TokenSet vec) const { return reduce(vec) >= k_; }
 
 bool Gf2Basis::decodable(TokenId t) const {
-  HINET_REQUIRE(t < k_, "token outside universe");
-  return contains(unit(t));
+  return contains(TokenSet(k_, {t}));
 }
 
-std::vector<std::uint64_t> Gf2Basis::unit(TokenId t) const {
-  std::vector<std::uint64_t> vec(words_, 0);
-  vec[t / 64] = 1ULL << (t % 64);
-  return vec;
-}
-
-std::vector<std::uint64_t> Gf2Basis::random_combination(Rng& rng) const {
-  std::vector<std::uint64_t> vec(words_, 0);
+TokenSet Gf2Basis::random_combination(Rng& rng) const {
+  TokenSet vec(k_);
   if (rows_.empty()) return vec;
   bool nonzero = false;
   while (!nonzero) {
-    for (std::size_t w = 0; w < words_; ++w) vec[w] = 0;
-    for (const auto& row : rows_) {
+    vec.clear();
+    for (const TokenSet& row : rows_) {
       if (rng.bernoulli(0.5)) {
         nonzero = true;  // at least one row included => nonzero (basis rows
                          // are independent, so any nonempty XOR is nonzero)
-        for (std::size_t w = 0; w < words_; ++w) vec[w] ^= row[w];
+        vec.toggle(row);
       }
     }
   }
@@ -81,7 +64,7 @@ NetworkCodingProcess::NetworkCodingProcess(NodeId self, TokenSet initial,
   HINET_REQUIRE(params_.k == initial.universe(), "universe mismatch");
   HINET_REQUIRE(params_.rounds >= 1, "M must be >= 1");
   for (TokenId t : initial.to_vector()) {
-    basis_.insert(basis_.unit(t));
+    basis_.insert(TokenSet(params_.k, {t}));
   }
   refresh_decoded();
 }
@@ -105,30 +88,20 @@ std::optional<Packet> NetworkCodingProcess::transmit(const RoundContext&) {
   Packet pkt;
   pkt.src = self_;
   pkt.dest = kBroadcastDest;
-  pkt.tokens =
-      TokenSet::from_words(params_.k, basis_.random_combination(rng_));
+  pkt.tokens = basis_.random_combination(rng_);
   pkt.wire_tokens = 1;  // one coded payload + k-bit header
   return pkt;
 }
 
 void NetworkCodingProcess::receive(const RoundContext&, InboxView inbox) {
   bool grew = false;
-  for (PacketView pkt : inbox) {
-    const auto words = pkt->tokens.words();
-    grew |= basis_.insert({words.begin(), words.end()});
-  }
+  for (PacketView pkt : inbox) grew |= basis_.insert(pkt->tokens);
   if (grew) refresh_decoded();
 }
 
 std::vector<ProcessPtr> make_network_coding_processes(
     const std::vector<TokenSet>& initial, const NetworkCodingParams& params) {
-  std::vector<ProcessPtr> out;
-  out.reserve(initial.size());
-  for (NodeId v = 0; v < initial.size(); ++v) {
-    out.push_back(
-        std::make_unique<NetworkCodingProcess>(v, initial[v], params));
-  }
-  return out;
+  return make_processes<NetworkCodingProcess>(initial, params);
 }
 
 }  // namespace hinet

@@ -25,9 +25,11 @@
 namespace hinet {
 
 /// Incremental GF(2) row basis with rank queries and membership tests.
+/// A vector of GF(2)^k is a TokenSet over universe k (token t is the
+/// coefficient of e_t), so packets' sets go in and out unconverted.
 class Gf2Basis {
  public:
-  /// Basis over GF(2)^k.
+  /// Basis over GF(2)^k, with room reserved for all k rows.
   explicit Gf2Basis(std::size_t k);
 
   std::size_t dimension() const { return k_; }
@@ -35,32 +37,26 @@ class Gf2Basis {
   bool full_rank() const { return rank() == k_; }
 
   /// Inserts a vector; returns true when it increased the rank.
-  bool insert(std::vector<std::uint64_t> vec);
+  bool insert(TokenSet vec);
 
   /// True when `vec` lies in the span.
-  bool contains(const std::vector<std::uint64_t>& vec) const;
+  bool contains(TokenSet vec) const;
 
   /// True when unit vector e_t lies in the span (token t decodable).
   bool decodable(TokenId t) const;
 
   /// A uniformly random non-zero vector of the span (zero vector when the
   /// basis is empty).
-  std::vector<std::uint64_t> random_combination(Rng& rng) const;
-
-  /// Unit vector e_t.
-  std::vector<std::uint64_t> unit(TokenId t) const;
-
-  static std::size_t words_for(std::size_t k) { return (k + 63) / 64; }
+  TokenSet random_combination(Rng& rng) const;
 
  private:
   /// Reduces vec by the current pivots; returns the leading bit index or
   /// k_ when reduced to zero.
-  std::size_t reduce(std::vector<std::uint64_t>& vec) const;
+  std::size_t reduce(TokenSet& vec) const;
 
   std::size_t k_;
-  std::size_t words_;
-  std::vector<std::vector<std::uint64_t>> rows_;  ///< pivot rows
-  std::vector<std::size_t> pivot_;                ///< pivot bit per row
+  std::vector<TokenSet> rows_;   ///< pivot rows
+  std::vector<TokenId> pivot_;   ///< pivot bit per row
 };
 
 struct NetworkCodingParams {

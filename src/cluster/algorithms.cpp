@@ -113,18 +113,6 @@ HierarchyView wcds_clustering(const Graph& g) {
   return h;
 }
 
-void mark_gateways(HierarchyView& h, const Graph& g) {
-  for (NodeId v = 0; v < g.node_count(); ++v) {
-    if (h.is_head(v) || h.cluster_of(v) == kNoCluster) continue;
-    for (NodeId u : g.neighbors(v)) {
-      if (h.cluster_of(u) != h.cluster_of(v)) {
-        h.mark_gateway(v);
-        break;
-      }
-    }
-  }
-}
-
 void select_sparse_gateways(HierarchyView& h, const Graph& g) {
   struct Bridge {
     int cost = 3;  // worse than any real option

@@ -31,14 +31,6 @@ HierarchyView highest_degree_clustering(const Graph& g);
 /// lowest-id neighbouring head.
 HierarchyView wcds_clustering(const Graph& g);
 
-/// Marks every affiliated non-head node that has a neighbour in a
-/// *different* cluster (or an unaffiliated neighbour) as a gateway — these
-/// are the nodes that relay tokens between clusters.  Idempotent.  This is
-/// the exhaustive ("every border node") policy; on dense graphs it turns
-/// most members into gateways, so the clustering algorithms use
-/// select_sparse_gateways below instead.
-void mark_gateways(HierarchyView& h, const Graph& g);
-
 /// Gateway selection per the paper's system model: "cluster heads may be
 /// connected via ordinary nodes along a path selected by the routing
 /// protocol"; only the nodes on the selected path are gateways.  For every

@@ -78,7 +78,7 @@ RoutingSequence::RoutingSequence(std::vector<ClusterRouting> rounds)
   }
 }
 
-const ClusterRouting& RoutingSequence::routing_at(Round r) {
+const ClusterRouting& RoutingSequence::routing_at(Round r) const {
   if (r >= rounds_.size()) return rounds_.back();
   return rounds_[r];
 }

@@ -44,20 +44,13 @@ struct ClusterRouting {
 /// cluster, (2) BFS over the whole graph.
 ClusterRouting build_cluster_routing(const HierarchyView& h, const Graph& g);
 
-/// Per-round routing source mirroring HierarchyProvider.
-class RoutingProvider {
- public:
-  virtual ~RoutingProvider() = default;
-  virtual std::size_t node_count() const = 0;
-  virtual const ClusterRouting& routing_at(Round r) = 0;
-};
-
-class RoutingSequence final : public RoutingProvider {
+/// Precomputed per-round routing; rounds past the last repeat it.
+class RoutingSequence {
  public:
   explicit RoutingSequence(std::vector<ClusterRouting> rounds);
 
-  std::size_t node_count() const override { return n_; }
-  const ClusterRouting& routing_at(Round r) override;
+  std::size_t node_count() const { return n_; }
+  const ClusterRouting& routing_at(Round r) const;
   std::size_t round_count() const { return rounds_.size(); }
 
  private:

@@ -15,9 +15,7 @@ Alg1Process::Alg1Process(NodeId self, TokenSet initial,
 }
 
 bool Alg1Process::finished(const RoundContext& ctx) const {
-  if (ctx.round >= params_.phases * params_.phase_length) return true;
-  return params_.quiescence_phases > 0 &&
-         quiet_phases_ >= params_.quiescence_phases;
+  return ctx.round >= params_.phases * params_.phase_length;
 }
 
 void Alg1Process::maybe_start_phase(const RoundContext& ctx) {
@@ -30,18 +28,7 @@ void Alg1Process::maybe_start_phase(const RoundContext& ctx) {
   next_phase_start_ =
       (ctx.round / params_.phase_length + 1) * params_.phase_length;
 
-  // Quiescence accounting: a completed phase that taught us nothing.
-  if (!first_phase) {
-    if (ta_.count() == ta_at_phase_start_) {
-      ++quiet_phases_;
-    } else {
-      quiet_phases_ = 0;
-    }
-  }
-  ta_at_phase_start_ = ta_.count();
-
   resend_sweeps_ = 0;
-  reaffiliated_ = false;
   switch (ctx.role()) {
     case NodeRole::kHead:
     case NodeRole::kGateway:
@@ -52,7 +39,6 @@ void Alg1Process::maybe_start_phase(const RoundContext& ctx) {
       if (first_phase || now != head_in_prev_phase_) {
         ts_.clear();
         tr_.clear();
-        reaffiliated_ = !first_phase;
       }
       break;
     }
@@ -87,8 +73,7 @@ std::optional<Packet> Alg1Process::transmit(const RoundContext& ctx) {
     }
     case NodeRole::kMember: {
       if (params_.stable_head_optimisation &&
-          ctx.round >= params_.phase_length &&
-          !(params_.reupload_on_reaffiliation && reaffiliated_)) {
+          ctx.round >= params_.phase_length) {
         return std::nullopt;  // Remark 1: upload only in the first phase
       }
       const ClusterId head = ctx.cluster();
@@ -96,15 +81,12 @@ std::optional<Packet> Alg1Process::transmit(const RoundContext& ctx) {
       auto t = ta_.max_diff(ts_, tr_);
       if (!t) {
         // TA == TS ∪ TR: upload sweep done.  A resend sweep forgets TS —
-        // sends may have been lost.  With ACK piggybacking the head's own
-        // broadcasts double as acknowledgements (TR holds exactly the
-        // tokens the head provably has), so the sweep re-uploads only
-        // TA \ TR; the blind variant forgets TR too and re-uploads all
-        // of TA.
+        // sends may have been lost — but keeps TR: the head's own
+        // broadcasts double as acknowledgements, so the sweep re-uploads
+        // only TA \ TR.
         if (resend_sweeps_ >= params_.retransmit_budget) return std::nullopt;
         ++resend_sweeps_;
         ts_.clear();
-        if (!params_.ack_piggyback) tr_.clear();
         t = ta_.max_diff(ts_, tr_);
         if (!t) return std::nullopt;  // everything acknowledged already
       }
@@ -142,12 +124,7 @@ void Alg1Process::receive(const RoundContext& ctx, InboxView inbox) {
 
 std::vector<ProcessPtr> make_alg1_processes(
     const std::vector<TokenSet>& initial, const Alg1Params& params) {
-  std::vector<ProcessPtr> out;
-  out.reserve(initial.size());
-  for (NodeId v = 0; v < initial.size(); ++v) {
-    out.push_back(std::make_unique<Alg1Process>(v, initial[v], params));
-  }
-  return out;
+  return make_processes<Alg1Process>(initial, params);
 }
 
 std::size_t alg1_scheduled_rounds(const Alg1Params& params) {

@@ -37,39 +37,17 @@ struct Alg1Params {
   std::size_t phases = 0;        ///< M (Theorem 1 needs M >= ⌈θ/α⌉ + 1)
   bool stable_head_optimisation = false;  ///< Remark 1 member behaviour
 
-  /// Adaptive quiescence (the paper's "a cluster head can stop
-  /// broadcasting t after a specific number of time intervals", taken
-  /// adaptively): when > 0, a node goes silent after this many consecutive
-  /// completed phases without learning a new token, and wakes up again if
-  /// something new arrives.  0 = run the full M-phase schedule (the
-  /// provably correct default); quiescence trades a small delivery risk
-  /// for cost, measured by the robustness bench.
-  std::size_t quiescence_phases = 0;
-
-  // Loss-tolerance knobs.  The paper assumes perfect local broadcast, so
-  // Fig. 4 sends every token exactly once per phase; one lost packet then
-  // silences that token for the rest of the phase.  All three default to
-  // the paper-faithful behaviour (engine goldens are bit-identical).
-
-  /// Bounded retransmission: once a node has swept its whole backlog
-  /// (TA \ TS, resp. TA \ (TS∪TR), is empty) it may restart the sweep up
-  /// to this many times within the same phase instead of going silent.
-  /// 0 = single sweep, the paper's schedule.
+  /// Bounded retransmission, a loss-tolerance knob.  The paper assumes
+  /// perfect local broadcast, so Fig. 4 sends every token exactly once per
+  /// phase; one lost packet then silences that token for the rest of the
+  /// phase.  Once a node has swept its whole backlog (TA \ TS, resp.
+  /// TA \ (TS∪TR), is empty) it may restart the sweep up to this many
+  /// times within the same phase instead of going silent.  A member's
+  /// resend is ACK-aware: a head's own broadcasts double as
+  /// acknowledgements (TR holds exactly the tokens the head provably has),
+  /// so it re-uploads only TA \ TR.  0 = single sweep, the paper's
+  /// schedule, which the engine goldens pin.
   std::size_t retransmit_budget = 0;
-
-  /// ACK piggybacking for member resends: a head's own broadcasts double
-  /// as acknowledgements (TR holds exactly the tokens the head provably
-  /// has), so a resend sweep re-uploads only TA \ TR.  When false the
-  /// resend sweep is blind — it forgets TR and re-uploads all of TA.
-  /// Only affects rounds spent from retransmit_budget.
-  bool ack_piggyback = false;
-
-  /// Remark 1 weakening for churn: with stable_head_optimisation on, a
-  /// member that re-affiliates to a *different* head after the first phase
-  /// uploads again for that phase (the remark's "no re-send" reasoning
-  /// needs the head set stable forever; under crash/recovery the new head
-  /// may have missed the member's tokens entirely).
-  bool reupload_on_reaffiliation = false;
 };
 
 class Alg1Process final : public Process {
@@ -81,9 +59,7 @@ class Alg1Process final : public Process {
   const TokenSet& knowledge() const override { return ta_; }
   bool finished(const RoundContext& ctx) const override;
 
-  /// Introspection for tests.
-  const TokenSet& sent_set() const { return ts_; }
-  const TokenSet& received_from_head_set() const { return tr_; }
+  /// Resend sweeps spent this phase (introspection for tests).
   std::size_t resend_sweeps() const { return resend_sweeps_; }
 
  private:
@@ -94,10 +70,7 @@ class Alg1Process final : public Process {
   TokenSet ta_, ts_, tr_;
   ClusterId head_in_prev_phase_ = kNoCluster;
   Round next_phase_start_ = 0;
-  std::size_t ta_at_phase_start_ = 0;
-  std::size_t quiet_phases_ = 0;
   std::size_t resend_sweeps_ = 0;  ///< retransmit budget spent this phase
-  bool reaffiliated_ = false;      ///< head changed at this phase boundary
 };
 
 /// Builds one Alg1Process per node.  `initial[v]` is node v's input token

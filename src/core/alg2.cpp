@@ -78,12 +78,7 @@ void Alg2Process::receive(const RoundContext& ctx, InboxView inbox) {
 
 std::vector<ProcessPtr> make_alg2_processes(
     const std::vector<TokenSet>& initial, const Alg2Params& params) {
-  std::vector<ProcessPtr> out;
-  out.reserve(initial.size());
-  for (NodeId v = 0; v < initial.size(); ++v) {
-    out.push_back(std::make_unique<Alg2Process>(v, initial[v], params));
-  }
-  return out;
+  return make_processes<Alg2Process>(initial, params);
 }
 
 }  // namespace hinet

@@ -3,7 +3,8 @@
 namespace hinet {
 
 DhopProcess::DhopProcess(NodeId self, TokenSet initial,
-                         const DhopParams& params, RoutingProvider& routing)
+                         const DhopParams& params,
+                         const RoutingSequence& routing)
     : self_(self),
       params_(params),
       routing_(routing),
@@ -25,12 +26,8 @@ std::optional<Packet> DhopProcess::transmit(const RoundContext& ctx) {
 
   if (internal) {
     const bool changed = !ta_.subset_of(last_broadcast_);
-    const bool periodic =
-        params_.rebroadcast_period > 0 && ever_broadcast_ &&
-        ctx.round >= last_broadcast_round_ + params_.rebroadcast_period;
-    if ((changed || periodic || !ever_broadcast_) && !ta_.empty()) {
+    if ((changed || !ever_broadcast_) && !ta_.empty()) {
       last_broadcast_ = ta_;
-      last_broadcast_round_ = ctx.round;
       ever_broadcast_ = true;
       Packet pkt;
       pkt.src = self_;
@@ -60,14 +57,8 @@ void DhopProcess::receive(const RoundContext&, InboxView inbox) {
 
 std::vector<ProcessPtr> make_dhop_processes(
     const std::vector<TokenSet>& initial, const DhopParams& params,
-    RoutingProvider& routing) {
-  std::vector<ProcessPtr> out;
-  out.reserve(initial.size());
-  for (NodeId v = 0; v < initial.size(); ++v) {
-    out.push_back(
-        std::make_unique<DhopProcess>(v, initial[v], params, routing));
-  }
-  return out;
+    const RoutingSequence& routing) {
+  return make_processes<DhopProcess>(initial, params, routing);
 }
 
 }  // namespace hinet

@@ -13,9 +13,7 @@
 //   - everyone unions everything heard (the Fig. 5 rule).
 //
 // On a stable hierarchy the change-triggered broadcasts quiesce by
-// themselves once dissemination completes.  An optional rebroadcast
-// period re-announces TA every p rounds for robustness under churn or
-// loss (0 = change-triggered only).
+// themselves once dissemination completes.
 #pragma once
 
 #include "cluster/routing.hpp"
@@ -26,14 +24,12 @@ namespace hinet {
 struct DhopParams {
   std::size_t k = 0;
   std::size_t rounds = 0;  ///< schedule length
-  /// Re-announce TA every this many rounds even without change (0 = off).
-  std::size_t rebroadcast_period = 0;
 };
 
 class DhopProcess final : public Process {
  public:
   DhopProcess(NodeId self, TokenSet initial, const DhopParams& params,
-              RoutingProvider& routing);
+              const RoutingSequence& routing);
 
   std::optional<Packet> transmit(const RoundContext& ctx) override;
   void receive(const RoundContext& ctx, InboxView inbox) override;
@@ -43,16 +39,16 @@ class DhopProcess final : public Process {
  private:
   NodeId self_;
   DhopParams params_;
-  RoutingProvider& routing_;
+  const RoutingSequence& routing_;
   TokenSet ta_;
   TokenSet last_broadcast_;  ///< TA as of our last full broadcast
   TokenSet uploaded_;        ///< tokens already sent to a parent
-  Round last_broadcast_round_ = 0;
   bool ever_broadcast_ = false;
 };
 
+/// The processes keep a reference to `routing`, which must outlive them.
 std::vector<ProcessPtr> make_dhop_processes(
     const std::vector<TokenSet>& initial, const DhopParams& params,
-    RoutingProvider& routing);
+    const RoutingSequence& routing);
 
 }  // namespace hinet

@@ -55,11 +55,6 @@ std::size_t alg1_phase_count(const CostParams& p) {
   return ceil_div(p.theta, p.alpha) + 1;
 }
 
-std::size_t alg1_stable_phase_count(std::size_t live_heads,
-                                    std::size_t alpha) {
-  return ceil_div(live_heads, alpha) + 1;
-}
-
 std::size_t alg2_round_count(const CostParams& p) {
   HINET_REQUIRE(p.n0 >= 1, "empty network");
   return p.n0 - 1;

@@ -58,9 +58,6 @@ std::size_t alg1_min_phase_length(const CostParams& p);
 /// Theorem 1's phase count M >= ⌈θ/α⌉ + 1.
 std::size_t alg1_phase_count(const CostParams& p);
 
-/// Remark 1 (∞-stable head set): M = ⌈|V_h|/α⌉ + 1 phases.
-std::size_t alg1_stable_phase_count(std::size_t live_heads, std::size_t alpha);
-
 /// Theorem 2: Algorithm 2 terminates within n0 - 1 rounds.
 std::size_t alg2_round_count(const CostParams& p);
 

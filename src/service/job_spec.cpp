@@ -62,15 +62,6 @@ Scenario scenario_from_code(std::uint8_t code, const std::string& what) {
 
 }  // namespace
 
-std::uint64_t fnv1a64(std::span<const std::uint8_t> data, std::uint64_t seed) {
-  std::uint64_t h = seed;
-  for (const std::uint8_t byte : data) {
-    h ^= byte;
-    h *= 0x100000001b3ULL;
-  }
-  return h;
-}
-
 void encode_job_spec(ByteWriter& w, const JobSpec& spec) {
   w.u16(kSpecEncodingVersion);
   w.u8(scenario_code(spec.scenario));

@@ -25,11 +25,6 @@
 
 namespace hinet {
 
-/// 64-bit FNV-1a over a byte span — the same construction
-/// AggregateResult::stats_digest uses, exposed for content addressing.
-std::uint64_t fnv1a64(std::span<const std::uint8_t> data,
-                      std::uint64_t seed = 0xcbf29ce484222325ULL);
-
 struct JobSpec {
   Scenario scenario = Scenario::kHiNetInterval;
   ScenarioConfig config;

@@ -30,8 +30,8 @@
 // round's graph has more arcs than any before.  With k <= 128 a packet's
 // TokenSet holds its words inline, so the built-in processes' transmit and
 // receive allocate nothing either (network coding's coefficient vectors
-// aside), and a steady-state round performs no heap allocation at all
-// (tests/sim/test_engine_allocations.cpp counts them).
+// are TokenSets too), and a steady-state round performs no heap allocation
+// at all (tests/sim/test_engine_allocations.cpp counts them).
 //
 // Execution is round-granular: run() is start() + step()-until-done +
 // finish().  The three stages stay public so a benchmark can time each

@@ -15,6 +15,7 @@
 #include <memory>
 #include <optional>
 #include <span>
+#include <vector>
 
 #include "cluster/hierarchy.hpp"
 #include "graph/dynamic.hpp"
@@ -66,5 +67,18 @@ class Process {
 };
 
 using ProcessPtr = std::unique_ptr<Process>;
+
+/// One process of type P per node: node v runs P(v, initial[v], args...).
+/// Every algorithm's make_*_processes factory is this loop.
+template <class P, class... Args>
+std::vector<ProcessPtr> make_processes(const std::vector<TokenSet>& initial,
+                                       const Args&... args) {
+  std::vector<ProcessPtr> out;
+  out.reserve(initial.size());
+  for (NodeId v = 0; v < initial.size(); ++v) {
+    out.push_back(std::make_unique<P>(v, initial[v], args...));
+  }
+  return out;
+}
 
 }  // namespace hinet

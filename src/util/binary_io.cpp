@@ -41,6 +41,15 @@ std::uint32_t crc32(std::span<const std::uint8_t> data, std::uint32_t seed) {
   return c ^ 0xFFFFFFFFu;
 }
 
+std::uint64_t fnv1a64(std::span<const std::uint8_t> data, std::uint64_t seed) {
+  std::uint64_t h = seed;
+  for (const std::uint8_t byte : data) {
+    h ^= byte;
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
 void ByteWriter::u16(std::uint16_t v) {
   buf_.push_back(static_cast<std::uint8_t>(v & 0xFFu));
   buf_.push_back(static_cast<std::uint8_t>(v >> 8));

@@ -12,6 +12,7 @@
 //                of a buffer (the fuzz suite flips and truncates bytes at
 //                every offset and expects a diagnostic, never UB);
 //   crc32      — CRC-32 (IEEE 802.3) over a byte span;
+//   fnv1a64    — 64-bit FNV-1a over a byte span, for digests;
 //   encode_checksummed / write_checksummed_file / read_checksummed_file —
 //                a tiny container format (magic, version, payload length,
 //                CRC, payload) shared by every binary artifact so
@@ -44,6 +45,12 @@ class IoError : public std::runtime_error {
 /// `seed` (pass a previous result to checksum incrementally).
 std::uint32_t crc32(std::span<const std::uint8_t> data,
                     std::uint32_t seed = 0);
+
+/// 64-bit FNV-1a of `data`, starting from `seed` (pass a previous result
+/// to hash incrementally): the digest behind job content addressing and
+/// the stats and query digests.
+std::uint64_t fnv1a64(std::span<const std::uint8_t> data,
+                      std::uint64_t seed = 0xcbf29ce484222325ULL);
 
 /// Little-endian append-only encoder.
 class ByteWriter {

@@ -52,6 +52,18 @@ void TokenSet::intersect(const TokenSet& other) {
   count_ = n;
 }
 
+void TokenSet::toggle(const TokenSet& other) {
+  HINET_REQUIRE(universe_ == other.universe_, "universe mismatch in toggle");
+  std::uint64_t* w = data();
+  const std::uint64_t* o = other.data();
+  std::size_t n = 0;
+  for (std::size_t i = 0; i < word_count(); ++i) {
+    w[i] ^= o[i];
+    n += static_cast<std::size_t>(std::popcount(w[i]));
+  }
+  count_ = n;
+}
+
 bool TokenSet::subset_of(const TokenSet& other) const {
   HINET_REQUIRE(universe_ == other.universe_, "universe mismatch in subset_of");
   const std::uint64_t* w = data();

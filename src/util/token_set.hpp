@@ -137,8 +137,7 @@ class TokenSet {
   }
 
   /// Raw 64-bit words of the membership bitmap (low bit of word 0 is
-  /// token 0).  Network coding reinterprets a TokenSet as a GF(2)
-  /// coefficient vector through this view.
+  /// token 0).
   std::span<const std::uint64_t> words() const {
     return {data(), word_count()};
   }
@@ -152,6 +151,11 @@ class TokenSet {
 
   /// In-place intersection.
   void intersect(const TokenSet& other);
+
+  /// In-place symmetric difference: *this <- *this △ other.  Read as
+  /// GF(2)^k coefficient vectors, this is vector addition (network
+  /// coding's row operation).
+  void toggle(const TokenSet& other);
 
   /// True when every token of *this is in `other`.
   bool subset_of(const TokenSet& other) const;

@@ -173,23 +173,47 @@ TEST(KloPipeline, DeliversOnTIntervalTraceWithPaperSchedule) {
 
 // ---------------- Flooding family ----------------------------------------
 
-TEST(Flooding, ClassicFloodingDeliversOneToken) {
-  AdversaryConfig cfg;
-  cfg.nodes = 15;
-  cfg.interval = 1;
-  cfg.rounds = 14;
-  cfg.churn_edges = 1;
-  cfg.seed = 5;
-  GraphSequence net = make_t_interval_trace(cfg);
-  std::vector<TokenSet> init(15, TokenSet(1));
-  init[7].insert(0);
-  FloodingParams p;
-  p.k = 1;
-  p.rounds = 14;
-  Engine engine(net, nullptr, make_flooding_processes(init, p));
-  const SimMetrics m =
-      engine.run({.max_rounds = 14, .stop_when_complete = false});
-  EXPECT_TRUE(m.all_delivered);
+TEST(Flooding, ActivityCoveringTheScheduleIsKloFlood) {
+  // Classic flooding is KLO's token forwarding: with an activity covering
+  // the whole schedule a node sends every token it knows every round, so
+  // every metric equals KLO flood's.  On ablation A3's adversarial
+  // T-interval traces.
+  constexpr std::size_t kNodes = 24;
+  constexpr std::size_t kTokens = 6;
+  constexpr std::size_t kHorizon = 6 * kNodes;
+  for (std::size_t interval : {1u, 4u, 8u}) {
+    for (std::uint64_t seed = 0; seed < 3; ++seed) {
+      AdversaryConfig cfg;
+      cfg.nodes = kNodes;
+      cfg.interval = interval;
+      cfg.rounds = kHorizon;
+      cfg.churn_edges = 3;
+      cfg.seed = seed;
+      Rng rng(seed ^ 0x4242ULL);
+      const auto init = assign_tokens(kNodes, kTokens,
+                                      AssignmentMode::kDistinctRandom, rng);
+
+      GraphSequence flood_net = make_t_interval_trace(cfg);
+      FloodingParams fp;
+      fp.k = kTokens;
+      fp.rounds = kHorizon;
+      fp.activity = kHorizon;
+      Engine flooding(flood_net, nullptr, make_flooding_processes(init, fp));
+
+      GraphSequence klo_net = make_t_interval_trace(cfg);
+      KloFloodParams kp;
+      kp.k = kTokens;
+      kp.rounds = kHorizon;
+      Engine klo(klo_net, nullptr, make_klo_flood_processes(init, kp));
+
+      const SimMetrics m =
+          flooding.run({.max_rounds = kHorizon, .stop_when_complete = true});
+      EXPECT_TRUE(m.all_delivered);
+      EXPECT_EQ(m, klo.run({.max_rounds = kHorizon,
+                            .stop_when_complete = true}))
+          << "T=" << interval << " seed " << seed;
+    }
+  }
 }
 
 TEST(Flooding, ActivityWindowSilencesOldTokens) {
@@ -260,12 +284,20 @@ TEST(Flooding, PacketOverAnotherUniverseThrowsBeforeItIsRead) {
   FloodingParams p;
   p.k = 4;
   p.rounds = 3;
+  p.activity = 3;
   std::vector<ProcessPtr> procs;
   procs.push_back(std::make_unique<FloodingProcess>(0, TokenSet(4, {0}), p));
   procs.push_back(std::make_unique<OversizedSender>());
   Engine engine(net, nullptr, std::move(procs));
   EXPECT_THROW(engine.run({.max_rounds = 3, .stop_when_complete = false}),
                PreconditionError);
+}
+
+TEST(Flooding, RejectsZeroActivity) {
+  FloodingParams p;
+  p.k = 2;
+  p.rounds = 4;
+  EXPECT_THROW(FloodingProcess(0, TokenSet(2, {0}), p), PreconditionError);
 }
 
 TEST(Flooding, HigherActivityCostsMorePackets) {
@@ -278,7 +310,7 @@ TEST(Flooding, HigherActivityCostsMorePackets) {
   lo.rounds = 8;
   lo.activity = 1;
   FloodingParams hi = lo;
-  hi.activity = FloodingParams::kForever;
+  hi.activity = lo.rounds;  // classic flooding
   Engine e1(net1, nullptr, make_flooding_processes(init, lo));
   Engine e2(net2, nullptr, make_flooding_processes(init, hi));
   const SimMetrics m1 = e1.run({.max_rounds = 8, .stop_when_complete = false});

@@ -8,6 +8,7 @@
 #include "graph/adversary.hpp"
 #include "graph/generators.hpp"
 #include "sim/engine.hpp"
+#include "util/binary_io.hpp"
 
 namespace hinet {
 namespace {
@@ -18,13 +19,13 @@ TEST(Gf2Basis, StartsEmpty) {
   EXPECT_FALSE(b.full_rank());
   EXPECT_FALSE(b.decodable(0));
   // The zero vector is trivially in the (empty) span.
-  EXPECT_TRUE(b.contains(std::vector<std::uint64_t>{0}));
+  EXPECT_TRUE(b.contains(TokenSet(8)));
 }
 
 TEST(Gf2Basis, UnitVectorsAreIndependent) {
   Gf2Basis b(8);
   for (TokenId t = 0; t < 8; ++t) {
-    EXPECT_TRUE(b.insert(b.unit(t)));
+    EXPECT_TRUE(b.insert(TokenSet(8, {t})));
   }
   EXPECT_TRUE(b.full_rank());
   for (TokenId t = 0; t < 8; ++t) EXPECT_TRUE(b.decodable(t));
@@ -32,32 +33,29 @@ TEST(Gf2Basis, UnitVectorsAreIndependent) {
 
 TEST(Gf2Basis, DependentVectorsRejected) {
   Gf2Basis b(4);
-  auto v01 = b.unit(0);
-  for (std::size_t w = 0; w < v01.size(); ++w) v01[w] ^= b.unit(1)[w];
-  ASSERT_TRUE(b.insert(b.unit(0)));
-  ASSERT_TRUE(b.insert(b.unit(1)));
+  const TokenSet v01(4, {0, 1});
+  ASSERT_TRUE(b.insert(TokenSet(4, {0})));
+  ASSERT_TRUE(b.insert(TokenSet(4, {1})));
   EXPECT_FALSE(b.insert(v01));  // e0 ^ e1 is dependent
-  EXPECT_FALSE(b.insert(std::vector<std::uint64_t>{0}));
+  EXPECT_FALSE(b.insert(TokenSet(4)));
   EXPECT_EQ(b.rank(), 2u);
 }
 
 TEST(Gf2Basis, CombinationDecodesIndividualTokens) {
   // Insert e0^e1 and e1: token 0 becomes decodable via elimination.
   Gf2Basis b(4);
-  auto v01 = b.unit(0);
-  v01[0] ^= b.unit(1)[0];
-  ASSERT_TRUE(b.insert(v01));
+  ASSERT_TRUE(b.insert(TokenSet(4, {0, 1})));
   EXPECT_FALSE(b.decodable(0));
   EXPECT_FALSE(b.decodable(1));
-  ASSERT_TRUE(b.insert(b.unit(1)));
+  ASSERT_TRUE(b.insert(TokenSet(4, {1})));
   EXPECT_TRUE(b.decodable(0));
   EXPECT_TRUE(b.decodable(1));
 }
 
 TEST(Gf2Basis, CrossWordUniverse) {
   Gf2Basis b(130);
-  EXPECT_TRUE(b.insert(b.unit(129)));
-  EXPECT_TRUE(b.insert(b.unit(64)));
+  EXPECT_TRUE(b.insert(TokenSet(130, {129})));
+  EXPECT_TRUE(b.insert(TokenSet(130, {64})));
   EXPECT_TRUE(b.decodable(129));
   EXPECT_FALSE(b.decodable(0));
   EXPECT_EQ(b.rank(), 2u);
@@ -66,22 +64,18 @@ TEST(Gf2Basis, CrossWordUniverse) {
 TEST(Gf2Basis, RandomCombinationStaysInSpan) {
   Gf2Basis b(16);
   Rng rng(5);
-  for (TokenId t : {1u, 3u, 7u, 12u}) b.insert(b.unit(t));
+  for (TokenId t : {1u, 3u, 7u, 12u}) b.insert(TokenSet(16, {t}));
   for (int i = 0; i < 50; ++i) {
-    const auto v = b.random_combination(rng);
+    const TokenSet v = b.random_combination(rng);
     EXPECT_TRUE(b.contains(v));
-    // Non-zero by construction.
-    bool nonzero = false;
-    for (auto w : v) nonzero |= w != 0;
-    EXPECT_TRUE(nonzero);
+    EXPECT_FALSE(v.empty());  // non-zero by construction
   }
 }
 
 TEST(Gf2Basis, EmptyCombinationIsZero) {
   Gf2Basis b(8);
   Rng rng(1);
-  const auto v = b.random_combination(rng);
-  for (auto w : v) EXPECT_EQ(w, 0u);
+  EXPECT_TRUE(b.random_combination(rng).empty());
 }
 
 TEST(NetworkCoding, InitialTokensAreDecodable) {
@@ -205,6 +199,33 @@ TEST(NetworkCoding, DeterministicPerSeed) {
   const SimMetrics m2 = e2.run({.max_rounds = 60, .stop_when_complete = true});
   EXPECT_EQ(m1.rounds_to_completion, m2.rounds_to_completion);
   EXPECT_EQ(m1.tokens_sent, m2.tokens_sent);
+}
+
+TEST(NetworkCoding, MetricsArePinned) {
+  // However the basis stores its rows, every coded packet and every
+  // decoding round must stay the same: the whole SimMetrics is pinned.
+  // k = 70 tokens over 80 nodes, so a coefficient vector spans two words.
+  AdversaryConfig cfg;
+  cfg.nodes = 80;
+  cfg.interval = 1;
+  cfg.rounds = 60;
+  cfg.churn_edges = 6;
+  cfg.seed = 9;
+  GraphSequence net = make_t_interval_trace(cfg);
+  Rng rng(9);
+  const auto init = assign_tokens(80, 70, AssignmentMode::kDistinctRandom, rng);
+  NetworkCodingParams p;
+  p.k = 70;
+  p.rounds = 60;
+  p.seed = 21;
+  Engine engine(net, nullptr, make_network_coding_processes(init, p));
+  const SimMetrics m =
+      engine.run({.max_rounds = 60, .stop_when_complete = false});
+  ByteWriter w;
+  save_metrics(w, m);
+  EXPECT_EQ(m.packets_sent, 4790u);
+  EXPECT_EQ(m.rounds_to_completion, 25u);
+  EXPECT_EQ(crc32(w.buffer()), 1942385390u);
 }
 
 }  // namespace

@@ -108,14 +108,6 @@ TEST(Wcds, HandlesIsolatedNodes) {
   EXPECT_TRUE(h.is_head(3) || h.cluster_of(3) != kNoCluster);
 }
 
-TEST(MarkGateways, Idempotent) {
-  const Graph g = gen::path(5);
-  HierarchyView h = lowest_id_clustering(g);
-  const HierarchyView before = h;
-  mark_gateways(h, g);
-  EXPECT_TRUE(h == before);
-}
-
 TEST(MeasureLHop, FewerThanTwoHeadsIsZero) {
   const Graph g = gen::star(4);
   const HierarchyView h = lowest_id_clustering(g);

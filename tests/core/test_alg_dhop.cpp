@@ -101,50 +101,6 @@ TEST(DhopDissemination, InternalNodesBroadcastOnChangeOnly) {
   EXPECT_EQ(m.packets_sent, 5u);
 }
 
-TEST(DhopDissemination, PeriodicRebroadcastHealsLoss) {
-  // The inter-head edge 0-2 appears only at round 6, after change-
-  // triggered broadcasts have quiesced; only the periodic variant still
-  // announces TA across the new edge.
-  const std::size_t n = 4, rounds = 20;
-  std::vector<Graph> graphs;
-  std::vector<HierarchyView> views;
-  for (Round r = 0; r < rounds; ++r) {
-    std::vector<Edge> edges{{0, 1}, {2, 3}};
-    if (r >= 6) edges.push_back({0, 2});
-    HierarchyView h(n);
-    h.set_head(0);
-    h.set_member(1, 0);
-    h.set_head(2);
-    h.set_member(3, 2);
-    graphs.emplace_back(n, edges);
-    views.push_back(std::move(h));
-  }
-  GraphSequence net1(graphs);
-  HierarchySequence hier1(views);
-  RoutingSequence routing1 = build_routing_over(net1, hier1, rounds);
-
-  std::vector<TokenSet> init(n, TokenSet(1));
-  init[0].insert(0);
-
-  DhopParams change_only;
-  change_only.k = 1;
-  change_only.rounds = rounds;
-  Engine e1(net1, &hier1, make_dhop_processes(init, change_only, routing1));
-  const SimMetrics m1 =
-      e1.run({.max_rounds = rounds, .stop_when_complete = false});
-  EXPECT_FALSE(m1.all_delivered);
-
-  GraphSequence net2(graphs);
-  HierarchySequence hier2(views);
-  RoutingSequence routing2 = build_routing_over(net2, hier2, rounds);
-  DhopParams periodic = change_only;
-  periodic.rebroadcast_period = 4;
-  Engine e2(net2, &hier2, make_dhop_processes(init, periodic, routing2));
-  const SimMetrics m2 =
-      e2.run({.max_rounds = rounds, .stop_when_complete = false});
-  EXPECT_TRUE(m2.all_delivered);
-}
-
 TEST(DhopDissemination, CheaperThanFlatFloodOnDeepClusters) {
   Rng rng(5);
   const Graph g = gen::random_connected(48, 40, rng);

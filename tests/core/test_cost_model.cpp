@@ -118,9 +118,15 @@ TEST(Schedules, Alg1Parameters) {
 }
 
 TEST(Schedules, Alg1StablePhaseCount) {
-  EXPECT_EQ(alg1_stable_phase_count(30, 5), 7u);
-  EXPECT_EQ(alg1_stable_phase_count(12, 5), 4u);  // ⌈12/5⌉+1
-  EXPECT_EQ(alg1_stable_phase_count(0, 5), 1u);
+  // Remark 1's M = ⌈|V_h|/α⌉ + 1 is Theorem 1's count with θ = |V_h|.
+  CostParams p;
+  p.alpha = 5;
+  p.theta = 30;
+  EXPECT_EQ(alg1_phase_count(p), 7u);
+  p.theta = 12;
+  EXPECT_EQ(alg1_phase_count(p), 4u);  // ⌈12/5⌉+1
+  p.theta = 0;
+  EXPECT_EQ(alg1_phase_count(p), 1u);
 }
 
 TEST(Schedules, Alg2AndKlo) {

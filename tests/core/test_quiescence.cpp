@@ -1,10 +1,9 @@
-// Adaptive quiescence termination for Algorithms 1 and 2 (the paper's
-// "stop broadcasting after a specific number of time intervals" taken
+// Adaptive quiescence termination for Algorithm 2 (the paper's "stop
+// broadcasting after a specific number of time intervals" taken
 // adaptively) — cost savings and the delivery risk it trades for.
 #include <gtest/gtest.h>
 
 #include "analysis/assignment.hpp"
-#include "core/alg1.hpp"
 #include "core/alg2.hpp"
 #include "core/hinet_generator.hpp"
 #include "sim/engine.hpp"
@@ -121,46 +120,6 @@ TEST(Alg2Quiescence, NodesWakeUpWhenNewTokensArrive) {
   const SimMetrics m2 =
       engine2.run({.max_rounds = 30, .stop_when_complete = false});
   EXPECT_TRUE(m2.all_delivered);
-}
-
-TEST(Alg1Quiescence, SavesPhasesOnStableTraces) {
-  const std::size_t n = 40, heads = 6, k = 4, alpha = 2;
-  const int l = 2;
-  const std::size_t t = k + alpha * static_cast<std::size_t>(l);
-  const std::size_t m = (heads + alpha - 1) / alpha + 1;
-  HiNetConfig gen;
-  gen.nodes = n;
-  gen.heads = heads;
-  gen.phase_length = t;
-  gen.phases = m;
-  gen.hop_l = l;
-  gen.reaffiliation_prob = 0.0;
-  gen.seed = 9;
-  HiNetTrace t1 = make_hinet_trace(gen);
-  HiNetTrace t2 = make_hinet_trace(gen);
-
-  Rng rng(77);
-  const auto init = assign_tokens(n, k, AssignmentMode::kDistinctRandom, rng);
-
-  Alg1Params plain;
-  plain.k = k;
-  plain.phase_length = t;
-  plain.phases = m;
-  Engine e1(t1.ctvg.topology(), &t1.ctvg.hierarchy(),
-            make_alg1_processes(init, plain));
-  const SimMetrics m1 =
-      e1.run({.max_rounds = m * t, .stop_when_complete = false});
-
-  Alg1Params adaptive = plain;
-  adaptive.quiescence_phases = 2;
-  Engine e2(t2.ctvg.topology(), &t2.ctvg.hierarchy(),
-            make_alg1_processes(init, adaptive));
-  const SimMetrics m2 =
-      e2.run({.max_rounds = m * t, .stop_when_complete = false});
-
-  ASSERT_TRUE(m1.all_delivered);
-  EXPECT_TRUE(m2.all_delivered);
-  EXPECT_LE(m2.tokens_sent, m1.tokens_sent);
 }
 
 }  // namespace

@@ -1,6 +1,6 @@
-// Loss-tolerant Algorithm 1/2 variants: bounded retransmission, ACK
-// piggybacking, Remark-1 re-upload on re-affiliation, Alg2 periodic member
-// re-upload — plus the head-crash repair integration test.
+// Loss-tolerant Algorithm 1/2 variants: bounded retransmission with
+// ACK-aware member resends, Remark 1's silent members, Alg2 periodic
+// member re-upload — plus the head-crash repair integration test.
 #include <gtest/gtest.h>
 
 #include "cluster/maintenance.hpp"
@@ -96,8 +96,7 @@ TEST(RobustAlg1, BudgetResetsAtPhaseBoundary) {
 
 /// Member of head 0 holding {0,1,2}; the head echoes token 1 in round 0.
 /// Returns the member's send sequence over `rounds` rounds.
-std::vector<std::optional<TokenId>> member_resend_sequence(bool ack,
-                                                           Round rounds) {
+std::vector<std::optional<TokenId>> member_resend_sequence(Round rounds) {
   const Graph g(2, {{0, 1}});
   HierarchyView h(2);
   h.set_head(0);
@@ -108,7 +107,6 @@ std::vector<std::optional<TokenId>> member_resend_sequence(bool ack,
   params.phase_length = rounds;
   params.phases = 1;
   params.retransmit_budget = 1;
-  params.ack_piggyback = ack;
   Alg1Process member(1, TokenSet(3, {0, 1, 2}), params);
 
   Packet echo;
@@ -135,24 +133,15 @@ TEST(RobustAlg1, AckPiggybackSkipsEchoedTokensOnResend) {
   // Round 0 uploads max = 2, then the head's echo of 1 lands in TR, so the
   // scheduled sweep sends only 0.  The ACK-aware resend sweep re-uploads
   // TA \ TR = {0, 2}; the echoed token 1 is never re-sent.
-  const auto sent = member_resend_sequence(/*ack=*/true, 6);
+  const auto sent = member_resend_sequence(6);
   const std::vector<std::optional<TokenId>> expect = {2, 0,           2, 0,
                                                       std::nullopt, std::nullopt};
   EXPECT_EQ(sent, expect);
 }
 
-TEST(RobustAlg1, BlindResendReuploadsAcknowledgedTokens) {
-  // Without ACK piggybacking the resend sweep forgets TR and re-uploads
-  // everything, including the already-echoed token 1.
-  const auto sent = member_resend_sequence(/*ack=*/false, 6);
-  const std::vector<std::optional<TokenId>> expect = {2, 0, 2, 1, 0,
-                                                      std::nullopt};
-  EXPECT_EQ(sent, expect);
-}
-
 // --- Alg1: Remark 1 under re-affiliation churn --------------------------
 
-std::size_t second_phase_uploads(bool reupload) {
+TEST(RobustAlg1, Remark1MemberStaysSilentAfterFirstPhase) {
   // Two heads; node 2 is a member of head 0 in phase 0 and of head 1 in
   // phase 1 (re-affiliation churn the pure Remark-1 mode ignores).
   const Graph g(3, {{0, 1}, {0, 2}, {1, 2}});
@@ -170,7 +159,6 @@ std::size_t second_phase_uploads(bool reupload) {
   params.phase_length = 3;
   params.phases = 2;
   params.stable_head_optimisation = true;
-  params.reupload_on_reaffiliation = reupload;
   Alg1Process member(2, TokenSet(1, {0}), params);
 
   std::size_t uploads_in_phase1 = 0;
@@ -180,15 +168,7 @@ std::size_t second_phase_uploads(bool reupload) {
     if (member.transmit(ctx) && r >= 3) ++uploads_in_phase1;
     member.receive(ctx, {});
   }
-  return uploads_in_phase1;
-}
-
-TEST(RobustAlg1, Remark1MemberStaysSilentAfterFirstPhase) {
-  EXPECT_EQ(second_phase_uploads(/*reupload=*/false), 0u);
-}
-
-TEST(RobustAlg1, ReuploadOnReaffiliationUploadsToTheNewHead) {
-  EXPECT_EQ(second_phase_uploads(/*reupload=*/true), 1u);
+  EXPECT_EQ(uploads_in_phase1, 0u);
 }
 
 // --- Alg2: periodic member re-upload ------------------------------------

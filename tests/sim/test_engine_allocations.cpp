@@ -6,8 +6,8 @@
 // have grown to their high-water marks a round allocates nothing.  This
 // binary replaces the global operator new with a counting one (which is
 // why it is an executable of its own) and counts the allocations made
-// inside Engine::step after the first rounds, for every built-in algorithm
-// that carries plain token sets.
+// inside Engine::step after the first rounds, for the built-in algorithms,
+// network coding's coded packets included.
 #include <atomic>
 #include <cstdlib>
 #include <new>
@@ -17,6 +17,7 @@
 #include "analysis/scenarios.hpp"
 #include "baseline/flooding.hpp"
 #include "baseline/gossip.hpp"
+#include "baseline/network_coding.hpp"
 #include "sim/engine.hpp"
 
 namespace {
@@ -93,11 +94,12 @@ ScenarioConfig config(std::size_t k) {
   return cfg;
 }
 
+// KLO flood, classic flooding, is the klo-one scenario's algorithm.
 enum class Algorithm {
-  kFlooding,
   kParsimoniousFlooding,
   kGossip,
   kGossipFullSet,
+  kNetworkCoding,
 };
 
 /// A baseline on the klo-one trace (KLO flood's).
@@ -108,12 +110,11 @@ SimulationSpec baseline_spec(Algorithm algorithm, std::size_t k) {
   const auto init =
       assign_tokens(cfg.nodes, k, AssignmentMode::kDistinctRandom, rng);
   switch (algorithm) {
-    case Algorithm::kFlooding:
     case Algorithm::kParsimoniousFlooding: {
       FloodingParams p;
       p.k = k;
       p.rounds = kRounds;
-      if (algorithm == Algorithm::kParsimoniousFlooding) p.activity = 3;
+      p.activity = 3;
       spec.processes = make_flooding_processes(init, p);
       break;
     }
@@ -125,6 +126,16 @@ SimulationSpec baseline_spec(Algorithm algorithm, std::size_t k) {
       p.seed = 3;
       p.push_full_set = algorithm == Algorithm::kGossipFullSet;
       spec.processes = make_gossip_processes(init, p);
+      break;
+    }
+    case Algorithm::kNetworkCoding: {
+      // A coded packet is a random combination of the basis rows, and
+      // receiving one reduces it against them: both on TokenSets.
+      NetworkCodingParams p;
+      p.k = k;
+      p.rounds = kRounds;
+      p.seed = 3;
+      spec.processes = make_network_coding_processes(init, p);
       break;
     }
   }
@@ -169,10 +180,10 @@ TEST_P(BaselineAllocations, SteadyRoundsAllocateNothingPerPacket) {
 
 INSTANTIATE_TEST_SUITE_P(
     SteadyStateAllocations, BaselineAllocations,
-    ::testing::Combine(::testing::Values(Algorithm::kFlooding,
-                                         Algorithm::kParsimoniousFlooding,
+    ::testing::Combine(::testing::Values(Algorithm::kParsimoniousFlooding,
                                          Algorithm::kGossip,
-                                         Algorithm::kGossipFullSet),
+                                         Algorithm::kGossipFullSet,
+                                         Algorithm::kNetworkCoding),
                        ::testing::Values(std::size_t{16}, std::size_t{128})));
 
 // Above 128 tokens the words live on the heap: a packet costs an

@@ -1,5 +1,5 @@
 // Negative tests for the detlint v2 rule families (include-layering,
-// durability-ordering, serialization-symmetry) plus the baseline, SARIF and
+// durability-ordering, serialization-symmetry) plus the SARIF and
 // glob-exclude machinery.  Each rule must fire on its fixture, be silenced
 // by an auditable allow directive, and stay quiet on compliant code.
 #include <gtest/gtest.h>
@@ -10,7 +10,6 @@
 #include <string>
 #include <vector>
 
-#include "detlint/baseline.hpp"
 #include "detlint/layers.hpp"
 #include "detlint/linter.hpp"
 #include "detlint/rules.hpp"
@@ -145,60 +144,11 @@ TEST(DetlintV2, ManifestParseReportsErrors) {
   EXPECT_FALSE(parse_layer_manifest("layer broken src/broken\n").errors.empty());
 }
 
-// ── baseline ────────────────────────────────────────────────────────────
-
-TEST(DetlintV2, BaselineAbsorbsGrandfatheredAndReportsStale) {
-  const std::vector<Finding> findings = {
-      {"src/a.cpp", 3, std::string(kRuleBannedTime), "m"},
-      {"src/a.cpp", 9, std::string(kRuleBannedTime), "m"},
-      {"src/b.cpp", 1, std::string(kRuleHotPathAlloc), "m"},
-  };
-  std::vector<std::string> errors;
-  const Baseline base = parse_baseline(
-      "src/a.cpp|banned-time|3\n"      // one more than present → stale
-      "src/c.cpp|pointer-order|1\n",   // none present → stale
-      errors);
-  ASSERT_TRUE(errors.empty());
-  const BaselineResult result = apply_baseline(findings, base);
-  EXPECT_EQ(result.suppressed, 2u);
-  ASSERT_EQ(result.fresh.size(), 1u);
-  EXPECT_EQ(result.fresh[0].path, "src/b.cpp");
-  ASSERT_EQ(result.stale.size(), 2u);
-  for (const Finding& f : result.stale) {
-    EXPECT_EQ(f.rule, kRuleStaleBaseline);
-    EXPECT_EQ(f.line, 0u);
-  }
-}
-
-TEST(DetlintV2, BaselineRoundTripAbsorbsEverything) {
-  const std::vector<Finding> findings = {
-      {"src/a.cpp", 3, std::string(kRuleBannedTime), "m"},
-      {"src/a.cpp", 9, std::string(kRuleBannedRandom), "m"},
-      {"src/b.cpp", 1, std::string(kRuleHotPathAlloc), "m"},
-  };
-  std::vector<std::string> errors;
-  const Baseline base = parse_baseline(render_baseline(findings), errors);
-  ASSERT_TRUE(errors.empty());
-  const BaselineResult result = apply_baseline(findings, base);
-  EXPECT_EQ(result.suppressed, 3u);
-  EXPECT_TRUE(result.fresh.empty());
-  EXPECT_TRUE(result.stale.empty());
-}
-
-TEST(DetlintV2, BaselineParseRejectsMalformedLines) {
-  std::vector<std::string> errors;
-  parse_baseline("src/a.cpp|banned-time\n", errors);          // missing count
-  parse_baseline("src/a.cpp|no-such-rule|1\n", errors);       // unknown rule
-  parse_baseline("src/a.cpp|banned-time|0\n", errors);        // dead entry
-  EXPECT_EQ(errors.size(), 3u);
-}
-
 // ── SARIF ───────────────────────────────────────────────────────────────
 
 TEST(DetlintV2, SarifCarriesRulesResultsAndEscaping) {
   const std::vector<Finding> findings = {
       {"src/a.cpp", 7, std::string(kRuleBannedTime), "say \"now\"\n"},
-      {"src/b.cpp", 0, std::string(kRuleStaleBaseline), "stale"},
   };
   const std::string sarif = to_sarif(findings);
   EXPECT_NE(sarif.find("\"version\": \"2.1.0\""), std::string::npos);
@@ -211,10 +161,6 @@ TEST(DetlintV2, SarifCarriesRulesResultsAndEscaping) {
     EXPECT_NE(sarif.find("\"id\": \"" + std::string(r.name) + "\""),
               std::string::npos);
   }
-  // A line-0 (file-scope) finding carries no region.
-  const std::size_t stale_pos = sarif.find("src/b.cpp");
-  ASSERT_NE(stale_pos, std::string::npos);
-  EXPECT_EQ(sarif.find("startLine", stale_pos), std::string::npos);
 }
 
 // ── glob excludes ───────────────────────────────────────────────────────

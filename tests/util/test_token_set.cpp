@@ -321,6 +321,17 @@ TEST_P(TokenSetProperty, AlgebraIdentities) {
   inter.intersect(b);
   EXPECT_EQ(diff.count() + inter.count(), a.count());
 
+  // A △ B = (A ∪ B) \ (A ∩ B), and toggling B again restores A.
+  TokenSet sym = a;
+  sym.toggle(b);
+  TokenSet union_minus_inter = u;
+  union_minus_inter.subtract(inter);
+  EXPECT_EQ(sym, union_minus_inter);
+  EXPECT_EQ(sym.count(), union_minus_inter.count());
+  sym.toggle(b);
+  EXPECT_EQ(sym, a);
+  EXPECT_EQ(sym.count(), a.count());
+
   // min/max of difference agree with the vector view.
   TokenSet empty(universe);
   const auto vec = a.to_vector();
@@ -376,7 +387,7 @@ TEST_P(TokenSetProperty, CachedCountMatchesRecomputedPopcount) {
   TokenSet s = random_set();
   check(s);
   for (int step = 0; step < 300; ++step) {
-    switch (rng.below(7)) {
+    switch (rng.below(8)) {
       case 0:
         s.insert(static_cast<TokenId>(rng.below(universe)));
         break;
@@ -401,6 +412,9 @@ TEST_P(TokenSetProperty, CachedCountMatchesRecomputedPopcount) {
         s = TokenSet::from_words(universe, std::move(words));
         break;
       }
+      case 7:
+        s.toggle(random_set());
+        break;
     }
     check(s);
   }

@@ -1,10 +1,8 @@
 // detlint CLI.  Exit codes: 0 clean, 1 findings, 2 usage or I/O error.
 #include <cstdio>
-#include <fstream>
 #include <string>
 #include <vector>
 
-#include "detlint/baseline.hpp"
 #include "detlint/layers.hpp"
 #include "detlint/linter.hpp"
 #include "detlint/sarif.hpp"
@@ -14,8 +12,7 @@ namespace {
 void print_usage(std::FILE* out) {
   std::fputs(
       "usage: detlint [--list-rules] [--exclude PATTERN]... [--layers FILE]\n"
-      "               [--baseline FILE] [--write-baseline] [--format=FMT]\n"
-      "               <path>...\n"
+      "               [--format=FMT] <path>...\n"
       "\n"
       "Statically enforces the project's determinism, layering and\n"
       "durability invariants over the given files and directories\n"
@@ -25,10 +22,6 @@ void print_usage(std::FILE* out) {
       "  --exclude PATTERN  skip matching paths (substring, or glob when the\n"
       "                     pattern contains *, ? or [; repeatable)\n"
       "  --layers FILE      layer manifest enabling the include-layering rule\n"
-      "  --baseline FILE    suppress grandfathered findings listed in FILE;\n"
-      "                     stale entries are themselves findings\n"
-      "  --write-baseline   regenerate the --baseline file from this run's\n"
-      "                     findings and exit\n"
       "  --format=FMT       output format: text (default) or sarif\n"
       "\n"
       "Suppress a finding with an auditable comment on the same or the\n"
@@ -44,8 +37,6 @@ int main(int argc, char** argv) {
   std::vector<std::string> roots;
   std::vector<std::string> excludes;
   std::string layers_path;
-  std::string baseline_path;
-  bool write_baseline = false;
   std::string format = "text";
 
   auto need_value = [&](int& i, const char* flag) -> const char* {
@@ -81,16 +72,6 @@ int main(int argc, char** argv) {
       layers_path = v;
       continue;
     }
-    if (arg == "--baseline") {
-      const char* v = need_value(i, "--baseline");
-      if (v == nullptr) return 2;
-      baseline_path = v;
-      continue;
-    }
-    if (arg == "--write-baseline") {
-      write_baseline = true;
-      continue;
-    }
     if (arg.starts_with("--format=")) {
       format = arg.substr(9);
       continue;
@@ -115,10 +96,6 @@ int main(int argc, char** argv) {
   if (format != "text" && format != "sarif") {
     std::fprintf(stderr, "detlint: unknown format '%s' (text|sarif)\n",
                  format.c_str());
-    return 2;
-  }
-  if (write_baseline && baseline_path.empty()) {
-    std::fputs("detlint: --write-baseline needs --baseline FILE\n", stderr);
     return 2;
   }
 
@@ -153,36 +130,6 @@ int main(int argc, char** argv) {
     all.insert(all.end(), findings->begin(), findings->end());
   }
 
-  if (write_baseline) {
-    const std::string rendered = render_baseline(all);
-    std::ofstream out(baseline_path, std::ios::binary | std::ios::trunc);
-    out << rendered;
-    if (!out) {
-      std::fprintf(stderr, "detlint: cannot write %s\n", baseline_path.c_str());
-      return 2;
-    }
-    std::fprintf(stderr, "detlint: baselined %zu finding%s into %s\n",
-                 all.size(), all.size() == 1 ? "" : "s",
-                 baseline_path.c_str());
-    return 0;
-  }
-
-  std::size_t suppressed = 0;
-  if (!baseline_path.empty()) {
-    std::vector<std::string> errors;
-    const Baseline base = load_baseline(baseline_path, errors);
-    if (!errors.empty()) {
-      for (const std::string& err : errors) {
-        std::fprintf(stderr, "detlint: %s\n", err.c_str());
-      }
-      return 2;
-    }
-    BaselineResult result = apply_baseline(all, base);
-    suppressed = result.suppressed;
-    all = std::move(result.fresh);
-    all.insert(all.end(), result.stale.begin(), result.stale.end());
-  }
-
   if (format == "sarif") {
     std::fputs(to_sarif(all).c_str(), stdout);
   } else {
@@ -202,12 +149,8 @@ int main(int argc, char** argv) {
       }
     }
   }
-  std::fprintf(stderr, "detlint: %zu finding%s in %zu of %zu files",
+  std::fprintf(stderr, "detlint: %zu finding%s in %zu of %zu files\n",
                all.size(), all.size() == 1 ? "" : "s", files_with_findings,
                files.size());
-  if (suppressed > 0) {
-    std::fprintf(stderr, " (%zu baselined)", suppressed);
-  }
-  std::fputc('\n', stderr);
   return all.empty() ? 0 : 1;
 }

@@ -310,7 +310,7 @@ void check_unordered_iteration(const SourceFile& file, const FlatCode& flat,
 }  // namespace
 
 std::span<const RuleInfo> rule_catalog() {
-  static const std::array<RuleInfo, 10> catalog = {{
+  static const std::array<RuleInfo, 9> catalog = {{
       {kRuleBadDirective,
        "malformed or unauditable detlint directive or suppression"},
       {kRuleBannedRandom,
@@ -332,8 +332,6 @@ std::span<const RuleInfo> rule_catalog() {
       {kRuleSerializationSymmetry,
        "save/load pair whose write and read type-tag sequences disagree, or "
        "a bare-literal format version tag"},
-      {kRuleStaleBaseline,
-       "baseline entry no longer matched by any finding; shrink the baseline"},
       {kRuleUnorderedIteration,
        "iteration over unordered containers (hash order is "
        "implementation-defined)"},

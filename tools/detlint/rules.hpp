@@ -25,7 +25,6 @@ inline constexpr std::string_view kRuleDurabilityOrdering =
     "durability-ordering";
 inline constexpr std::string_view kRuleSerializationSymmetry =
     "serialization-symmetry";
-inline constexpr std::string_view kRuleStaleBaseline = "stale-baseline";
 
 // Runs every pattern rule over `file`.  `hot[i]` marks line i+1 as inside a
 // declared hot-path region.  Raw findings are appended to `out`

@@ -67,11 +67,8 @@ std::string to_sarif(const std::vector<Finding>& findings) {
            json_quote(f.message) +
            "}, \"locations\": [{\"physicalLocation\": {\"artifactLocation\": "
            "{\"uri\": " +
-           json_quote(f.path) + "}";
-    if (f.line > 0) {
-      out += ", \"region\": {\"startLine\": " + std::to_string(f.line) + "}";
-    }
-    out += "}}]}";
+           json_quote(f.path) + "}, \"region\": {\"startLine\": " +
+           std::to_string(f.line) + "}}}]}";
     out += i + 1 < findings.size() ? ",\n" : "\n";
   }
   out +=

@@ -12,8 +12,7 @@
 
 namespace hinet::detlint {
 
-// Renders findings as a complete SARIF 2.1.0 document.  Findings with
-// line 0 (file-scope, e.g. stale-baseline) are emitted without a region.
+// Renders findings as a complete SARIF 2.1.0 document.
 std::string to_sarif(const std::vector<Finding>& findings);
 
 }  // namespace hinet::detlint
