@@ -23,6 +23,7 @@ int main(int argc, char** argv) try {
   const auto reps = args.get_uint("reps", 3, "seeds per cell");
 
   return bench::run_main(args, "A3 — dissemination-strategy ablation", [&] {
+    HINET_REQUIRE(reps >= 1, "need at least one repetition");
     std::cout << "=== A3: forwarding vs pipelining vs coding on adversarial "
                  "T-interval traces ===\n\n";
     TextTable t({"T", "algorithm", "delivery%", "rounds (mean)",

@@ -25,6 +25,7 @@ int main(int argc, char** argv) try {
   const auto reps = args.get_uint("reps", 3, "topologies");
 
   return bench::run_main(args, "A5 — 1-hop vs multi-hop clusters", [&] {
+    HINET_REQUIRE(reps >= 1, "need at least one repetition");
     std::cout << "=== A5: multi-hop clusters (Section VI future work), "
                  "static geometric topologies ===\n\n";
     TextTable t({"scheme", "heads (mean)", "delivered", "rounds (mean)",

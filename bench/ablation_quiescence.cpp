@@ -20,6 +20,7 @@ int main(int argc, char** argv) try {
   const auto k = args.get_uint("k", 5, "token count");
 
   return bench::run_main(args, "A4 — scheduled vs adaptive termination", [&] {
+    HINET_REQUIRE(reps >= 1, "need at least one repetition");
     std::cout << "=== A4: Algorithm 2 quiescence ablation ((1,L)-HiNet, n0="
               << nodes << ", k=" << k << ") ===\n\n";
     TextTable t({"quiescence", "delivery%", "tokens (mean)",

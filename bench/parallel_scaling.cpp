@@ -32,6 +32,7 @@ int main(int argc, char** argv) try {
     cfg.alpha = 2;
     cfg.hop_l = 2;
     cfg.reaffiliation_prob = 0.1;
+    validate_scenario_config(Scenario::kHiNetInterval, cfg);
     const SpecFactory factory =
         scenario_factory(Scenario::kHiNetInterval, cfg);
 

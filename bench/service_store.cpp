@@ -132,6 +132,9 @@ int main(int argc, char** argv) try {
     } else {
       sizes = {60, 120, 240};
     }
+    for (const std::size_t n : sizes) {
+      validate_scenario_config(Scenario::kHiNetInterval, size_config(n));
+    }
 
     std::cout << "=== Results-store overhead ((T, L)-HiNet interval "
                  "scenario, " << job_reps << " replicate(s) per job, seed="

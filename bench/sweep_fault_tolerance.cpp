@@ -63,17 +63,21 @@ struct Workload {
   std::size_t horizon() const { return phase_length * phases; }
 };
 
+HiNetConfig generator_config(const Workload& w, std::uint64_t seed) {
+  HiNetConfig gen;
+  gen.nodes = w.nodes;
+  gen.heads = w.heads;
+  gen.phase_length = w.phase_length;
+  gen.phases = w.phases;
+  gen.hop_l = 2;
+  gen.reaffiliation_prob = 0.05;
+  gen.seed = seed;
+  return gen;
+}
+
 SpecFactory cell_factory(const Cell& cell, const Workload& w) {
   return [cell, w](std::uint64_t seed) {
-    HiNetConfig gen;
-    gen.nodes = w.nodes;
-    gen.heads = w.heads;
-    gen.phase_length = w.phase_length;
-    gen.phases = w.phases;
-    gen.hop_l = 2;
-    gen.reaffiliation_prob = 0.05;
-    gen.seed = seed;
-    HiNetTrace trace = make_hinet_trace(gen);
+    HiNetTrace trace = make_hinet_trace(generator_config(w, seed));
     const std::size_t horizon = w.horizon();
 
     // Faults edit the realized topology only; the hierarchy stays as
@@ -172,6 +176,8 @@ int main(int argc, char** argv) try {
       "out", "", "write BENCH json to this path (empty = stdout only)");
 
   return bench::run_main(args, "V8 — fault tolerance sweep", [&] {
+    validate_assignment(w.nodes, w.k, AssignmentMode::kDistinctRandom);
+    validate_hinet_config(generator_config(w, 1));
     const BurstLevel bursts[] = {
         {"none", false, {}},
         // GE defaults: mean 4-round total-loss bursts, ~17% of time Bad.

@@ -23,20 +23,27 @@ struct Outcome {
   double tokens_mean = 0.0;
 };
 
+/// The (1, L)-HiNet trace of every cell: single-round phases over a horizon
+/// of slack * (nodes - 1) rounds.
+HiNetConfig generator_config(std::size_t nodes, std::size_t slack,
+                             std::uint64_t seed) {
+  HiNetConfig gen;
+  gen.nodes = nodes;
+  gen.heads = nodes / 6;
+  gen.phase_length = 1;
+  gen.phases = slack * (nodes - 1);
+  gen.hop_l = 2;
+  gen.reaffiliation_prob = 0.1;
+  gen.seed = seed;
+  return gen;
+}
+
 /// SpecFactory for one (algorithm, loss) cell; pure function of the seed.
 SpecFactory cell_factory(bool hinet, double loss, std::size_t nodes,
                          std::size_t k, std::size_t slack) {
   const std::size_t horizon = slack * (nodes - 1);
   return [=](std::uint64_t seed) {
-    HiNetConfig gen;
-    gen.nodes = nodes;
-    gen.heads = nodes / 6;
-    gen.phase_length = 1;
-    gen.phases = horizon;
-    gen.hop_l = 2;
-    gen.reaffiliation_prob = 0.1;
-    gen.seed = seed;
-    HiNetTrace trace = make_hinet_trace(gen);
+    HiNetTrace trace = make_hinet_trace(generator_config(nodes, slack, seed));
     Rng arng(seed ^ 0xa11ceULL);
     const auto init =
         assign_tokens(nodes, k, AssignmentMode::kDistinctRandom, arng);
@@ -86,6 +93,8 @@ int main(int argc, char** argv) try {
   const std::size_t jobs = args.get_jobs();
 
   return bench::run_main(args, "V6 — robustness under packet loss", [&] {
+    validate_assignment(nodes, k, AssignmentMode::kDistinctRandom);
+    validate_hinet_config(generator_config(nodes, 3, 0));
     std::cout << "=== V6: delivery under i.i.d. packet loss ((1,L)-HiNet "
                  "traces, horizon 3(n-1) rounds) ===\n\n";
     TextTable t({"loss", "algorithm", "delivery%", "rounds (mean)",

@@ -9,7 +9,7 @@ find_program(HINET_CPPCHECK NAMES cppcheck)
 
 # The directories both tools analyze, listed explicitly so adding a
 # subsystem is a reviewed decision rather than a glob accident.  Keep in
-# sync with the layer manifest (tools/detlint/layers.txt).
+# sync with the layer table (tools/detlint/layers.cpp).
 set(HINET_TIDY_DIRS
   src/util
   src/graph

@@ -132,18 +132,6 @@ std::optional<TokenId> TokenSet::min_element() const {
   return std::nullopt;
 }
 
-std::optional<TokenId> TokenSet::max_element() const {
-  const std::uint64_t* w = data();
-  for (std::size_t i = word_count(); i-- > 0;) {
-    if (w[i] != 0) {
-      return static_cast<TokenId>(
-          i * kBits +
-          (kBits - 1 - static_cast<std::size_t>(std::countl_zero(w[i]))));
-    }
-  }
-  return std::nullopt;
-}
-
 std::optional<TokenId> TokenSet::nth(std::size_t rank) const {
   const std::uint64_t* w = data();
   for (std::size_t i = 0; i < word_count(); ++i) {
@@ -191,31 +179,6 @@ std::string TokenSet::to_string() const {
 
 bool operator==(const TokenSet& a, const TokenSet& b) {
   return a.universe_ == b.universe_ && std::ranges::equal(a.words(), b.words());
-}
-
-TokenSet TokenSet::set_union(const TokenSet& a, const TokenSet& b) {
-  HINET_REQUIRE(a.universe_ == b.universe_, "universe mismatch in set_union");
-  TokenSet out = a;
-  out.unite(b);
-  return out;
-}
-
-TokenSet TokenSet::from_words(std::size_t universe,
-                              const std::vector<std::uint64_t>& words) {
-  TokenSet out(universe);
-  HINET_REQUIRE(words.size() == out.word_count(),
-                "word count does not match the universe");
-  std::uint64_t* w = out.data();
-  std::ranges::copy(words, w);
-  // Mask bits beyond the universe so count()/full() stay truthful.
-  const std::size_t tail = universe % kBits;
-  if (tail != 0) w[words.size() - 1] &= (1ULL << tail) - 1;
-  std::size_t n = 0;
-  for (std::size_t i = 0; i < words.size(); ++i) {
-    n += static_cast<std::size_t>(std::popcount(w[i]));
-  }
-  out.count_ = n;
-  return out;
 }
 
 }  // namespace hinet

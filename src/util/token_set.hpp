@@ -175,9 +175,6 @@ class TokenSet {
   /// Smallest token present, or nullopt if empty.
   std::optional<TokenId> min_element() const;
 
-  /// Largest token present, or nullopt if empty.
-  std::optional<TokenId> max_element() const;
-
   /// The token of rank `rank` (0-based, ascending), or nullopt when
   /// rank >= count().
   std::optional<TokenId> nth(std::size_t rank) const;
@@ -192,14 +189,6 @@ class TokenSet {
   friend bool operator!=(const TokenSet& a, const TokenSet& b) {
     return !(a == b);
   }
-
-  /// Union as a value (used when the pseudocode unions TS ∪ TR).
-  static TokenSet set_union(const TokenSet& a, const TokenSet& b);
-
-  /// Builds a set directly from its words; bits beyond the universe are
-  /// masked off.  `words.size()` must match the universe's word count.
-  static TokenSet from_words(std::size_t universe,
-                             const std::vector<std::uint64_t>& words);
 
  private:
   static constexpr std::size_t kInlineWords = 2;

@@ -10,5 +10,6 @@ unsigned fixture_bad_rand() {
   std::mt19937 gen(rd());
   std::mt19937_64 gen64(static_cast<unsigned>(x));
   std::default_random_engine eng;
-  return static_cast<unsigned>(gen() + gen64() + eng());
+  const int y = std::rand() + std::rand();  // two calls, one finding
+  return static_cast<unsigned>(gen() + gen64() + eng() + y);
 }

@@ -1,5 +1,5 @@
-// Fixture: every statement below must trip banned-time.  Lint-test data
-// only — never compiled.
+// Fixture: every statement below must trip banned-time, the macro body
+// too.  Lint-test data only — never compiled.
 #include <chrono>
 #include <ctime>
 
@@ -11,3 +11,5 @@ long fixture_bad_time() {
   return static_cast<long>(stamp) + mono.time_since_epoch().count() +
          wall.time_since_epoch().count() + fine.time_since_epoch().count();
 }
+
+#define FIXTURE_NOW() std::chrono::steady_clock::now()

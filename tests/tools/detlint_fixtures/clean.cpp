@@ -1,8 +1,12 @@
 // Fixture: a well-behaved file — ordered iteration, no RNG or clock use, and
-// a hot region that only reuses existing capacity.  The linter must report
+// a hot region that only reuses existing capacity; banned names appear only
+// in literals and comments, directives' included.  The linter must report
 // nothing.  Lint-test data only — never compiled.
 #include <cstdint>
 #include <vector>
+#if !defined(__cplusplus)
+#error "time() is banned"  // steady_clock
+#endif
 
 std::uint64_t fixture_clean(const std::vector<std::uint64_t>& xs) {
   std::uint64_t acc = 0;

@@ -14,6 +14,8 @@ std::uintptr_t fixture_pointer_order(Node* a, Node* b) {
   std::map<Node*, int> ranks{{a, 0}};
   const bool before = std::less<Node*>{}(a, b);
   const auto addr = reinterpret_cast<std::uintptr_t>(a);
+  const bool split = std::less<
+      const Node*>{}(a, b);
   return addr + by_address.size() + static_cast<std::uintptr_t>(before) +
-         ranks.size();
+         static_cast<std::uintptr_t>(split) + ranks.size();
 }

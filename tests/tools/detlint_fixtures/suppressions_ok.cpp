@@ -1,15 +1,12 @@
 // Fixture: every banned pattern below carries a well-formed suppression, so
 // the linter must report nothing.  Lint-test data only — never compiled.
-// detlint-allow-file(banned-time): fixture exercises file-scope suppression
-#include <chrono>
 #include <cstdlib>
 
 long fixture_suppressed() {
   // detlint-allow(banned-random): fixture exercises preceding-line suppression
   const int a = std::rand();
   const int b = std::rand();  // detlint-allow(banned-random): same-line form
-  const auto t = std::chrono::steady_clock::now();  // file-scope allow above
-  return a + b + t.time_since_epoch().count();
+  return a + b;
 }
 
 // detlint: hot-path-begin

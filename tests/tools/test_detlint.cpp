@@ -1,7 +1,7 @@
 // Negative tests for detlint: every rule must fire on its fixture, honor the
 // auditable suppression forms, and stay quiet on clean code.  The fixtures
-// live under tests/tools/detlint_fixtures/ and are lint-test data only (they
-// are excluded from the repo-wide `detlint` target and never compiled).
+// live under tests/tools/detlint_fixtures/ and are lint-test data only (the
+// repo-wide walk never enters their directory, and they are never compiled).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -52,6 +52,10 @@ TEST(Detlint, BannedRandomFiresOnEveryEngine) {
   EXPECT_TRUE(lines.contains(8));   // std::rand()
   EXPECT_TRUE(lines.contains(9));   // std::random_device
   EXPECT_TRUE(lines.contains(12));  // std::default_random_engine
+  // Two std::rand() calls on one line are one finding.
+  EXPECT_EQ(std::count_if(findings.begin(), findings.end(),
+                          [](const Finding& f) { return f.line == 13; }),
+            1);
 }
 
 TEST(Detlint, BannedTimeFiresOnClocksAndLibc) {
@@ -62,6 +66,7 @@ TEST(Detlint, BannedTimeFiresOnClocksAndLibc) {
   EXPECT_TRUE(lines.contains(8));   // system_clock
   EXPECT_TRUE(lines.contains(9));   // high_resolution_clock
   EXPECT_TRUE(lines.contains(10));  // std::time(nullptr)
+  EXPECT_TRUE(lines.contains(15));  // steady_clock in a #define body
 }
 
 TEST(Detlint, PointerOrderFiresOnPointerKeys) {
@@ -72,6 +77,7 @@ TEST(Detlint, PointerOrderFiresOnPointerKeys) {
   EXPECT_TRUE(lines.contains(14));  // std::map<Node*, int>
   EXPECT_TRUE(lines.contains(15));  // std::less<Node*>
   EXPECT_TRUE(lines.contains(16));  // reinterpret_cast<std::uintptr_t>
+  EXPECT_TRUE(lines.contains(17));  // std::less< split across two lines
 }
 
 TEST(Detlint, UnorderedIterationFiresOnLoopsAndExplicitWalks) {
@@ -179,16 +185,29 @@ TEST(Detlint, RuleCatalogIsClosedUnderIsKnownRule) {
 }
 
 TEST(Detlint, CollectSourcesHonorsExcludesAndSorts) {
-  const std::vector<std::string> roots = {DETLINT_FIXTURE_DIR};
-  const std::vector<std::string> none;
-  const auto all = collect_sources(roots, none);
+  // A root is walked even when it is a fixture directory itself.
+  const std::vector<std::string> fixtures = {DETLINT_FIXTURE_DIR};
+  const auto all = collect_sources(fixtures);
   EXPECT_GE(all.size(), 8u);
   EXPECT_TRUE(std::is_sorted(all.begin(), all.end(),
                              [](const auto& x, const auto& y) {
                                return x.generic_string() < y.generic_string();
                              }));
-  const std::vector<std::string> excludes = {"detlint_fixtures"};
-  EXPECT_TRUE(collect_sources(roots, excludes).empty());
+  // A walk from above never enters it; a fixture named directly still
+  // counts.
+  const std::vector<std::string> roots = {
+      std::filesystem::path(DETLINT_FIXTURE_DIR).parent_path().string(),
+      all.front().string()};
+  const auto walked = collect_sources(roots);
+  EXPECT_EQ(std::count_if(walked.begin(), walked.end(),
+                          [](const auto& f) {
+                            return f.generic_string().find(
+                                       "detlint_fixtures") != std::string::npos;
+                          }),
+            1);
+  EXPECT_TRUE(std::any_of(walked.begin(), walked.end(), [](const auto& f) {
+    return f.filename() == "test_detlint.cpp";
+  }));
 }
 
 }  // namespace

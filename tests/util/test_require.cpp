@@ -60,25 +60,5 @@ TEST(TokenSetWords, RawViewMatchesMembership) {
   EXPECT_EQ(w[2], 1ULL << 1);
 }
 
-TEST(TokenSetWords, FromWordsRoundTrip) {
-  TokenSet s(100, {3, 77, 99});
-  const auto w = s.words();
-  const TokenSet back =
-      TokenSet::from_words(100, {w.begin(), w.end()});
-  EXPECT_EQ(back, s);
-}
-
-TEST(TokenSetWords, FromWordsMasksTailBits) {
-  // Universe 10 needs one word; set bits beyond bit 9 must be dropped.
-  const TokenSet s = TokenSet::from_words(10, {~0ULL});
-  EXPECT_EQ(s.count(), 10u);
-  EXPECT_TRUE(s.full());
-}
-
-TEST(TokenSetWords, FromWordsWrongWidthThrows) {
-  EXPECT_THROW(TokenSet::from_words(100, {0ULL}), PreconditionError);
-  EXPECT_THROW(TokenSet::from_words(10, {0ULL, 0ULL}), PreconditionError);
-}
-
 }  // namespace
 }  // namespace hinet

@@ -1,12 +1,31 @@
 #include "detlint/layers.hpp"
 
-#include <cctype>
-#include <fstream>
-#include <sstream>
+#include <array>
 
 namespace hinet::detlint {
 
 namespace {
+
+struct Layer {
+  std::string_view name;
+  std::string_view include_prefix;
+  std::array<std::string_view, 4> file_roots;  // unused slots stay empty
+};
+
+// The tree's real include graph, bottom-up.  `top` may include anything;
+// its one include prefix is the linter's own library, included by its
+// tests.
+constexpr std::array<Layer, 9> kLayers = {{
+    {"util", "util", {"src/util"}},
+    {"graph", "graph", {"src/graph"}},
+    {"cluster", "cluster", {"src/cluster"}},
+    {"sim", "sim", {"src/sim"}},
+    {"baseline", "baseline", {"src/baseline"}},
+    {"core", "core", {"src/core"}},
+    {"analysis", "analysis", {"src/analysis"}},
+    {"service", "service", {"src/service"}},
+    {"top", "detlint", {"bench", "tests", "tools", "examples"}},
+}};
 
 // True when `path` lives under `prefix`: equal, starts with "prefix/", or
 // contains "/prefix/" (so absolute fixture paths still map to their layer).
@@ -20,105 +39,38 @@ bool path_under(std::string_view path, std::string_view prefix) {
   return path.find(needle) != std::string_view::npos;
 }
 
-std::vector<std::string> split_commas(std::string_view s) {
-  std::vector<std::string> out;
-  std::size_t start = 0;
-  while (start <= s.size()) {
-    const std::size_t comma = s.find(',', start);
-    const std::string_view piece =
-        s.substr(start, comma == std::string_view::npos ? s.size() - start
-                                                        : comma - start);
-    if (!piece.empty()) out.emplace_back(piece);
-    if (comma == std::string_view::npos) break;
-    start = comma + 1;
-  }
-  return out;
-}
-
 }  // namespace
 
-std::size_t LayerManifest::layer_of_file(std::string_view generic_path) const {
-  for (std::size_t i = 0; i < layers.size(); ++i) {
-    for (const std::string& prefix : layers[i].file_prefixes) {
-      if (path_under(generic_path, prefix)) return i;
+std::size_t layer_of_file(std::string_view generic_path) {
+  for (std::size_t i = 0; i < kLayers.size(); ++i) {
+    for (const std::string_view root : kLayers[i].file_roots) {
+      if (!root.empty() && path_under(generic_path, root)) return i;
     }
   }
-  return npos;
+  return kNoLayer;
 }
 
-std::size_t LayerManifest::layer_of_include(std::string_view header) const {
-  for (std::size_t i = 0; i < layers.size(); ++i) {
-    for (const std::string& prefix : layers[i].include_prefixes) {
-      if (header == prefix ||
-          (header.size() > prefix.size() && header.starts_with(prefix) &&
-           header[prefix.size()] == '/')) {
-        return i;
-      }
+std::size_t layer_of_include(std::string_view header) {
+  for (std::size_t i = 0; i < kLayers.size(); ++i) {
+    const std::string_view prefix = kLayers[i].include_prefix;
+    if (header == prefix ||
+        (header.size() > prefix.size() && header.starts_with(prefix) &&
+         header[prefix.size()] == '/')) {
+      return i;
     }
   }
-  return npos;
+  return kNoLayer;
 }
 
-std::string LayerManifest::order_string() const {
+std::string_view layer_name(std::size_t rank) { return kLayers[rank].name; }
+
+std::string layer_order() {
   std::string out;
-  for (const Layer& layer : layers) {
+  for (const Layer& layer : kLayers) {
     if (!out.empty()) out += " < ";
     out += layer.name;
   }
   return out;
-}
-
-ManifestParse parse_layer_manifest(std::string_view text) {
-  ManifestParse out;
-  std::istringstream in{std::string(text)};
-  std::string line;
-  std::size_t line_no = 0;
-  while (std::getline(in, line)) {
-    ++line_no;
-    std::istringstream fields(line);
-    std::string keyword;
-    if (!(fields >> keyword) || keyword.front() == '#') continue;
-    if (keyword != "layer") {
-      out.errors.push_back("layers.txt:" + std::to_string(line_no) +
-                           ": unknown keyword '" + keyword +
-                           "' (expected 'layer')");
-      continue;
-    }
-    Layer layer;
-    std::string files;
-    std::string includes;
-    if (!(fields >> layer.name >> files >> includes)) {
-      out.errors.push_back(
-          "layers.txt:" + std::to_string(line_no) +
-          ": expected 'layer <name> <file-prefixes> <include-prefixes>'");
-      continue;
-    }
-    for (const Layer& existing : out.manifest.layers) {
-      if (existing.name == layer.name) {
-        out.errors.push_back("layers.txt:" + std::to_string(line_no) +
-                             ": duplicate layer '" + layer.name + "'");
-      }
-    }
-    layer.file_prefixes = split_commas(files);
-    if (includes != "-") layer.include_prefixes = split_commas(includes);
-    out.manifest.layers.push_back(std::move(layer));
-  }
-  if (out.manifest.layers.empty() && out.errors.empty()) {
-    out.errors.push_back("layers.txt declares no layers");
-  }
-  return out;
-}
-
-ManifestParse load_layer_manifest(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    ManifestParse out;
-    out.errors.push_back("cannot read layer manifest " + path);
-    return out;
-  }
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  return parse_layer_manifest(buf.str());
 }
 
 }  // namespace hinet::detlint

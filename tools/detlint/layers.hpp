@@ -1,10 +1,10 @@
-// The declared include-layer DAG for the include-layering rule.
+// The declared include-layer order for the include-layering rule.
 //
-// The manifest (tools/detlint/layers.txt) lists layers bottom-up; a file in
+// The layers are listed bottom-up in one table in layers.cpp; a file in
 // layer i may include headers from layers 0..i and nothing above.  Each
-// layer carries two prefix sets: file prefixes locate a source file's layer
-// from its repo-relative path ("src/sim/engine.cpp" → sim), include
-// prefixes locate an included header's layer from the include string
+// layer carries file roots, which locate a source file's layer from its
+// repo-relative path ("src/sim/engine.cpp" → sim), and an include prefix,
+// which locates an included header's layer from the include string
 // ("sim/engine.hpp" → sim).  Paths and includes matching no layer are
 // outside the DAG and never reported (system headers, third-party code).
 #pragma once
@@ -12,42 +12,18 @@
 #include <cstddef>
 #include <string>
 #include <string_view>
-#include <vector>
 
 namespace hinet::detlint {
 
-struct Layer {
-  std::string name;
-  std::vector<std::string> file_prefixes;
-  std::vector<std::string> include_prefixes;
-};
+inline constexpr std::size_t kNoLayer = static_cast<std::size_t>(-1);
 
-struct LayerManifest {
-  std::vector<Layer> layers;  // bottom-up; index is the layer's rank
+// Rank of the layer owning this source path / include string, or kNoLayer.
+std::size_t layer_of_file(std::string_view generic_path);
+std::size_t layer_of_include(std::string_view header);
 
-  static constexpr std::size_t npos = static_cast<std::size_t>(-1);
+std::string_view layer_name(std::size_t rank);
 
-  // Rank of the layer owning this source path / include string, or npos.
-  std::size_t layer_of_file(std::string_view generic_path) const;
-  std::size_t layer_of_include(std::string_view header) const;
-
-  // "util < graph < … < top" — used in finding messages.
-  std::string order_string() const;
-};
-
-struct ManifestParse {
-  LayerManifest manifest;
-  std::vector<std::string> errors;  // empty on success
-};
-
-// Parses the manifest grammar:
-//   # comment
-//   layer <name> <file-prefix>[,<file-prefix>...] <include-prefix>[,...]
-// An include-prefix list of "-" declares a layer with no include identity
-// (its headers are never included by layer name, e.g. the top layer).
-ManifestParse parse_layer_manifest(std::string_view text);
-
-// Reads and parses a manifest file; a read failure is reported as an error.
-ManifestParse load_layer_manifest(const std::string& path);
+// "util < graph < … < top" — used in finding messages.
+std::string layer_order();
 
 }  // namespace hinet::detlint

@@ -40,7 +40,6 @@ bool is_ident_char(char c) {
 struct Directives {
   // line (1-based) -> rules suppressed on that line and the next one.
   std::map<std::size_t, std::set<std::string>> line_allows;
-  std::set<std::string> file_allows;
   std::vector<char> hot;  // hot[i] != 0 -> line i+1 is in a hot-path region
   std::vector<Finding> errors;
 };
@@ -58,13 +57,8 @@ void parse_allows(Directives& d, const SourceFile& f, std::size_t line_no,
                   std::string_view comment) {
   std::size_t pos = 0;
   while ((pos = comment.find(kAllowToken, pos)) != std::string_view::npos) {
-    std::size_t i = pos + kAllowToken.size();
-    bool file_scope = false;
-    if (comment.substr(i).starts_with("-file")) {
-      file_scope = true;
-      i += 5;
-    }
-    pos = i;
+    pos += kAllowToken.size();
+    const std::size_t i = pos;
     if (i >= comment.size() || comment[i] != '(') {
       bad_directive(d, f, line_no,
                     "suppression must name a rule: expected "
@@ -106,22 +100,18 @@ void parse_allows(Directives& d, const SourceFile& f, std::size_t line_no,
                         "auditable");
       continue;
     }
-    if (file_scope) {
-      d.file_allows.insert(std::string(rule));
-    } else {
-      d.line_allows[line_no].insert(std::string(rule));
-    }
+    d.line_allows[line_no].insert(std::string(rule));
   }
 }
 
 Directives parse_directives(const SourceFile& f) {
   Directives d;
-  d.hot.assign(f.lines.size(), 0);
+  d.hot.assign(f.comments.size(), 0);
   bool in_hot = false;
   std::size_t hot_open_line = 0;
-  for (std::size_t i = 0; i < f.lines.size(); ++i) {
+  for (std::size_t i = 0; i < f.comments.size(); ++i) {
     const std::size_t line_no = i + 1;
-    const std::string& comment = f.lines[i].comment;
+    const std::string& comment = f.comments[i];
     bool hot_this = in_hot;
     if (!comment.empty()) {
       parse_allows(d, f, line_no, comment);
@@ -155,7 +145,7 @@ Directives parse_directives(const SourceFile& f) {
     d.hot[i] = hot_this ? 1 : 0;
   }
   if (in_hot) {
-    bad_directive(d, f, f.lines.size(),
+    bad_directive(d, f, f.comments.size(),
                   "unterminated hot-path region (begin on line " +
                       std::to_string(hot_open_line) + ")");
   }
@@ -163,7 +153,6 @@ Directives parse_directives(const SourceFile& f) {
 }
 
 bool suppressed(const Directives& d, const Finding& finding) {
-  if (d.file_allows.contains(finding.rule)) return true;
   for (const std::size_t line : {finding.line, finding.line - 1}) {
     const auto it = d.line_allows.find(line);
     if (it != d.line_allows.end() && it->second.contains(finding.rule)) {
@@ -175,12 +164,10 @@ bool suppressed(const Directives& d, const Finding& finding) {
 
 }  // namespace
 
-std::vector<Finding> lint_source(const SourceFile& file,
-                                 const LintOptions& opts) {
+std::vector<Finding> lint_source(const SourceFile& file) {
   const Directives d = parse_directives(file);
   std::vector<Finding> raw;
   run_rules(file, d.hot, raw);
-  run_token_rules(file, opts.layers, raw);
 
   std::vector<Finding> out = d.errors;  // never suppressible
   for (Finding& f : raw) {
@@ -192,127 +179,40 @@ std::vector<Finding> lint_source(const SourceFile& file,
   return out;
 }
 
-std::vector<Finding> lint_text(std::string path, std::string_view text,
-                               const LintOptions& opts) {
-  return lint_source(scan_source(std::move(path), text), opts);
+std::vector<Finding> lint_text(std::string path, std::string_view text) {
+  return lint_source(scan_source(std::move(path), text));
 }
 
 std::optional<std::vector<Finding>> lint_file(const std::filesystem::path& file,
-                                              std::string path_for_rules,
-                                              const LintOptions& opts) {
+                                              std::string path_for_rules) {
   std::ifstream in(file, std::ios::binary);
   if (!in) return std::nullopt;
   std::ostringstream buf;
   buf << in.rdbuf();
   if (path_for_rules.empty()) path_for_rules = file.generic_string();
-  return lint_text(std::move(path_for_rules), buf.str(), opts);
-}
-
-namespace {
-
-// Minimal fnmatch-style glob: '*' matches any run (including '/'), '?' one
-// character, '[...]'/' [!...]' a character class.  Iterative with single-star
-// backtracking, so it is linear-ish and cannot recurse deeply.
-bool glob_match(std::string_view pat, std::string_view text) {
-  constexpr std::size_t npos = static_cast<std::size_t>(-1);
-  std::size_t p = 0;
-  std::size_t t = 0;
-  std::size_t star_p = npos;
-  std::size_t star_t = 0;
-  auto class_match = [&](std::size_t at, char c, std::size_t& next) {
-    std::size_t i = at + 1;
-    bool negate = false;
-    if (i < pat.size() && (pat[i] == '!' || pat[i] == '^')) {
-      negate = true;
-      ++i;
-    }
-    bool hit = false;
-    bool first = true;
-    for (; i < pat.size() && (first || pat[i] != ']'); ++i, first = false) {
-      if (pat[i] == '-' && !first && i + 1 < pat.size() && pat[i + 1] != ']') {
-        if (pat[i - 1] <= c && c <= pat[i + 1]) hit = true;
-        ++i;
-      } else if (pat[i] == c) {
-        hit = true;
-      }
-    }
-    if (i >= pat.size()) return false;  // unterminated class: no match
-    next = i + 1;
-    return hit != negate;
-  };
-  while (t < text.size()) {
-    bool stepped = false;
-    if (p < pat.size()) {
-      if (pat[p] == '*') {
-        star_p = p++;
-        star_t = t;
-        continue;
-      }
-      if (pat[p] == '[') {
-        std::size_t next = 0;
-        if (class_match(p, text[t], next)) {
-          p = next;
-          ++t;
-          stepped = true;
-        }
-      } else if (pat[p] == '?' || pat[p] == text[t]) {
-        ++p;
-        ++t;
-        stepped = true;
-      }
-    }
-    if (stepped) continue;
-    if (star_p == npos) return false;
-    p = star_p + 1;
-    t = ++star_t;
-  }
-  while (p < pat.size() && pat[p] == '*') ++p;
-  return p == pat.size();
-}
-
-bool has_glob_chars(std::string_view s) {
-  return s.find_first_of("*?[") != std::string_view::npos;
-}
-
-}  // namespace
-
-bool path_excluded(std::string_view generic_path,
-                   std::span<const std::string> excludes) {
-  for (const std::string& ex : excludes) {
-    if (!has_glob_chars(ex)) {
-      if (generic_path.find(ex) != std::string_view::npos) return true;
-      continue;
-    }
-    if (glob_match(ex, generic_path)) return true;
-    for (std::size_t i = generic_path.find('/');
-         i != std::string_view::npos; i = generic_path.find('/', i + 1)) {
-      if (glob_match(ex, generic_path.substr(i + 1))) return true;
-    }
-  }
-  return false;
+  return lint_text(std::move(path_for_rules), buf.str());
 }
 
 std::vector<std::filesystem::path> collect_sources(
-    std::span<const std::string> roots, std::span<const std::string> excludes) {
+    std::span<const std::string> roots) {
   namespace fs = std::filesystem;
   static constexpr std::array kExtensions = {".cpp", ".cc", ".cxx",
                                              ".hpp", ".hh", ".h"};
-  auto lintable = [&](const fs::path& p) {
-    const std::string ext = p.extension().string();
-    if (std::find(kExtensions.begin(), kExtensions.end(), ext) ==
-        kExtensions.end()) {
-      return false;
-    }
-    return !path_excluded(p.generic_string(), excludes);
+  auto lintable = [](const fs::path& p) {
+    return std::find(kExtensions.begin(), kExtensions.end(),
+                     p.extension().string()) != kExtensions.end();
   };
 
   std::vector<fs::path> out;
   for (const std::string& root : roots) {
     const fs::path p(root);
     if (fs::is_directory(p)) {
-      for (const auto& entry : fs::recursive_directory_iterator(p)) {
-        if (entry.is_regular_file() && lintable(entry.path())) {
-          out.push_back(entry.path());
+      for (auto it = fs::recursive_directory_iterator(p);
+           it != fs::recursive_directory_iterator(); ++it) {
+        if (it->is_directory() && it->path().filename() == "detlint_fixtures") {
+          it.disable_recursion_pending();
+        } else if (it->is_regular_file() && lintable(it->path())) {
+          out.push_back(it->path());
         }
       }
     } else if (fs::is_regular_file(p) && lintable(p)) {

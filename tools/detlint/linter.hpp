@@ -7,14 +7,13 @@
 // ordering, hash-order iteration) or an allocation in a declared hot path
 // without leaving an auditable suppression behind.
 //
-// v2 adds structural rules on the token stream of source_scan.hpp:
-// include-layering (declared layer DAG over the project include graph),
-// durability-ordering (fsync-before-rename / parent-dir-fsync / append
-// fdatasync), and serialization-symmetry (writer/reader type-tag lockstep).
-//
-// Every rule runs on the code channel or token stream of source_scan.hpp —
-// deliberately dependency-free (no libclang in the toolchain image) and
-// deterministic itself.  See docs/static_analysis.md for the rule catalog and
+// Every rule reads the token stream of source_scan.hpp — deliberately
+// dependency-free (no libclang in the toolchain image) and deterministic
+// itself.  Besides the name and shape rules above, structural rules walk
+// function bodies and the include list: include-layering (the layer table
+// in layers.cpp), durability-ordering (fsync-before-rename / parent-dir
+// fsync / append fdatasync), and serialization-symmetry (writer/reader
+// type-tag lockstep).  See docs/static_analysis.md for the rule catalog and
 // the suppression policy.
 #pragma once
 
@@ -28,14 +27,6 @@
 #include "detlint/source_scan.hpp"
 
 namespace hinet::detlint {
-
-struct LayerManifest;  // layers.hpp
-
-// Per-run configuration.  Defaults preserve v1 behavior: token rules that
-// need external input (the layer manifest) stay off until it is supplied.
-struct LintOptions {
-  const LayerManifest* layers = nullptr;  // enables include-layering
-};
 
 struct Finding {
   std::string path;
@@ -56,33 +47,24 @@ bool is_known_rule(std::string_view name);
 // Lint already-scanned source.  Findings are sorted by line, suppressions
 // already applied; directive errors surface as `bad-directive` findings and
 // are never suppressible.
-std::vector<Finding> lint_source(const SourceFile& file,
-                                 const LintOptions& opts = {});
+std::vector<Finding> lint_source(const SourceFile& file);
 
 // Convenience: scan + lint a text buffer under the given path (the path
 // drives per-rule exemptions such as bench/ timers).
-std::vector<Finding> lint_text(std::string path, std::string_view text,
-                               const LintOptions& opts = {});
+std::vector<Finding> lint_text(std::string path, std::string_view text);
 
 // Read a file from disk and lint it; nullopt when the file is unreadable.
 // `path_for_rules` defaults to the generic form of `file`.
 std::optional<std::vector<Finding>> lint_file(
-    const std::filesystem::path& file, std::string path_for_rules = {},
-    const LintOptions& opts = {});
-
-// True when `generic_path` matches one of `excludes`.  A pattern containing
-// a glob metacharacter (*, ?, [) is matched as a glob — '*' crosses '/' —
-// against the whole path and against every path suffix starting at a
-// component boundary, so `detlint_fixtures/*` excludes the directory
-// wherever the tree is rooted.  Any other pattern is a plain substring
-// (v1-compatible).  Every pass that walks files shares this predicate.
-bool path_excluded(std::string_view generic_path,
-                   std::span<const std::string> excludes);
+    const std::filesystem::path& file, std::string path_for_rules = {});
 
 // Recursively collect lintable sources (.cpp/.cc/.cxx/.hpp/.hh/.h) under the
-// given files/directories, skipping anything `path_excluded` rejects.  The
-// result is sorted so the linter's own output order is deterministic.
+// given files/directories.  A walk never enters a directory named
+// `detlint_fixtures`: those files hold every banned pattern on purpose and
+// are linted by the detlint tests; a root or a file named directly is still
+// collected.  The result is sorted so the linter's own output order is
+// deterministic.
 std::vector<std::filesystem::path> collect_sources(
-    std::span<const std::string> roots, std::span<const std::string> excludes);
+    std::span<const std::string> roots);
 
 }  // namespace hinet::detlint

@@ -3,7 +3,6 @@
 #include <string>
 #include <vector>
 
-#include "detlint/layers.hpp"
 #include "detlint/linter.hpp"
 #include "detlint/sarif.hpp"
 
@@ -11,18 +10,15 @@ namespace {
 
 void print_usage(std::FILE* out) {
   std::fputs(
-      "usage: detlint [--list-rules] [--exclude PATTERN]... [--layers FILE]\n"
-      "               [--format=FMT] <path>...\n"
+      "usage: detlint [--list-rules] [--format=FMT] <path>...\n"
       "\n"
       "Statically enforces the project's determinism, layering and\n"
       "durability invariants over the given files and directories\n"
-      "(recursed; .cpp/.cc/.cxx/.hpp/.hh/.h).\n"
+      "(recursed, skipping any detlint_fixtures directory;\n"
+      ".cpp/.cc/.cxx/.hpp/.hh/.h).\n"
       "\n"
-      "  --list-rules       print the rule catalog and exit\n"
-      "  --exclude PATTERN  skip matching paths (substring, or glob when the\n"
-      "                     pattern contains *, ? or [; repeatable)\n"
-      "  --layers FILE      layer manifest enabling the include-layering rule\n"
-      "  --format=FMT       output format: text (default) or sarif\n"
+      "  --list-rules  print the rule catalog and exit\n"
+      "  --format=FMT  output format: text (default) or sarif\n"
       "\n"
       "Suppress a finding with an auditable comment on the same or the\n"
       "preceding line (see docs/static_analysis.md for the policy).\n",
@@ -35,17 +31,7 @@ int main(int argc, char** argv) {
   using namespace hinet::detlint;
 
   std::vector<std::string> roots;
-  std::vector<std::string> excludes;
-  std::string layers_path;
   std::string format = "text";
-
-  auto need_value = [&](int& i, const char* flag) -> const char* {
-    if (i + 1 >= argc) {
-      std::fprintf(stderr, "detlint: %s needs an argument\n", flag);
-      return nullptr;
-    }
-    return argv[++i];
-  };
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -60,26 +46,16 @@ int main(int argc, char** argv) {
       }
       return 0;
     }
-    if (arg == "--exclude") {
-      const char* v = need_value(i, "--exclude");
-      if (v == nullptr) return 2;
-      excludes.emplace_back(v);
-      continue;
-    }
-    if (arg == "--layers") {
-      const char* v = need_value(i, "--layers");
-      if (v == nullptr) return 2;
-      layers_path = v;
-      continue;
-    }
     if (arg.starts_with("--format=")) {
       format = arg.substr(9);
       continue;
     }
     if (arg == "--format") {
-      const char* v = need_value(i, "--format");
-      if (v == nullptr) return 2;
-      format = v;
+      if (i + 1 >= argc) {
+        std::fputs("detlint: --format needs an argument\n", stderr);
+        return 2;
+      }
+      format = argv[++i];
       continue;
     }
     if (arg.starts_with("--")) {
@@ -99,21 +75,7 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  LintOptions opts;
-  LayerManifest manifest;
-  if (!layers_path.empty()) {
-    ManifestParse parsed = load_layer_manifest(layers_path);
-    if (!parsed.errors.empty()) {
-      for (const std::string& err : parsed.errors) {
-        std::fprintf(stderr, "detlint: %s\n", err.c_str());
-      }
-      return 2;
-    }
-    manifest = std::move(parsed.manifest);
-    opts.layers = &manifest;
-  }
-
-  const auto files = collect_sources(roots, excludes);
+  const auto files = collect_sources(roots);
   if (files.empty()) {
     std::fputs("detlint: no lintable files under the given paths\n", stderr);
     return 2;
@@ -121,7 +83,7 @@ int main(int argc, char** argv) {
 
   std::vector<Finding> all;
   for (const auto& file : files) {
-    const auto findings = lint_file(file, {}, opts);
+    const auto findings = lint_file(file);
     if (!findings) {
       std::fprintf(stderr, "detlint: cannot read %s\n",
                    file.generic_string().c_str());

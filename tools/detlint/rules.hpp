@@ -1,12 +1,10 @@
-// Internal rule registry for detlint.  The v1 rules scan the code channel of
-// a SourceFile; the v2 rules walk its token stream.  Suppression handling
-// lives in linter.cpp.
+// Internal rule registry for detlint.  Every rule reads the token stream of
+// a SourceFile; suppression handling lives in linter.cpp.
 #pragma once
 
 #include <string_view>
 #include <vector>
 
-#include "detlint/layers.hpp"
 #include "detlint/linter.hpp"
 #include "detlint/source_scan.hpp"
 
@@ -26,17 +24,10 @@ inline constexpr std::string_view kRuleDurabilityOrdering =
 inline constexpr std::string_view kRuleSerializationSymmetry =
     "serialization-symmetry";
 
-// Runs every pattern rule over `file`.  `hot[i]` marks line i+1 as inside a
+// Runs every rule over `file`.  `hot[i]` marks line i+1 as inside a
 // declared hot-path region.  Raw findings are appended to `out`
 // (suppressions not yet applied).
 void run_rules(const SourceFile& file, const std::vector<char>& hot,
                std::vector<Finding>& out);
-
-// Runs the token-stream rules: durability-ordering and
-// serialization-symmetry always, include-layering when a layer manifest is
-// supplied.  Raw findings are appended to `out` (suppressions not yet
-// applied).
-void run_token_rules(const SourceFile& file, const LayerManifest* layers,
-                     std::vector<Finding>& out);
 
 }  // namespace hinet::detlint

@@ -12,8 +12,8 @@ bool is_word_char(char c) {
 
 bool is_space(char c) { return std::isspace(static_cast<unsigned char>(c)) != 0; }
 
-// Joins line splices ("\<newline>") out of a raw directive slice so the kPp
-// token carries one logical line of text.
+// Joins line splices ("\<newline>") out of a raw directive slice, giving
+// one logical line of text.
 std::string splice_lines(std::string_view raw) {
   std::string out;
   out.reserve(raw.size());
@@ -69,13 +69,10 @@ SourceFile scan_source(std::string path, std::string_view text) {
     kRawString,
   };
   State st = State::kCode;
-  std::string code;
   std::string comment;
   std::string raw_terminator;  // ")delim\"" that closes the raw string
   bool escape = false;
 
-  // Token accumulation (suppressed inside preprocessor directives: each
-  // directive is emitted as one kPp token instead).
   std::string tok;           // pending identifier / number
   std::size_t tok_line = 1;  // line the pending token started on
   bool in_pp = false;
@@ -86,27 +83,28 @@ SourceFile scan_source(std::string path, std::string_view text) {
   const std::size_t n = text.size();
   std::size_t i = 0;
 
-  auto cur_line = [&] { return out.lines.size() + 1; };
+  auto cur_line = [&] { return out.comments.size() + 1; };
+
+  auto emit = [&](TokKind kind, std::string token_text, std::size_t line) {
+    out.tokens.push_back(Token{kind, std::move(token_text), line, in_pp});
+  };
 
   auto flush_token = [&] {
     if (tok.empty()) return;
     const bool numeric = std::isdigit(static_cast<unsigned char>(tok.front())) != 0;
-    out.tokens.push_back(Token{numeric ? TokKind::kNumber : TokKind::kIdent,
-                               std::move(tok), tok_line});
+    emit(numeric ? TokKind::kNumber : TokKind::kIdent, std::move(tok),
+         tok_line);
     tok.clear();
   };
 
   auto finish_pp = [&](std::size_t end) {
-    const std::string spliced =
-        splice_lines(text.substr(pp_start, end - pp_start));
-    parse_include(out, spliced, pp_line);
-    out.tokens.push_back(Token{TokKind::kPp, spliced, pp_line});
+    parse_include(out, splice_lines(text.substr(pp_start, end - pp_start)),
+                  pp_line);
     in_pp = false;
   };
 
   auto flush_line = [&] {
-    out.lines.push_back(SourceLine{std::move(code), std::move(comment)});
-    code.clear();
+    out.comments.push_back(std::move(comment));
     comment.clear();
     line_has_code = false;
   };
@@ -149,7 +147,7 @@ SourceFile scan_source(std::string path, std::string_view text) {
           continue;
         }
         if (c == '"') {
-          if (!code.empty() && code.back() == 'R') {
+          if (!tok.empty() && tok.back() == 'R') {
             // Raw string literal: collect the delimiter up to '('.
             std::size_t j = i + 1;
             std::string delim;
@@ -161,23 +159,17 @@ SourceFile scan_source(std::string path, std::string_view text) {
             if (j < n && text[j] == '(') {
               raw_terminator = ")" + delim + "\"";
               st = State::kRawString;
-              code += "\"\"";
               // The pending "R" (or "LR"/"u8R" …) prefix is part of the
               // literal, not an identifier of its own.
               tok.clear();
-              if (!in_pp) {
-                out.tokens.push_back(Token{TokKind::kString, {}, cur_line()});
-              }
+              emit(TokKind::kString, {}, cur_line());
               i = j + 1;
               continue;
             }
           }
           flush_token();
-          if (!in_pp) {
-            out.tokens.push_back(Token{TokKind::kString, {}, cur_line()});
-          }
+          emit(TokKind::kString, {}, cur_line());
           st = State::kString;
-          code += '"';
           line_has_code = true;
           ++i;
           continue;
@@ -185,18 +177,13 @@ SourceFile scan_source(std::string path, std::string_view text) {
         if (c == '\'') {
           // Digit separators (1'000'000) are part of the preceding numeric
           // token, not a character literal.
-          if (!code.empty() && is_word_char(code.back())) {
-            code += c;
-            if (!in_pp && !tok.empty()) tok += c;
+          if (!tok.empty()) {
+            tok += c;
             ++i;
             continue;
           }
-          flush_token();
-          if (!in_pp) {
-            out.tokens.push_back(Token{TokKind::kChar, {}, cur_line()});
-          }
+          emit(TokKind::kChar, {}, cur_line());
           st = State::kChar;
-          code += '\'';
           line_has_code = true;
           ++i;
           continue;
@@ -207,34 +194,28 @@ SourceFile scan_source(std::string path, std::string_view text) {
           pp_line = cur_line();
         }
         if (is_word_char(c)) {
-          if (!in_pp) {
-            if (tok.empty()) tok_line = cur_line();
-            tok += c;
-          }
+          if (tok.empty()) tok_line = cur_line();
+          tok += c;
           line_has_code = true;
         } else {
           flush_token();
           if (!is_space(c)) line_has_code = true;
-          if (!in_pp && !is_space(c) && c != '\\') {
+          if (!is_space(c) && c != '\\') {
             // "::" and "->" are structural for the token rules; everything
             // else is a single-character punctuator.
             if (c == ':' && i + 1 < n && text[i + 1] == ':') {
-              out.tokens.push_back(Token{TokKind::kPunct, "::", cur_line()});
-              code += "::";
+              emit(TokKind::kPunct, "::", cur_line());
               i += 2;
               continue;
             }
             if (c == '-' && i + 1 < n && text[i + 1] == '>') {
-              out.tokens.push_back(Token{TokKind::kPunct, "->", cur_line()});
-              code += "->";
+              emit(TokKind::kPunct, "->", cur_line());
               i += 2;
               continue;
             }
-            out.tokens.push_back(Token{TokKind::kPunct, std::string(1, c),
-                                       cur_line()});
+            emit(TokKind::kPunct, std::string(1, c), cur_line());
           }
         }
-        code += c;
         ++i;
         continue;
       case State::kLineComment:
@@ -251,40 +232,13 @@ SourceFile scan_source(std::string path, std::string_view text) {
         ++i;
         continue;
       case State::kString:
-        if (escape) {
-          escape = false;
-          ++i;
-          continue;
-        }
-        if (c == '\\') {
-          escape = true;
-          ++i;
-          continue;
-        }
-        if (c == '"') {
-          st = State::kCode;
-          code += '"';
-          ++i;
-          continue;
-        }
-        ++i;
-        continue;
       case State::kChar:
         if (escape) {
           escape = false;
-          ++i;
-          continue;
-        }
-        if (c == '\\') {
+        } else if (c == '\\') {
           escape = true;
-          ++i;
-          continue;
-        }
-        if (c == '\'') {
+        } else if (c == (st == State::kString ? '"' : '\'')) {
           st = State::kCode;
-          code += '\'';
-          ++i;
-          continue;
         }
         ++i;
         continue;

@@ -3,26 +3,23 @@
 // One pass over the raw text produces three synchronized views of a
 // translation unit:
 //
-//   * the *line channels* — every physical line split into a code channel
-//     (string and character literal contents blanked, comments removed) and a
-//     comment channel (comment text only).  The v1 regex rules match against
-//     the code channel, so a banned identifier quoted in a string or
-//     mentioned in prose never trips a rule; suppression and hot-path
-//     directives are parsed from the comment channel.
-//
 //   * the *token stream* — identifiers, numbers, literals and punctuation
-//     with their 1-based line numbers.  The v2 flow rules (function-body
-//     durability ordering, save/load symmetry) walk this stream instead of
-//     re-deriving structure from regexes.  Raw strings, digit separators
-//     (1'000'000) and line-spliced preprocessor directives are handled here
-//     once, so every rule sees the same tokenization.
+//     with their 1-based line numbers.  Every rule reads this stream, so a
+//     banned identifier quoted in a string or mentioned in prose never trips
+//     a rule.  Raw strings, digit separators (1'000'000) and line-spliced
+//     preprocessor directives are handled here once, so every rule sees the
+//     same tokenization.
+//
+//   * the *comment channel* — the comment text of every physical line, from
+//     which suppression and hot-path directives are parsed.
 //
 //   * the *include list* — each #include directive with its header text and
 //     whether it was quoted or angled, feeding the include-layering rule.
 //
-// Preprocessor directives are collapsed into a single kPp token each (their
-// text stays visible in the code channel for the v1 rules), so a macro body
-// can never masquerade as a function definition to the token rules.
+// The tokens of a preprocessor directive are marked `in_directive`.  The
+// name and shape rules read them, so a banned call in a #define body still
+// fires; the structural rules skip them, so a macro body can never
+// masquerade as a function definition.
 #pragma once
 
 #include <cstdint>
@@ -32,24 +29,19 @@
 
 namespace hinet::detlint {
 
-struct SourceLine {
-  std::string code;
-  std::string comment;
-};
-
 enum class TokKind : std::uint8_t {
   kIdent,   // identifier or keyword
   kNumber,  // pp-number, digit separators included
   kString,  // string literal (ordinary or raw); text is empty
   kChar,    // character literal; text is empty
   kPunct,   // one punctuator; "::" and "->" are single tokens
-  kPp,      // one whole preprocessor directive, line splices joined
 };
 
 struct Token {
   TokKind kind;
   std::string text;
-  std::size_t line;  // 1-based line the token starts on
+  std::size_t line;           // 1-based line the token starts on
+  bool in_directive = false;  // part of a preprocessor directive
 };
 
 struct IncludeDirective {
@@ -60,11 +52,11 @@ struct IncludeDirective {
 
 struct SourceFile {
   // Generic (forward-slash) path, exactly as handed to the linter.  Path-based
-  // rule exemptions (e.g. bench timers) and the layer manifest match against
+  // rule exemptions (e.g. bench timers) and the layer table match against
   // this string.
   std::string path;
-  std::vector<SourceLine> lines;  // lines[i] is physical line i + 1
-  std::vector<Token> tokens;      // code tokens only; comments never appear
+  std::vector<std::string> comments;  // comments[i]: comment text of line i + 1
+  std::vector<Token> tokens;          // comments never appear
   std::vector<IncludeDirective> includes;
 };
 
