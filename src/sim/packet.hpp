@@ -9,6 +9,7 @@
 // total number of tokens sent.
 #pragma once
 
+#include <cstdint>
 #include <optional>
 #include <span>
 
@@ -30,16 +31,19 @@ struct Packet {
   /// `tokens` field is reinterpreted by the algorithm (e.g. as the GF(2)
   /// coefficient vector of a network-coded payload) and the wire carries
   /// this many token-equivalents instead.
-  std::optional<std::size_t> wire_tokens;
+  std::optional<std::uint32_t> wire_tokens;
 
   std::size_t cost() const {
     return wire_tokens ? *wire_tokens : tokens.count();
   }
 };
 
+static_assert(sizeof(Packet) <= 40,
+              "the engine buffers one Packet per sender every round");
+
 /// Non-owning view of one transmitted packet: a pointer into the engine's
 /// per-round packet buffer.  The delivery path hands these out instead of
-/// copying packets (56 bytes each, plus a heap block when k > 128), so a
+/// copying packets (40 bytes each, plus a heap block when k > 128), so a
 /// delivery is one pointer push.
 using PacketView = const Packet*;
 

@@ -15,7 +15,7 @@ void TokenSet::allocate(const std::uint64_t* src) {
 }
 
 // detlint: hot-path-begin — the set algebra below runs in the algorithms'
-// transmit/receive steps; it works on the words in place (popcount loops)
+// transmit/receive steps; it works on the words in place (bit_count loops)
 // and must stay allocation free.
 bool TokenSet::erase(TokenId t) {
   check_token(t);
@@ -31,10 +31,10 @@ void TokenSet::subtract(const TokenSet& other) {
   HINET_REQUIRE(universe_ == other.universe_, "universe mismatch in subtract");
   std::uint64_t* w = data();
   const std::uint64_t* o = other.data();
-  std::size_t n = 0;
+  std::uint32_t n = 0;
   for (std::size_t i = 0; i < word_count(); ++i) {
     w[i] &= ~o[i];
-    n += static_cast<std::size_t>(std::popcount(w[i]));
+    n += bit_count(w[i]);
   }
   count_ = n;
 }
@@ -44,10 +44,10 @@ void TokenSet::intersect(const TokenSet& other) {
                 "universe mismatch in intersect");
   std::uint64_t* w = data();
   const std::uint64_t* o = other.data();
-  std::size_t n = 0;
+  std::uint32_t n = 0;
   for (std::size_t i = 0; i < word_count(); ++i) {
     w[i] &= o[i];
-    n += static_cast<std::size_t>(std::popcount(w[i]));
+    n += bit_count(w[i]);
   }
   count_ = n;
 }
@@ -56,10 +56,10 @@ void TokenSet::toggle(const TokenSet& other) {
   HINET_REQUIRE(universe_ == other.universe_, "universe mismatch in toggle");
   std::uint64_t* w = data();
   const std::uint64_t* o = other.data();
-  std::size_t n = 0;
+  std::uint32_t n = 0;
   for (std::size_t i = 0; i < word_count(); ++i) {
     w[i] ^= o[i];
-    n += static_cast<std::size_t>(std::popcount(w[i]));
+    n += bit_count(w[i]);
   }
   count_ = n;
 }
@@ -135,7 +135,7 @@ std::optional<TokenId> TokenSet::min_element() const {
 std::optional<TokenId> TokenSet::nth(std::size_t rank) const {
   const std::uint64_t* w = data();
   for (std::size_t i = 0; i < word_count(); ++i) {
-    const auto here = static_cast<std::size_t>(std::popcount(w[i]));
+    const std::size_t here = bit_count(w[i]);
     if (rank >= here) {
       rank -= here;
       continue;

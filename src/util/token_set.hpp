@@ -9,16 +9,23 @@
 // O(1) — the engine's incremental completion tracking polls full() once
 // per node per round.
 //
-// A universe of at most 128 tokens keeps its two words inside the object,
-// so putting a set in a packet — what every transmission does — allocates
-// nothing; only a larger universe holds its words in a heap block.  The
-// per-packet operations (contains, insert, unite, words) are defined in
+// A universe of at most 128 tokens keeps its two words inside the 24-byte
+// object, so putting a set in a packet — what every transmission does —
+// allocates nothing; only a larger universe holds its words in a heap
+// block.  The universe and the cached count are 32-bit, like token ids.
+// The per-packet operations (contains, insert, unite, words) are defined in
 // this header so they inline into each algorithm's transmit/receive.
+//
+// Every bit count goes through bit_count(), which is one POPCNT
+// instruction on x86-64 even where the build targets baseline x86-64 (whose
+// std::popcount is a libgcc call).  x86-64 hosts therefore need POPCNT:
+// Intel Nehalem, AMD Barcelona and later.
 #pragma once
 
 #include <algorithm>
 #include <bit>
 #include <cstdint>
+#include <limits>
 #include <optional>
 #include <span>
 #include <string>
@@ -37,8 +44,12 @@ class TokenSet {
   /// i * kBits + b (see words()).
   static constexpr std::size_t kBits = 64;
 
-  /// Creates an empty set over a universe of `universe` token ids.
-  explicit TokenSet(std::size_t universe = 0) : universe_(universe) {
+  /// Creates an empty set over a universe of `universe` token ids, at most
+  /// 2^32 - 1 of them.
+  explicit TokenSet(std::size_t universe = 0) {
+    HINET_REQUIRE(universe <= std::numeric_limits<std::uint32_t>::max(),
+                  "token universe exceeds 32-bit token ids");
+    universe_ = static_cast<std::uint32_t>(universe);
     if (!is_inline()) allocate(nullptr);
   }
 
@@ -127,9 +138,9 @@ class TokenSet {
     std::uint64_t* w = data();
     const std::uint64_t* o = other.data();
     const std::size_t n = word_count();
-    std::size_t added = 0;
+    std::uint32_t added = 0;
     for (std::size_t i = 0; i < n; ++i) {
-      added += static_cast<std::size_t>(std::popcount(o[i] & ~w[i]));
+      added += bit_count(o[i] & ~w[i]);
       w[i] |= o[i];
     }
     count_ += added;
@@ -213,6 +224,19 @@ class TokenSet {
     HINET_REQUIRE(t < universe_, "token id outside universe");
   }
 
+  /// Number of set bits in `w`.  Where the build's target lacks POPCNT,
+  /// std::popcount is a libgcc call, so on x86-64 the instruction is
+  /// issued directly.
+  static std::uint32_t bit_count(std::uint64_t w) {
+#if defined(__x86_64__) && !defined(__POPCNT__)
+    std::uint64_t n = 0;
+    __asm__("popcntq %1, %0" : "=r"(n) : "rm"(w));
+    return static_cast<std::uint32_t>(n);
+#else
+    return static_cast<std::uint32_t>(std::popcount(w));
+#endif
+  }
+
   /// Points words_.heap at a new block of word_count() words, copied from
   /// `src`, or zeroed when `src` is null.
   void allocate(const std::uint64_t* src);
@@ -229,12 +253,12 @@ class TokenSet {
     words_ = Words{};
   }
 
-  std::size_t universe_ = 0;
-  std::size_t count_ = 0;  ///< cached popcount of the words
+  std::uint32_t universe_ = 0;
+  std::uint32_t count_ = 0;  ///< cached popcount of the words
   Words words_{};
 };
 
-static_assert(sizeof(TokenSet) <= 32,
+static_assert(sizeof(TokenSet) <= 24,
               "a TokenSet must stay small enough to copy into every packet");
 
 }  // namespace hinet

@@ -173,6 +173,24 @@ TEST(Detlint, FindingsAreDeterministicallyOrdered) {
                              [](const Finding& x, const Finding& y) {
                                return x.line <= y.line;
                              }));
+
+  // Two findings of one rule on one line keep their order when an
+  // unrelated finding appears above them.  It takes more than 16
+  // findings: libstdc++ sorts up to 16 elements by insertion, which is
+  // stable.
+  std::string body;
+  for (int i = 0; i < 40; ++i) {
+    body += "void f" + std::to_string(i) +
+            "() { std::mt19937 g; random (3); }\n";
+  }
+  const auto plain = lint_text("src/x.cpp", body);
+  const auto shifted = lint_text("src/x.cpp", "int r = std::rand();\n" + body);
+  ASSERT_EQ(plain.size(), 80u);
+  ASSERT_EQ(shifted.size(), plain.size() + 1);
+  for (std::size_t i = 0; i < plain.size(); ++i) {
+    EXPECT_EQ(shifted[i + 1].line, plain[i].line + 1) << "finding " << i;
+    EXPECT_EQ(shifted[i + 1].message, plain[i].message) << "finding " << i;
+  }
 }
 
 TEST(Detlint, RuleCatalogIsClosedUnderIsKnownRule) {

@@ -46,6 +46,10 @@ TEST(TokenSet, OutOfUniverseThrows) {
   EXPECT_THROW(s.contains(100), PreconditionError);
 }
 
+TEST(TokenSet, UniverseAboveUint32IsRefused) {
+  EXPECT_THROW(TokenSet(std::size_t{1} << 32), PreconditionError);
+}
+
 TEST(TokenSet, FullDetection) {
   TokenSet s(3, {0, 1, 2});
   EXPECT_TRUE(s.full());
@@ -349,7 +353,7 @@ TEST_P(TokenSetProperty, CachedCountMatchesRecomputedPopcount) {
   // drives arbitrary interleavings of every mutator and checks the cache
   // against a popcount recomputed from the raw words after each step.
   Rng rng(GetParam() * 0x9e3779b97f4a7c15ULL + 3);
-  const std::size_t universe = 1 + rng.below(130);
+  const std::size_t universe = 1 + rng.below(300);
 
   const auto recount = [](const TokenSet& s) {
     std::size_t n = 0;

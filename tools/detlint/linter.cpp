@@ -173,9 +173,12 @@ std::vector<Finding> lint_source(const SourceFile& file) {
   for (Finding& f : raw) {
     if (!suppressed(d, f)) out.push_back(std::move(f));
   }
-  std::sort(out.begin(), out.end(), [](const Finding& a, const Finding& b) {
-    return std::tie(a.line, a.rule) < std::tie(b.line, b.rule);
-  });
+  // Stable, so two findings of one rule on one line keep the order the
+  // rule emitted them in, whatever else the file holds.
+  std::stable_sort(out.begin(), out.end(),
+                   [](const Finding& a, const Finding& b) {
+                     return std::tie(a.line, a.rule) < std::tie(b.line, b.rule);
+                   });
   return out;
 }
 
