@@ -9,9 +9,8 @@
 //   3  transient       — retryable: interrupted by SIGINT/SIGTERM,
 //                        admission reject (queue full), query miss,
 //                        transient replicate failures still pending,
-//                        lease lost to a successor (stale lease), another
-//                        writer holds the log, jobs left claimed by a
-//                        sibling drainer
+//                        another writer holds the log, jobs whose journal
+//                        a live sibling drain holds
 //   4  corrupt-state   — a durable artifact (journal, store index,
 //                        segment, queue) failed its integrity checks;
 //                        human attention required before retrying
@@ -25,7 +24,6 @@
 #include <stdexcept>
 
 #include "service/job_queue.hpp"
-#include "service/lease_lock.hpp"
 #include "util/binary_io.hpp"
 #include "util/framed_log.hpp"
 
@@ -42,18 +40,15 @@ enum ExitCode : int {
 /// The table above, formatted for --help output.
 inline const char* exit_code_help() {
   return "exit codes: 0 ok | 1 permanent failure | 2 usage | "
-         "3 transient/retryable (interrupted, queue full, miss, stale "
-         "lease, concurrent writer) | 4 corrupt durable state";
+         "3 transient/retryable (interrupted, queue full, miss, job held "
+         "by a sibling drain, concurrent writer) | 4 corrupt durable state";
 }
 
 /// Maps a caught exception to the convention: usage errors → 2, admission
-/// rejects / lost leases / writer contention → 3, integrity failures → 4,
-/// anything else → 1.
+/// rejects / writer contention → 3, integrity failures → 4, anything
+/// else → 1.
 inline int exit_code_for_exception(const std::exception& e) {
   if (dynamic_cast<const QueueFullError*>(&e) != nullptr) {
-    return kExitTransient;
-  }
-  if (dynamic_cast<const StaleLeaseError*>(&e) != nullptr) {
     return kExitTransient;
   }
   // Before the IoError check: a contended writer lock derives IoError but

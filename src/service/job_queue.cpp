@@ -12,8 +12,6 @@ namespace {
 constexpr std::uint8_t kRecSubmit = 1;
 constexpr std::uint8_t kRecDone = 2;
 constexpr std::uint8_t kRecFailed = 3;
-constexpr std::uint8_t kRecClaim = 4;
-constexpr std::uint8_t kRecRelease = 5;
 
 }  // namespace
 
@@ -74,15 +72,6 @@ void JobQueue::replay() {
         pending_.erase(it);
         order_.erase(std::find(order_.begin(), order_.end(), hash));
       }
-    } else if (kind == kRecClaim || kind == kRecRelease) {
-      // Written by earlier builds: claim {hash, owner, token, expiry} and
-      // release {hash, token}.  Validated, then ignored — the lease file
-      // is the only record of which drain holds a job.
-      r.u64();                          // hash
-      if (kind == kRecClaim) r.blob();  // owner
-      r.u64();                          // token
-      if (kind == kRecClaim) r.u64();   // expiry
-      r.expect_done();
     } else {
       std::ostringstream os;
       os << "job-queue record has unknown kind " << static_cast<unsigned>(kind)

@@ -14,10 +14,9 @@
 //   failed  {hash, why}   — job left the queue permanently failed (a later
 //                           submit of the same spec re-enqueues it)
 //
-// v2 files written by earlier builds may also hold claim {hash, owner,
-// token, expiry} and release {hash, token} records.  Replay decodes and
-// validates them like any other record, then ignores them: which drain
-// holds a job is recorded only in its lease file (lease_lock.hpp).
+// No record says which drain holds a job: the holder is whoever holds the
+// job's journal lock (service.hpp).  Version 3 drops the claim and release
+// records earlier builds wrote, so a v2 file is refused at open.
 //
 // The log is compacted down to the still-pending submissions when history
 // outgrows the backlog, so a long-lived queue file stays proportional to
@@ -49,8 +48,7 @@ class QueueFullError : public std::runtime_error {
 class JobQueue {
  public:
   static constexpr std::uint32_t kMagic = 0x51'4a'53'48u;        // "HSJQ"
-  /// v2 files may hold claim/release records (see above).
-  static constexpr std::uint16_t kVersion = 2;
+  static constexpr std::uint16_t kVersion = 3;
   static constexpr std::uint32_t kRecordMagic = 0x52'4a'53'48u;  // "HSJR"
 
   enum class Submit {

@@ -7,8 +7,8 @@
 // dedupes and caches by a *canonical content hash*: every JobSpec encodes
 // to one fixed byte sequence (versioned field order, little-endian,
 // doubles as IEEE-754 bit patterns), and the 64-bit FNV-1a hash of those
-// bytes is the job's identity everywhere — the queue, the segment, journal
-// and lease filenames, the `hinetd query --hash=` lookups.
+// bytes is the job's identity everywhere — the queue, the segment and
+// journal filenames, the ledger, the `hinetd query --hash=` lookups.
 //
 // Hash collisions are detected, not assumed away: the store keeps the full
 // canonical bytes next to each hash and refuses a publish whose hash
@@ -60,8 +60,8 @@ void encode_job_spec(ByteWriter& w, const JobSpec& spec);
 JobSpec decode_job_spec(ByteReader& r);
 
 /// `value` as 16 lowercase hex digits ("04c11db7deadbeef") — the one
-/// spelling of content hashes and digests in file names, lease and ledger
-/// names, and CLI output.
+/// spelling of content hashes and digests in file names, ledger names, and
+/// CLI output.
 std::string hash_hex(std::uint64_t value);
 
 /// Parses a 16-digit hex content hash ("04c11db7deadbeef"); throws

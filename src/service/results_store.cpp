@@ -1,6 +1,9 @@
 #include "service/results_store.hpp"
 
+#include <fcntl.h>
+#include <sys/file.h>
 #include <sys/stat.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <cerrno>
@@ -17,6 +20,29 @@ bool file_exists(const std::string& path) {
   struct ::stat st {};
   return ::stat(path.c_str(), &st) == 0;
 }
+
+/// A process-wide critical section over `path`: a blocking flock(LOCK_EX)
+/// on a dedicated lock file, released on destruction, and by the kernel
+/// if the holder dies, so no stale state exists to clean up.
+class ScopedFlock {
+ public:
+  explicit ScopedFlock(const std::string& path)
+      : fd_(::open(path.c_str(), O_RDWR | O_CREAT | O_CLOEXEC, 0644)) {
+    if (fd_ < 0) throw IoError(errno_message("cannot open lock file", path));
+    while (::flock(fd_, LOCK_EX) != 0) {
+      if (errno == EINTR) continue;
+      const IoError err(errno_message("cannot lock", path));
+      ::close(fd_);
+      throw err;
+    }
+  }
+  ~ScopedFlock() { ::close(fd_); }
+  ScopedFlock(const ScopedFlock&) = delete;
+  ScopedFlock& operator=(const ScopedFlock&) = delete;
+
+ private:
+  int fd_;
+};
 
 }  // namespace
 
@@ -195,28 +221,8 @@ std::optional<StoredResult> ResultsStore::load_hash(std::uint64_t hash) {
   return result;
 }
 
-namespace {
-
-/// The commit-time fencing check: the lease file must still carry the
-/// writer's token.  Runs before each durable stage — a zombie drainer is
-/// stopped at the first stage it reaches after losing its lease.
-void check_fencing(const Fencing* fencing, const std::string& dir) {
-  if (fencing == nullptr || fencing->leases == nullptr) return;
-  if (!fencing->leases->validate(fencing->resource, fencing->token)) {
-    std::ostringstream os;
-    os << "stale lease: the lock for " << fencing->resource << " in " << dir
-       << " no longer carries fencing token " << fencing->token
-       << " — a successor took the job over; this writer must stop "
-          "(the successor's publish supersedes this one)";
-    throw StaleLeaseError(os.str());
-  }
-}
-
-}  // namespace
-
 void ResultsStore::publish(const JobSpec& spec,
-                           const std::vector<ReplicateResult>& replicates,
-                           const Fencing* fencing) {
+                           const std::vector<ReplicateResult>& replicates) {
   check_not_poisoned();
   require_writable("publish");
   HINET_REQUIRE(replicates.size() == spec.repetitions,
@@ -225,10 +231,6 @@ void ResultsStore::publish(const JobSpec& spec,
                 "never published");
   const std::uint64_t hash = spec.content_hash();
   const std::vector<std::uint8_t> spec_bytes = spec.canonical_bytes();
-  // Stage 1's fencing check comes first of all: a zombie whose successor
-  // already published this very job must hear "stale lease" (transient,
-  // expected, handled), not trip the already-published precondition below.
-  check_fencing(fencing, dir_);
   // Check against *fresh* disk state: another drainer may have published
   // since this handle last read the index.
   entries_ = read_index_from_disk();
@@ -277,7 +279,6 @@ void ResultsStore::publish(const JobSpec& spec,
   // re-read the on-disk index under the lock, add this entry, rename the
   // merged file into place — a concurrent publisher of a different job
   // cannot be lost.
-  check_fencing(fencing, dir_);
   {
     const ScopedFlock section(lock_path());
     std::map<std::uint64_t, Entry> disk = read_index_from_disk();

@@ -38,8 +38,8 @@
 // or the full result.  There is nothing to roll back and nothing to roll
 // forward, so the store keeps no log.  Kill -9 after each stage is
 // exercised in tests/service/test_results_store.cpp and the CI
-// kill-and-recover smoke; the drain that wins the job's lease resolves
-// what is left (see service.hpp).
+// kill-and-recover smoke; the drain that next wins the job's journal
+// resolves what is left (see service.hpp).
 //
 // A publish that throws poisons the handle: the caller cannot tell which
 // stage landed, so every later call throws until the store is reopened
@@ -49,17 +49,12 @@
 //
 // ## Multi-process safety
 //
-// N drainers share one store.  Two mechanisms compose:
-//
-//   * The index is *merged*, never blind-rewritten: stage 2 re-reads
-//     index.hix from disk under store.lock, adds this publish's entry,
-//     and renames the merged file into place — concurrent publishers of
-//     different jobs cannot lose each other's entries.
-//   * Fencing: when publish() is given a Fencing binding, each stage
-//     first re-validates that the job's lease file still carries the
-//     writer's token.  A zombie drainer (paused past expiry, taken over)
-//     gets a StaleLeaseError instead of clobbering its successor —
-//     see lease_lock.hpp for why expiry alone cannot provide this.
+// N drainers share one store.  The index is *merged*, never
+// blind-rewritten: stage 2 re-reads index.hix from disk under store.lock,
+// adds this publish's entry, and renames the merged file into place, so
+// concurrent publishers of different jobs cannot lose each other's
+// entries.  Two publishers never race on one job: a drain publishes only
+// the job whose journal lock it holds (see service.hpp).
 //
 // Readers open the store with StoreOptions::read_only: no directory
 // creation, no locks, no temp-file cleanup — publishes never block or
@@ -76,7 +71,6 @@
 
 #include "analysis/experiment.hpp"
 #include "service/job_spec.hpp"
-#include "service/lease_lock.hpp"
 
 namespace hinet {
 
@@ -93,15 +87,6 @@ struct StoreOptions {
   /// Observe only: no locks, no temp-file cleanup, publish refused.  A
   /// missing directory reads as an empty store.
   bool read_only = false;
-};
-
-/// Binds a publish to a held lease for commit-time fencing: before every
-/// durable stage the store re-checks that the lease file named `resource`
-/// still carries `token`, and throws StaleLeaseError otherwise.
-struct Fencing {
-  const LeaseManager* leases = nullptr;
-  std::string resource;
-  std::uint64_t token = 0;
 };
 
 class ResultsStore {
@@ -157,13 +142,9 @@ class ResultsStore {
   /// order.  Re-publishing a stored job is a PreconditionError (callers
   /// check contains() — that is the cache-hit path); publishing a spec
   /// whose hash collides with a *different* stored spec is an IoError.
-  /// With `fencing`, each stage first re-validates it against the lease
-  /// file and throws StaleLeaseError when the token was superseded (the
-  /// successor owns the job now; this writer must stop).  If any stage
-  /// throws, the handle is poisoned: reopen it.
+  /// If any stage throws, the handle is poisoned: reopen it.
   void publish(const JobSpec& spec,
-               const std::vector<ReplicateResult>& replicates,
-               const Fencing* fencing = nullptr);
+               const std::vector<ReplicateResult>& replicates);
 
   /// Re-reads the index from disk, picking up entries other processes
   /// published since this handle opened (the index file is rename-atomic,

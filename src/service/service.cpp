@@ -1,5 +1,7 @@
 #include "service/service.hpp"
 
+#include <unistd.h>
+
 #include <algorithm>
 #include <cstdio>
 #include <limits>
@@ -17,7 +19,6 @@ std::string ServiceReport::to_string() const {
      << "  deferred: " << deferred_jobs << "  failed: " << failed_jobs
      << "  resumed-replicates: " << resumed_replicates
      << "  cancelled: " << (cancelled ? 1 : 0)
-     << "  stale-leases: " << stale_leases
      << "  skipped-claimed: " << skipped_claimed;
   return os.str();
 }
@@ -26,19 +27,12 @@ std::string ExperimentService::job_resource(std::uint64_t hash) {
   return "job-" + hash_hex(hash);
 }
 
-void ExperimentService::reopen_store() {
-  store_ = std::make_unique<ResultsStore>(dir_);
-}
-
 ExperimentService::ExperimentService(std::string dir, ServiceOptions options)
     : dir_(std::move(dir)), options_(std::move(options)) {
   store_ = std::make_unique<ResultsStore>(dir_);  // creates dir_
-  LeaseManager::Options lo;
-  lo.lease_ms = options_.lease_ms;
-  lo.takeover_grace_ms = options_.takeover_grace_ms;
-  lo.owner = options_.drain_id;  // empty → "pid-<pid>"
-  lo.now_ms = options_.now_ms;   // empty → wall clock
-  leases_ = std::make_unique<LeaseManager>(dir_, lo);
+  if (options_.drain_id.empty()) {
+    options_.drain_id = "pid-" + std::to_string(::getpid());
+  }
   // Touch the queue once (wait mode): creates the file, salvages a torn
   // tail, compacts drained history.  Closed immediately — the queue is
   // opened transiently per mutation so N drains can share it.
@@ -47,7 +41,7 @@ ExperimentService::ExperimentService(std::string dir, ServiceOptions options)
 }
 
 std::string ExperimentService::journal_path(const JobSpec& spec) const {
-  return dir_ + "/job-" + spec.hash_hex() + ".journal";
+  return dir_ + "/" + job_resource(spec.content_hash()) + ".journal";
 }
 
 std::size_t ExperimentService::pending() const {
@@ -62,16 +56,14 @@ std::vector<JobSpec> ExperimentService::pending_jobs() const {
   return queue.pending_jobs();
 }
 
-void ExperimentService::append_ledger(std::uint8_t kind, std::uint64_t hash,
-                                      std::uint64_t token) {
+void ExperimentService::append_ledger(std::uint8_t kind, std::uint64_t hash) {
   FramedLog ledger(ledger_path(), kLedgerMagic, kLedgerVersion,
                    kLedgerRecordMagic, "execution ledger",
                    FramedLog::Access::kWait);
   ByteWriter w;
   w.u8(kind);
   w.u64(hash);
-  w.u64(token);
-  const std::string& owner = leases_->owner();
+  const std::string& owner = options_.drain_id;
   const std::span<const std::uint8_t> owner_bytes(
       reinterpret_cast<const std::uint8_t*>(owner.data()), owner.size());
   w.blob(owner_bytes);
@@ -89,19 +81,16 @@ ExecutionLedger read_execution_ledger(const std::string& dir) {
     ByteReader r(rec, "execution-ledger record");
     const std::uint8_t kind = r.u8();
     const std::uint64_t hash = r.u64();
-    r.u64();   // token — informational
-    r.blob();  // owner — informational
+    const auto owner = r.blob();
     r.expect_done();
     ExecutionLedger::PerJob& job = out.jobs[hash];
     if (kind == ExperimentService::kLedgerClaim) {
       ++job.claims;
       ++out.total_claims;
+      job.claimed_by.assign(owner.begin(), owner.end());
     } else if (kind == ExperimentService::kLedgerPublish) {
       ++job.publishes;
       ++out.total_publishes;
-    } else if (kind == ExperimentService::kLedgerStale) {
-      ++job.stales;
-      ++out.total_stales;
     } else {
       std::ostringstream os;
       os << "execution-ledger record has unknown kind "
@@ -129,51 +118,44 @@ ExperimentService::SubmitOutcome ExperimentService::submit(
 }
 
 std::optional<ExperimentService::ClaimedJob> ExperimentService::claim_next(
-    ServiceReport& report, const std::set<std::uint64_t>& handed_back) {
+    ServiceReport& report, const std::set<std::uint64_t>& deferred) {
   // One transient queue session: acknowledge stored jobs, then claim the
-  // first job no sibling drainer holds.  The queue closes before any
+  // first job no live sibling holds.  The queue closes before any
   // simulation starts.
   JobQueue queue(queue_path(), options_.max_pending,
                  FramedLog::Access::kWait);
-  store_->refresh();
   std::size_t foreign = 0;
   for (const JobSpec& job : queue.pending_jobs()) {
     const std::uint64_t hash = job.content_hash();
-    const bool stored = store_->contains(job);
+    if (deferred.count(hash) != 0) continue;
 
-    // Tried once already by this call and handed back still pending:
-    // claiming it again would spin on the same failure (or on the same
-    // held journal) until the call is killed.
-    if (!stored && handed_back.count(hash) != 0) continue;
-
-    // The lease is the claim, stored job or not: its winner is the one
-    // place a half-published job is resolved.  It is taken inside this
-    // queue session, after the refresh above, and a publisher releases
-    // its lease and marks its job done inside one queue session too, so a
-    // pending job this claim wins is unstored, or stored by a drain that
-    // died before marking it done.
-    std::optional<LeaseLock> lease = leases_->try_acquire(job_resource(hash));
-    if (!lease.has_value()) {
-      // A sibling holds it, or won the race to it.  A stored job whose
-      // lease is live belongs to its holder, which marks it done itself.
-      ++foreign;
-      continue;
+    // The journal is the claim.  Only queue sessions create journals, and
+    // a holder publishes before it unlinks its journal, so once the
+    // journal is won or seen absent, a fresh read of the store shows
+    // every publish of the job there is going to be.
+    const std::string path = journal_path(job);
+    std::unique_ptr<ExperimentJournal> journal;
+    if (::access(path.c_str(), F_OK) == 0) {
+      try {
+        journal = std::make_unique<ExperimentJournal>(path);
+      } catch (const ConcurrentWriterError&) {
+        ++foreign;  // a live sibling holds the job; it marks it done itself
+        continue;
+      }
     }
-
-    // Deduped execution: a stored job (published by a sibling drain, or
-    // by a drain that died after its index stage) is acknowledged without
-    // simulating anything, and the dead drain's journal goes with it.
-    if (stored) {
-      std::remove(journal_path(job).c_str());
-      lease->release();
+    store_->refresh();
+    if (store_->contains(job)) {
+      // Published by a drain that died, or that is about to find the job
+      // done: acknowledge it without simulating or creating a journal.
+      if (journal != nullptr) std::remove(path.c_str());
       queue.mark_done(hash);
       ++report.cache_hits;
       continue;
     }
-
     // Unstored: a fresh job, or one whose publish died after its segment
     // stage.  Its journal holds what was done; the claim re-publishes it.
-    return ClaimedJob{job, std::move(*lease)};
+    if (journal == nullptr) journal = std::make_unique<ExperimentJournal>(path);
+    return ClaimedJob{job, std::move(journal)};
   }
   // Nothing claimable: report what was left to sibling drainers (this
   // final pass's count, not a sum over passes).
@@ -183,74 +165,29 @@ std::optional<ExperimentService::ClaimedJob> ExperimentService::claim_next(
 
 bool ExperimentService::execute_claimed(ClaimedJob claimed,
                                         ServiceReport& report) {
-  const JobSpec job = claimed.job;
+  const JobSpec& job = claimed.job;
   const std::uint64_t hash = job.content_hash();
-  LeaseLock& lease = claimed.lease;
+  ExperimentJournal& journal = *claimed.journal;
 
   // Execute the missing replicates under the supervisor, journaling
   // completions durably.  A journal left by a killed run prefills
-  // finished replicates, so nothing executes twice.  The journal passes
-  // to any successor that takes the job over — results are pure
-  // functions of (spec, seed), so replicates journaled by a fenced
-  // zombie are byte-identical to what the successor would compute.
-  std::optional<ExperimentJournal> journal;
-  try {
-    journal.emplace(journal_path(job));
-  } catch (const ConcurrentWriterError&) {
-    // A live writer still holds the journal: a drain stopped
-    // mid-simulation whose lease we took over.  Leave the job to it; its
-    // replicates land in the journal, and a later run resumes from them.
-    lease.release();
-    ++report.skipped_claimed;
-    return true;
-  }
-  append_ledger(kLedgerClaim, hash, lease.token());
-  report.resumed_replicates += journal->size();
-
-  std::atomic<bool> stop{false};
-  std::atomic<bool> lease_lost{false};
-
+  // finished replicates, so nothing executes twice.
+  append_ledger(kLedgerClaim, hash);
+  report.resumed_replicates += journal.size();
   SupervisorPolicy policy;
   policy.deadline_ms = options_.deadline_ms;
   policy.max_retries = options_.max_retries;
-  policy.journal = &*journal;
-  policy.cancel = &stop;
-  policy.on_progress = [&](std::size_t, std::uint64_t) {
-    // The heartbeat: every journaled replicate renews the lease.  A
-    // failed renew means a successor took the job — stop promptly, the
-    // fencing token would refuse our publish anyway.
-    if (!lease.renew()) {
-      lease_lost.store(true, std::memory_order_relaxed);
-      stop.store(true, std::memory_order_relaxed);
-    }
-    if (options_.cancel != nullptr &&
-        options_.cancel->load(std::memory_order_relaxed)) {
-      stop.store(true, std::memory_order_relaxed);
-    }
-  };
-
+  policy.journal = &journal;
+  policy.cancel = options_.cancel;
   const SpecFactory factory = scenario_factory(job.scenario, job.config);
   const ExperimentOptions exp{static_cast<std::size_t>(job.repetitions),
                               job.base_seed, options_.policy};
   const SupervisedBatch batch =
       run_replicates_supervised(factory, exp, policy);
-  // Single-writer: close before publishing, so a successor that takes
-  // the job over from here can open the journal and resume from it.
-  journal.reset();
-
-  if (lease_lost.load(std::memory_order_relaxed)) {
-    // Taken over mid-execution.  The job is the successor's now; our
-    // journal stays for it to resume from.  The lease object is already
-    // ownerless.
-    append_ledger(kLedgerStale, hash, lease.token());
-    ++report.stale_leases;
-    return false;
-  }
 
   if (batch.cancelled) {
     // Journal keeps what completed; the job stays pending for resume.
     report.cancelled = true;
-    lease.release();
     return false;
   }
 
@@ -261,30 +198,15 @@ bool ExperimentService::execute_claimed(ClaimedJob claimed,
       replicates.push_back(*slot);
     }
     if (options_.on_job_will_publish) options_.on_job_will_publish(job);
-    const Fencing fencing{leases_.get(), job_resource(hash), lease.token()};
-    try {
-      store_->publish(job, replicates, &fencing);
-    } catch (const StaleLeaseError&) {
-      // Fenced out at a commit stage: the successor owns the job and
-      // will (or did) publish the identical result.  The handle is
-      // poisoned — reopen it before the next job.
-      reopen_store();
-      append_ledger(kLedgerStale, hash, lease.token());
-      ++report.stale_leases;
-      return false;
-    }
-    append_ledger(kLedgerPublish, hash, lease.token());
-    // The journal is now redundant (the store owns the result); its
-    // removal is pure cleanup — a resurrected journal is harmless
-    // because the store hit short-circuits before it is ever opened.
-    std::remove(journal_path(job).c_str());
+    store_->publish(job, replicates);
+    append_ledger(kLedgerPublish, hash);
+    // Unlink the journal while its lock is held, then mark the job done:
+    // a crash in between leaves a pending stored job with no journal,
+    // which the next claim acknowledges.
+    std::remove(journal.path().c_str());
     {
-      // Release, then mark done, in one queue session: claims need its
-      // lock, so none interleaves.  A crash between the two leaves the
-      // job pending and unleased, and the next drain acknowledges it.
       JobQueue queue(queue_path(), options_.max_pending,
                      FramedLog::Access::kWait);
-      lease.release();
       if (queue.is_pending(hash)) queue.mark_done(hash);
     }
     ++report.executed_jobs;
@@ -305,36 +227,33 @@ bool ExperimentService::execute_claimed(ClaimedJob claimed,
         << to_string(f.cls) << ": " << f.message << "] ";
   }
   report.failure_messages.push_back(why.str());
-  if (permanent) {
-    {
-      JobQueue queue(queue_path(), options_.max_pending,
-                     FramedLog::Access::kWait);
-      if (queue.is_pending(hash)) queue.mark_failed(hash, why.str());
-    }
-    std::remove(journal_path(job).c_str());
-    ++report.failed_jobs;
-  } else {
+  if (!permanent) {
     ++report.deferred_jobs;
+    return true;
   }
-  lease.release();
-  return !permanent;
+  {
+    JobQueue queue(queue_path(), options_.max_pending,
+                   FramedLog::Access::kWait);
+    if (queue.is_pending(hash)) queue.mark_failed(hash, why.str());
+  }
+  std::remove(journal.path().c_str());
+  ++report.failed_jobs;
+  return false;
 }
 
 ServiceReport ExperimentService::run_pending() {
   ServiceReport report;
-  std::set<std::uint64_t> handed_back;
+  std::set<std::uint64_t> deferred;
   for (;;) {
     if (options_.cancel != nullptr &&
         options_.cancel->load(std::memory_order_relaxed)) {
       report.cancelled = true;
       break;
     }
-    std::optional<ClaimedJob> claimed = claim_next(report, handed_back);
+    std::optional<ClaimedJob> claimed = claim_next(report, deferred);
     if (!claimed.has_value()) break;
     const std::uint64_t hash = claimed->job.content_hash();
-    if (execute_claimed(std::move(*claimed), report)) {
-      handed_back.insert(hash);
-    }
+    if (execute_claimed(std::move(*claimed), report)) deferred.insert(hash);
     if (report.cancelled) break;
   }
   return report;

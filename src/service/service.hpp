@@ -30,40 +30,45 @@
 // ## Concurrent drains
 //
 // N service instances (N `hinetd run` processes) may share one directory.
-// run_pending() claims one job at a time: open the queue transiently
-// (wait-mode FramedLog — short lock-mutate-close sections), pick the
-// first pending job whose lease (lease_lock.hpp) it can win, close the
-// queue, and only then execute — the queue and store are never held
-// across a simulation.  The lease file is the only record of which drain
-// holds a job, and winning it is the one place a half-published job is
-// resolved: a job whose publish died after the segment stage is still
+// run_pending() claims one job at a time inside a transient queue session
+// (wait-mode FramedLog, a short lock-mutate-close section): the claim on a
+// job is its journal.  The journal is a FramedLog, so opening it takes a
+// non-blocking exclusive flock; a ConcurrentWriterError means a live
+// sibling holds the job, and the kernel drops the lock the moment its
+// holder dies, so a dead drain's job is claimable at once.  The queue
+// closes before the simulation starts; the journal stays held through the
+// publish and the queue's done mark.  The store is read after the journal
+// is won (or seen absent), and that is the one place a half-published job
+// is resolved: a job whose publish died after the segment stage is still
 // unstored, so its winner re-publishes it from the journal; one that died
 // after the index stage is stored, so its winner acknowledges it (journal
-// deleted, lease released, marked done).  The supervisor's progress
-// callback renews the lease after every journaled replicate (the
-// heartbeat); publish() carries the lease's fencing token so a drainer
-// that lost its lease mid-run is refused at the next commit stage instead
-// of clobbering its successor.
-// Every claim, publish and stale-lease detection is appended to
-// <dir>/ledger.hle — the append-only execution ledger `hinetd status`
-// reports and the CI multi-drain smoke asserts over ("no job published
-// twice").
+// unlinked, job marked done) without creating a journal.
+//
+// Locks: a journal is only ever tried non-blocking.  The queue, the ledger
+// and store.lock are the blocking locks, and no two of them are held at
+// once.  A finished job is published, recorded in the ledger, its journal
+// unlinked while still locked, marked done in a queue session and only
+// then closed, so a crash at any point leaves nothing behind or a pending
+// stored job that the next claim acknowledges.
+//
+// Every claim and publish is appended to <dir>/ledger.hle — the
+// append-only execution ledger `hinetd status` reports and the CI
+// multi-drain smoke asserts over ("no job published twice").
 #pragma once
 
 #include <atomic>
 #include <cstdint>
 #include <functional>
+#include <map>
 #include <memory>
 #include <optional>
 #include <set>
 #include <string>
 #include <vector>
 
-#include <map>
-
+#include "analysis/journal.hpp"
 #include "analysis/supervisor.hpp"
 #include "service/job_queue.hpp"
-#include "service/lease_lock.hpp"
 #include "service/results_store.hpp"
 
 namespace hinet {
@@ -81,55 +86,34 @@ struct ServiceOptions {
   std::size_t max_retries = 1;
 
   /// Cooperative cancellation (SIGINT/SIGTERM); checked between jobs and
-  /// between replicates.  Not owned.
+  /// by the supervisor between replicates.  Not owned.
   const std::atomic<bool>* cancel = nullptr;
 
   /// Invoked after a job's results were fully published and acknowledged
   /// (the CI crash lever hard-exits here to simulate SIGKILL).
   std::function<void(const JobSpec&)> on_job_published;
 
-  /// Lease validity per acquire/renew.  Must comfortably exceed the wall
-  /// time of one replicate: the heartbeat renews after every journaled
-  /// replicate, so a lease shorter than a replicate expires mid-work and
-  /// invites a takeover of a live job (safe — fencing refuses the loser —
-  /// but wasteful).
-  std::uint64_t lease_ms = 30000;
-
-  /// Extra slack past expiry before a contender may take a lease over
-  /// (absorbs clock skew between drainer hosts).
-  std::uint64_t takeover_grace_ms = 1000;
-
-  /// This drainer's identity in lease files and the ledger.  Empty:
-  /// "pid-<pid>".
+  /// This drainer's identity in the ledger.  Empty: "pid-<pid>".
   std::string drain_id;
 
-  /// Millisecond clock for lease expiry (tests inject a fake; empty uses
-  /// the wall clock).
-  LeaseClock now_ms;
-
   /// Test seam: invoked after a job's replicates completed, immediately
-  /// before the store publish begins (the torture harness parks a zombie
-  /// drainer here while a successor steals the job).
+  /// before the store publish begins (the torture harness parks the
+  /// holder here while a sibling drains).
   std::function<void(const JobSpec&)> on_job_will_publish;
 };
 
 /// What run_pending did, per drained queue entry and in total.
 struct ServiceReport {
   std::size_t executed_jobs = 0;   ///< simulated and published this run
-  /// Already stored: its lease won, its journal deleted and the job
+  /// Already stored: its journal (if any) won and unlinked and the job
   /// marked done — served, not re-run.
   std::size_t cache_hits = 0;
   std::size_t failed_jobs = 0;     ///< left the queue permanently failed
   std::size_t deferred_jobs = 0;   ///< transient failure — still pending
   std::size_t resumed_replicates = 0;  ///< journal-recovered, not re-run
-  /// Lease lost mid-job (heartbeat renew failed, or a commit stage was
-  /// fenced): the successor owns the job; nothing was corrupted and
-  /// nothing of the successor's was overwritten.
-  std::size_t stale_leases = 0;
-  /// Pending jobs left alone because a sibling drainer holds their
-  /// lease (a stored job too: its holder marks it done), or whose journal
-  /// another writer still holds — they are *someone else's* work, not a
-  /// failure.
+  /// Pending jobs left alone because another writer holds their journal
+  /// (a stored job too: its holder marks it done) — they are *someone
+  /// else's* work, not a failure.
   std::size_t skipped_claimed = 0;
   bool cancelled = false;          ///< stopped on the cancel flag
   std::vector<std::string> failure_messages;
@@ -142,25 +126,23 @@ class ExperimentService {
   enum class SubmitOutcome { kCacheHit, kEnqueued, kAlreadyPending };
 
   // Execution-ledger file format (<dir>/ledger.hle): an append-only
-  // FramedLog of {u8 kind, u64 hash, u64 token, owner blob} records —
-  // the audit trail of who executed what (never compacted).
+  // FramedLog of {u8 kind, u64 hash, owner blob} records — the audit
+  // trail of who executed what (never compacted).
   static constexpr std::uint32_t kLedgerMagic = 0x4c'45'53'48u;  // "HSEL"
-  static constexpr std::uint16_t kLedgerVersion = 1;
+  static constexpr std::uint16_t kLedgerVersion = 2;
   static constexpr std::uint32_t kLedgerRecordMagic = 0x52'45'53'48u;  // HSER
   static constexpr std::uint8_t kLedgerClaim = 1;
   static constexpr std::uint8_t kLedgerPublish = 2;
-  static constexpr std::uint8_t kLedgerStale = 3;
 
   /// Opens (creating) the service state under `dir`: <dir>/queue.hjq,
-  /// <dir>/index.hix + segments + store.lock, <dir>/ledger.hle,
-  /// <dir>/job-<hash>.{journal,lease,fence} while a job is in flight.
-  /// Nothing is resolved here: run_pending() resolves a half-published
-  /// job when it wins the job's lease.
+  /// <dir>/index.hix + segments + store.lock, <dir>/ledger.hle, and
+  /// <dir>/job-<hash>.journal while a job is in flight.  Nothing is
+  /// resolved here: run_pending() resolves a half-published job when it
+  /// wins the job's journal.
   ExperimentService(std::string dir, ServiceOptions options);
 
   ResultsStore& store() { return *store_; }
   const ResultsStore& store() const { return *store_; }
-  LeaseManager& leases() { return *leases_; }
 
   /// Current queue backlog, observed through a transient read-only open
   /// (safe while other drainers hold the queue).
@@ -174,11 +156,9 @@ class ExperimentService {
 
   /// Drains the queue one claimed job at a time until no job can be
   /// claimed (empty, or every remainder is a sibling drainer's).  Each
-  /// call tries a job at most once: one it hands back still pending
-  /// (deferred, or its journal held by a live writer) waits for the next
-  /// call.  Never throws for per-job failures or lost leases — they land
-  /// in the report; throws only for store/queue-level corruption
-  /// (IoError).
+  /// call tries a job at most once: a deferred one waits for the next
+  /// call.  Never throws for per-job failures — they land in the report;
+  /// throws only for store/queue-level corruption (IoError).
   ServiceReport run_pending();
 
   /// Path of the in-flight journal for a job (exists only between first
@@ -188,45 +168,40 @@ class ExperimentService {
   std::string queue_path() const { return dir_ + "/queue.hjq"; }
   std::string ledger_path() const { return dir_ + "/ledger.hle"; }
 
-  /// The lease/ledger resource name for a job hash: "job-<16 hex>".
+  /// The journal and ledger name of a job hash: "job-<16 hex>".
   static std::string job_resource(std::uint64_t hash);
 
  private:
   struct ClaimedJob {
     JobSpec job;
-    LeaseLock lease;
+    std::unique_ptr<ExperimentJournal> journal;  ///< held: the claim
   };
 
   /// Claims the first pending job no sibling holds, skipping the jobs in
-  /// `handed_back` (this run_pending call already tried them).
+  /// `deferred` (this run_pending call already tried them).
   std::optional<ClaimedJob> claim_next(
-      ServiceReport& report, const std::set<std::uint64_t>& handed_back);
-  /// Runs one claimed job.  Returns true when it handed the job back
-  /// still pending — deferred, or its journal held by a live writer.
+      ServiceReport& report, const std::set<std::uint64_t>& deferred);
+  /// Runs one claimed job.  Returns true when it deferred the job.
   bool execute_claimed(ClaimedJob claimed, ServiceReport& report);
-  void append_ledger(std::uint8_t kind, std::uint64_t hash,
-                     std::uint64_t token);
-  void reopen_store();
+  void append_ledger(std::uint8_t kind, std::uint64_t hash);
 
   std::string dir_;
   ServiceOptions options_;
   std::unique_ptr<ResultsStore> store_;
-  std::unique_ptr<LeaseManager> leases_;
 };
 
 /// Per-job execution counts replayed from <dir>/ledger.hle — the "no job
-/// executed twice" evidence: under fencing, `publishes` is at most 1 per
-/// hash no matter how many drainers were killed and restarted.
+/// executed twice" evidence: `publishes` is at most 1 per hash no matter
+/// how many drainers were killed and restarted.
 struct ExecutionLedger {
   struct PerJob {
-    std::size_t claims = 0;     ///< executions begun (takeovers included)
+    std::size_t claims = 0;     ///< executions begun (resumes included)
     std::size_t publishes = 0;  ///< durable publishes acknowledged
-    std::size_t stales = 0;     ///< drainers that detected a lost lease
+    std::string claimed_by;     ///< the drain of the latest claim
   };
   std::map<std::uint64_t, PerJob> jobs;
   std::size_t total_claims = 0;
   std::size_t total_publishes = 0;
-  std::size_t total_stales = 0;
 };
 
 /// Replays the execution ledger read-only (missing file: empty ledger).

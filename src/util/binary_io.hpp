@@ -1,9 +1,9 @@
 // Checksummed binary serialization primitives.
 //
 // The crash-safety layer (the experiment journal, the results store, the
-// job queue and its leases) stores binary state on disk, where torn
-// writes, truncation and bit rot are facts of life.  Everything here is
-// therefore defensive by construction:
+// job queue and the execution ledger) stores binary state on disk, where
+// torn writes, truncation and bit rot are facts of life.  Everything here
+// is therefore defensive by construction:
 //
 //   ByteWriter — append-only little-endian encoder into a growable buffer;
 //   ByteReader — bounds-checked decoder over a byte span: every read
@@ -134,7 +134,7 @@ std::string errno_message(const std::string& what, const std::string& path);
 /// write-then-rename makes the *file contents* atomic, but the rename
 /// itself lives in the directory, and a power failure can forget it unless
 /// the directory inode is synced too.  Every atomic-publish step in the
-/// tree (journals, the results store, leases) funnels through this.
+/// tree (journals, the results store, the queue) funnels through this.
 /// Throws IoError when the directory cannot be opened or synced.
 void fsync_parent_directory(const std::string& path);
 

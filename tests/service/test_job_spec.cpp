@@ -104,7 +104,7 @@ TEST(JobSpec, HashHexIsSixteenLowercaseDigitsAndRoundTrips) {
         std::uint64_t{0x8000000000000000}, std::uint64_t{0x0123456789abcdef}}) {
     EXPECT_EQ(parse_hash_hex(hash_hex(x)), x) << hash_hex(x);
   }
-  // Lease and ledger resource names use the same spelling.
+  // Journal and ledger names use the same spelling.
   EXPECT_EQ(ExperimentService::job_resource(1), "job-0000000000000001");
 }
 

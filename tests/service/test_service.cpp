@@ -247,58 +247,14 @@ TEST(Service, ExecutionPolicyDoesNotChangeTheDigest) {
   for (const std::uint64_t d : digests) EXPECT_EQ(d, digests[0]);
 }
 
-// ── Queue records: the lease file is the only record of a claim ─────────
+// ── Queue records: no record says which drain holds a job ──────────────
 
-// Record kinds of a v2 queue file.  Earlier builds also appended claim
-// {hash, owner, token, expiry} and release {hash, token} records.
 constexpr std::uint8_t kRecSubmit = 1;
 constexpr std::uint8_t kRecDone = 2;
-constexpr std::uint8_t kRecFailed = 3;
-constexpr std::uint8_t kRecClaim = 4;
-constexpr std::uint8_t kRecRelease = 5;
 
 FramedLog raw_queue(const std::string& path, FramedLog::Access access) {
   return FramedLog(path, JobQueue::kMagic, JobQueue::kVersion,
                    JobQueue::kRecordMagic, "job queue", access);
-}
-
-std::vector<std::uint8_t> submit_record(const JobSpec& spec) {
-  ByteWriter w;
-  w.u8(kRecSubmit);
-  w.blob(spec.canonical_bytes());
-  return w.take();
-}
-
-std::vector<std::uint8_t> hash_record(std::uint8_t kind, const JobSpec& spec) {
-  ByteWriter w;
-  w.u8(kind);
-  w.u64(spec.content_hash());
-  return w.take();
-}
-
-std::vector<std::uint8_t> text(const std::string& s) {
-  return {s.begin(), s.end()};
-}
-
-std::vector<std::uint8_t> claim_record(const JobSpec& spec,
-                                       const std::string& owner,
-                                       std::uint64_t token) {
-  ByteWriter w;
-  w.u8(kRecClaim);
-  w.u64(spec.content_hash());
-  w.blob(text(owner));
-  w.u64(token);
-  w.u64(1000 * token);  // expiry
-  return w.take();
-}
-
-std::vector<std::uint8_t> release_record(const JobSpec& spec,
-                                         std::uint64_t token) {
-  ByteWriter w;
-  w.u8(kRecRelease);
-  w.u64(spec.content_hash());
-  w.u64(token);
-  return w.take();
 }
 
 std::vector<std::uint8_t> record_kinds(const std::string& path) {
@@ -310,96 +266,34 @@ std::vector<std::uint8_t> record_kinds(const std::string& path) {
   return kinds;
 }
 
-std::vector<std::uint64_t> pending_hashes(const JobQueue& queue) {
-  std::vector<std::uint64_t> out;
-  for (const JobSpec& s : queue.pending_jobs()) out.push_back(s.content_hash());
-  return out;
-}
-
-TEST(JobQueue, ClaimRecordsOfEarlierBuildsAreReplayedAndCompactedAway) {
-  const std::string dir = fresh_dir("queue_v2_claims");
-  std::filesystem::create_directories(dir);
-  const std::string path = dir + "/queue.hjq";
-  const JobSpec a = tiny_spec(1);
-  const JobSpec b = tiny_spec(50);
-  const JobSpec c = tiny_spec(90);
-  const JobSpec d = tiny_spec(130);
-  std::size_t written = 0;
-  {
-    FramedLog log = raw_queue(path, FramedLog::Access::kExclusive);
-    log.append(submit_record(a));
-    log.append(submit_record(b));
-    log.append(claim_record(a, "d1", 1));
-    log.append(submit_record(c));
-    log.append(claim_record(b, "d2", 1));
-    log.append(release_record(b, 1));
-    log.append(hash_record(kRecDone, a));
-    log.append(submit_record(d));
-    ByteWriter failed;
-    failed.u8(kRecFailed);
-    failed.u64(c.content_hash());
-    failed.blob(text("deterministic failure"));
-    log.append(failed.buffer());
-    // A takeover history on b, then a live claim on d.
-    for (std::uint64_t token = 2; token <= 6; ++token) {
-      log.append(claim_record(b, "d3", token));
-      log.append(release_record(b, token));
-    }
-    log.append(claim_record(d, "d1", 7));
-    written = log.records().size();
-  }
-  // Enough history that a writable open compacts (> 2 * pending + 8).
-  ASSERT_GT(written, 2u * 2 + 8);
-  const std::vector<std::uint64_t> fifo = {b.content_hash(),
-                                           d.content_hash()};
-
-  // Read-only: the pending set as the earlier build left it, FIFO order.
-  EXPECT_EQ(pending_hashes(JobQueue(path, 8, FramedLog::Access::kReadOnly)),
-            fifo);
-  EXPECT_EQ(record_kinds(path).size(), written)
-      << "a read-only open never compacts";
-
-  // Writable: same pending set, and compaction keeps only the submits.
-  EXPECT_EQ(pending_hashes(JobQueue(path, 8)), fifo);
-  EXPECT_EQ(record_kinds(path),
-            (std::vector<std::uint8_t>{kRecSubmit, kRecSubmit}));
-  EXPECT_EQ(pending_hashes(JobQueue(path, 8)), fifo);
-}
-
-TEST(JobQueue, TruncatedClaimOrReleaseRecordIsCorruption) {
-  const std::string dir = fresh_dir("queue_v2_truncated");
-  std::filesystem::create_directories(dir);
-  const JobSpec a = tiny_spec(1);
-
-  // A claim missing its expiry, and a release missing its token: the
-  // frames are intact, so this is not a torn tail but a malformed record.
-  std::vector<std::uint8_t> claim = claim_record(a, "d1", 1);
-  claim.resize(claim.size() - 8);
-  std::vector<std::uint8_t> release = release_record(a, 1);
-  release.resize(release.size() - 8);
-  for (const auto& bad : {claim, release}) {
-    const std::string path = dir + "/queue-" +
-                             std::to_string(bad.at(0)) + ".hjq";
-    {
-      FramedLog log = raw_queue(path, FramedLog::Access::kExclusive);
-      log.append(submit_record(a));
-      log.append(bad);
-    }
-    EXPECT_THROW(JobQueue(path, 8, FramedLog::Access::kReadOnly), IoError);
-    EXPECT_THROW(JobQueue(path, 8), IoError);
-  }
-}
-
 TEST(Service, DrainAppendsOnlySubmitAndDoneRecordsToTheQueue) {
   ExperimentService service(fresh_dir("queue_records"), {});
   service.submit(tiny_spec(1));
   service.submit(tiny_spec(50));
   const ServiceReport report = service.run_pending();
   EXPECT_EQ(report.executed_jobs, 2u);
-  // Which drain held each job lived only in its lease file.
+  // Which drain held each job lives only in its journal's lock.
   EXPECT_EQ(record_kinds(service.queue_path()),
             (std::vector<std::uint8_t>{kRecSubmit, kRecSubmit, kRecDone,
                                        kRecDone}));
+}
+
+TEST(Service, DrainLeavesNoLockFileBehind) {
+  // The claim on a job is its journal's kernel lock: a drain writes no
+  // lease or fence file, and the journal goes with the published job.
+  const std::string dir = fresh_dir("no_lock_files");
+  ExperimentService service(dir, {});
+  service.submit(tiny_spec(1));
+  service.submit(tiny_spec(50));
+  EXPECT_EQ(service.run_pending().executed_jobs, 2u);
+  std::vector<std::string> left;
+  for (const auto& e : std::filesystem::directory_iterator(dir)) {
+    const std::string ext = e.path().extension().string();
+    if (ext == ".lease" || ext == ".fence" || ext == ".journal") {
+      left.push_back(e.path().filename().string());
+    }
+  }
+  EXPECT_EQ(left, std::vector<std::string>{});
 }
 
 }  // namespace

@@ -222,6 +222,13 @@ TEST(StoreFuzz, QueueVersionSkewAndForeignHeaderAreRefused) {
   skew[4] ^= 0xff;  // version
   write_file(path, skew);
   EXPECT_THROW((JobQueue{path, 8}), IoError);
+
+  // A version-2 queue of an earlier build may hold claim records.
+  std::vector<std::uint8_t> v2 = good;
+  v2[4] = 2;  // version, u16 little-endian
+  v2[5] = 0;
+  write_file(path, v2);
+  EXPECT_THROW((JobQueue{path, 8}), IoError);
 }
 
 }  // namespace

@@ -5,9 +5,9 @@
 // while a foreign or version-skewed header is refused with IoError.
 // Every mutation must produce a typed exception or a clean salvage, never
 // UB; the sanitizer CI jobs run this suite (label: robustness) to enforce
-// that byte by byte.  The whole-file container under the results store,
-// leases and fences (read_checksummed_file) is all-or-nothing instead;
-// its missing-file diagnostic is pinned here too.
+// that byte by byte.  The whole-file container under the results store
+// (read_checksummed_file) is all-or-nothing instead; its missing-file
+// diagnostic is pinned here too.
 #include "util/framed_log.hpp"
 
 #include <gtest/gtest.h>

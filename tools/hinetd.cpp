@@ -17,11 +17,11 @@
 // and a restarted `run` resumes without re-executing anything that
 // finished, while the store's two-stage commit (segment, then the index
 // rename that commits) guarantees a query sees a full result or a clean
-// miss, never a torn one.  The drain that next wins a cut job's lease
-// finishes it: it re-publishes from the journal, or acknowledges a job
-// the dead drain already indexed.  `query` serves aggregates, completion
-// curves and crossover lookups purely from the store and prints a
-// deterministic digest plus the hit/miss counters.
+// miss, never a torn one.  The drain that next wins a cut job's journal
+// lock finishes it: it re-publishes from the journal, or acknowledges a
+// job the dead drain already indexed.  `query` serves aggregates,
+// completion curves and crossover lookups purely from the store and
+// prints a deterministic digest plus the hit/miss counters.
 //
 // --from=FILE (or `-` for stdin) batches submissions: one job per line of
 // space-separated key=value pairs using the same keys as the spec flags
@@ -40,7 +40,6 @@
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
-#include <map>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -130,16 +129,9 @@ ServiceOptions service_options_from_args(CliArgs& args,
         "deadline-ms", 0, "per-replicate wall-clock budget (0 = none)");
     opt.max_retries = args.get_uint(
         "retries", 1, "retry budget per replicate for transient failures");
-    opt.lease_ms = args.get_uint(
-        "lease-ms", 30000,
-        "per-job lease validity; renewed after every journaled replicate, "
-        "so keep it well above one replicate's wall time");
-    opt.takeover_grace_ms = args.get_uint(
-        "takeover-grace-ms", 1000,
-        "extra slack past lease expiry before another drain takes over");
     opt.drain_id = args.get_string(
-        "drain-id", "", "this drain's identity in lease files and the "
-        "ledger (default pid-<pid>)");
+        "drain-id", "",
+        "this drain's identity in the ledger (default pid-<pid>)");
   }
   return opt;
 }
@@ -172,11 +164,11 @@ int run_service(ExperimentService& service, const ServiceReport& report) {
   }
   if (report.failed_jobs > 0) return kExitFailed;
   if (report.deferred_jobs > 0) return kExitTransient;
-  if (report.skipped_claimed > 0 || report.stale_leases > 0) {
-    // Sibling drains still own jobs (or took ours over) — nothing failed,
-    // but the backlog is not drained *by us*.  Retry loops key off this.
+  if (report.skipped_claimed > 0) {
+    // Sibling drains still hold jobs — nothing failed, but the backlog is
+    // not drained *by us*.  Retry loops key off this.
     std::cout << "jobs remain with sibling drains — rerun `hinetd run` "
-                 "once their leases settle\n";
+                 "once they finish\n";
     return kExitTransient;
   }
   return kExitOk;
@@ -208,9 +200,8 @@ int cmd_submit(CliArgs& args) {
     return kExitUsage;
   }
 
-  opt.cancel = install_termination_cancellation();
-  ExperimentService service(store_dir, opt);
-
+  // Every line parses before the store is opened: a usage error touches
+  // no store.
   std::vector<JobSpec> specs;
   if (from.empty()) {
     specs.push_back(spec);
@@ -234,6 +225,8 @@ int cmd_submit(CliArgs& args) {
     }
   }
 
+  opt.cancel = install_termination_cancellation();
+  ExperimentService service(store_dir, opt);
   std::size_t rejected = 0;
   for (const JobSpec& s : specs) {
     try {
@@ -397,7 +390,8 @@ int cmd_status(CliArgs& args) {
 
   if (args.help_requested()) {
     std::cout << args.usage(
-        "Report stored jobs, queue backlog and store counters.\n" +
+        "Report stored jobs, queue backlog, the execution ledger and store "
+        "counters.\n" +
         std::string(exit_code_help()));
     return kExitOk;
   }
@@ -410,40 +404,30 @@ int cmd_status(CliArgs& args) {
     return kExitUsage;
   }
 
-  // Everything here is observe-only: read-only store (no locks, no
-  // cleanup), read-only queue (no flock, no compaction), lease files
-  // peeked without acquiring — `status` is safe to run while N drains
-  // are live, and that is exactly how the CI multi-drain smoke uses it.
+  // Everything here is observe-only: read-only store, queue and ledger
+  // (no flock, no cleanup, no compaction) — `status` is safe to run while
+  // N drains are live, and that is exactly how the CI multi-drain smoke
+  // uses it.
   StoreOptions ro;
   ro.read_only = true;
   ResultsStore store(store_dir, ro);
   JobQueue queue(store_dir + "/queue.hjq", max_pending,
                  FramedLog::Access::kReadOnly);
-  LeaseManager leases(store_dir, LeaseManager::Options{});
-  const std::uint64_t now = leases.now_ms();
+  const ExecutionLedger ledger = read_execution_ledger(store_dir);
 
   std::cout << "stored jobs: " << store.size() << "\n";
   for (const JobSpec& s : store.entries()) {
     std::cout << "  " << s.hash_hex() << "  [" << s.describe() << "]\n";
   }
-  // One lease snapshot serves both sections: the lease file is the only
-  // record of which drain holds a job, and a pending job counts as
-  // claimed while its lease is unexpired.
-  const auto leased = leases.list();
-  std::map<std::string, LeaseInfo> live;
-  for (const auto& [name, info] : leased) {
-    if (info.expiry_ms > now) live.emplace(name, info);
-  }
+  // A pending job is attributed to the drain of its latest ledger claim.
   std::size_t claimed = 0;
   std::ostringstream pending;
   for (const JobSpec& s : queue.pending_jobs()) {
     pending << "  " << s.hash_hex() << "  [" << s.describe() << "]";
-    const auto lease =
-        live.find(ExperimentService::job_resource(s.content_hash()));
-    if (lease != live.end()) {
+    const auto job = ledger.jobs.find(s.content_hash());
+    if (job != ledger.jobs.end() && job->second.claims > 0) {
       ++claimed;
-      pending << "  claimed-by=" << lease->second.owner
-              << " token=" << lease->second.token;
+      pending << "  claimed-by=" << job->second.claimed_by;
     }
     pending << "\n";
   }
@@ -451,23 +435,12 @@ int cmd_status(CliArgs& args) {
             << queue.max_pending() << " (claimed: " << claimed << ")\n"
             << pending.str();
 
-  std::cout << "leases: " << leased.size() << "\n";
-  for (const auto& [name, info] : leased) {
-    const std::uint64_t ttl =
-        info.expiry_ms > now ? info.expiry_ms - now : 0;
-    std::cout << "  " << name << "  owner=" << info.owner
-              << " token=" << info.token << " ttl-ms=" << ttl
-              << (ttl == 0 ? " (expired)" : "") << "\n";
-  }
-
-  const ExecutionLedger ledger = read_execution_ledger(store_dir);
   std::cout << "ledger: claims=" << ledger.total_claims
-            << " publishes=" << ledger.total_publishes
-            << " stale-detected=" << ledger.total_stales << "\n";
+            << " publishes=" << ledger.total_publishes << "\n";
   for (const auto& [hash, per] : ledger.jobs) {
     std::cout << "  " << ExperimentService::job_resource(hash)
               << "  claims=" << per.claims << " publishes=" << per.publishes
-              << " stales=" << per.stales << "\n";
+              << "\n";
   }
 
   print_counters(store.counters());
@@ -483,9 +456,9 @@ void print_toplevel_help() {
       << exit_code_help() << "\n"
       << "signals: SIGINT/SIGTERM finish and journal the in-flight batch, "
          "then exit 3 (resume with `hinetd run`)\n"
-         "concurrency: N `hinetd run` processes may drain one store; "
-         "per-job leases + fencing make publishes exactly-once "
-         "(see `hinetd run --help`: --lease-ms, --drain-id)\n";
+         "concurrency: N `hinetd run` processes may drain one store; a "
+         "drain claims a job by locking its journal, so each job is "
+         "published once (see `hinetd run --help`: --drain-id)\n";
 }
 
 }  // namespace

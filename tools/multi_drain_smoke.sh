@@ -2,15 +2,15 @@
 # Multi-process kill-and-recover smoke for the experiment service.
 #
 # Three concurrent `hinetd run` drains share one store; one is SIGKILLed
-# while `hinetd status` shows it holding a live lease.  The survivors
-# finish what they can, a recovery drain waits out the dead drain's lease
-# (exit 3 = transient, retry) and converges to exit 0.  Afterwards:
+# while `hinetd status` shows it holding a job.  The kernel drops the dead
+# drain's journal lock with it, so the survivors finish what they can and
+# the first recovery drain converges with exit 0.  Afterwards:
 #
 #   * every job's query-digest is byte-identical to an uninterrupted
 #     single-drain reference store;
 #   * the execution ledger shows publishes=1 for every job — nothing ran
 #     to completion twice, no matter how the kill interleaved;
-#   * no lease and no pending job survives.
+#   * no lease, fence or journal file and no pending job survives.
 #
 # Usage: multi_drain_smoke.sh <path-to-hinetd> [scratch-dir]
 set -euo pipefail
@@ -21,11 +21,9 @@ mkdir -p "$scratch"
 
 seeds="3 5 7 9"
 spec_for() {
-  # Chunky enough (~seconds per job) that the SIGKILL lands mid-lease.
+  # Chunky enough (~seconds per job) that the SIGKILL lands mid-job.
   echo "--scenario=hinet-interval --nodes=800 --reps=300 --seed=$1"
 }
-# Short lease + grace so recovery converges in seconds, not minutes.
-lease="--lease-ms=1000 --takeover-grace-ms=200"
 
 clean="$scratch/clean"
 torture="$scratch/torture"
@@ -39,28 +37,30 @@ for s in $seeds; do
     > "$scratch/clean-$s.txt"
 done
 
-# 2. Torture: same jobs, three concurrent drains, SIGKILL one mid-lease.
+# 2. Torture: same jobs, three concurrent drains, SIGKILL one mid-job.
 for s in $seeds; do $hinetd submit --store="$torture" $(spec_for "$s"); done
 pids=()
 for i in 1 2 3; do
-  $hinetd run --store="$torture" --jobs=2 $lease --drain-id="ci-$i" &
+  $hinetd run --store="$torture" --jobs=2 --drain-id="ci-$i" &
   pids+=($!)
 done
 victim=${pids[0]}
-# Poll the observe-only status until the victim holds a live lease, then
-# kill -9.  If it never shows up (the victim drained its share before the
-# poll caught it) the kill is a no-op and the run degenerates to plain
-# concurrency — which the asserts below still cover.
+# Poll the observe-only status until a pending job is attributed to the
+# victim's claim, then kill -9.  If it never shows up (the victim drained
+# its share before the poll caught it) the kill is a no-op and the run
+# degenerates to plain concurrency — which the asserts below still cover.
 for _ in $(seq 100); do
-  if $hinetd status --store="$torture" | grep -q "owner=ci-1 "; then break; fi
+  if $hinetd status --store="$torture" | grep -q "claimed-by=ci-1$"; then
+    break
+  fi
   sleep 0.05
 done
 kill -9 "$victim" 2>/dev/null || true
 
 for pid in "${pids[@]:1}"; do
   set +e; wait "$pid"; st=$?; set -e
-  # 0 = this drain saw nothing left to do; 3 = jobs remain behind the dead
-  # drain's still-ticking lease (transient).  Anything else is a bug.
+  # 0 = this drain saw nothing left to do; 3 = it skipped a job the victim
+  # still held when it looked (transient).  Anything else is a bug.
   case $st in
     0|3) ;;
     *) echo "surviving drain exited $st" >&2; exit 1 ;;
@@ -68,20 +68,10 @@ for pid in "${pids[@]:1}"; do
 done
 set +e; wait "$victim"; set -e  # reap; its status is SIGKILL's, ignore
 
-# 3. Recovery: drain until exit 0.  Exit 3 means the dead drain's lease
-# has not expired yet — the only acceptable transient.
-recovered=1
-for _ in $(seq 40); do
-  set +e
-  $hinetd run --store="$torture" --jobs=2 $lease --drain-id=ci-recover \
-    | tee "$scratch/recover.txt"
-  st=${PIPESTATUS[0]}
-  set -e
-  if [ "$st" -eq 0 ]; then recovered=0; break; fi
-  test "$st" -eq 3
-  sleep 0.3
-done
-test "$recovered" -eq 0
+# 3. Recovery: the dead drain's journal lock died with it, so the first
+# recovery drain must finish everything.
+$hinetd run --store="$torture" --jobs=2 --drain-id=ci-recover \
+  | tee "$scratch/recover.txt"
 
 # 4. Every job's digest matches the uninterrupted reference bit for bit.
 for s in $seeds; do
@@ -90,15 +80,18 @@ for s in $seeds; do
   diff "$scratch/clean-$s.txt" "$scratch/torture-$s.txt"
 done
 
-# 5. No duplicate executions, no leaked lease, no stranded job: the
-# ledger's per-job lines must all read publishes=1.
+# 5. No duplicate executions, no leftover lock or journal, no stranded
+# job: the ledger's per-job lines must all read publishes=1.
 $hinetd status --store="$torture" | tee "$scratch/status.txt"
 njobs=$(echo $seeds | wc -w)
 test "$(grep -c '^  job-' "$scratch/status.txt")" -eq "$njobs"
-if grep '^  job-' "$scratch/status.txt" | grep -v 'publishes=1 '; then
+if grep '^  job-' "$scratch/status.txt" | grep -v 'publishes=1$'; then
   echo "a job was published != 1 times" >&2
   exit 1
 fi
-grep -q '^leases: 0$' "$scratch/status.txt"
+if ls "$torture" | grep -E '\.(lease|fence|journal)$'; then
+  echo "a lease, fence or journal file survived recovery" >&2
+  exit 1
+fi
 grep -q '^pending jobs: 0/' "$scratch/status.txt"
 echo "multi-drain kill-and-recover smoke: OK"
